@@ -17,7 +17,7 @@ import sys
 import time
 
 from hyperobs import (
-    MonOptions,
+    RankConfig,
     brute_force_mon,
     gen_complete,
     gen_hyperchain,
@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         if name not in FAMILIES:
             ap.error(f"unknown family {name!r}")
 
-    opts = MonOptions(trials=args.trials, seed=args.seed)
+    cfg = RankConfig(trials=args.trials, seed=args.seed)
     header = f"{'family':<10} {'n':>3} {'k':>3} {'edges':>6} {'mon':>4}"
     if args.brute_force:
         header += f" {'exact':>6} {'match':>6}"
@@ -70,14 +70,14 @@ def main(argv: list[str] | None = None) -> int:
             for k in range(2, min(n, args.k_max) + 1):
                 g = gen(n, k)
                 started = time.perf_counter()
-                res = minimum_observable_nodes(g, opts)
+                res = minimum_observable_nodes(g, cfg)
                 elapsed = time.perf_counter() - started
                 row = (
                     f"{name:<10} {n:>3} {k:>3} {g.num_edges:>6} "
                     f"{res.size:>4}"
                 )
                 if args.brute_force:
-                    exact = brute_force_mon(g, opts)
+                    exact = brute_force_mon(g, cfg)
                     match = exact.size == res.size
                     disagreements += not match
                     row += f" {exact.size:>6} {str(match).lower():>6}"

@@ -13,149 +13,39 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .correlation import (
-    CorrelationTriple,
     TimeSeriesMatrix,
     hypergraph_from_timeseries,
-    multicorrelation,
     multicorrelation_table,
     pairwise_graph_from_timeseries,
-    pearson,
     read_timeseries_csv,
     write_timeseries_csv,
 )
-from .dynamics import (
-    DynamicsSpec,
-    RecursionStats,
-    apply_factors,
-    eval_f,
-    lie_derivative_naive,
-    lie_derivative_naive_scaled,
-    lie_derivative_recursive,
-    lie_derivatives,
-)
-from .errors import ResourceLimitError
+from .dynamics import DynamicsSpec
 from .hypergraph import (
     UniformHypergraph,
-    adjacency_tensor,
-    adjacency_unfolding,
-    disjoint_union,
     gen_complete,
     gen_hyperchain,
     gen_hyperring,
     gen_hyperstar,
-    induced_subhypergraph,
-    relabel,
 )
-from .linalg import Echelon, bareiss_rank, modp_rank
-from .mon import (
-    ComponentSelection,
-    MonOptions,
-    MonResult,
-    brute_force_mon,
-    greedy_mon,
-    minimum_observable_nodes,
-    mon_per_component,
-)
-from .observability import (
-    NomEvaluation,
-    NomOracle,
-    ObservabilityReport,
-    RankConfig,
-    assemble_nom,
-    generic_rank,
-    is_locally_weakly_observable,
-    jacobian_lie_derivative,
-    lie_derivatives_with_jacobians,
-    node_blocks,
-)
-from .scalars import (
-    FLOATS,
-    PRIME,
-    PRIME_FIELD,
-    RATIONALS,
-    Dual,
-    DualDomain,
-    FieldElement,
-    factorial_inverse,
-    field_inv,
-    random_field_vector,
-)
-from .tensor import (
-    SparseMatrix,
-    SparseTensor,
-    ivec,
-    ivec_inverse,
-    kron,
-    kron_power,
-    tensor_apply,
-    unfold,
-)
+from .mon import brute_force_mon, minimum_observable_nodes
+from .observability import RankConfig, is_locally_weakly_observable
 
 __all__ = [
-    "ComponentSelection",
-    "CorrelationTriple",
-    "Dual",
-    "DualDomain",
     "DynamicsSpec",
-    "Echelon",
-    "FLOATS",
-    "FieldElement",
-    "MonOptions",
-    "MonResult",
-    "NomEvaluation",
-    "NomOracle",
-    "ObservabilityReport",
-    "PRIME",
-    "PRIME_FIELD",
-    "RATIONALS",
     "RankConfig",
-    "RecursionStats",
-    "ResourceLimitError",
-    "SparseMatrix",
-    "SparseTensor",
     "TimeSeriesMatrix",
     "UniformHypergraph",
-    "adjacency_tensor",
-    "adjacency_unfolding",
-    "apply_factors",
-    "assemble_nom",
-    "bareiss_rank",
     "brute_force_mon",
-    "disjoint_union",
-    "eval_f",
-    "factorial_inverse",
-    "field_inv",
     "gen_complete",
     "gen_hyperchain",
     "gen_hyperring",
     "gen_hyperstar",
-    "generic_rank",
-    "greedy_mon",
     "hypergraph_from_timeseries",
-    "induced_subhypergraph",
     "is_locally_weakly_observable",
-    "ivec",
-    "ivec_inverse",
-    "jacobian_lie_derivative",
-    "kron",
-    "kron_power",
-    "lie_derivative_naive",
-    "lie_derivative_naive_scaled",
-    "lie_derivative_recursive",
-    "lie_derivatives",
-    "lie_derivatives_with_jacobians",
     "minimum_observable_nodes",
-    "modp_rank",
-    "mon_per_component",
-    "multicorrelation",
     "multicorrelation_table",
-    "node_blocks",
     "pairwise_graph_from_timeseries",
-    "pearson",
-    "random_field_vector",
     "read_timeseries_csv",
-    "relabel",
-    "tensor_apply",
-    "unfold",
     "write_timeseries_csv",
 ]

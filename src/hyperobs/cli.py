@@ -22,7 +22,8 @@ from typing import Any
 
 from . import __version__
 from .correlation import (
-    hypergraph_from_timeseries,
+    check_threshold,
+    hypergraph_from_table,
     multicorrelation_table,
     read_timeseries_csv,
 )
@@ -34,7 +35,7 @@ from .hypergraph import (
     gen_hyperring,
     gen_hyperstar,
 )
-from .mon import MonOptions, brute_force_mon, minimum_observable_nodes
+from .mon import TIE_BREAKS, brute_force_mon, minimum_observable_nodes
 from .observability import RankConfig, is_locally_weakly_observable
 from .scalars import PRIME
 
@@ -133,14 +134,10 @@ def _cmd_observable(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
     g = _load_hypergraph(args.hypergraph)
-    opts = MonOptions(
-        depth=args.depth,
-        trials=args.trials,
-        seed=args.seed,
-        tie_break=args.tie_break,
-        per_component=args.per_component == "on",
+    cfg = RankConfig(trials=args.trials, seed=args.seed, depth=args.depth)
+    res = minimum_observable_nodes(
+        g, cfg, args.tie_break, per_component=args.per_component == "on"
     )
-    res = minimum_observable_nodes(g, opts)
     result: dict[str, Any] = {
         "selected": list(res.selected),
         "size": res.size,
@@ -157,7 +154,7 @@ def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
         ],
     }
     if args.brute_force:
-        exact = brute_force_mon(g, opts)
+        exact = brute_force_mon(g, cfg)
         result["brute_force"] = {
             "selected": list(exact.selected),
             "size": exact.size,
@@ -187,9 +184,10 @@ def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> dict[str, Any]:
+    check_threshold(args.threshold)
     series = read_timeseries_csv(Path(args.csv).read_text())
     table = multicorrelation_table(series)
-    g = hypergraph_from_timeseries(series, args.threshold)
+    g = hypergraph_from_table(series.num_signals, table, args.threshold)
     bins = [0] * 10
     for t in table:
         bins[min(int(t.rho * 10), 9)] += 1
@@ -304,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mon.add_argument("hypergraph", help="hypergraph JSON file")
     _add_rank_flags(p_mon)
     p_mon.add_argument(
-        "--tie-break", choices=("degree", "index", "random"),
+        "--tie-break", choices=TIE_BREAKS,
         default="degree", dest="tie_break",
     )
     p_mon.add_argument(

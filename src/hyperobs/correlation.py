@@ -154,15 +154,25 @@ def multicorrelation_table(
     ]
 
 
+def hypergraph_from_table(
+    num_signals: int, table: Sequence[CorrelationTriple], threshold: float
+) -> UniformHypergraph:
+    """3-uniform hypergraph on the signals, linking every triple of the
+    table whose rho is strictly above the threshold. Signals that land in
+    no triple stay as isolated nodes."""
+    check_threshold(threshold)
+    edges = [t.indices for t in table if t.rho > threshold]
+    return UniformHypergraph(num_signals, 3, edges)
+
+
 def hypergraph_from_timeseries(
     series: TimeSeriesMatrix, threshold: float = 0.95
 ) -> UniformHypergraph:
-    """3-uniform hypergraph linking every triple with rho strictly above
-    the threshold. Signals that land in no triple stay as isolated nodes."""
-    _check_threshold(threshold)
-    table = multicorrelation_table(series)
-    edges = [t.indices for t in table if t.rho > threshold]
-    return UniformHypergraph(series.num_signals, 3, edges)
+    """``hypergraph_from_table`` over the full multi-correlation table."""
+    check_threshold(threshold)
+    return hypergraph_from_table(
+        series.num_signals, multicorrelation_table(series), threshold
+    )
 
 
 def pairwise_graph_from_timeseries(
@@ -170,7 +180,7 @@ def pairwise_graph_from_timeseries(
 ) -> UniformHypergraph:
     """2-uniform counterpart: edges where |Pearson| strictly exceeds the
     threshold. Used to compare against the triple-based construction."""
-    _check_threshold(threshold)
+    check_threshold(threshold)
     if series.num_signals < 2:
         raise ValueError("need at least 2 signals")
     edges = [
@@ -181,6 +191,7 @@ def pairwise_graph_from_timeseries(
     return UniformHypergraph(series.num_signals, 2, edges)
 
 
-def _check_threshold(threshold: float) -> None:
+def check_threshold(threshold: float) -> None:
+    """Reject a threshold outside [0, 1], before any table is built."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")

@@ -17,10 +17,11 @@ state along the flow (J_0 = x, J_1 = f(x), ...):
   n-vectors, repeatedly contracts a window of k-1 of them through A, and
   sums over window positions. Materializes Kronecker products of at most
   k-1 vectors (n**(k-1) entries), never a full power of the state.
-* ``lie_derivative_naive``: the spelled-out form A B_2 ... B_p x^[m] where
-  each B_q is a sum of I x ... x A x ... x I factors, built as explicit
-  sparse matrices. Exponentially large and meant purely as an oracle for
-  the other two.
+* ``lie_derivative_naive_scaled``: the spelled-out operator product
+  A B_2 ... B_p x^[m], where each B_q is a sum of I x ... x A x ... x I
+  factors, over the integers with A scaled by (k-1)!. Exponentially large
+  and meant purely as an oracle for the other two; its (values, scale)
+  result serves both the rational and the mod-P comparisons.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph, adjacency_unfolding
-from .scalars import RATIONALS, DualDomain
-from .tensor import MAX_DENSE_SLOTS, MAX_SPARSE_NNZ, SparseMatrix
+from .scalars import RATIONALS
+from .tensor import MAX_DENSE_SLOTS, SparseMatrix
 
 DEFAULT_RECURSION_BUDGET = 500_000
 
@@ -175,13 +176,6 @@ def apply_factors(
     return out
 
 
-def eval_f(
-    dyn: DynamicsSpec, x: Sequence[Any], domain: Any = RATIONALS
-) -> list[Any]:
-    """The vector field at x."""
-    return apply_factors(dyn, [x] * (dyn.k - 1), domain)
-
-
 def lie_derivatives(
     dyn: DynamicsSpec, x: Sequence[Any], depth: int, domain: Any = RATIONALS
 ) -> list[list[Any]]:
@@ -306,67 +300,6 @@ def _recurse_factors(
         sub = _recurse_factors(A, k, p - 1, shorter, domain, stats, max_calls)
         out = sub if out is None else [add(a, b) for a, b in zip(out, sub)]
     return out
-
-
-def _kron_sum_operator(
-    A: SparseMatrix, width: int, n: int, max_nnz: int
-) -> SparseMatrix:
-    """sum over slots of I x ... x A (slot i) x ... x I with `width` slots."""
-    eye = SparseMatrix.identity(n)
-    total = None
-    for slot in range(width):
-        parts = [eye] * slot + [A] + [eye] * (width - 1 - slot)
-        term = parts[0]
-        for m in parts[1:]:
-            term = term.kron(m, max_nnz=max_nnz)
-        total = term if total is None else total.add(term)
-        if total.nnz > max_nnz:
-            raise ResourceLimitError(
-                f"Kronecker-sum operator grew past {max_nnz} entries"
-            )
-    return total
-
-
-def lie_derivative_naive(
-    dyn: DynamicsSpec,
-    p: int,
-    x: Sequence[Any],
-    domain: Any = RATIONALS,
-    max_slots: int = MAX_DENSE_SLOTS,
-    max_nnz: int = MAX_SPARSE_NNZ,
-) -> list[Any]:
-    """J_p through the explicit operator product A B_2 ... B_p x^[m].
-
-    Builds every B_q as a sparse matrix and materializes the full Kronecker
-    power of the state, exactly as the derivation writes it. Exponential in
-    p and k; this is the reference the compact evaluators are tested
-    against, not a route for real workloads.
-    """
-    if p < 0:
-        raise ValueError(f"derivative order must be nonnegative, got {p}")
-    if isinstance(domain, DualDomain):
-        raise ValueError(
-            "the operator-product evaluator supports value domains only"
-        )
-    if len(x) != dyn.n:
-        raise ValueError(f"point has {len(x)} coordinates for {dyn.n} nodes")
-    if p == 0:
-        return list(x)
-    n, k = dyn.n, dyn.k
-    m = p * (k - 2) + 1
-    if n**m > max_slots:
-        raise ResourceLimitError(
-            f"naive evaluation needs {n}**{m} = {n**m} slots (cap {max_slots})"
-        )
-    A = dyn.unfolding(domain)
-    mul = domain.mul
-    w: list[Any] = list(x)
-    for _ in range(m - 1):
-        w = [mul(a, b) for a in w for b in x]
-    for q in range(p, 1, -1):
-        B = _kron_sum_operator(A, (q - 1) * (k - 2) + 1, n, max_nnz)
-        w = _apply_sparse(B, w, domain)
-    return _apply_sparse(A, w, domain)
 
 
 def _scaled_columns(dyn: DynamicsSpec) -> list[np.ndarray]:

@@ -1,5 +1,5 @@
-"""k-uniform hypergraphs: the data type, generator families, and the
-adjacency tensor machinery.
+"""k-uniform hypergraphs: the data type, generator families, JSON
+serialization and the adjacency unfolding.
 
 Nodes are labelled 1..n. Every hyperedge is a set of exactly k distinct
 nodes, held canonically as a sorted tuple; the edge list itself is sorted
@@ -16,7 +16,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ResourceLimitError
 from .scalars import RATIONALS
-from .tensor import MAX_DENSE_SLOTS, SparseMatrix, SparseTensor, ivec
+from .tensor import MAX_DENSE_SLOTS, SparseMatrix, ivec
 
 MAX_COMPLETE_EDGES = 10**6
 
@@ -97,24 +97,31 @@ class UniformHypergraph:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> UniformHypergraph:
+        if not isinstance(data, Mapping):
+            raise ValueError(
+                f"hypergraph must be a JSON object, got {type(data).__name__}"
+            )
         for key in ("n", "k", "edges"):
             if key not in data:
                 raise ValueError(f"hypergraph object lacks required key {key!r}")
         n, k, edges = data["n"], data["k"], data["edges"]
-        if not isinstance(n, int) or not isinstance(k, int):
+        if not _is_int(n) or not _is_int(k):
             raise ValueError("n and k must be integers")
         if not isinstance(edges, list):
             raise ValueError("edges must be a list of node lists")
         for pos, e in enumerate(edges, start=1):
-            if not isinstance(e, list) or not all(
-                isinstance(i, int) for i in e
-            ):
+            if not isinstance(e, list) or not all(_is_int(i) for i in e):
                 raise ValueError(f"edge #{pos} is not a list of integers: {e!r}")
         return cls(n, k, edges)
 
     @classmethod
     def from_json(cls, text: str) -> UniformHypergraph:
         return cls.from_dict(json.loads(text))
+
+
+def _is_int(value: Any) -> bool:
+    # JSON true/false load as bool, which Python counts as an int subtype
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def gen_hyperchain(n: int, k: int) -> UniformHypergraph:
@@ -207,19 +214,6 @@ def induced_subhypergraph(
     ]
     back = {new: old for old, new in to_new.items()}
     return UniformHypergraph(len(ordered), g.k, edges), back
-
-
-def adjacency_tensor(
-    g: UniformHypergraph, domain: Any = RATIONALS
-) -> SparseTensor:
-    """The supersymmetric adjacency tensor: every permutation of a hyperedge
-    indexes the value 1/(k-1)!."""
-    w = domain.inv_int(factorial(g.k - 1))
-    entries = {}
-    for e in g.edges:
-        for idx in permutations(e):
-            entries[idx] = w
-    return SparseTensor((g.n,) * g.k, entries)
 
 
 def adjacency_unfolding(

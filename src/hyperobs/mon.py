@@ -18,46 +18,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Callable, Sequence
 
 from .dynamics import DynamicsSpec
 from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph, induced_subhypergraph
 from .linalg import modp_rank
-from .observability import NomOracle, _as_dynamics
+from .observability import NomOracle, RankConfig, _as_dynamics
 from .scalars import PRIME, derive_seed
 
 TIE_BREAKS = ("degree", "index", "random")
 
 DEFAULT_SUBSET_BUDGET = 200_000
-
-
-@dataclass(frozen=True)
-class MonOptions:
-    """Selection parameters.
-
-    depth None means levels 0..n-1 per component, the full per-node block.
-    tie_break names how rank-gain ties resolve: "degree" prefers the
-    highest-degree node (then the lowest label), "index" the lowest label,
-    "random" a seeded draw. A callable key on node labels is also accepted.
-    """
-
-    depth: int | None = None
-    trials: int = 3
-    seed: int = 0
-    tie_break: str | Callable[[int], Any] = "degree"
-    per_component: bool = True
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.depth is not None and self.depth < 0:
-            raise ValueError(f"depth must be nonnegative, got {self.depth}")
-        if isinstance(self.tie_break, str) and self.tie_break not in TIE_BREAKS:
-            raise ValueError(
-                f"tie_break must be one of {TIE_BREAKS} or a callable, "
-                f"got {self.tie_break!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -89,38 +60,38 @@ class MonResult:
         return len(self.selected)
 
 
-def _oracle(dyn: DynamicsSpec, opts: MonOptions) -> NomOracle:
-    depth = opts.depth if opts.depth is not None else max(dyn.n - 1, 0)
-    return NomOracle(dyn, depth, opts.trials, opts.seed)
-
-
 def greedy_mon(
-    g: UniformHypergraph | DynamicsSpec, opts: MonOptions | None = None
+    g: UniformHypergraph | DynamicsSpec,
+    config: RankConfig | None = None,
+    tie_break: str = "degree",
 ) -> MonResult:
     """Greedy rank ascent over the whole hypergraph as given.
 
     Each step scores every unselected node by the rank its block would add
-    at the best trial point, picks a maximizer (ties per the configured
-    tie-break), and folds its rows into the per-trial echelon bases. Stops
-    at full rank, or with a "stalled" verdict if no node helps.
+    at the best trial point, picks a maximizer, and folds its rows into the
+    per-trial echelon bases. Stops at full rank, or with a "stalled" verdict
+    if no node helps. tie_break names how rank-gain ties resolve: "degree"
+    prefers the highest-degree node (then the lowest label), "index" the
+    lowest label, "random" a draw seeded from the config seed.
     """
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(
+            f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}"
+        )
     dyn = _as_dynamics(g)
-    opts = opts or MonOptions()
     n = dyn.n
-    oracle = _oracle(dyn, opts)
+    oracle = NomOracle(dyn, config)
     echelons = oracle.echelons()
-    evaluations = [oracle.evaluation(t) for t in range(opts.trials)]
+    evaluations = [oracle.evaluation(t) for t in range(oracle.trials)]
 
     degrees = dyn.graph.degrees()
-    if callable(opts.tie_break):
-        key_fn = opts.tie_break
-    elif opts.tie_break == "degree":
+    if tie_break == "degree":
         key_fn = lambda s: (-degrees[s], s)
     else:
         key_fn = lambda s: s
     rng = (
-        random.Random(derive_seed(opts.seed, "tie-break"))
-        if opts.tie_break == "random"
+        random.Random(derive_seed(oracle.seed, "tie-break"))
+        if tie_break == "random"
         else None
     )
 
@@ -158,7 +129,9 @@ def greedy_mon(
 
 
 def mon_per_component(
-    g: UniformHypergraph | DynamicsSpec, opts: MonOptions | None = None
+    g: UniformHypergraph | DynamicsSpec,
+    config: RankConfig | None = None,
+    tie_break: str = "degree",
 ) -> MonResult:
     """Greedy selection run independently on each connected component.
 
@@ -167,14 +140,13 @@ def mon_per_component(
     the ranks add. Isolated nodes always pick themselves.
     """
     dyn = _as_dynamics(g)
-    opts = opts or MonOptions()
     parts: list[ComponentSelection] = []
     selected: list[int] = []
     trace: list[int] = []
     achieved = 0
     for comp in dyn.graph.connected_components():
         sub, back = induced_subhypergraph(dyn.graph, comp)
-        res = greedy_mon(DynamicsSpec(sub, dyn.weight), opts)
+        res = greedy_mon(DynamicsSpec(sub, dyn.weight), config, tie_break)
         mapped = tuple(back[s] for s in res.selected)
         parts.append(
             ComponentSelection(
@@ -201,18 +173,20 @@ def mon_per_component(
 
 
 def minimum_observable_nodes(
-    g: UniformHypergraph | DynamicsSpec, opts: MonOptions | None = None
+    g: UniformHypergraph | DynamicsSpec,
+    config: RankConfig | None = None,
+    tie_break: str = "degree",
+    per_component: bool = True,
 ) -> MonResult:
-    """Greedy selection honoring the per_component switch."""
-    opts = opts or MonOptions()
-    if opts.per_component:
-        return mon_per_component(g, opts)
-    return greedy_mon(g, opts)
+    """Greedy selection, per connected component unless switched off."""
+    if per_component:
+        return mon_per_component(g, config, tie_break)
+    return greedy_mon(g, config, tie_break)
 
 
 def brute_force_mon(
     g: UniformHypergraph | DynamicsSpec,
-    opts: MonOptions | None = None,
+    config: RankConfig | None = None,
     max_size: int | None = None,
     max_subsets: int = DEFAULT_SUBSET_BUDGET,
 ) -> MonResult:
@@ -224,10 +198,9 @@ def brute_force_mon(
     gives up with ResourceLimitError past the subset budget.
     """
     dyn = _as_dynamics(g)
-    opts = opts or MonOptions()
     n = dyn.n
-    oracle = _oracle(dyn, opts)
-    evaluations = [oracle.evaluation(t) for t in range(opts.trials)]
+    oracle = NomOracle(dyn, config)
+    evaluations = [oracle.evaluation(t) for t in range(oracle.trials)]
     limit = n if max_size is None else min(max_size, n)
     tried = 0
     for size in range(1, limit + 1):

@@ -9,6 +9,10 @@ field certifies the generic rank with high probability (a Schwartz-Zippel
 argument), and taking the best of several trials drives the failure odds
 down further.
 
+Levels 0..n-1 always suffice: once a level adds nothing to the span of the
+gradients dJ_q, no later level does either (the observability rank
+condition of Hermann and Krener), so that is the default depth.
+
 Jacobians come from forward-mode dual numbers: one evaluation of the chain
 per coordinate direction, exact over the field and over the rationals.
 """
@@ -26,13 +30,13 @@ from .scalars import PRIME, PRIME_FIELD, DualDomain, derive_seed, random_point
 
 @dataclass(frozen=True)
 class RankConfig:
-    """Knobs for the probabilistic rank checks.
+    """Knobs for the probabilistic rank checks, validated here only.
 
-    depth is the highest derivative level stacked; None defers to the
-    caller's natural default (n for observability verdicts). trials is the
-    number of independent evaluation points; the reported rank is the best
-    one seen, rank deficiency at every point being overwhelmingly unlikely
-    for a generically full-rank matrix.
+    depth is the highest derivative level stacked; None means n - 1 for the
+    n-node dynamics the rank is taken on. trials is the number of
+    independent evaluation points; the reported rank is the best one seen,
+    rank deficiency at every point being overwhelmingly unlikely for a
+    generically full-rank matrix. seed derives every evaluation point.
     """
 
     trials: int = 3
@@ -78,48 +82,6 @@ def lie_derivatives_with_jacobians(
     return values, grads
 
 
-def jacobian_lie_derivative(
-    dyn: DynamicsSpec, p: int, x: Sequence[Any], domain: Any
-) -> list[list[Any]]:
-    """The Jacobian of J_p at x as a dense row-major matrix."""
-    if p < 0:
-        raise ValueError(f"derivative order must be nonnegative, got {p}")
-    _, grads = lie_derivatives_with_jacobians(dyn, x, p, domain)
-    return grads[p]
-
-
-def assemble_nom(
-    dyn: DynamicsSpec,
-    output_rows: Sequence[Sequence[Any]],
-    x: Sequence[Any],
-    depth: int,
-    domain: Any,
-) -> list[list[Any]]:
-    """The observability matrix for outputs y = C x, stacked by level.
-
-    Rows appear in level order p = 0..depth; within a level, one row per
-    output row c, namely c times the Jacobian of J_p.
-    """
-    n = dyn.n
-    for row in output_rows:
-        if len(row) != n:
-            raise ValueError("output row length does not match node count")
-    _, grads = lie_derivatives_with_jacobians(dyn, x, depth, domain)
-    add, mul = domain.add, domain.mul
-    stacked = []
-    for p in range(depth + 1):
-        g = grads[p]
-        for c in output_rows:
-            row = [domain.zero()] * n
-            for i, ci in enumerate(c):
-                if domain.is_zero(ci):
-                    continue
-                gi = g[i]
-                row = [add(r, mul(ci, v)) for r, v in zip(row, gi)]
-            stacked.append(row)
-    return stacked
-
-
 @dataclass(frozen=True)
 class NomEvaluation:
     """Per-node observability blocks at one evaluation point.
@@ -161,20 +123,15 @@ class NomOracle:
     All rank queries against one oracle reuse the same trial points, which
     keeps greedy selection consistent and makes repeated queries cheap. The
     points have no zero coordinates and derive deterministically from the
-    seed.
+    seed. A config depth of None resolves here, to n - 1 of ``dyn``.
     """
 
-    def __init__(
-        self, dyn: DynamicsSpec, depth: int, trials: int, seed: int
-    ):
-        if trials < 1:
-            raise ValueError(f"trials must be positive, got {trials}")
-        if depth < 0:
-            raise ValueError(f"depth must be nonnegative, got {depth}")
+    def __init__(self, dyn: DynamicsSpec, config: RankConfig | None = None):
+        cfg = config or RankConfig()
         self.dyn = dyn
-        self.depth = depth
-        self.trials = trials
-        self.seed = seed
+        self.depth = cfg.depth if cfg.depth is not None else dyn.n - 1
+        self.trials = cfg.trials
+        self.seed = cfg.seed
         self._evaluations: dict[int, NomEvaluation] = {}
 
     def evaluation(self, trial: int) -> NomEvaluation:
@@ -222,11 +179,7 @@ def generic_rank(
     config: RankConfig | None = None,
 ) -> int:
     """Generic rank of the observability matrix for a measured node set."""
-    dyn = _as_dynamics(g)
-    cfg = config or RankConfig()
-    depth = cfg.depth if cfg.depth is not None else dyn.n
-    oracle = NomOracle(dyn, depth, cfg.trials, cfg.seed)
-    return oracle.rank(list(nodes))
+    return NomOracle(_as_dynamics(g), config).rank(list(nodes))
 
 
 @dataclass(frozen=True)
@@ -252,18 +205,14 @@ def is_locally_weakly_observable(
     """Does measuring the given nodes pin down the full state locally?
 
     True when the generic observability rank reaches the node count at the
-    configured depth (default: the state dimension n).
+    configured depth (default n - 1).
     """
-    dyn = _as_dynamics(g)
-    cfg = config or RankConfig()
-    depth = cfg.depth if cfg.depth is not None else dyn.n
-    rank = generic_rank(
-        dyn, nodes, RankConfig(cfg.trials, cfg.seed, depth)
-    )
+    oracle = NomOracle(_as_dynamics(g), config)
+    rank = oracle.rank(list(nodes))
     return ObservabilityReport(
-        observable=rank == dyn.n,
+        observable=rank == oracle.dyn.n,
         rank=rank,
-        n=dyn.n,
-        depth=depth,
-        trials=cfg.trials,
+        n=oracle.dyn.n,
+        depth=oracle.depth,
+        trials=oracle.trials,
     )

@@ -1,185 +1,32 @@
 """Scalar arithmetic used across the package.
 
-Four kinds of scalars appear in the evaluation pipelines:
+The evaluation kernels are generic over a domain object that exposes
+arithmetic through explicit methods on unwrapped values, which keeps the
+inner loops free of wrapper allocation. Four domains exist:
 
-* residues modulo the Mersenne prime 2**61 - 1 (probabilistic rank checks),
-* exact rationals from ``fractions.Fraction`` (reference computations),
-* IEEE floats (finite-difference validation, correlation estimates),
-* dual numbers a + b*eps with eps**2 = 0 (forward-mode differentiation).
-
-``FieldElement`` and ``Dual`` are small value types with operator overloads.
-The ``*Domain`` classes expose the same arithmetic through explicit methods on
-unwrapped representations (plain ``int``, ``Fraction``, ``float``, 2-tuples);
-the evaluation kernels are generic over a domain object, which keeps the inner
-loops free of wrapper allocation.
+* ``PRIME_FIELD``: residues modulo the Mersenne prime 2**61 - 1 as plain
+  ints (probabilistic rank checks),
+* ``RATIONALS``: exact ``fractions.Fraction`` values (reference
+  computations),
+* ``FLOATS``: IEEE doubles (finite-difference validation),
+* ``DualDomain(base)``: dual numbers a + b*eps with eps**2 = 0 as
+  (real, eps) tuples over any base domain (forward-mode differentiation).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Any
 
 PRIME = (1 << 61) - 1
-
-MAX_FACTORIAL_ARG = 20
-
-
-def _coerce_residue(other: Any) -> int | None:
-    if isinstance(other, FieldElement):
-        return other.value
-    if isinstance(other, int):
-        return other % PRIME
-    return None
-
-
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    """A residue in the prime field of order 2**61 - 1.
-
-    The stored value is always canonical, i.e. in [0, PRIME). Plain ints mix
-    freely with field elements in arithmetic and are reduced on the way in.
-    """
-
-    value: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % PRIME)
-
-    def __add__(self, other: Any) -> FieldElement:
-        v = _coerce_residue(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement((self.value + v) % PRIME)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Any) -> FieldElement:
-        v = _coerce_residue(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement((self.value - v) % PRIME)
-
-    def __rsub__(self, other: Any) -> FieldElement:
-        v = _coerce_residue(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement((v - self.value) % PRIME)
-
-    def __mul__(self, other: Any) -> FieldElement:
-        v = _coerce_residue(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement((self.value * v) % PRIME)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(-self.value % PRIME)
-
-    def __truediv__(self, other: Any) -> FieldElement:
-        v = _coerce_residue(other)
-        if v is None:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError("division by zero in the prime field")
-        return self * pow(v, -1, PRIME)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def inv(self) -> FieldElement:
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no inverse in the prime field")
-        return FieldElement(pow(self.value, -1, PRIME))
-
-
-def field_inv(a: FieldElement | int) -> FieldElement:
-    """Multiplicative inverse mod 2**61 - 1. Zero raises ZeroDivisionError."""
-    if isinstance(a, FieldElement):
-        return a.inv()
-    return FieldElement(a).inv()
-
-
-def factorial_inverse(k: int) -> tuple[Fraction, FieldElement]:
-    """1/(k-1)! as an exact rational and as a field element.
-
-    This is the normalizing coefficient of the adjacency unfolding of a
-    k-uniform hypergraph. k must lie in [1, MAX_FACTORIAL_ARG].
-    """
-    if not 1 <= k <= MAX_FACTORIAL_ARG:
-        raise ValueError(f"k must be in [1, {MAX_FACTORIAL_ARG}], got {k}")
-    f = factorial(k - 1)
-    return Fraction(1, f), field_inv(f)
-
-
-def _coerce_dual_part(other: Any) -> Any | None:
-    # Anything that is not itself a Dual is treated as a pure real part.
-    if isinstance(other, Dual):
-        return None
-    if isinstance(other, (int, float, Fraction, FieldElement)):
-        return other
-    return None
-
-
-@dataclass(frozen=True, slots=True)
-class Dual:
-    """Dual number real + eps*infinitesimal with eps**2 = 0.
-
-    Both parts may be any scalar supporting + and * (ints, floats, Fractions,
-    FieldElements). Multiplication implements the product rule, so evaluating
-    a polynomial at Dual(x, 1) yields its value and derivative at x together.
-    """
-
-    real: Any
-    eps: Any
-
-    def __add__(self, other: Any) -> Dual:
-        if isinstance(other, Dual):
-            return Dual(self.real + other.real, self.eps + other.eps)
-        s = _coerce_dual_part(other)
-        if s is None:
-            return NotImplemented
-        return Dual(self.real + s, self.eps)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Any) -> Dual:
-        return self + (-other if isinstance(other, Dual) else -1 * other)
-
-    def __rsub__(self, other: Any) -> Dual:
-        return (-self) + other
-
-    def __mul__(self, other: Any) -> Dual:
-        if isinstance(other, Dual):
-            return Dual(
-                self.real * other.real,
-                self.real * other.eps + self.eps * other.real,
-            )
-        s = _coerce_dual_part(other)
-        if s is None:
-            return NotImplemented
-        return Dual(self.real * s, self.eps * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> Dual:
-        return Dual(-1 * self.real, -1 * self.eps)
-
-    def __bool__(self) -> bool:
-        return bool(self.real) or bool(self.eps)
 
 
 class PrimeFieldDomain:
     """Arithmetic on canonical residues represented as plain ints."""
 
     name = "prime_field"
-    exact = True
-
-    modulus = PRIME
 
     def zero(self) -> int:
         return 0
@@ -215,8 +62,6 @@ class RationalDomain:
     """Exact rational arithmetic on fractions.Fraction values."""
 
     name = "rational"
-    exact = True
-
     def zero(self) -> Fraction:
         return Fraction(0)
 
@@ -249,8 +94,6 @@ class FloatDomain:
     """IEEE double arithmetic, used only where approximation is acceptable."""
 
     name = "float"
-    exact = False
-
     def zero(self) -> float:
         return 0.0
 
@@ -287,16 +130,10 @@ class DualDomain:
     eps component performs forward-mode differentiation in that direction.
     """
 
-    exact = True
-
     def __init__(self, base: Any):
         self.base = base
         self.name = f"dual({base.name})"
-        self.exact = base.exact
         self._z = base.zero()
-
-    def lift(self, a: Any) -> tuple[Any, Any]:
-        return (a, self._z)
 
     def variable(self, a: Any, direction: Any) -> tuple[Any, Any]:
         return (a, direction)
@@ -348,14 +185,6 @@ def derive_seed(seed: int, label: str) -> int:
         f"{seed}:{label}".encode(), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")
-
-
-def random_field_vector(n: int, seed: int) -> list[FieldElement]:
-    """n independent uniform residues, deterministic for a fixed seed."""
-    if n < 0:
-        raise ValueError(f"vector length must be nonnegative, got {n}")
-    rng = random.Random(seed)
-    return [FieldElement(rng.randrange(PRIME)) for _ in range(n)]
 
 
 def random_point(n: int, seed: int) -> list[int]:

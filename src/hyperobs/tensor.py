@@ -1,57 +1,19 @@
-"""Kronecker products, index vectorization and sparse tensor unfoldings.
+"""Index vectorization and the sparse matrix that holds adjacency unfoldings.
 
-Conventions, fixed once here and relied on everywhere else:
-
-* ``kron`` orders blocks by the first factor, so for x of length n and y of
-  length m the product is (x1*y1, ..., x1*ym, x2*y1, ..., xn*ym).
-* ``ivec`` flattens a multi-index with the first component fastest:
-  ivec(j, J) = j1 + sum_{t >= 2} (j_t - 1) * J_1 * ... * J_{t-1}.
-* All public indices are 1-based.
-
-The two orders differ (kron is big-endian, ivec little-endian), which is
-harmless for every product formed in this package: unfoldings of symmetric
-tensors are invariant under permuting the flattened index digits.
+``ivec`` flattens a multi-index with the first component fastest:
+ivec(j, J) = j1 + sum_{t >= 2} (j_t - 1) * J_1 * ... * J_{t-1}. All public
+indices are 1-based. Kronecker products elsewhere in the package order
+blocks by the first factor (big-endian), the opposite digit order, which is
+harmless: unfoldings of symmetric tensors are invariant under permuting the
+flattened index digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
-
-from .errors import ResourceLimitError
+from typing import Any, Sequence
 
 MAX_DENSE_SLOTS = 10**8
-
-MAX_SPARSE_NNZ = 10**8
-
-
-def kron(x: Sequence[Any], y: Sequence[Any]) -> list[Any]:
-    """Kronecker product of two vectors, first factor most significant."""
-    return [a * b for a in x for b in y]
-
-
-def kron_power(
-    x: Sequence[Any], i: int, max_slots: int = MAX_DENSE_SLOTS
-) -> list[Any]:
-    """i-fold Kronecker power of x, a vector of length len(x)**i.
-
-    The zeroth power is the length-one vector (1,). Refuses to materialize
-    more than max_slots entries.
-    """
-    if i < 0:
-        raise ValueError(f"Kronecker power must be nonnegative, got {i}")
-    n = len(x)
-    if n == 0 and i > 0:
-        raise ValueError("cannot raise an empty vector to a positive power")
-    if i > 0 and n**i > max_slots:
-        raise ResourceLimitError(
-            f"kron_power would allocate {n}**{i} = {n**i} slots "
-            f"(cap {max_slots})"
-        )
-    out: list[Any] = [1]
-    for _ in range(i):
-        out = kron(out, x)
-    return out
 
 
 def ivec(j: Sequence[int], J: Sequence[int]) -> int:
@@ -75,75 +37,13 @@ def ivec(j: Sequence[int], J: Sequence[int]) -> int:
     return pos + 1
 
 
-def ivec_inverse(pos: int, J: Sequence[int]) -> tuple[int, ...]:
-    """Multi-index j with ivec(j, J) == pos. Inverse of ivec."""
-    total = 1
-    for Jt in J:
-        total *= Jt
-    if not 1 <= pos <= total:
-        raise IndexError(f"position {pos} outside [1, {total}]")
-    rem = pos - 1
-    out = []
-    for Jt in J:
-        rem, digit = divmod(rem, Jt)
-        out.append(digit + 1)
-    return tuple(out)
-
-
-def _validated_entries(
-    entries: dict, check: Any
-) -> dict:
-    clean = {}
-    for key, value in entries.items():
-        check(key)
-        if value:
-            clean[key] = value
-    return clean
-
-
-@dataclass(frozen=True)
-class SparseTensor:
-    """A sparse tensor with 1-based multi-index keys.
-
-    Zero values are dropped on construction; indices are validated against
-    the shape.
-    """
-
-    shape: tuple[int, ...]
-    entries: dict[tuple[int, ...], Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if len(self.shape) == 0:
-            raise ValueError("tensor must have at least one mode")
-        if any(d < 1 for d in self.shape):
-            raise ValueError(f"all dimensions must be positive: {self.shape}")
-
-        def check(idx: tuple[int, ...]) -> None:
-            if len(idx) != len(self.shape):
-                raise ValueError(
-                    f"index {idx} has wrong order for shape {self.shape}"
-                )
-            for t, (jt, Jt) in enumerate(zip(idx, self.shape)):
-                if not 1 <= jt <= Jt:
-                    raise IndexError(
-                        f"index {idx} outside shape {self.shape} at mode {t + 1}"
-                    )
-
-        object.__setattr__(
-            self, "entries", _validated_entries(self.entries, check)
-        )
-
-    @property
-    def order(self) -> int:
-        return len(self.shape)
-
-    def is_cubical(self) -> bool:
-        return len(set(self.shape)) == 1
-
-
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Dictionary-of-keys sparse matrix with 1-based (row, col) keys."""
+    """Dictionary-of-keys sparse matrix with 1-based (row, col) keys.
+
+    Zero values are dropped on construction; keys are validated against the
+    shape.
+    """
 
     rows: int
     cols: int
@@ -152,21 +52,15 @@ class SparseMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-
-        def check(key: tuple[int, int]) -> None:
-            r, c = key
+        clean = {}
+        for (r, c), value in self.entries.items():
             if not (1 <= r <= self.rows and 1 <= c <= self.cols):
                 raise IndexError(
                     f"entry ({r}, {c}) outside {self.rows} x {self.cols}"
                 )
-
-        object.__setattr__(
-            self, "entries", _validated_entries(self.entries, check)
-        )
-
-    @classmethod
-    def identity(cls, n: int) -> SparseMatrix:
-        return cls(n, n, {(i, i): 1 for i in range(1, n + 1)})
+            if value:
+                clean[(r, c)] = value
+        object.__setattr__(self, "entries", clean)
 
     @property
     def nnz(self) -> int:
@@ -182,122 +76,8 @@ class SparseMatrix:
             out[r - 1] = out[r - 1] + v * x[c - 1]
         return out
 
-    def matmul(self, other: SparseMatrix) -> SparseMatrix:
-        if self.cols != other.rows:
-            raise ValueError(
-                f"cannot multiply {self.rows}x{self.cols} by "
-                f"{other.rows}x{other.cols}"
-            )
-        by_row: dict[int, list[tuple[int, Any]]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc: dict[tuple[int, int], Any] = {}
-        for (r1, c1), v1 in self.entries.items():
-            for c2, v2 in by_row.get(c1, ()):
-                key = (r1, c2)
-                prod = v1 * v2
-                if key in acc:
-                    acc[key] = acc[key] + prod
-                else:
-                    acc[key] = prod
-        return SparseMatrix(self.rows, other.cols, acc)
-
-    def add(self, other: SparseMatrix) -> SparseMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shapes differ")
-        acc = dict(self.entries)
-        for key, v in other.entries.items():
-            if key in acc:
-                acc[key] = acc[key] + v
-            else:
-                acc[key] = v
-        return SparseMatrix(self.rows, self.cols, acc)
-
-    def kron(
-        self, other: SparseMatrix, max_nnz: int = MAX_SPARSE_NNZ
-    ) -> SparseMatrix:
-        """Kronecker product, first factor most significant (block order)."""
-        if self.nnz * other.nnz > max_nnz:
-            raise ResourceLimitError(
-                f"sparse Kronecker product would hold "
-                f"{self.nnz * other.nnz} entries (cap {max_nnz})"
-            )
-        acc = {}
-        for (r1, c1), v1 in self.entries.items():
-            for (r2, c2), v2 in other.entries.items():
-                acc[
-                    ((r1 - 1) * other.rows + r2, (c1 - 1) * other.cols + c2)
-                ] = v1 * v2
-        return SparseMatrix(
-            self.rows * other.rows, self.cols * other.cols, acc
-        )
-
     def to_dense(self, zero: Any = 0) -> list[list[Any]]:
         dense = [[zero] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             dense[r - 1][c - 1] = v
         return dense
-
-
-def kron_chain(
-    matrices: Iterable[SparseMatrix], max_nnz: int = MAX_SPARSE_NNZ
-) -> SparseMatrix:
-    """Kronecker product of a sequence of matrices, left to right."""
-    mats = list(matrices)
-    if not mats:
-        raise ValueError("empty Kronecker chain")
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.kron(m, max_nnz=max_nnz)
-    return out
-
-
-def unfold(tensor: SparseTensor, mode: int) -> SparseMatrix:
-    """Mode-m unfolding of a cubical tensor.
-
-    Entry T[j_1, ..., j_d] lands in row j_mode, column ivec of the remaining
-    indices in their original order.
-    """
-    if not tensor.is_cubical():
-        raise ValueError(f"unfold requires a cubical tensor, shape {tensor.shape}")
-    d = tensor.order
-    if not 1 <= mode <= d:
-        raise IndexError(f"mode {mode} outside [1, {d}]")
-    n = tensor.shape[0]
-    rest_dims = (n,) * (d - 1)
-    entries: dict[tuple[int, int], Any] = {}
-    for idx, v in tensor.entries.items():
-        row = idx[mode - 1]
-        rest = idx[: mode - 1] + idx[mode:]
-        col = ivec(rest, rest_dims) if rest else 1
-        key = (row, col)
-        if key in entries:
-            entries[key] = entries[key] + v
-        else:
-            entries[key] = v
-    return SparseMatrix(n, n ** (d - 1), entries)
-
-
-def tensor_apply(A: SparseMatrix, x: Sequence[Any], k: int) -> list[Any]:
-    """A times the (k-1)-fold Kronecker power of x, without materializing it.
-
-    A must be an n by n**(k-1) unfolding. Each stored entry contributes
-    value * x[j_1] * ... * x[j_{k-1}] to its row, where the column index
-    decodes through ivec_inverse.
-    """
-    n = len(x)
-    if k < 2:
-        raise ValueError(f"uniformity must be at least 2, got {k}")
-    if A.rows != n or A.cols != n ** (k - 1):
-        raise ValueError(
-            f"unfolding shape {A.rows} x {A.cols} does not match "
-            f"n={n}, k={k}"
-        )
-    dims = (n,) * (k - 1)
-    out: list[Any] = [0] * n
-    for (r, c), v in A.entries.items():
-        term = v
-        for j in ivec_inverse(c, dims):
-            term = term * x[j - 1]
-        out[r - 1] = out[r - 1] + term
-    return out

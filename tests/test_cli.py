@@ -105,6 +105,13 @@ def test_missing_and_malformed_input(tmp_path, capsys):
     worse.write_text("not json at all")
     code, _, _ = run(capsys, "observable", str(worse), "--nodes", "1")
     assert code == 1
+    # valid JSON of the wrong shape is bad input too, never an internal error
+    for text in ("3", "null", "true", '{"n": true, "k": 3, "edges": []}'):
+        worse.write_text(text)
+        for cmd in (["observable", str(worse), "--nodes", "1"], ["mon", str(worse)]):
+            code, _, stderr = run(capsys, *cmd)
+            assert code == 1, (text, cmd[0])
+            assert "hyperobs: error" in stderr
 
 
 def test_mon_report(tmp_path, capsys):

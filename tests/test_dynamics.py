@@ -17,8 +17,6 @@ from hyperobs.dynamics import (
     DynamicsSpec,
     RecursionStats,
     apply_factors,
-    eval_f,
-    lie_derivative_naive,
     lie_derivative_naive_scaled,
     lie_derivative_recursive,
     lie_derivatives,
@@ -26,7 +24,6 @@ from hyperobs.dynamics import (
 from hyperobs.errors import ResourceLimitError
 from hyperobs.hypergraph import UniformHypergraph, gen_hyperchain
 from hyperobs.scalars import PRIME, PRIME_FIELD, RATIONALS, DualDomain
-from hyperobs.tensor import kron_power, tensor_apply
 
 from conftest import int_point, random_uniform_hypergraph, rational_point
 
@@ -36,8 +33,8 @@ def _frac(values):
 
 
 def test_eval_f_triangle(triangle_dyn):
-    assert eval_f(triangle_dyn, _frac([1, 2, 3])) == _frac([6, 3, 2])
-    assert eval_f(triangle_dyn, _frac([1, 0, 0])) == _frac([0, 0, 0])
+    assert lie_derivatives(triangle_dyn, _frac([1, 2, 3]), 1)[1] == _frac([6, 3, 2])
+    assert lie_derivatives(triangle_dyn, _frac([1, 0, 0]), 1)[1] == _frac([0, 0, 0])
 
 
 def test_second_derivative_triangle(triangle_dyn):
@@ -48,13 +45,23 @@ def test_second_derivative_triangle(triangle_dyn):
     assert chain[2] == _frac([13, 20, 15])
 
 
+def _kron_power(x, m):
+    # first factor most significant, the order the unfolding columns use
+    out = [Fraction(1)]
+    for _ in range(m):
+        out = [a * b for a in out for b in x]
+    return out
+
+
 def test_eval_f_matches_unfolding(triangle_dyn):
+    # f(x) edge by edge equals the unfolding times x^[k-1]
     rng = random.Random(2)
     for _ in range(10):
         g = random_uniform_hypergraph(rng.randint(3, 5), rng.randint(2, 3), rng)
         dyn = DynamicsSpec(g)
         x = rational_point(g.n, rng)
-        assert eval_f(dyn, x) == tensor_apply(dyn.unfolding(), x, g.k)
+        f = lie_derivatives(dyn, x, 1)[1]
+        assert f == dyn.unfolding().matvec(_kron_power(x, g.k - 1), zero=Fraction(0))
 
 
 def test_apply_factors_mixed_matches_kron(triangle_dyn):
@@ -86,7 +93,8 @@ def test_evaluators_agree_rational(seed):
     chain = lie_derivatives(dyn, x, depth)
     for p in range(depth + 1):
         assert lie_derivative_recursive(dyn, p, x) == chain[p]
-        assert lie_derivative_naive(dyn, p, x) == chain[p]
+        ints, scale = lie_derivative_naive_scaled(dyn, p, [int(v) for v in x])
+        assert [Fraction(v, scale) for v in ints] == chain[p]
 
 
 @given(st.integers(min_value=0, max_value=2**31))
@@ -103,9 +111,10 @@ def test_evaluators_agree_mod_p(seed):
     chain = lie_derivatives(dyn, x, depth, domain=PRIME_FIELD)
     p = depth
     rec = lie_derivative_recursive(dyn, p, x, domain=PRIME_FIELD)
-    naive = lie_derivative_naive(dyn, p, x, domain=PRIME_FIELD)
+    ints, scale = lie_derivative_naive_scaled(dyn, p, x)
+    inv_scale = pow(scale, -1, PRIME)
     assert [v % PRIME for v in rec] == [v % PRIME for v in chain[p]]
-    assert [v % PRIME for v in naive] == [v % PRIME for v in chain[p]]
+    assert [v * inv_scale % PRIME for v in ints] == [v % PRIME for v in chain[p]]
 
 
 def test_rational_field_homomorphism(triangle_dyn):
@@ -174,15 +183,14 @@ def test_recursion_budget(triangle_dyn):
 
 
 def test_naive_rejects_dual_domain(triangle_dyn):
+    # the operator-product oracle evaluates integer points only
     dual = DualDomain(RATIONALS)
-    x = [dual.lift(Fraction(v)) for v in (1, 2, 3)]
+    x = [dual.variable(Fraction(v), Fraction(0)) for v in (1, 2, 3)]
     with pytest.raises(ValueError):
-        lie_derivative_naive(triangle_dyn, 1, x, domain=dual)
+        lie_derivative_naive_scaled(triangle_dyn, 1, x)
 
 
 def test_naive_resource_caps(triangle_dyn):
-    with pytest.raises(ResourceLimitError):
-        lie_derivative_naive(triangle_dyn, 8, _frac([1, 2, 3]), max_slots=100)
     with pytest.raises(ResourceLimitError):
         lie_derivative_naive_scaled(triangle_dyn, 8, [1, 2, 3], max_slots=100)
 
@@ -240,5 +248,3 @@ def test_lie_derivatives_validation(triangle_dyn):
         lie_derivative_recursive(triangle_dyn, -1, _frac([1, 2, 3]))
     with pytest.raises(ValueError):
         lie_derivative_recursive(triangle_dyn, 1, _frac([1, 2]))
-    with pytest.raises(ValueError):
-        lie_derivative_naive(triangle_dyn, -1, _frac([1, 2, 3]))

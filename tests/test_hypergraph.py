@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from hyperobs.errors import ResourceLimitError
 from hyperobs.hypergraph import (
     UniformHypergraph,
-    adjacency_tensor,
     adjacency_unfolding,
     disjoint_union,
     gen_complete,
@@ -21,8 +21,7 @@ from hyperobs.hypergraph import (
     induced_subhypergraph,
     relabel,
 )
-from hyperobs.tensor import unfold
-
+from hyperobs.tensor import ivec
 from conftest import random_uniform_hypergraph
 
 
@@ -143,30 +142,59 @@ def test_from_dict_errors():
         UniformHypergraph.from_dict(
             {"n": 3, "k": 2, "edges": [[1, 2], [1, "2"]]}
         )
+    # JSON true/false are not node counts or labels
+    for flag in ("n", "k"):
+        data = {"n": 3, "k": 2, "edges": []}
+        data[flag] = True
+        with pytest.raises(ValueError, match="integers"):
+            UniformHypergraph.from_dict(data)
+    with pytest.raises(ValueError, match="edge #1"):
+        UniformHypergraph.from_dict({"n": 3, "k": 2, "edges": [[True, 2]]})
+    for top in (3, None, True, [1, 2], "text"):
+        with pytest.raises(ValueError, match="JSON object"):
+            UniformHypergraph.from_dict(top)
+
+
+def _tensor_of(A, n, k):
+    """Read an unfolding back as a tensor: row i and the ivec digits of the
+    column give the full index."""
+    tensor = {}
+    for (r, c), v in A.entries.items():
+        pos, rest = c - 1, []
+        for _ in range(k - 1):
+            pos, digit = divmod(pos, n)
+            rest.append(digit + 1)
+        tensor[(r, *rest)] = v
+    return tensor
 
 
 def test_adjacency_tensor_supersymmetric():
+    # every ordering of every hyperedge holds 1/(k-1)!, nothing else is stored
     g = UniformHypergraph(4, 3, [(1, 2, 3), (2, 3, 4)])
-    t = adjacency_tensor(g)
-    assert t.shape == (4, 4, 4)
+    tensor = _tensor_of(adjacency_unfolding(g), g.n, g.k)
     # 2 edges x 3! orderings
-    assert len(t.entries) == 12
-    assert t.entries[(1, 2, 3)] == Fraction(1, 2)
-    assert t.entries[(3, 2, 1)] == Fraction(1, 2)
-    for idx, v in t.entries.items():
-        assert t.entries[idx[::-1]] == v
+    assert len(tensor) == 12
+    for e in g.edges:
+        for idx in permutations(e):
+            assert tensor[idx] == Fraction(1, 2)
 
 
 def test_adjacency_unfolding_matches_tensor_unfold():
+    # unfolding the tensor along any mode gives back the same matrix
     rng = random.Random(5)
     for _ in range(10):
         g = random_uniform_hypergraph(
             rng.randint(3, 5), rng.randint(2, 3), rng
         )
         direct = adjacency_unfolding(g)
-        t = adjacency_tensor(g)
+        tensor = _tensor_of(direct, g.n, g.k)
+        dims = (g.n,) * (g.k - 1)
         for mode in range(1, g.k + 1):
-            assert unfold(t, mode).entries == direct.entries
+            unfolded = {
+                (idx[mode - 1], ivec(idx[: mode - 1] + idx[mode:], dims)): v
+                for idx, v in tensor.items()
+            }
+            assert unfolded == direct.entries
 
 
 def test_unfolding_row_sums_are_degrees():

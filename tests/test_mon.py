@@ -16,7 +16,6 @@ from hyperobs.hypergraph import (
     relabel,
 )
 from hyperobs.mon import (
-    MonOptions,
     MonResult,
     brute_force_mon,
     greedy_mon,
@@ -26,14 +25,12 @@ from hyperobs.mon import (
 from hyperobs.observability import RankConfig, generic_rank
 
 
-def test_options_validation():
+def test_options_validation(triangle):
+    # RankConfig validates its own fields; see test_rank_config_validation
     with pytest.raises(ValueError):
-        MonOptions(trials=0)
+        greedy_mon(triangle, tie_break="degreee")
     with pytest.raises(ValueError):
-        MonOptions(depth=-1)
-    with pytest.raises(ValueError):
-        MonOptions(tie_break="degreee")
-    assert MonOptions(tie_break=lambda s: -s).tie_break(3) == -3
+        minimum_observable_nodes(triangle, tie_break="degreee")
 
 
 def test_single_edge_minimum(triangle):
@@ -49,18 +46,16 @@ def test_single_edge_minimum(triangle):
 def test_tie_break_policies():
     g = gen_hyperchain(5, 3)
     # all nodes give the same gain; the policies pick different winners
-    deg = greedy_mon(g, MonOptions(tie_break="degree"))
+    deg = greedy_mon(g, tie_break="degree")
     assert deg.selected == (3,)
     assert deg.rank_trace == (5,)
-    idx = greedy_mon(g, MonOptions(tie_break="index"))
+    idx = greedy_mon(g, tie_break="index")
     assert idx.selected == (1,)
-    rnd = greedy_mon(g, MonOptions(tie_break="random"))
+    rnd = greedy_mon(g, tie_break="random")
     assert rnd.selected == (5,)
     assert rnd.verdict == "complete"
     # seeded draw is reproducible
-    assert greedy_mon(g, MonOptions(tie_break="random")).selected == (5,)
-    custom = greedy_mon(g, MonOptions(tie_break=lambda s: -s))
-    assert custom.selected == (5,)
+    assert greedy_mon(g, tie_break="random").selected == (5,)
 
 
 def test_star_needs_all_but_one_leaf():
@@ -108,7 +103,7 @@ def test_disjoint_components_solved_independently():
     assert res.rank_trace == (4, 8)
     # without the decomposition the greedy still finishes, components just
     # share the trace
-    flat = minimum_observable_nodes(two, MonOptions(per_component=False))
+    flat = minimum_observable_nodes(two, per_component=False)
     assert flat.verdict == "complete"
     assert flat.size == 2
     assert flat.components == ()
@@ -133,15 +128,16 @@ def test_empty_edge_set_needs_every_node():
 
 def test_selection_equivariant_under_relabelling():
     g = gen_hyperstar(6, 3)
-    base = greedy_mon(g, MonOptions(tie_break="index"))
+    base = greedy_mon(g, tie_break="index")
     assert base.selected == (3, 4, 5)
     perm = {1: 3, 2: 1, 3: 5, 4: 2, 5: 6, 6: 4}
     h = relabel(g, perm)
-    inv = {v: k for k, v in perm.items()}
-    # ranks are label-blind, so greedy on the relabelled graph with the
-    # matching key ordering lands on the image of the base selection
-    res = greedy_mon(h, MonOptions(tie_break=lambda s: inv[s]))
-    assert sorted(res.selected) == sorted(perm[s] for s in base.selected)
+    # ranks are label-blind: the image of the base selection observes the
+    # relabelled graph, and greedy there needs as many nodes
+    assert generic_rank(h, [perm[s] for s in base.selected]) == h.n
+    res = greedy_mon(h, tie_break="index")
+    assert res.size == base.size
+    assert generic_rank(h, res.selected) == h.n
 
 
 def test_rank_trace_strictly_increases():

@@ -16,10 +16,8 @@ from hyperobs.linalg import bareiss_rank
 from hyperobs.observability import (
     NomOracle,
     RankConfig,
-    assemble_nom,
     generic_rank,
     is_locally_weakly_observable,
-    jacobian_lie_derivative,
     lie_derivatives_with_jacobians,
     node_blocks,
 )
@@ -32,24 +30,28 @@ def _frac(values):
     return [Fraction(v) for v in values]
 
 
+def _jacobian(dyn, p, x, domain):
+    return lie_derivatives_with_jacobians(dyn, x, p, domain)[1][p]
+
+
 def test_jacobian_first_order_triangle(triangle_dyn):
     # f = (x2 x3, x1 x3, x1 x2); its Jacobian at (1,2,3) by hand
-    J = jacobian_lie_derivative(triangle_dyn, 1, _frac([1, 2, 3]), RATIONALS)
+    J = _jacobian(triangle_dyn, 1, _frac([1, 2, 3]), RATIONALS)
     assert J == [
         _frac([0, 3, 2]),
         _frac([3, 0, 1]),
         _frac([2, 1, 0]),
     ]
-    J0 = jacobian_lie_derivative(triangle_dyn, 0, _frac([1, 2, 3]), RATIONALS)
+    J0 = _jacobian(triangle_dyn, 0, _frac([1, 2, 3]), RATIONALS)
     assert J0 == [_frac([1, 0, 0]), _frac([0, 1, 0]), _frac([0, 0, 1])]
     with pytest.raises(ValueError):
-        jacobian_lie_derivative(triangle_dyn, -1, _frac([1, 2, 3]), RATIONALS)
+        lie_derivatives_with_jacobians(triangle_dyn, _frac([1, 2, 3]), -1, RATIONALS)
 
 
 def test_jacobian_against_finite_differences(triangle_dyn):
     h = 1e-6
     x = [0.8, 1.3, 1.9]
-    J = jacobian_lie_derivative(triangle_dyn, 2, list(x), FLOATS)
+    J = _jacobian(triangle_dyn, 2, list(x), FLOATS)
     for j in range(3):
         lo = list(x)
         hi = list(x)
@@ -73,16 +75,16 @@ def test_values_match_plain_chain(triangle_dyn):
 
 def test_assemble_nom_matches_kalman_for_pairwise_graphs():
     # k = 2 collapses to linear dynamics dx/dt = A x, where the stacked
-    # blocks are exactly C, CA, CA^2, ...
+    # blocks of y = x_1 are exactly C, CA, CA^2, ... with C = e_1
     g = UniformHypergraph(4, 2, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
     dyn = DynamicsSpec(g)
     x = _frac([5, -2, 7, 1])
-    C = [_frac([1, 0, 0, 0])]
-    stacked = assemble_nom(dyn, C, x, 4, RATIONALS)
+    _, grads = lie_derivatives_with_jacobians(dyn, x, 4, RATIONALS)
+    stacked = [grads[p][0] for p in range(5)]
     A = dyn.unfolding().to_dense(zero=Fraction(0))
 
-    rows = [list(C[0])]
-    current = list(C[0])
+    current = _frac([1, 0, 0, 0])
+    rows = [list(current)]
     for _ in range(4):
         current = [
             sum(current[i] * A[i][j] for i in range(4)) for j in range(4)
@@ -90,11 +92,6 @@ def test_assemble_nom_matches_kalman_for_pairwise_graphs():
         rows.append(list(current))
     assert stacked == rows
     assert bareiss_rank(stacked) == generic_rank(g, [1])
-
-
-def test_assemble_nom_validation(triangle_dyn):
-    with pytest.raises(ValueError):
-        assemble_nom(triangle_dyn, [_frac([1, 0])], _frac([1, 2, 3]), 1, RATIONALS)
 
 
 def test_node_blocks_level_zero(triangle_dyn):
@@ -130,12 +127,15 @@ def test_rank_monotone_in_nodes_and_depth():
         shallow = generic_rank(g, [1, 3], RankConfig(depth=1))
         deep = generic_rank(g, [1, 3], RankConfig(depth=4))
         assert shallow <= deep
-        # depth defaults to n, the saturation level for these sizes
-        assert deep <= generic_rank(g, [1, 3])
+        # depth defaults to n - 1, where the rank has saturated: one more
+        # level adds nothing
+        default = generic_rank(g, [1, 3])
+        assert deep <= default
+        assert default == generic_rank(g, [1, 3], RankConfig(depth=g.n))
 
 
 def test_oracle_caching_and_validation(triangle_dyn):
-    oracle = NomOracle(triangle_dyn, depth=3, trials=2, seed=0)
+    oracle = NomOracle(triangle_dyn, RankConfig(trials=2, seed=0, depth=3))
     ev0 = oracle.evaluation(0)
     assert oracle.evaluation(0) is ev0
     assert all(v != 0 for v in ev0.point)
@@ -146,19 +146,19 @@ def test_oracle_caching_and_validation(triangle_dyn):
         oracle.rank([1, 1])
     with pytest.raises(IndexError):
         oracle.rank([9])
-    with pytest.raises(ValueError):
-        NomOracle(triangle_dyn, depth=2, trials=0, seed=0)
-    with pytest.raises(ValueError):
-        NomOracle(triangle_dyn, depth=-1, trials=1, seed=0)
     assert len(oracle.echelons()) == 2
+    # an unset depth resolves to n - 1 of the oracle's own dynamics
+    assert oracle.depth == 3
+    assert NomOracle(triangle_dyn).depth == 2
+    assert NomOracle(triangle_dyn, RankConfig(depth=0)).depth == 0
 
 
 def test_oracle_deterministic(triangle_dyn):
-    a = NomOracle(triangle_dyn, depth=3, trials=2, seed=7)
-    b = NomOracle(triangle_dyn, depth=3, trials=2, seed=7)
+    a = NomOracle(triangle_dyn, RankConfig(trials=2, seed=7, depth=3))
+    b = NomOracle(triangle_dyn, RankConfig(trials=2, seed=7, depth=3))
     assert a.evaluation(0).point == b.evaluation(0).point
     assert a.rank([1]) == b.rank([1])
-    c = NomOracle(triangle_dyn, depth=3, trials=2, seed=8)
+    c = NomOracle(triangle_dyn, RankConfig(trials=2, seed=8, depth=3))
     assert c.evaluation(0).point != a.evaluation(0).point
 
 
@@ -186,7 +186,7 @@ def test_observability_report(triangle_dyn):
     assert rep.observable
     assert rep.verdict == "observable"
     assert rep.rank == rep.n == 3
-    assert rep.depth == 3
+    assert rep.depth == 2
     star = gen_hyperstar(5, 3)
     rep2 = is_locally_weakly_observable(star, [5])
     assert not rep2.observable

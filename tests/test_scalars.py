@@ -2,30 +2,27 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperobs import (
+from hyperobs.scalars import (
     FLOATS,
     PRIME,
     PRIME_FIELD,
     RATIONALS,
-    Dual,
     DualDomain,
-    FieldElement,
-    factorial_inverse,
-    field_inv,
-    random_field_vector,
+    derive_seed,
+    random_point,
 )
-from hyperobs.scalars import derive_seed
 
 residues = st.integers(min_value=0, max_value=PRIME - 1)
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    # independent route to the inverse for cross-checking field_inv
+    # independent route to the inverse for cross-checking inv_int
     if b == 0:
         return a, 1, 0
     g, s, t = _egcd(b, a % b)
@@ -40,11 +37,11 @@ def test_prime_constant():
 
 
 def test_inverse_of_two():
-    inv = field_inv(2)
-    assert inv.value == (PRIME + 1) // 2
+    inv = PRIME_FIELD.inv_int(2)
+    assert inv == (PRIME + 1) // 2
     g, s, _ = _egcd(2, PRIME)
     assert g == 1
-    assert inv.value == s % PRIME
+    assert inv == s % PRIME
 
 
 def test_field_inverse_matches_extended_euclid():
@@ -53,65 +50,63 @@ def test_field_inverse_matches_extended_euclid():
         a = rng.randrange(1, PRIME)
         g, s, _ = _egcd(a, PRIME)
         assert g == 1
-        assert field_inv(a).value == s % PRIME
-        assert (field_inv(a) * a).value == 1
+        assert PRIME_FIELD.inv_int(a) == s % PRIME
+        assert PRIME_FIELD.mul(PRIME_FIELD.inv_int(a), a) == 1
 
 
 def test_inverse_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
-        field_inv(0)
+        PRIME_FIELD.inv_int(0)
     with pytest.raises(ZeroDivisionError):
-        FieldElement(PRIME).inv()
+        PRIME_FIELD.inv_int(PRIME)
 
 
 def test_field_axioms_random_triples():
+    F = PRIME_FIELD
     rng = random.Random(13)
     for _ in range(1000):
-        a = FieldElement(rng.randrange(PRIME))
-        b = FieldElement(rng.randrange(PRIME))
-        c = FieldElement(rng.randrange(PRIME))
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + b == b + a
-        assert a * b == b * a
+        a = rng.randrange(PRIME)
+        b = rng.randrange(PRIME)
+        c = rng.randrange(PRIME)
+        assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        assert F.add(a, b) == F.add(b, a)
+        assert F.mul(a, b) == F.mul(b, a)
 
 
 @given(residues, residues)
 def test_field_sub_is_add_of_negation(x, y):
-    a, b = FieldElement(x), FieldElement(y)
-    assert a - b == a + (-b)
+    F = PRIME_FIELD
+    assert F.sub(x, y) == F.add(x, F.neg(y))
 
 
 @given(residues)
 def test_field_units(x):
-    a = FieldElement(x)
-    assert a + 0 == a
-    assert a * 1 == a
-    assert a * 0 == FieldElement(0)
+    F = PRIME_FIELD
+    assert F.add(x, F.zero()) == x
+    assert F.mul(x, F.one()) == x
+    assert F.mul(x, F.zero()) == 0
     if x != 0:
-        assert a * a.inv() == FieldElement(1)
+        assert F.mul(x, F.inv_int(x)) == 1
 
 
 def test_int_coercion_reduces():
-    assert FieldElement(1) + PRIME == FieldElement(1)
-    assert (FieldElement(2) * (PRIME + 3)).value == 6
-    assert 5 - FieldElement(2) == FieldElement(3)
+    F = PRIME_FIELD
+    assert F.add(1, PRIME) == 1
+    assert F.mul(2, PRIME + 3) == 6
+    assert F.sub(5, 2) == 3
+    assert F.from_int(-1) == PRIME - 1
+    assert F.from_int(PRIME + 4) == 4
 
 
 def test_factorial_inverse_values():
-    assert factorial_inverse(1) == (Fraction(1), FieldElement(1))
-    assert factorial_inverse(3) == (Fraction(1, 2), field_inv(2))
-    assert factorial_inverse(4) == (Fraction(1, 6), field_inv(6))
-    rat, fe = factorial_inverse(5)
-    assert rat == Fraction(1, 24)
-    assert (fe * 24).value == 1
-
-
-def test_factorial_inverse_domain():
-    for bad in (0, -1, 21):
-        with pytest.raises(ValueError):
-            factorial_inverse(bad)
+    # 1/(k-1)!, the coefficient of the adjacency unfolding, in both exact
+    # domains
+    for k in range(1, 8):
+        f = factorial(k - 1)
+        assert RATIONALS.inv_int(f) == Fraction(1, f)
+        assert PRIME_FIELD.mul(PRIME_FIELD.inv_int(f), f) == 1
 
 
 def test_rational_field_homomorphism():
@@ -129,11 +124,11 @@ def test_rational_field_homomorphism():
         assert phi(a - b) == (phi(a) - phi(b)) % PRIME
 
 
-def _poly_eval(coeffs, x):
+def _poly_eval(dom, coeffs, x):
     # coeffs[i] multiplies x**i
-    acc = 0
+    acc = dom.zero()
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = dom.add(dom.mul(acc, x), dom.from_int(c))
     return acc
 
 
@@ -146,11 +141,10 @@ def _poly_derivative(coeffs):
     st.integers(-9, 9),
 )
 def test_dual_differentiates_polynomials(coeffs, x0):
-    val = _poly_eval(coeffs, Dual(x0, 1))
-    assert isinstance(val, Dual) or coeffs == [coeffs[0]]
-    if isinstance(val, Dual):
-        assert val.real == _poly_eval(coeffs, x0)
-        assert val.eps == _poly_eval(_poly_derivative(coeffs), x0)
+    dual = DualDomain(RATIONALS)
+    val = _poly_eval(dual, coeffs, dual.variable(Fraction(x0), Fraction(1)))
+    assert val[0] == _poly_eval(RATIONALS, coeffs, Fraction(x0))
+    assert val[1] == _poly_eval(RATIONALS, _poly_derivative(coeffs), Fraction(x0))
 
 
 @given(
@@ -159,38 +153,32 @@ def test_dual_differentiates_polynomials(coeffs, x0):
     st.integers(-9, 9),
 )
 def test_dual_product_rule(p, q, x0):
-    prod = _poly_eval(p, Dual(x0, 1)) * _poly_eval(q, Dual(x0, 1))
-    pv, dv = _poly_eval(p, x0), _poly_eval(_poly_derivative(p), x0)
-    qv, dq = _poly_eval(q, x0), _poly_eval(_poly_derivative(q), x0)
-    assert prod.real == pv * qv
-    assert prod.eps == pv * dq + dv * qv
+    dual = DualDomain(RATIONALS)
+    x = dual.variable(Fraction(x0), Fraction(1))
+    prod = dual.mul(_poly_eval(dual, p, x), _poly_eval(dual, q, x))
+    x0 = Fraction(x0)
+    pv, dv = _poly_eval(RATIONALS, p, x0), _poly_eval(RATIONALS, _poly_derivative(p), x0)
+    qv, dq = _poly_eval(RATIONALS, q, x0), _poly_eval(RATIONALS, _poly_derivative(q), x0)
+    assert prod[0] == pv * qv
+    assert prod[1] == pv * dq + dv * qv
 
 
 def test_dual_over_field_elements():
-    a = Dual(FieldElement(3), FieldElement(1))
-    b = a * a * a  # x**3 at x=3: value 27, derivative 27
-    assert b.real == FieldElement(27)
-    assert b.eps == FieldElement(27)
-
-
-def test_dual_domain_matches_dual_class():
+    dual = DualDomain(PRIME_FIELD)
+    a = dual.variable(3, 1)
+    b = dual.mul(dual.mul(a, a), a)  # x**3 at x=3: value 27, derivative 27
+    assert b == (27, 27)
+    # (a0 + a1 eps)(b0 + b1 eps) = a0 b0 + (a0 b1 + a1 b0) eps, written out,
+    # with both parts reduced mod P
     rng = random.Random(5)
-    dd = DualDomain(PRIME_FIELD)
     for _ in range(100):
         a = (rng.randrange(PRIME), rng.randrange(PRIME))
         b = (rng.randrange(PRIME), rng.randrange(PRIME))
-        da = Dual(FieldElement(a[0]), FieldElement(a[1]))
-        db = Dual(FieldElement(b[0]), FieldElement(b[1]))
-        got = dd.mul(a, b)
-        want = da * db
-        assert FieldElement(got[0]) == want.real
-        assert FieldElement(got[1]) == want.eps
-        got = dd.add(a, b)
-        want = da + db
-        assert (FieldElement(got[0]), FieldElement(got[1])) == (
-            want.real,
-            want.eps,
+        assert dual.mul(a, b) == (
+            a[0] * b[0] % PRIME,
+            (a[0] * b[1] + a[1] * b[0]) % PRIME,
         )
+        assert dual.add(a, b) == ((a[0] + b[0]) % PRIME, (a[1] + b[1]) % PRIME)
 
 
 def test_domains_share_one_protocol():
@@ -204,15 +192,12 @@ def test_domains_share_one_protocol():
 
 
 def test_random_field_vector_deterministic():
-    a = random_field_vector(8, 42)
-    b = random_field_vector(8, 42)
-    c = random_field_vector(8, 43)
-    assert a == b
-    assert a != c
-    assert all(0 <= v.value < PRIME for v in a)
-    assert random_field_vector(0, 1) == []
-    with pytest.raises(ValueError):
-        random_field_vector(-1, 0)
+    a = random_point(8, 42)
+    assert a == random_point(8, 42)
+    assert a != random_point(8, 43)
+    # nonzero residues only, so no monomial vanishes for a trivial reason
+    assert all(1 <= v < PRIME for v in a)
+    assert random_point(0, 1) == []
 
 
 def test_derive_seed_stable_and_label_sensitive():
