@@ -121,37 +121,30 @@ class CorrelationTriple:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
 
 
-def multicorrelation(
-    series: TimeSeriesMatrix, triple: Sequence[int]
-) -> CorrelationTriple:
-    """rho = sqrt(1 - det R) for the 3x3 Pearson matrix of a signal triple.
-
-    The determinant of a correlation matrix sits in [0, 1]; rounding can
-    push it a hair outside, so the result is clamped before the root.
-    """
-    if len(triple) != 3 or len(set(triple)) != 3:
-        raise ValueError(f"need three distinct signals, got {tuple(triple)}")
-    a, b, c = triple
-    r_ab = pearson(series, a, b)
-    r_ac = pearson(series, a, c)
-    r_bc = pearson(series, b, c)
-    det = 1.0 + 2.0 * r_ab * r_ac * r_bc - r_ab**2 - r_ac**2 - r_bc**2
-    rho = math.sqrt(min(max(1.0 - det, 0.0), 1.0))
-    return CorrelationTriple(tuple(sorted(triple)), rho)
-
-
 def multicorrelation_table(
     series: TimeSeriesMatrix,
 ) -> list[CorrelationTriple]:
-    """rho for every signal triple, in lexicographic index order."""
+    """rho = sqrt(1 - det R) for every signal triple, in lexicographic
+    index order, R being the triple's 3x3 Pearson matrix.
+
+    Each pair's Pearson value is computed once and shared by every triple
+    that holds the pair. The determinant of a correlation matrix sits in
+    [0, 1]; rounding can push it a hair outside, so the result is clamped
+    before the root.
+    """
     if series.num_signals < 3:
         raise ValueError(
             f"need at least 3 signals, got {series.num_signals}"
         )
-    return [
-        multicorrelation(series, triple)
-        for triple in combinations(range(1, series.num_signals + 1), 3)
-    ]
+    signals = range(1, series.num_signals + 1)
+    r = {(i, j): pearson(series, i, j) for i, j in combinations(signals, 2)}
+    table = []
+    for a, b, c in combinations(signals, 3):
+        r_ab, r_ac, r_bc = r[a, b], r[a, c], r[b, c]
+        det = 1.0 + 2.0 * r_ab * r_ac * r_bc - r_ab**2 - r_ac**2 - r_bc**2
+        rho = math.sqrt(min(max(1.0 - det, 0.0), 1.0))
+        table.append(CorrelationTriple((a, b, c), rho))
+    return table
 
 
 def hypergraph_from_table(

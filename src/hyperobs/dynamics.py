@@ -6,6 +6,11 @@ tensor, the vector field collapses edgewise:
 
     f(x)_i = sum over hyperedges e containing i of prod_{j in e, j != i} x_j.
 
+``DynamicsSpec`` holds the structure in two forms: ``incidence``, the
+hyperedge remainders through each node that the production kernel reads,
+and ``unfolding_columns``, the nonzero columns of A that the two oracles
+read.
+
 Three independent evaluators compute the higher time derivatives J_p of the
 state along the flow (J_0 = x, J_1 = f(x), ...):
 
@@ -35,11 +40,11 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
-from .hypergraph import UniformHypergraph, adjacency_unfolding
+from .hypergraph import UniformHypergraph
 from .scalars import RATIONALS
-from .tensor import MAX_DENSE_SLOTS, SparseMatrix
 
 DEFAULT_RECURSION_BUDGET = 500_000
+MAX_DENSE_SLOTS = 10**8
 
 _INT64_SAFE = 1 << 62
 
@@ -111,22 +116,34 @@ class DynamicsSpec:
         return tuple(tuple(rests) for rests in per_node)
 
     @cached_property
-    def _unfoldings(self) -> dict[str, SparseMatrix]:
-        return {}
+    def unfolding_columns(self) -> tuple[np.ndarray, ...]:
+        """The adjacency unfolding A, row by row, as its nonzero columns.
 
-    def unfolding(self, domain: Any = RATIONALS) -> SparseMatrix:
-        cached = self._unfoldings.get(domain.name)
-        if cached is None:
-            cached = adjacency_unfolding(self.graph, domain)
-            if self.weight != 1:
-                w = domain.from_int(self.weight)
-                cached = SparseMatrix(
-                    cached.rows,
-                    cached.cols,
-                    {key: domain.mul(w, v) for key, v in cached.entries.items()},
-                )
-            self._unfoldings[domain.name] = cached
-        return cached
+        Entry i - 1 holds the sorted 0-based column of every ordering
+        (j_1, ..., j_{k-1}) of every hyperedge remainder through node i,
+        flattened with the first factor most significant:
+        sum_t (j_t - 1) n**(k-1-t), the digit order of the Kronecker product
+        and of numpy's row-major reshapes. Each listed entry of A is
+        weight / (k-1)!, and every other entry is zero. Callers build
+        vectors of n**(k-1) slots against it, so more than MAX_DENSE_SLOTS
+        columns is refused.
+        """
+        n, k = self.n, self.k
+        if n ** (k - 1) > MAX_DENSE_SLOTS:
+            raise ResourceLimitError(
+                f"unfolding has n^(k-1) = {n ** (k - 1)} columns, "
+                f"cap is {MAX_DENSE_SLOTS}"
+            )
+        powers = [n ** (k - 2 - t) for t in range(k - 1)]
+        rows = []
+        for rests in self.incidence[1:]:
+            cols = [
+                sum((node - 1) * powers[t] for t, node in enumerate(order))
+                for rest in rests
+                for order in permutations(rest)
+            ]
+            rows.append(np.asarray(sorted(cols), dtype=np.intp))
+        return tuple(rows)
 
 
 def apply_factors(
@@ -231,13 +248,20 @@ def _domain_kron(
     return out
 
 
-def _apply_sparse(
-    mat: SparseMatrix, w: Sequence[Any], domain: Any
+def _apply_columns(
+    dyn: DynamicsSpec, w: Sequence[Any], domain: Any
 ) -> list[Any]:
+    """A w: each row sums w over its columns, then scales once."""
     add, mul = domain.add, domain.mul
-    out = [domain.zero()] * mat.rows
-    for (r, c), v in mat.entries.items():
-        out[r - 1] = add(out[r - 1], mul(v, w[c - 1]))
+    scale = mul(
+        domain.from_int(dyn.weight), domain.inv_int(factorial(dyn.k - 1))
+    )
+    out = []
+    for cols in dyn.unfolding_columns:
+        acc = domain.zero()
+        for c in cols.tolist():
+            acc = add(acc, w[c])
+        out.append(mul(acc, scale))
     return out
 
 
@@ -265,14 +289,12 @@ def lie_derivative_recursive(
         stats = RecursionStats()
     if p == 0:
         return list(x)
-    A = dyn.unfolding(domain)
     start = [list(x)] * (p * (dyn.k - 2) + 1)
-    return _recurse_factors(A, dyn.k, p, start, domain, stats, max_calls)
+    return _recurse_factors(dyn, p, start, domain, stats, max_calls)
 
 
 def _recurse_factors(
-    A: SparseMatrix,
-    k: int,
+    dyn: DynamicsSpec,
     p: int,
     factors: list[Sequence[Any]],
     domain: Any,
@@ -286,40 +308,21 @@ def _recurse_factors(
             f"({stats.calls} > {max_calls})"
         )
     if p == 1:
-        return _apply_sparse(
-            A, _domain_kron(factors, domain, stats), domain
+        return _apply_columns(
+            dyn, _domain_kron(factors, domain, stats), domain
         )
     add = domain.add
+    k = dyn.k
     windows = (p - 1) * (k - 2) + 1
     out = None
     for i in range(windows):
-        merged = _apply_sparse(
-            A, _domain_kron(factors[i : i + k - 1], domain, stats), domain
+        merged = _apply_columns(
+            dyn, _domain_kron(factors[i : i + k - 1], domain, stats), domain
         )
         shorter = factors[:i] + [merged] + factors[i + k - 1 :]
-        sub = _recurse_factors(A, k, p - 1, shorter, domain, stats, max_calls)
+        sub = _recurse_factors(dyn, p - 1, shorter, domain, stats, max_calls)
         out = sub if out is None else [add(a, b) for a, b in zip(out, sub)]
     return out
-
-
-def _scaled_columns(dyn: DynamicsSpec) -> list[np.ndarray]:
-    """Per row, the 0-based flattened column of every hyperedge ordering.
-
-    These are the structural positions of the unfolding scaled by (k-1)!,
-    where each entry is exactly 1 (times the uniform weight, applied by the
-    caller)."""
-    n, k = dyn.n, dyn.k
-    powers = [n**t for t in range(k - 1)]
-    cols: list[list[int]] = []
-    for rests in dyn.incidence[1:]:
-        mine = []
-        for rest in rests:
-            for order in permutations(rest):
-                mine.append(
-                    sum((node - 1) * powers[t] for t, node in enumerate(order))
-                )
-        cols.append(mine)
-    return [np.asarray(sorted(c), dtype=np.intp) for c in cols]
 
 
 def lie_derivative_naive_scaled(
@@ -330,9 +333,9 @@ def lie_derivative_naive_scaled(
 ) -> tuple[list[int], int]:
     """Integer form of the operator-product evaluation.
 
-    Works over Z with the unfolding scaled by (k-1)! so that every entry is
-    an integer; returns (values, scale) with J_p = values / scale and
-    scale = ((k-1)!)**p. Vectorized with int64 when a priori bounds permit,
+    Works over Z with the unfolding scaled by (k-1)!, so that every listed
+    entry is the integer weight; returns (values, scale) with
+    J_p = values / scale and scale = ((k-1)!)**p. Vectorized with int64 when a priori bounds permit,
     otherwise with exact object arrays. Coordinates must be integers.
     """
     if any(not isinstance(v, int) for v in x):
@@ -349,7 +352,7 @@ def lie_derivative_naive_scaled(
         raise ResourceLimitError(
             f"naive evaluation needs {n}**{m} = {n**m} slots (cap {max_slots})"
         )
-    cols_by_row = _scaled_columns(dyn)
+    cols_by_row = dyn.unfolding_columns
     max_mult = max((len(c) for c in cols_by_row), default=0)
     wt = abs(dyn.weight)
 

@@ -1,5 +1,5 @@
-"""k-uniform hypergraphs: the data type, generator families, JSON
-serialization and the adjacency unfolding.
+"""k-uniform hypergraphs: the data type, generator families and JSON
+serialization.
 
 Nodes are labelled 1..n. Every hyperedge is a set of exactly k distinct
 nodes, held canonically as a sorted tuple; the edge list itself is sorted
@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import comb, factorial
+from itertools import combinations
+from math import comb
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ResourceLimitError
-from .scalars import RATIONALS
-from .tensor import MAX_DENSE_SLOTS, SparseMatrix, ivec
 
 MAX_COMPLETE_EDGES = 10**6
 
@@ -51,12 +49,6 @@ class UniformHypergraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def degree(self, node: int) -> int:
-        """Number of hyperedges containing the node."""
-        if not 1 <= node <= self.n:
-            raise IndexError(f"node {node} outside 1..{self.n}")
-        return sum(1 for e in self.edges if node in e)
 
     def degrees(self) -> dict[int, int]:
         out = {i: 0 for i in range(1, self.n + 1)}
@@ -171,29 +163,6 @@ def _check_generator_args(n: int, k: int) -> None:
         raise ValueError(f"need at least k = {k} nodes, got n = {n}")
 
 
-def disjoint_union(
-    a: UniformHypergraph, b: UniformHypergraph
-) -> UniformHypergraph:
-    """The two hypergraphs side by side; b's nodes are shifted past a's."""
-    if a.k != b.k:
-        raise ValueError(f"uniformities differ: {a.k} and {b.k}")
-    shifted = [tuple(i + a.n for i in e) for e in b.edges]
-    return UniformHypergraph(a.n + b.n, a.k, list(a.edges) + shifted)
-
-
-def relabel(
-    g: UniformHypergraph, mapping: Mapping[int, int]
-) -> UniformHypergraph:
-    """Apply a node permutation. The mapping must be a bijection on 1..n."""
-    if sorted(mapping.keys()) != list(range(1, g.n + 1)) or sorted(
-        mapping.values()
-    ) != list(range(1, g.n + 1)):
-        raise ValueError("mapping is not a permutation of 1..n")
-    return UniformHypergraph(
-        g.n, g.k, [tuple(mapping[i] for i in e) for e in g.edges]
-    )
-
-
 def induced_subhypergraph(
     g: UniformHypergraph, nodes: Sequence[int]
 ) -> tuple[UniformHypergraph, dict[int, int]]:
@@ -214,30 +183,3 @@ def induced_subhypergraph(
     ]
     back = {new: old for old, new in to_new.items()}
     return UniformHypergraph(len(ordered), g.k, edges), back
-
-
-def adjacency_unfolding(
-    g: UniformHypergraph,
-    domain: Any = RATIONALS,
-    max_cols: int = MAX_DENSE_SLOTS,
-) -> SparseMatrix:
-    """Mode unfolding of the adjacency tensor, built edge by edge.
-
-    Row i collects 1/(k-1)! at the flattened index of every ordering of each
-    hyperedge through i with i removed. By supersymmetry the result does not
-    depend on which mode is unfolded.
-    """
-    cols = g.n ** (g.k - 1)
-    if cols > max_cols:
-        raise ResourceLimitError(
-            f"unfolding has n^(k-1) = {cols} columns, cap is {max_cols}"
-        )
-    w = domain.inv_int(factorial(g.k - 1))
-    dims = (g.n,) * (g.k - 1)
-    entries: dict[tuple[int, int], Any] = {}
-    for e in g.edges:
-        for i in e:
-            rest = tuple(j for j in e if j != i)
-            for order in permutations(rest):
-                entries[(i, ivec(order, dims))] = w
-    return SparseMatrix(g.n, cols, entries)

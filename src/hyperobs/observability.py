@@ -60,6 +60,8 @@ def lie_derivatives_with_jacobians(
     Returns (values, grads) with grads[p][i][j] = dJ_p[i] / dx[j].
     """
     n = dyn.n
+    if len(x) != n:
+        raise ValueError(f"point has {len(x)} coordinates for {n} nodes")
     dd = DualDomain(domain)
     values: list[list[Any]] | None = None
     grads = [
@@ -171,15 +173,6 @@ def _as_dynamics(g: UniformHypergraph | DynamicsSpec) -> DynamicsSpec:
     if isinstance(g, DynamicsSpec):
         return g
     return DynamicsSpec(g)
-
-
-def generic_rank(
-    g: UniformHypergraph | DynamicsSpec,
-    nodes: Sequence[int],
-    config: RankConfig | None = None,
-) -> int:
-    """Generic rank of the observability matrix for a measured node set."""
-    return NomOracle(_as_dynamics(g), config).rank(list(nodes))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 The evaluation kernels are generic over a domain object that exposes
 arithmetic through explicit methods on unwrapped values, which keeps the
-inner loops free of wrapper allocation. Four domains exist:
+inner loops free of wrapper allocation. Every domain has the same six
+methods: ``zero``, ``one``, ``from_int``, ``add``, ``mul`` and ``inv_int``.
+Four domains exist:
 
 * ``PRIME_FIELD``: residues modulo the Mersenne prime 2**61 - 1 as plain
   ints (probabilistic rank checks),
@@ -26,8 +28,6 @@ PRIME = (1 << 61) - 1
 class PrimeFieldDomain:
     """Arithmetic on canonical residues represented as plain ints."""
 
-    name = "prime_field"
-
     def zero(self) -> int:
         return 0
 
@@ -40,17 +40,8 @@ class PrimeFieldDomain:
     def add(self, a: int, b: int) -> int:
         return (a + b) % PRIME
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % PRIME
-
-    def neg(self, a: int) -> int:
-        return -a % PRIME
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % PRIME
-
-    def is_zero(self, a: int) -> bool:
-        return a == 0
 
     def inv_int(self, i: int) -> int:
         if i % PRIME == 0:
@@ -58,68 +49,30 @@ class PrimeFieldDomain:
         return pow(i, -1, PRIME)
 
 
-class RationalDomain:
-    """Exact rational arithmetic on fractions.Fraction values."""
+class NumberDomain:
+    """Plain Python numbers of one type: exact ``Fraction`` or IEEE
+    ``float``, the latter only where approximation is acceptable."""
 
-    name = "rational"
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def __init__(self, kind: type):
+        self.kind = kind
 
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def zero(self) -> Any:
+        return self.kind(0)
 
-    def from_int(self, i: int) -> Fraction:
-        return Fraction(i)
+    def one(self) -> Any:
+        return self.kind(1)
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
+    def from_int(self, i: int) -> Any:
+        return self.kind(i)
+
+    def add(self, a: Any, b: Any) -> Any:
         return a + b
 
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
+    def mul(self, a: Any, b: Any) -> Any:
         return a * b
 
-    def is_zero(self, a: Fraction) -> bool:
-        return a == 0
-
-    def inv_int(self, i: int) -> Fraction:
-        return Fraction(1, i)
-
-
-class FloatDomain:
-    """IEEE double arithmetic, used only where approximation is acceptable."""
-
-    name = "float"
-    def zero(self) -> float:
-        return 0.0
-
-    def one(self) -> float:
-        return 1.0
-
-    def from_int(self, i: int) -> float:
-        return float(i)
-
-    def add(self, a: float, b: float) -> float:
-        return a + b
-
-    def sub(self, a: float, b: float) -> float:
-        return a - b
-
-    def neg(self, a: float) -> float:
-        return -a
-
-    def mul(self, a: float, b: float) -> float:
-        return a * b
-
-    def is_zero(self, a: float) -> bool:
-        return a == 0.0
-
-    def inv_int(self, i: int) -> float:
-        return 1.0 / i
+    def inv_int(self, i: int) -> Any:
+        return self.kind(1) / i
 
 
 class DualDomain:
@@ -132,7 +85,6 @@ class DualDomain:
 
     def __init__(self, base: Any):
         self.base = base
-        self.name = f"dual({base.name})"
         self._z = base.zero()
 
     def variable(self, a: Any, direction: Any) -> tuple[Any, Any]:
@@ -150,12 +102,6 @@ class DualDomain:
     def add(self, a: tuple[Any, Any], b: tuple[Any, Any]) -> tuple[Any, Any]:
         return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
 
-    def sub(self, a: tuple[Any, Any], b: tuple[Any, Any]) -> tuple[Any, Any]:
-        return (self.base.sub(a[0], b[0]), self.base.sub(a[1], b[1]))
-
-    def neg(self, a: tuple[Any, Any]) -> tuple[Any, Any]:
-        return (self.base.neg(a[0]), self.base.neg(a[1]))
-
     def mul(self, a: tuple[Any, Any], b: tuple[Any, Any]) -> tuple[Any, Any]:
         base = self.base
         return (
@@ -163,16 +109,13 @@ class DualDomain:
             base.add(base.mul(a[0], b[1]), base.mul(a[1], b[0])),
         )
 
-    def is_zero(self, a: tuple[Any, Any]) -> bool:
-        return self.base.is_zero(a[0]) and self.base.is_zero(a[1])
-
     def inv_int(self, i: int) -> tuple[Any, Any]:
         return (self.base.inv_int(i), self._z)
 
 
 PRIME_FIELD = PrimeFieldDomain()
-RATIONALS = RationalDomain()
-FLOATS = FloatDomain()
+RATIONALS = NumberDomain(Fraction)
+FLOATS = NumberDomain(float)
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 
@@ -38,3 +39,26 @@ def random_uniform_hypergraph(
     if not edges:
         edges = [pool[rng.randrange(len(pool))]]
     return UniformHypergraph(n, k, edges)
+
+
+def disjoint_union(
+    a: UniformHypergraph, b: UniformHypergraph
+) -> UniformHypergraph:
+    """The two hypergraphs side by side; b's nodes are shifted past a's."""
+    if a.k != b.k:
+        raise ValueError(f"uniformities differ: {a.k} and {b.k}")
+    shifted = [tuple(i + a.n for i in e) for e in b.edges]
+    return UniformHypergraph(a.n + b.n, a.k, list(a.edges) + shifted)
+
+
+def relabel(
+    g: UniformHypergraph, mapping: Mapping[int, int]
+) -> UniformHypergraph:
+    """Apply a node permutation. The mapping must be a bijection on 1..n."""
+    if sorted(mapping.keys()) != list(range(1, g.n + 1)) or sorted(
+        mapping.values()
+    ) != list(range(1, g.n + 1)):
+        raise ValueError("mapping is not a permutation of 1..n")
+    return UniformHypergraph(
+        g.n, g.k, [tuple(mapping[i] for i in e) for e in g.edges]
+    )

@@ -9,7 +9,6 @@ from hyperobs.correlation import (
     CorrelationTriple,
     TimeSeriesMatrix,
     hypergraph_from_timeseries,
-    multicorrelation,
     multicorrelation_table,
     pairwise_graph_from_timeseries,
     pearson,
@@ -96,11 +95,6 @@ def test_multicorrelation_against_determinant():
 
 
 def test_multicorrelation_validation():
-    m = _series(np.random.default_rng(0).normal(size=(10, 4)))
-    with pytest.raises(ValueError):
-        multicorrelation(m, (1, 2))
-    with pytest.raises(ValueError):
-        multicorrelation(m, (1, 2, 2))
     small = _series(np.random.default_rng(0).normal(size=(10, 2)))
     with pytest.raises(ValueError):
         multicorrelation_table(small)
@@ -116,7 +110,7 @@ def test_exact_linear_combination_saturates():
     y = rng.normal(size=200)
     z = (x + y) / math.sqrt(2.0)
     m = _series(np.column_stack([x, y, z]))
-    entry = multicorrelation(m, (3, 1, 2))
+    (entry,) = multicorrelation_table(m)
     assert entry.indices == (1, 2, 3)
     assert entry.rho == pytest.approx(1.0, abs=1e-7)
     # strict comparison: threshold 1.0 admits nothing
@@ -129,9 +123,9 @@ def test_multicorrelation_affine_invariance():
     data = rng.normal(size=(50, 3))
     m = _series(data)
     scaled = _series(data * np.array([3.0, -0.5, 10.0]) + 7.0)
-    assert multicorrelation(scaled, (1, 2, 3)).rho == pytest.approx(
-        multicorrelation(m, (1, 2, 3)).rho, abs=1e-12
-    )
+    (entry,) = multicorrelation_table(m)
+    (moved,) = multicorrelation_table(scaled)
+    assert moved.rho == pytest.approx(entry.rho, abs=1e-12)
 
 
 def test_threshold_graphs():

@@ -8,6 +8,7 @@ domains is the core guarantee of this module.
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -46,11 +47,20 @@ def test_second_derivative_triangle(triangle_dyn):
 
 
 def _kron_power(x, m):
-    # first factor most significant, the order the unfolding columns use
+    # first factor most significant, as in DynamicsSpec.unfolding_columns
     out = [Fraction(1)]
     for _ in range(m):
         out = [a * b for a in out for b in x]
     return out
+
+
+def _apply_table(dyn, w):
+    # A w over the column table, every listed entry being weight / (k-1)!
+    scale = Fraction(dyn.weight, factorial(dyn.k - 1))
+    return [
+        scale * sum((w[c] for c in cols.tolist()), Fraction(0))
+        for cols in dyn.unfolding_columns
+    ]
 
 
 def test_eval_f_matches_unfolding(triangle_dyn):
@@ -61,7 +71,7 @@ def test_eval_f_matches_unfolding(triangle_dyn):
         dyn = DynamicsSpec(g)
         x = rational_point(g.n, rng)
         f = lie_derivatives(dyn, x, 1)[1]
-        assert f == dyn.unfolding().matvec(_kron_power(x, g.k - 1), zero=Fraction(0))
+        assert f == _apply_table(dyn, _kron_power(x, g.k - 1))
 
 
 def test_apply_factors_mixed_matches_kron(triangle_dyn):
@@ -73,7 +83,7 @@ def test_apply_factors_mixed_matches_kron(triangle_dyn):
         y = rational_point(4, rng)
         direct = apply_factors(dyn, [x, y], RATIONALS)
         kron_xy = [a * b for a in x for b in y]
-        assert direct == dyn.unfolding().matvec(kron_xy, zero=Fraction(0))
+        assert direct == _apply_table(dyn, kron_xy)
     with pytest.raises(ValueError):
         apply_factors(triangle_dyn, [[Fraction(1)] * 3], RATIONALS)
     with pytest.raises(ValueError):
@@ -208,6 +218,10 @@ def test_weight_scales_each_order():
     )
     plain2 = lie_derivatives(DynamicsSpec(g), _frac([1, -2, 3, 1]), 2)[2]
     assert [Fraction(v, scale) for v in ints] == [9 * v for v in plain2]
+    rec = lie_derivative_recursive(
+        DynamicsSpec(g, weight=3), 2, _frac([1, -2, 3, 1])
+    )
+    assert rec == [9 * v for v in plain2]
 
 
 def test_homogeneity_euler_identity(triangle_dyn):

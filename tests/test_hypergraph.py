@@ -2,35 +2,30 @@
 
 import json
 import random
-from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperobs.dynamics import DynamicsSpec
 from hyperobs.errors import ResourceLimitError
 from hyperobs.hypergraph import (
     UniformHypergraph,
-    adjacency_unfolding,
-    disjoint_union,
     gen_complete,
     gen_hyperchain,
     gen_hyperring,
     gen_hyperstar,
     induced_subhypergraph,
-    relabel,
 )
-from hyperobs.tensor import ivec
-from conftest import random_uniform_hypergraph
+from conftest import disjoint_union, random_uniform_hypergraph, relabel
 
 
 def test_construction_canonicalizes():
     g = UniformHypergraph(4, 3, [(3, 2, 1), (1, 2, 3), (2, 4, 3)])
     assert g.edges == ((1, 2, 3), (2, 3, 4))
     assert g.num_edges == 2
-    assert g.degree(2) == 2
-    assert g.degree(1) == 1
     assert g.degrees() == {1: 1, 2: 2, 3: 2, 4: 1}
 
 
@@ -45,8 +40,6 @@ def test_construction_errors():
         UniformHypergraph(3, 3, [(1, 2)])
     with pytest.raises(ValueError):
         UniformHypergraph(3, 3, [(1, 2, 4)])
-    with pytest.raises(IndexError):
-        UniformHypergraph(3, 2, [(1, 2)]).degree(4)
 
 
 def test_generator_shapes():
@@ -155,63 +148,75 @@ def test_from_dict_errors():
             UniformHypergraph.from_dict(top)
 
 
-def _tensor_of(A, n, k):
-    """Read an unfolding back as a tensor: row i and the ivec digits of the
-    column give the full index."""
-    tensor = {}
-    for (r, c), v in A.entries.items():
-        pos, rest = c - 1, []
+def _flat(rest, n):
+    # first factor most significant, as in DynamicsSpec.unfolding_columns
+    pos = 0
+    for j in rest:
+        pos = pos * n + (j - 1)
+    return pos
+
+
+def _table(dyn):
+    """The column table as a set of (row, column) positions, 1-based rows."""
+    return {
+        (r, c)
+        for r, cols in enumerate(dyn.unfolding_columns, start=1)
+        for c in cols.tolist()
+    }
+
+
+def _tensor_of(dyn):
+    """Read the column table back as the index set of the adjacency tensor:
+    row i and the digits of the column give the full index."""
+    n, k = dyn.n, dyn.k
+    tensor = set()
+    for r, c in _table(dyn):
+        rest = []
         for _ in range(k - 1):
-            pos, digit = divmod(pos, n)
+            c, digit = divmod(c, n)
             rest.append(digit + 1)
-        tensor[(r, *rest)] = v
+        tensor.add((r, *reversed(rest)))
     return tensor
 
 
 def test_adjacency_tensor_supersymmetric():
-    # every ordering of every hyperedge holds 1/(k-1)!, nothing else is stored
+    # every ordering of every hyperedge is listed, nothing else
     g = UniformHypergraph(4, 3, [(1, 2, 3), (2, 3, 4)])
-    tensor = _tensor_of(adjacency_unfolding(g), g.n, g.k)
+    tensor = _tensor_of(DynamicsSpec(g))
     # 2 edges x 3! orderings
-    assert len(tensor) == 12
-    for e in g.edges:
-        for idx in permutations(e):
-            assert tensor[idx] == Fraction(1, 2)
+    assert tensor == {idx for e in g.edges for idx in permutations(e)}
 
 
 def test_adjacency_unfolding_matches_tensor_unfold():
-    # unfolding the tensor along any mode gives back the same matrix
+    # unfolding the tensor along any mode gives back the same table
     rng = random.Random(5)
     for _ in range(10):
         g = random_uniform_hypergraph(
             rng.randint(3, 5), rng.randint(2, 3), rng
         )
-        direct = adjacency_unfolding(g)
-        tensor = _tensor_of(direct, g.n, g.k)
-        dims = (g.n,) * (g.k - 1)
+        dyn = DynamicsSpec(g)
+        tensor = _tensor_of(dyn)
         for mode in range(1, g.k + 1):
             unfolded = {
-                (idx[mode - 1], ivec(idx[: mode - 1] + idx[mode:], dims)): v
-                for idx, v in tensor.items()
+                (idx[mode - 1], _flat(idx[: mode - 1] + idx[mode:], g.n))
+                for idx in tensor
             }
-            assert unfolded == direct.entries
+            assert unfolded == _table(dyn)
 
 
 def test_unfolding_row_sums_are_degrees():
+    # row i holds degree(i) * (k-1)! entries of 1/(k-1)!, summing to the degree
     g = gen_hyperstar(6, 3)
-    A = adjacency_unfolding(g)
-    sums = {i: Fraction(0) for i in range(1, g.n + 1)}
-    for (r, _), v in A.entries.items():
-        sums[r] += v
-    assert sums == {i: Fraction(d) for i, d in g.degrees().items()}
+    cols = DynamicsSpec(g).unfolding_columns
+    assert {i: len(c) for i, c in enumerate(cols, start=1)} == {
+        i: d * factorial(g.k - 1) for i, d in g.degrees().items()
+    }
 
 
 def test_unfolding_column_cap():
-    # 1000^3 = 1e9 columns, over the default 1e8 slot cap
-    g = UniformHypergraph(1000, 4, [(1, 2, 3, 4)])
+    # n^(k-1) columns may not exceed the 1e8 slot cap: 465^3 > 1e8 >= 464^3
+    over = DynamicsSpec(UniformHypergraph(465, 4, [(1, 2, 3, 4)]))
     with pytest.raises(ResourceLimitError, match="columns"):
-        adjacency_unfolding(g)
-    small = gen_hyperchain(4, 3)
-    with pytest.raises(ResourceLimitError):
-        adjacency_unfolding(small, max_cols=15)
-    assert adjacency_unfolding(small, max_cols=16).cols == 16
+        over.unfolding_columns
+    at_cap = DynamicsSpec(UniformHypergraph(464, 4, [(1, 2, 3, 4)]))
+    assert [len(c) for c in at_cap.unfolding_columns[:5]] == [6, 6, 6, 6, 0]

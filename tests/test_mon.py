@@ -8,12 +8,10 @@ from hyperobs.dynamics import DynamicsSpec
 from hyperobs.errors import ResourceLimitError
 from hyperobs.hypergraph import (
     UniformHypergraph,
-    disjoint_union,
     gen_complete,
     gen_hyperchain,
     gen_hyperring,
     gen_hyperstar,
-    relabel,
 )
 from hyperobs.mon import (
     MonResult,
@@ -22,7 +20,9 @@ from hyperobs.mon import (
     minimum_observable_nodes,
     mon_per_component,
 )
-from hyperobs.observability import RankConfig, generic_rank
+from hyperobs.observability import RankConfig, is_locally_weakly_observable
+
+from conftest import disjoint_union, relabel
 
 
 def test_options_validation(triangle):
@@ -134,10 +134,11 @@ def test_selection_equivariant_under_relabelling():
     h = relabel(g, perm)
     # ranks are label-blind: the image of the base selection observes the
     # relabelled graph, and greedy there needs as many nodes
-    assert generic_rank(h, [perm[s] for s in base.selected]) == h.n
+    image = [perm[s] for s in base.selected]
+    assert is_locally_weakly_observable(h, image).rank == h.n
     res = greedy_mon(h, tie_break="index")
     assert res.size == base.size
-    assert generic_rank(h, res.selected) == h.n
+    assert is_locally_weakly_observable(h, res.selected).rank == h.n
 
 
 def test_rank_trace_strictly_increases():
@@ -152,7 +153,8 @@ def test_rank_trace_strictly_increases():
         assert res.verdict == "complete"
         assert trace[-1] == 6
         # a fresh set of evaluation points certifies the same selection
-        assert generic_rank(g, res.selected, RankConfig(seed=997)) == 6
+        fresh = is_locally_weakly_observable(g, res.selected, RankConfig(seed=997))
+        assert fresh.rank == 6
 
 
 def test_brute_force_budget_and_stall():

@@ -16,7 +16,6 @@ from hyperobs.linalg import bareiss_rank
 from hyperobs.observability import (
     NomOracle,
     RankConfig,
-    generic_rank,
     is_locally_weakly_observable,
     lie_derivatives_with_jacobians,
     node_blocks,
@@ -64,6 +63,13 @@ def test_jacobian_against_finite_differences(triangle_dyn):
             assert J[i][j] == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
+def test_jacobians_reject_wrong_sized_point(triangle_dyn):
+    # too long is not cut to n coordinates, too short is no IndexError
+    for x in (_frac([1, 2, 3, 4]), _frac([1, 2])):
+        with pytest.raises(ValueError, match="coordinates for 3 nodes"):
+            lie_derivatives_with_jacobians(triangle_dyn, x, 1, RATIONALS)
+
+
 def test_values_match_plain_chain(triangle_dyn):
     x = _frac([2, -1, 3])
     values, grads = lie_derivatives_with_jacobians(
@@ -81,7 +87,10 @@ def test_assemble_nom_matches_kalman_for_pairwise_graphs():
     x = _frac([5, -2, 7, 1])
     _, grads = lie_derivatives_with_jacobians(dyn, x, 4, RATIONALS)
     stacked = [grads[p][0] for p in range(5)]
-    A = dyn.unfolding().to_dense(zero=Fraction(0))
+    # at k = 2 the unfolding is the adjacency matrix
+    A = [[0] * 4 for _ in range(4)]
+    for i, j in g.edges:
+        A[i - 1][j - 1] = A[j - 1][i - 1] = 1
 
     current = _frac([1, 0, 0, 0])
     rows = [list(current)]
@@ -91,7 +100,7 @@ def test_assemble_nom_matches_kalman_for_pairwise_graphs():
         ]
         rows.append(list(current))
     assert stacked == rows
-    assert bareiss_rank(stacked) == generic_rank(g, [1])
+    assert bareiss_rank(stacked) == is_locally_weakly_observable(g, [1]).rank
 
 
 def test_node_blocks_level_zero(triangle_dyn):
@@ -107,31 +116,32 @@ def test_node_blocks_level_zero(triangle_dyn):
 
 
 def test_generic_rank_known_cases():
-    assert generic_rank(gen_complete(5, 3), [1]) == 5
+    assert is_locally_weakly_observable(gen_complete(5, 3), [1]).rank == 5
     # star leaves see the core only through products, one leaf direction
     # stays invisible
-    assert generic_rank(gen_hyperstar(5, 3), [5]) == 4
-    assert generic_rank(gen_hyperstar(5, 3), [3, 4]) == 5
-    assert generic_rank(gen_hyperchain(4, 3), [1]) == 4
+    assert is_locally_weakly_observable(gen_hyperstar(5, 3), [5]).rank == 4
+    assert is_locally_weakly_observable(gen_hyperstar(5, 3), [3, 4]).rank == 5
+    assert is_locally_weakly_observable(gen_hyperchain(4, 3), [1]).rank == 4
     g = gen_hyperchain(4, 3)
-    assert generic_rank(g, list(range(1, 5))) == 4
+    assert is_locally_weakly_observable(g, list(range(1, 5))).rank == 4
 
 
 def test_rank_monotone_in_nodes_and_depth():
     rng = random.Random(19)
     for _ in range(6):
         g = random_uniform_hypergraph(5, 3, rng)
-        full = generic_rank(g, [1, 2, 3, 4, 5])
-        part = generic_rank(g, [1, 3])
+        full = is_locally_weakly_observable(g, [1, 2, 3, 4, 5]).rank
+        part = is_locally_weakly_observable(g, [1, 3]).rank
         assert part <= full
-        shallow = generic_rank(g, [1, 3], RankConfig(depth=1))
-        deep = generic_rank(g, [1, 3], RankConfig(depth=4))
+        shallow = is_locally_weakly_observable(g, [1, 3], RankConfig(depth=1)).rank
+        deep = is_locally_weakly_observable(g, [1, 3], RankConfig(depth=4)).rank
         assert shallow <= deep
         # depth defaults to n - 1, where the rank has saturated: one more
         # level adds nothing
-        default = generic_rank(g, [1, 3])
+        default = is_locally_weakly_observable(g, [1, 3]).rank
         assert deep <= default
-        assert default == generic_rank(g, [1, 3], RankConfig(depth=g.n))
+        deeper = is_locally_weakly_observable(g, [1, 3], RankConfig(depth=g.n)).rank
+        assert default == deeper
 
 
 def test_oracle_caching_and_validation(triangle_dyn):
@@ -178,7 +188,10 @@ def test_rank_invariant_under_edge_weight():
         plain = DynamicsSpec(g)
         scaled = DynamicsSpec(g, weight=5)
         for nodes in ([1], [2, 4]):
-            assert generic_rank(plain, nodes) == generic_rank(scaled, nodes)
+            assert (
+                is_locally_weakly_observable(plain, nodes).rank
+                == is_locally_weakly_observable(scaled, nodes).rank
+            )
 
 
 def test_observability_report(triangle_dyn):
