@@ -135,9 +135,7 @@ def _cmd_observable(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
     g = _load_hypergraph(args.hypergraph)
     cfg = RankConfig(trials=args.trials, seed=args.seed, depth=args.depth)
-    res = minimum_observable_nodes(
-        g, cfg, args.tie_break, per_component=args.per_component == "on"
-    )
+    res = minimum_observable_nodes(g, cfg, args.tie_break)
     result: dict[str, Any] = {
         "selected": list(res.selected),
         "size": res.size,
@@ -149,6 +147,7 @@ def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
                 "selected": list(c.selected),
                 "rank_trace": list(c.rank_trace),
                 "verdict": c.verdict,
+                "depth": c.depth,
             }
             for c in res.components
         ],
@@ -159,6 +158,7 @@ def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
             "selected": list(exact.selected),
             "size": exact.size,
             "verdict": exact.verdict,
+            "depth": exact.depth,
             "matches_greedy_size": exact.size == res.size,
         }
     report = {
@@ -170,7 +170,6 @@ def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
             "trials": args.trials,
             "seed": args.seed,
             "tie_break": args.tie_break,
-            "per_component": args.per_component == "on",
             "brute_force": bool(args.brute_force),
             "field_modulus": PRIME,
         },
@@ -304,11 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mon.add_argument(
         "--tie-break", choices=TIE_BREAKS,
         default="degree", dest="tie_break",
-    )
-    p_mon.add_argument(
-        "--per-component", choices=("on", "off"), default="on",
-        dest="per_component",
-        help="solve connected components independently",
     )
     p_mon.add_argument(
         "--brute-force", action="store_true", dest="brute_force",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -23,10 +23,16 @@ from .hypergraph import UniformHypergraph
 
 @dataclass(frozen=True)
 class TimeSeriesMatrix:
-    """Samples by signals, with one label per signal column."""
+    """Samples by signals, with one label per signal column.
+
+    Each column's standardized form is built once, on first use, and kept.
+    """
 
     labels: tuple[str, ...]
     values: np.ndarray
+    _standardized: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -56,6 +62,22 @@ class TimeSeriesMatrix:
                 f"signal index {index} outside 1..{self.num_signals}"
             )
         return self.values[:, index - 1]
+
+    def standardized(self, index: int) -> np.ndarray:
+        """Column ``index`` (1-based) at zero mean and unit sample standard
+        deviation, as a contiguous 1-D array."""
+        cached = self._standardized.get(index)
+        if cached is None:
+            col = self.column(index)
+            sd = col.std(ddof=1)
+            if sd == 0.0:
+                raise ValueError(
+                    f"signal {self.labels[index - 1]!r} (column {index}) is "
+                    "constant, correlation undefined"
+                )
+            cached = (col - col.mean()) / sd
+            self._standardized[index] = cached
+        return cached
 
 
 def read_timeseries_csv(text: str) -> TimeSeriesMatrix:
@@ -89,21 +111,10 @@ def write_timeseries_csv(series: TimeSeriesMatrix) -> str:
     return out.getvalue()
 
 
-def _standardized(series: TimeSeriesMatrix, index: int) -> np.ndarray:
-    col = series.column(index)
-    sd = col.std(ddof=1)
-    if sd == 0.0:
-        raise ValueError(
-            f"signal {series.labels[index - 1]!r} (column {index}) is "
-            "constant, correlation undefined"
-        )
-    return (col - col.mean()) / sd
-
-
 def pearson(series: TimeSeriesMatrix, i: int, j: int) -> float:
     """Pearson correlation of two signal columns (1-based)."""
-    a = _standardized(series, i)
-    b = _standardized(series, j)
+    a = series.standardized(i)
+    b = series.standardized(j)
     return float(a @ b) / (series.num_samples - 1)
 
 

@@ -15,9 +15,10 @@ Three independent evaluators compute the higher time derivatives J_p of the
 state along the flow (J_0 = x, J_1 = f(x), ...):
 
 * ``lie_derivatives``: the whole chain J_0..J_depth via the Leibniz rule for
-  multilinear maps. Division free, works over any scalar domain including
-  dual numbers, and never touches vectors longer than n. This is the one the
-  observability machinery uses.
+  multilinear maps. Division free, works over any scalar domain, and never
+  touches vectors longer than n. This is the one the observability
+  machinery uses: one pass over values that carry all n partials yields
+  every Jacobian with the chain.
 * ``lie_derivative_recursive``: the factor-list recursion. Keeps a list of
   n-vectors, repeatedly contracts a window of k-1 of them through A, and
   sums over window positions. Materializes Kronecker products of at most
@@ -50,8 +51,9 @@ _INT64_SAFE = 1 << 62
 
 
 @lru_cache(maxsize=None)
-def _index_permutations(width: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(permutations(range(width)))
+def _placements(labels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct orderings of a tuple of factor labels, sorted."""
+    return tuple(sorted(set(permutations(labels))))
 
 
 @lru_cache(maxsize=None)
@@ -72,16 +74,6 @@ def _multinomial(total: int, terms: Sequence[int]) -> int:
     for q in terms:
         num //= factorial(q)
     return num
-
-
-def _multiset_orderings(terms: Sequence[int]) -> int:
-    count = factorial(len(terms))
-    seen: dict[int, int] = {}
-    for q in terms:
-        seen[q] = seen.get(q, 0) + 1
-    for mult in seen.values():
-        count //= factorial(mult)
-    return count
 
 
 @dataclass(frozen=True)
@@ -149,12 +141,14 @@ class DynamicsSpec:
 def apply_factors(
     dyn: DynamicsSpec, factors: Sequence[Sequence[Any]], domain: Any
 ) -> list[Any]:
-    """A applied to the Kronecker product of k-1 vectors, edge by edge.
+    """A applied to the Kronecker product of k-1 vectors, times the number
+    of distinct orderings of the factors, edge by edge.
 
-    Entry i is 1/(k-1)! times the sum, over hyperedges through i and over
-    orderings of the remaining nodes, of the product of factor values. When
-    all factors are one vector the orderings collapse against the
-    coefficient and the loop runs once per edge.
+    Factors that are the same object are interchangeable, so entry i sums,
+    over hyperedges through i and over the distinct placements of the
+    factors on the remaining nodes, the product of factor values. That sum
+    is orderings * (A (x) factors)_i, with no division: one placement per
+    edge when all factors are one vector, (k-1)! when all differ.
     """
     k = dyn.k
     if len(factors) != k - 1:
@@ -162,31 +156,24 @@ def apply_factors(
     for f in factors:
         if len(f) != dyn.n:
             raise ValueError("factor length does not match node count")
-    first = factors[0]
-    same = all(f is first for f in factors)
-    inv_fact = None if same else domain.inv_int(factorial(k - 1))
-    weight = (
-        None if dyn.weight == 1 else domain.from_int(dyn.weight)
-    )
-    perms = None if same else _index_permutations(k - 1)
+    # label each factor by the position where its object first occurs
+    ids = [id(f) for f in factors]
+    placements = [
+        (factors[pl[0]], [factors[j] for j in pl[1:]])
+        for pl in _placements(tuple(ids.index(i) for i in ids))
+    ]
+    weight = None if dyn.weight == 1 else domain.from_int(dyn.weight)
     mul, add = domain.mul, domain.add
     out = []
     for rests in dyn.incidence[1:]:
         acc = domain.zero()
         for rest in rests:
-            if same:
-                term = first[rest[0] - 1]
-                for node in rest[1:]:
-                    term = mul(term, first[node - 1])
+            head, tail = rest[0] - 1, rest[1:]
+            for first, others in placements:
+                term = first[head]
+                for vec, node in zip(others, tail):
+                    term = mul(term, vec[node - 1])
                 acc = add(acc, term)
-            else:
-                for sigma in perms:
-                    term = first[rest[sigma[0]] - 1]
-                    for t in range(1, k - 1):
-                        term = mul(term, factors[t][rest[sigma[t]] - 1])
-                    acc = add(acc, term)
-        if inv_fact is not None:
-            acc = mul(acc, inv_fact)
         if weight is not None:
             acc = mul(acc, weight)
         out.append(acc)
@@ -200,8 +187,10 @@ def lie_derivatives(
 
     Differentiating J_{p+1} = d^p/dt^p A(x x ... x x) through the Leibniz
     rule gives a sum over all ways to split p derivatives among the k-1
-    slots; splits that agree as multisets share one contraction because the
-    adjacency tensor is symmetric in its slots.
+    slots. Splits that agree as multisets share one contraction because the
+    adjacency tensor is symmetric in its slots; ``apply_factors`` already
+    counts the orderings of a multiset, so each carries its multinomial
+    coefficient alone.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -214,7 +203,7 @@ def lie_derivatives(
     for p in range(depth):
         acc = [domain.zero()] * dyn.n
         for levels in _level_multisets(p, dyn.k - 1):
-            coeff = _multinomial(p, levels) * _multiset_orderings(levels)
+            coeff = _multinomial(p, levels)
             term = apply_factors(
                 dyn, [chain[q] for q in levels], domain
             )
@@ -342,11 +331,11 @@ def lie_derivative_naive_scaled(
         raise ValueError("integer evaluation needs integer coordinates")
     if p < 0:
         raise ValueError(f"derivative order must be nonnegative, got {p}")
-    if p == 0:
-        return [int(v) for v in x], 1
     n, k = dyn.n, dyn.k
     if len(x) != n:
         raise ValueError(f"point has {len(x)} coordinates for {n} nodes")
+    if p == 0:
+        return [int(v) for v in x], 1
     m = p * (k - 2) + 1
     if n**m > max_slots:
         raise ResourceLimitError(

@@ -8,8 +8,8 @@ rank gain at shared random evaluation points, stopping at full rank. An
 exact brute-force search over subsets in size order backs it up at small n.
 
 Rank contributions never cross connected components (every block entry only
-involves coordinates from the node's own component), so the default mode
-solves components independently and unions the picks; isolated nodes have
+involves coordinates from the node's own component), so selection solves
+components independently and unions the picks; isolated nodes have
 an empty dynamics block and always select themselves.
 """
 
@@ -33,12 +33,14 @@ DEFAULT_SUBSET_BUDGET = 200_000
 
 @dataclass(frozen=True)
 class ComponentSelection:
-    """Outcome of selection on one connected component."""
+    """Outcome of selection on one connected component, with the depth its
+    oracle stacked."""
 
     nodes: tuple[int, ...]
     selected: tuple[int, ...]
     rank_trace: tuple[int, ...]
     verdict: str
+    depth: int
 
 
 @dataclass(frozen=True)
@@ -47,12 +49,14 @@ class MonResult:
 
     verdict is "complete" when the selection reached full rank, "stalled"
     when no remaining candidate could raise it further or a subset budget
-    ran out. rank_trace records the rank after each pick.
+    ran out. rank_trace records the rank after each pick. depth is the one
+    its oracle stacked; None for a union over components, which carry theirs.
     """
 
     selected: tuple[int, ...]
     rank_trace: tuple[int, ...]
     verdict: str
+    depth: int | None = None
     components: tuple[ComponentSelection, ...] = field(default_factory=tuple)
 
     @property
@@ -125,10 +129,11 @@ def greedy_mon(
         selected=tuple(selected),
         rank_trace=tuple(trace),
         verdict="complete" if rank == n else "stalled",
+        depth=oracle.depth,
     )
 
 
-def mon_per_component(
+def minimum_observable_nodes(
     g: UniformHypergraph | DynamicsSpec,
     config: RankConfig | None = None,
     tie_break: str = "degree",
@@ -154,6 +159,7 @@ def mon_per_component(
                 selected=mapped,
                 rank_trace=res.rank_trace,
                 verdict=res.verdict,
+                depth=res.depth,
             )
         )
         selected.extend(mapped)
@@ -170,18 +176,6 @@ def mon_per_component(
         verdict=verdict,
         components=tuple(parts),
     )
-
-
-def minimum_observable_nodes(
-    g: UniformHypergraph | DynamicsSpec,
-    config: RankConfig | None = None,
-    tie_break: str = "degree",
-    per_component: bool = True,
-) -> MonResult:
-    """Greedy selection, per connected component unless switched off."""
-    if per_component:
-        return mon_per_component(g, config, tie_break)
-    return greedy_mon(g, config, tie_break)
 
 
 def brute_force_mon(
@@ -219,5 +213,8 @@ def brute_force_mon(
                     selected=subset,
                     rank_trace=(rank,),
                     verdict="complete",
+                    depth=oracle.depth,
                 )
-    return MonResult(selected=(), rank_trace=(), verdict="stalled")
+    return MonResult(
+        selected=(), rank_trace=(), verdict="stalled", depth=oracle.depth
+    )

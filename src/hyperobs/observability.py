@@ -13,8 +13,9 @@ Levels 0..n-1 always suffice: once a level adds nothing to the span of the
 gradients dJ_q, no later level does either (the observability rank
 condition of Hermann and Krener), so that is the default depth.
 
-Jacobians come from forward-mode dual numbers: one evaluation of the chain
-per coordinate direction, exact over the field and over the rationals.
+Jacobians come from vector-mode forward differentiation: the chain runs
+once over values that carry all n partials, seeded x_j = (x_j, e_j), exact
+over the field and over the rationals.
 """
 
 from __future__ import annotations
@@ -55,32 +56,18 @@ def lie_derivatives_with_jacobians(
 ) -> tuple[list[list[Any]], list[list[list[Any]]]]:
     """The chain J_0..J_depth and all its Jacobians at x.
 
-    Runs the chain once per coordinate over dual numbers seeded in that
-    direction; the eps parts of run j form column j of every Jacobian.
-    Returns (values, grads) with grads[p][i][j] = dJ_p[i] / dx[j].
+    Runs the chain once over ``DualDomain(domain, n)`` with x_j seeded as
+    (x_j, e_j); the eps part of entry i of level p is the gradient of
+    J_p[i]. Returns (values, grads) with grads[p][i][j] = dJ_p[i] / dx[j].
     """
     n = dyn.n
     if len(x) != n:
         raise ValueError(f"point has {len(x)} coordinates for {n} nodes")
-    dd = DualDomain(domain)
-    values: list[list[Any]] | None = None
-    grads = [
-        [[domain.zero()] * n for _ in range(n)] for _ in range(depth + 1)
-    ]
-    zero, one = domain.zero(), domain.one()
-    for j in range(n):
-        seeded = [
-            dd.variable(x[i], one if i == j else zero) for i in range(n)
-        ]
-        chain = lie_derivatives(dyn, seeded, depth, dd)
-        for p in range(depth + 1):
-            level = chain[p]
-            for i in range(n):
-                grads[p][i][j] = level[i][1]
-        if values is None:
-            values = [[pair[0] for pair in level] for level in chain]
-    if values is None:
-        values = [list(x) for _ in range(depth + 1)]
+    dd = DualDomain(domain, n)
+    seeded = [dd.variable(v, j) for j, v in enumerate(x)]
+    chain = lie_derivatives(dyn, seeded, depth, dd)
+    values = [[real for real, _ in level] for level in chain]
+    grads = [[list(eps) for _, eps in level] for level in chain]
     return values, grads
 
 

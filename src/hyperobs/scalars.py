@@ -11,8 +11,10 @@ Four domains exist:
 * ``RATIONALS``: exact ``fractions.Fraction`` values (reference
   computations),
 * ``FLOATS``: IEEE doubles (finite-difference validation),
-* ``DualDomain(base)``: dual numbers a + b*eps with eps**2 = 0 as
-  (real, eps) tuples over any base domain (forward-mode differentiation).
+* ``DualDomain(base, n)``: truncated Taylor numbers a + sum_j b_j eps_j
+  with every eps_i eps_j = 0, as (real, eps) pairs over any base domain,
+  eps a tuple of n partials (vector-mode forward differentiation: one
+  evaluation yields the whole gradient).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from itertools import repeat
 from typing import Any
 
 PRIME = (1 << 61) - 1
@@ -76,41 +79,46 @@ class NumberDomain:
 
 
 class DualDomain:
-    """Dual numbers over a base domain, represented as (real, eps) tuples.
+    """Values with a gradient of n partials, as (real, eps) pairs over a base
+    domain, eps being a tuple of n base values.
 
-    Multiplication carries the product rule; constants lift with a zero eps
-    part. Running any polynomial evaluation over this domain with a seeded
-    eps component performs forward-mode differentiation in that direction.
+    Multiplication applies the product rule to every partial at once, and
+    constants lift with an all-zero eps. Evaluating a polynomial at the
+    seeded variables x_j = (a_j, e_j) therefore yields its value and its
+    whole gradient in one pass.
     """
 
-    def __init__(self, base: Any):
+    def __init__(self, base: Any, n: int):
         self.base = base
-        self._z = base.zero()
+        self._zeros = (base.zero(),) * n
 
-    def variable(self, a: Any, direction: Any) -> tuple[Any, Any]:
-        return (a, direction)
+    def variable(self, a: Any, j: int) -> tuple[Any, tuple[Any, ...]]:
+        """a as coordinate j (0-based) of the point: eps is e_j."""
+        eps = list(self._zeros)
+        eps[j] = self.base.one()
+        return (a, tuple(eps))
 
-    def zero(self) -> tuple[Any, Any]:
-        return (self._z, self._z)
+    def zero(self) -> tuple[Any, tuple[Any, ...]]:
+        return (self.base.zero(), self._zeros)
 
-    def one(self) -> tuple[Any, Any]:
-        return (self.base.one(), self._z)
+    def one(self) -> tuple[Any, tuple[Any, ...]]:
+        return (self.base.one(), self._zeros)
 
-    def from_int(self, i: int) -> tuple[Any, Any]:
-        return (self.base.from_int(i), self._z)
+    def from_int(self, i: int) -> tuple[Any, tuple[Any, ...]]:
+        return (self.base.from_int(i), self._zeros)
 
     def add(self, a: tuple[Any, Any], b: tuple[Any, Any]) -> tuple[Any, Any]:
-        return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
+        add = self.base.add
+        return (add(a[0], b[0]), tuple(map(add, a[1], b[1])))
 
     def mul(self, a: tuple[Any, Any], b: tuple[Any, Any]) -> tuple[Any, Any]:
-        base = self.base
-        return (
-            base.mul(a[0], b[0]),
-            base.add(base.mul(a[0], b[1]), base.mul(a[1], b[0])),
-        )
+        add, mul = self.base.add, self.base.mul
+        a0, b0 = a[0], b[0]
+        eps = map(add, map(mul, repeat(a0), b[1]), map(mul, a[1], repeat(b0)))
+        return (mul(a0, b0), tuple(eps))
 
-    def inv_int(self, i: int) -> tuple[Any, Any]:
-        return (self.base.inv_int(i), self._z)
+    def inv_int(self, i: int) -> tuple[Any, tuple[Any, ...]]:
+        return (self.base.inv_int(i), self._zeros)
 
 
 PRIME_FIELD = PrimeFieldDomain()

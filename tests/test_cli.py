@@ -128,11 +128,30 @@ def test_mon_report(tmp_path, capsys):
     assert len(res["components"]) == 1
 
     code, stdout, _ = run(
-        capsys, "mon", str(path), "--per-component", "off",
-        "--tie-break", "index", "--format", "text",
+        capsys, "mon", str(path), "--tie-break", "index", "--format", "text",
     )
     assert code == 0
     assert "verdict: complete" in stdout
+
+
+def test_mon_reports_depth(tmp_path, capsys):
+    # each component and the exhaustive search say which depth ran: n - 1
+    # of the hypergraph their oracle ranked
+    path = tmp_path / "star6.json"
+    path.write_text(gen_hyperstar(6, 3).to_json())
+    code, stdout, _ = run(capsys, "mon", str(path), "--brute-force")
+    assert code == 0
+    res = json.loads(stdout)["result"]
+    assert [c["depth"] for c in res["components"]] == [5]
+    assert res["brute_force"]["depth"] == 5
+    two = UniformHypergraph(7, 3, [(1, 2, 3), (2, 3, 4), (5, 6, 7)])
+    path.write_text(two.to_json())
+    code, stdout, _ = run(capsys, "mon", str(path), "--brute-force")
+    assert code == 0
+    res = json.loads(stdout)["result"]
+    assert [c["nodes"] for c in res["components"]] == [[1, 2, 3, 4], [5, 6, 7]]
+    assert [c["depth"] for c in res["components"]] == [3, 2]
+    assert res["brute_force"]["depth"] == 6
 
 
 def test_mon_out_file_matches_stdout_report(tmp_path, capsys):

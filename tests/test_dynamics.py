@@ -46,11 +46,11 @@ def test_second_derivative_triangle(triangle_dyn):
     assert chain[2] == _frac([13, 20, 15])
 
 
-def _kron_power(x, m):
+def _kron(vectors):
     # first factor most significant, as in DynamicsSpec.unfolding_columns
     out = [Fraction(1)]
-    for _ in range(m):
-        out = [a * b for a in out for b in x]
+    for v in vectors:
+        out = [a * b for a in out for b in v]
     return out
 
 
@@ -71,19 +71,24 @@ def test_eval_f_matches_unfolding(triangle_dyn):
         dyn = DynamicsSpec(g)
         x = rational_point(g.n, rng)
         f = lie_derivatives(dyn, x, 1)[1]
-        assert f == _apply_table(dyn, _kron_power(x, g.k - 1))
+        assert f == _apply_table(dyn, _kron([x] * (g.k - 1)))
 
 
 def test_apply_factors_mixed_matches_kron(triangle_dyn):
+    # apply_factors returns A (f_1 x ... x f_{k-1}) times the number of
+    # distinct orderings of the factors, equal factors being one object
     rng = random.Random(6)
     for _ in range(8):
-        g = random_uniform_hypergraph(4, 3, rng)
-        dyn = DynamicsSpec(g)
-        x = rational_point(4, rng)
-        y = rational_point(4, rng)
-        direct = apply_factors(dyn, [x, y], RATIONALS)
-        kron_xy = [a * b for a in x for b in y]
-        assert direct == _apply_table(dyn, kron_xy)
+        for k in (3, 4):
+            g = random_uniform_hypergraph(4, k, rng)
+            dyn = DynamicsSpec(g)
+            x, y, z = (rational_point(4, rng) for _ in range(3))
+            cases = {3: [([x, y], 2), ([x, x], 1)],
+                     4: [([x, x, y], 3), ([x, x, x], 1), ([x, y, z], 6)]}
+            for factors, orderings in cases[k]:
+                direct = apply_factors(dyn, factors, RATIONALS)
+                table = _apply_table(dyn, _kron(factors))
+                assert direct == [orderings * v for v in table]
     with pytest.raises(ValueError):
         apply_factors(triangle_dyn, [[Fraction(1)] * 3], RATIONALS)
     with pytest.raises(ValueError):
@@ -194,8 +199,8 @@ def test_recursion_budget(triangle_dyn):
 
 def test_naive_rejects_dual_domain(triangle_dyn):
     # the operator-product oracle evaluates integer points only
-    dual = DualDomain(RATIONALS)
-    x = [dual.variable(Fraction(v), Fraction(0)) for v in (1, 2, 3)]
+    dual = DualDomain(RATIONALS, 3)
+    x = [dual.variable(Fraction(v), j) for j, v in enumerate((1, 2, 3))]
     with pytest.raises(ValueError):
         lie_derivative_naive_scaled(triangle_dyn, 1, x)
 
@@ -225,21 +230,17 @@ def test_weight_scales_each_order():
 
 
 def test_homogeneity_euler_identity(triangle_dyn):
-    # J_p is homogeneous of degree p(k-2)+1: sum_i x_i dJ_p/dx_i = m J_p
-    dual = DualDomain(RATIONALS)
+    # J_p is homogeneous of degree p(k-2)+1: sum_j x_j dJ_p/dx_j = m J_p,
+    # every gradient coming from one run over the gradient domain
+    dual = DualDomain(RATIONALS, 3)
     x = _frac([2, -3, 5])
     p = 2
     m = p * (3 - 2) + 1
     values = lie_derivatives(triangle_dyn, x, p)[p]
-    weighted_sum = [Fraction(0)] * 3
-    for direction in range(3):
-        lifted = [
-            dual.variable(x[i], Fraction(1) if i == direction else Fraction(0))
-            for i in range(3)
-        ]
-        grads = lie_derivatives(triangle_dyn, lifted, p, domain=dual)[p]
-        for i in range(3):
-            weighted_sum[i] += x[direction] * grads[i][1]
+    lifted = [dual.variable(v, j) for j, v in enumerate(x)]
+    level = lie_derivatives(triangle_dyn, lifted, p, domain=dual)[p]
+    assert [real for real, _ in level] == values
+    weighted_sum = [sum(a * b for a, b in zip(x, eps)) for _, eps in level]
     assert weighted_sum == [Fraction(m) * v for v in values]
 
 
@@ -262,3 +263,7 @@ def test_lie_derivatives_validation(triangle_dyn):
         lie_derivative_recursive(triangle_dyn, -1, _frac([1, 2, 3]))
     with pytest.raises(ValueError):
         lie_derivative_recursive(triangle_dyn, 1, _frac([1, 2]))
+    # the length check comes before the order-0 shortcut
+    for p in (0, 1):
+        with pytest.raises(ValueError):
+            lie_derivative_naive_scaled(triangle_dyn, p, [1, 2])

@@ -18,7 +18,6 @@ from hyperobs.mon import (
     brute_force_mon,
     greedy_mon,
     minimum_observable_nodes,
-    mon_per_component,
 )
 from hyperobs.observability import RankConfig, is_locally_weakly_observable
 
@@ -101,12 +100,6 @@ def test_disjoint_components_solved_independently():
     assert res.components[1].nodes == (5, 6, 7, 8)
     # the trace accumulates across components to the full rank
     assert res.rank_trace == (4, 8)
-    # without the decomposition the greedy still finishes, components just
-    # share the trace
-    flat = minimum_observable_nodes(two, per_component=False)
-    assert flat.verdict == "complete"
-    assert flat.size == 2
-    assert flat.components == ()
 
 
 def test_isolated_nodes_select_themselves():
@@ -162,7 +155,7 @@ def test_brute_force_budget_and_stall():
     with pytest.raises(ResourceLimitError):
         brute_force_mon(g, max_subsets=5)
     stalled = brute_force_mon(g, max_size=1)
-    assert stalled == MonResult((), (), "stalled")
+    assert stalled == MonResult((), (), "stalled", depth=5)
 
 
 def test_weight_does_not_change_selection():

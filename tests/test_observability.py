@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperobs.dynamics import DynamicsSpec, lie_derivatives
+from hyperobs.dynamics import DynamicsSpec, lie_derivative_recursive, lie_derivatives
 from hyperobs.hypergraph import (
     UniformHypergraph,
     gen_complete,
@@ -20,7 +20,7 @@ from hyperobs.observability import (
     lie_derivatives_with_jacobians,
     node_blocks,
 )
-from hyperobs.scalars import FLOATS, PRIME, RATIONALS
+from hyperobs.scalars import FLOATS, PRIME, RATIONALS, DualDomain
 
 from conftest import random_uniform_hypergraph, rational_point
 
@@ -101,6 +101,33 @@ def test_assemble_nom_matches_kalman_for_pairwise_graphs():
         rows.append(list(current))
     assert stacked == rows
     assert bareiss_rank(stacked) == is_locally_weakly_observable(g, [1]).rank
+
+
+def test_node_blocks_match_rational_jacobians_mod_p():
+    # the production lane (one gradient pass mod P) against the exact
+    # rational Jacobians, reduced mod P afterwards; up to order 3 those are
+    # also checked against the factor-list recursion over the same domain,
+    # which never calls the production kernel
+    def phi(q):
+        return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
+
+    rng = random.Random(29)
+    for _ in range(12):
+        k = rng.randint(2, 4)
+        n = rng.randint(k, 6)
+        dyn = DynamicsSpec(random_uniform_hypergraph(n, k, rng))
+        x = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(n)]
+        depth = n - 1
+        ev = node_blocks(dyn, x, depth)
+        _, grads = lie_derivatives_with_jacobians(dyn, _frac(x), depth, RATIONALS)
+        dual = DualDomain(RATIONALS, n)
+        seeded = [dual.variable(v, j) for j, v in enumerate(_frac(x))]
+        for p in range(depth + 1):
+            if p <= 3:
+                rec = lie_derivative_recursive(dyn, p, seeded, dual)
+                assert grads[p] == [list(eps) for _, eps in rec]
+            for i in range(n):
+                assert ev.blocks[i][p] == tuple(phi(q) for q in grads[p][i])
 
 
 def test_node_blocks_level_zero(triangle_dyn):

@@ -134,10 +134,12 @@ def _poly_derivative(coeffs):
     st.integers(-9, 9),
 )
 def test_dual_differentiates_polynomials(coeffs, x0):
-    dual = DualDomain(RATIONALS)
-    val = _poly_eval(dual, coeffs, dual.variable(Fraction(x0), Fraction(1)))
+    dual = DualDomain(RATIONALS, 1)
+    val = _poly_eval(dual, coeffs, dual.variable(Fraction(x0), 0))
     assert val[0] == _poly_eval(RATIONALS, coeffs, Fraction(x0))
-    assert val[1] == _poly_eval(RATIONALS, _poly_derivative(coeffs), Fraction(x0))
+    assert val[1] == (
+        _poly_eval(RATIONALS, _poly_derivative(coeffs), Fraction(x0)),
+    )
 
 
 @given(
@@ -146,37 +148,42 @@ def test_dual_differentiates_polynomials(coeffs, x0):
     st.integers(-9, 9),
 )
 def test_dual_product_rule(p, q, x0):
-    dual = DualDomain(RATIONALS)
-    x = dual.variable(Fraction(x0), Fraction(1))
-    prod = dual.mul(_poly_eval(dual, p, x), _poly_eval(dual, q, x))
+    # p(x) q(y) at (x0, x0): the gradient is (p' q, p q')
+    dual = DualDomain(RATIONALS, 2)
+    x = dual.variable(Fraction(x0), 0)
+    y = dual.variable(Fraction(x0), 1)
+    prod = dual.mul(_poly_eval(dual, p, x), _poly_eval(dual, q, y))
     x0 = Fraction(x0)
     pv, dv = _poly_eval(RATIONALS, p, x0), _poly_eval(RATIONALS, _poly_derivative(p), x0)
     qv, dq = _poly_eval(RATIONALS, q, x0), _poly_eval(RATIONALS, _poly_derivative(q), x0)
     assert prod[0] == pv * qv
-    assert prod[1] == pv * dq + dv * qv
+    assert prod[1] == (dv * qv, pv * dq)
 
 
 def test_dual_over_field_elements():
-    dual = DualDomain(PRIME_FIELD)
-    a = dual.variable(3, 1)
-    b = dual.mul(dual.mul(a, a), a)  # x**3 at x=3: value 27, derivative 27
-    assert b == (27, 27)
-    # (a0 + a1 eps)(b0 + b1 eps) = a0 b0 + (a0 b1 + a1 b0) eps, written out,
-    # with both parts reduced mod P
+    dual = DualDomain(PRIME_FIELD, 2)
+    x, y = dual.variable(3, 0), dual.variable(5, 1)
+    # x**2 y at (3, 5): value 45, gradient (2 x y, x**2) = (30, 9)
+    assert dual.mul(dual.mul(x, x), y) == (45, (30, 9))
+    # (a0 + a.eps)(b0 + b.eps) = a0 b0 + (a0 b_j + a_j b0) eps_j, written
+    # out coordinate by coordinate, with every part reduced mod P
     rng = random.Random(5)
     for _ in range(100):
-        a = (rng.randrange(PRIME), rng.randrange(PRIME))
-        b = (rng.randrange(PRIME), rng.randrange(PRIME))
+        a = (rng.randrange(PRIME), (rng.randrange(PRIME), rng.randrange(PRIME)))
+        b = (rng.randrange(PRIME), (rng.randrange(PRIME), rng.randrange(PRIME)))
         assert dual.mul(a, b) == (
             a[0] * b[0] % PRIME,
-            (a[0] * b[1] + a[1] * b[0]) % PRIME,
+            tuple((a[0] * bj + aj * b[0]) % PRIME for aj, bj in zip(a[1], b[1])),
         )
-        assert dual.add(a, b) == ((a[0] + b[0]) % PRIME, (a[1] + b[1]) % PRIME)
+        assert dual.add(a, b) == (
+            (a[0] + b[0]) % PRIME,
+            tuple((aj + bj) % PRIME for aj, bj in zip(a[1], b[1])),
+        )
 
 
 def test_domains_share_one_protocol():
     # the six methods the kernels call, and nothing of a wider protocol
-    for dom in (PRIME_FIELD, RATIONALS, FLOATS, DualDomain(RATIONALS)):
+    for dom in (PRIME_FIELD, RATIONALS, FLOATS, DualDomain(RATIONALS, 2)):
         z, o = dom.zero(), dom.one()
         assert dom.add(z, o) == o
         assert dom.mul(z, o) == z
@@ -185,6 +192,8 @@ def test_domains_share_one_protocol():
         assert not {"sub", "neg", "is_zero", "name"} & set(dir(dom))
     assert RATIONALS.inv_int(3) == Fraction(1, 3)
     assert FLOATS.inv_int(4) == 0.25
+    # constants carry an all-zero gradient of the domain's width
+    assert DualDomain(RATIONALS, 2).from_int(3) == (3, (0, 0))
 
 
 def test_random_field_vector_deterministic():
