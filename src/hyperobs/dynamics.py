@@ -11,14 +11,13 @@ hyperedge remainders through each node that the production kernel reads,
 and ``unfolding_columns``, the nonzero columns of A that the two oracles
 read.
 
-Three independent evaluators compute the higher time derivatives J_p of the
-state along the flow (J_0 = x, J_1 = f(x), ...):
+Three evaluators compute the higher time derivatives J_p of the state along
+the flow (J_0 = x, J_1 = f(x), ...); the last two share no code with the
+first and exist to check it:
 
-* ``lie_derivatives``: the whole chain J_0..J_depth via the Leibniz rule for
-  multilinear maps. Division free, works over any scalar domain, and never
-  touches vectors longer than n. This is the one the observability
-  machinery uses: one pass over values that carry all n partials yields
-  every Jacobian with the chain.
+* ``lie_derivatives``: the production kernel. It runs the Taylor recurrence
+  of the ODE solution on numpy lanes, for the values alone or for the values
+  with all n partials, so one pass yields every Jacobian of the chain.
 * ``lie_derivative_recursive``: the factor-list recursion. Keeps a list of
   n-vectors, repeatedly contracts a window of k-1 of them through A, and
   sums over window positions. Materializes Kronecker products of at most
@@ -33,7 +32,7 @@ state along the flow (J_0 = x, J_1 = f(x), ...):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import permutations
 from math import factorial
 from typing import Any, Sequence
@@ -42,38 +41,13 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph
-from .scalars import RATIONALS
+from .scalars import RATIONALS, lanes_for
 
 DEFAULT_RECURSION_BUDGET = 500_000
 MAX_DENSE_SLOTS = 10**8
+_BLOCK_SLOTS = 1 << 13
 
 _INT64_SAFE = 1 << 62
-
-
-@lru_cache(maxsize=None)
-def _placements(labels: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The distinct orderings of a tuple of factor labels, sorted."""
-    return tuple(sorted(set(permutations(labels))))
-
-
-@lru_cache(maxsize=None)
-def _level_multisets(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    """Non-increasing tuples of `parts` nonnegative ints summing to total."""
-    if parts == 1:
-        return ((total,),)
-    out = []
-    for head in range(total, -1, -1):
-        for tail in _level_multisets(total - head, parts - 1):
-            if tail[0] <= head:
-                out.append((head,) + tail)
-    return tuple(out)
-
-
-def _multinomial(total: int, terms: Sequence[int]) -> int:
-    num = factorial(total)
-    for q in terms:
-        num //= factorial(q)
-    return num
 
 
 @dataclass(frozen=True)
@@ -97,15 +71,28 @@ class DynamicsSpec:
         return self.graph.k
 
     @cached_property
-    def incidence(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """For each node, the tuple of hyperedge remainders through it."""
-        per_node: list[list[tuple[int, ...]]] = [
-            [] for _ in range(self.n + 1)
-        ]
+    def incidence(self) -> np.ndarray:
+        """The remainders of every hyperedge through every node.
+
+        An (M, k-1) array of 0-based nodes with M = k |E|: row r lists the
+        nodes of one hyperedge other than its owner, owners in increasing
+        order. Node i owns rows incidence_starts[i] to
+        incidence_starts[i + 1] - 1.
+        """
+        per_node: list[list[list[int]]] = [[] for _ in range(self.n)]
         for e in self.graph.edges:
             for i in e:
-                per_node[i].append(tuple(j for j in e if j != i))
-        return tuple(tuple(rests) for rests in per_node)
+                per_node[i - 1].append([j - 1 for j in e if j != i])
+        rows = [rest for rests in per_node for rest in rests]
+        return np.array(rows, dtype=np.intp).reshape(-1, self.k - 1)
+
+    @cached_property
+    def incidence_starts(self) -> np.ndarray:
+        """Offsets of each node's first row in ``incidence``, and M last."""
+        degrees = self.graph.degrees()
+        return np.cumsum(
+            [0] + [degrees[i] for i in range(1, self.n + 1)], dtype=np.intp
+        )
 
     @cached_property
     def unfolding_columns(self) -> tuple[np.ndarray, ...]:
@@ -127,94 +114,127 @@ class DynamicsSpec:
                 f"cap is {MAX_DENSE_SLOTS}"
             )
         powers = [n ** (k - 2 - t) for t in range(k - 1)]
+        rests = self.incidence.tolist()
+        starts = self.incidence_starts.tolist()
         rows = []
-        for rests in self.incidence[1:]:
+        for lo, hi in zip(starts, starts[1:]):
             cols = [
-                sum((node - 1) * powers[t] for t, node in enumerate(order))
-                for rest in rests
+                sum(node * powers[t] for t, node in enumerate(order))
+                for rest in rests[lo:hi]
                 for order in permutations(rest)
             ]
             rows.append(np.asarray(sorted(cols), dtype=np.intp))
         return tuple(rows)
 
 
-def apply_factors(
-    dyn: DynamicsSpec, factors: Sequence[Sequence[Any]], domain: Any
-) -> list[Any]:
-    """A applied to the Kronecker product of k-1 vectors, times the number
-    of distinct orderings of the factors, edge by edge.
-
-    Factors that are the same object are interchangeable, so entry i sums,
-    over hyperedges through i and over the distinct placements of the
-    factors on the remaining nodes, the product of factor values. That sum
-    is orderings * (A (x) factors)_i, with no division: one placement per
-    edge when all factors are one vector, (k-1)! when all differ.
-    """
-    k = dyn.k
-    if len(factors) != k - 1:
-        raise ValueError(f"need {k - 1} factor vectors, got {len(factors)}")
-    for f in factors:
-        if len(f) != dyn.n:
-            raise ValueError("factor length does not match node count")
-    # label each factor by the position where its object first occurs
-    ids = [id(f) for f in factors]
-    placements = [
-        (factors[pl[0]], [factors[j] for j in pl[1:]])
-        for pl in _placements(tuple(ids.index(i) for i in ids))
-    ]
-    weight = None if dyn.weight == 1 else domain.from_int(dyn.weight)
-    mul, add = domain.mul, domain.add
-    out = []
-    for rests in dyn.incidence[1:]:
-        acc = domain.zero()
-        for rest in rests:
-            head, tail = rest[0] - 1, rest[1:]
-            for first, others in placements:
-                term = first[head]
-                for vec, node in zip(others, tail):
-                    term = mul(term, vec[node - 1])
-                acc = add(acc, term)
-        if weight is not None:
-            acc = mul(acc, weight)
-        out.append(acc)
+def _cauchy_block(u: np.ndarray, v: np.ndarray, lanes: Any) -> np.ndarray:
+    """sum_j u[j] v[j] over axis 0, for lanes of [value | gradient] on the
+    last axis: the gradient of each product follows the product rule."""
+    out = lanes.sum(lanes.mul(u[..., :1], v))
+    if u.shape[-1] > 1:
+        out[..., 1:] = lanes.add(
+            out[..., 1:], lanes.sum(lanes.mul(u[..., 1:], v[..., :1]))
+        )
     return out
 
 
+def apply_factors(
+    dyn: DynamicsSpec,
+    chain: np.ndarray,
+    series: list[np.ndarray],
+    p: int,
+    lanes: Any,
+) -> np.ndarray:
+    """One level of the normalized Taylor recurrence: X_{p+1} from X_0..X_p.
+
+    chain[q] holds X_q = J_q / q!, the Taylor coefficients of the solution
+    x(t), for q <= p. Since dx/dt = f(x), (p+1) X_{p+1} is coefficient p of
+    f(x(t)): for each remainder (a_1, ..., a_{k-1}) of a hyperedge through
+    node i, coefficient p of the product x_{a_1}(t) ... x_{a_{k-1}}(t),
+    summed into node i and scaled by weight / (p+1).
+
+    The product is built factor by factor: coefficient p of (P x_a)(t) is
+    the Cauchy sum over q of P_q X_{p-q}[a], taken in blocks of at most
+    _BLOCK_SLOTS lane slots so that temporaries stay small. The partial
+    products of 2..k-2 factors need every earlier coefficient, so
+    ``series`` keeps them, one (depth, M, width) array per length; this call
+    fills their coefficient p.
+    """
+    rests = dyn.incidence
+    k = dyn.k
+    term = chain[p, rests[:, 0]]
+    step = max(1, _BLOCK_SLOTS // max(1, term.size))
+    for t in range(1, k - 1):
+        term = None
+        for lo in range(0, p + 1, step):
+            hi = min(lo + step, p + 1)
+            head = chain[lo:hi, rests[:, 0]] if t == 1 else series[t - 2][lo:hi]
+            tail = chain[p + 1 - hi : p + 1 - lo, rests[:, t]][::-1]
+            block = _cauchy_block(head, tail, lanes)
+            term = block if term is None else lanes.add(term, block)
+        if t < k - 2:
+            series[t - 1][p] = term
+    starts = dyn.incidence_starts
+    owners = np.flatnonzero(np.diff(starts))
+    out = lanes.zeros((dyn.n,) + chain.shape[2:])
+    if len(owners):
+        out[owners] = lanes.reduceat(term, starts[owners])
+    domain = lanes.domain
+    return lanes.scale(
+        out, domain.mul(domain.from_int(dyn.weight), domain.inv_int(p + 1))
+    )
+
+
 def lie_derivatives(
-    dyn: DynamicsSpec, x: Sequence[Any], depth: int, domain: Any = RATIONALS
-) -> list[list[Any]]:
+    dyn: DynamicsSpec,
+    x: Sequence[Any],
+    depth: int,
+    domain: Any = RATIONALS,
+    gradients: bool = False,
+) -> Any:
     """The chain J_0, ..., J_depth of time derivatives of the state.
 
-    Differentiating J_{p+1} = d^p/dt^p A(x x ... x x) through the Leibniz
-    rule gives a sum over all ways to split p derivatives among the k-1
-    slots. Splits that agree as multisets share one contraction because the
-    adjacency tensor is symmetric in its slots; ``apply_factors`` already
-    counts the orderings of a multiset, so each carries its multinomial
-    coefficient alone.
+    Runs the Taylor recurrence (``apply_factors``) once per level on the
+    numpy lanes of the domain (``scalars.lanes_for``) and multiplies level
+    p by p! at the end, which restores J_p exactly over the field and the
+    rationals. Level p costs O(M (k-2) p w) lane operations for M = k |E|
+    remainders of lane width w.
+
+    Returns level p as a list of n values. With ``gradients``, lanes carry
+    [value | all n partials] from x_j seeded as (x_j, e_j), and the result
+    is one (depth + 1, n, n + 1) lane array instead: row i of level p is
+    J_p[i] followed by its gradient. More than MAX_DENSE_SLOTS lane slots,
+    counted before any is allocated, is refused.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
-    if len(x) != dyn.n:
-        raise ValueError(
-            f"point has {len(x)} coordinates for {dyn.n} nodes"
+    n, k = dyn.n, dyn.k
+    if len(x) != n:
+        raise ValueError(f"point has {len(x)} coordinates for {n} nodes")
+    lanes = lanes_for(domain)
+    width = n + 1 if gradients else 1
+    rows = len(dyn.incidence)
+    # the chain, and the partial products of 2..k-2 factors
+    slots = (depth + 1) * width * (n + max(k - 3, 0) * rows)
+    if slots > MAX_DENSE_SLOTS:
+        raise ResourceLimitError(
+            f"depth {depth} at n = {n} needs {slots} lane slots, "
+            f"cap is {MAX_DENSE_SLOTS}"
         )
-    add = domain.add
-    chain: list[list[Any]] = [list(x)]
+    chain = lanes.empty((depth + 1, n, width))
+    chain[0, :, 0] = lanes.cast(x)
+    if gradients:
+        chain[0, :, 1:] = lanes.cast(np.eye(n, dtype=np.int64))
+    series = [lanes.empty((depth, rows, width)) for _ in range(k - 3)]
     for p in range(depth):
-        acc = [domain.zero()] * dyn.n
-        for levels in _level_multisets(p, dyn.k - 1):
-            coeff = _multinomial(p, levels)
-            term = apply_factors(
-                dyn, [chain[q] for q in levels], domain
-            )
-            if coeff == 1:
-                acc = [add(a, t) for a, t in zip(acc, term)]
-            else:
-                c = domain.from_int(coeff)
-                mul = domain.mul
-                acc = [add(a, mul(c, t)) for a, t in zip(acc, term)]
-        chain.append(acc)
-    return chain
+        chain[p + 1] = apply_factors(dyn, chain, series, p, lanes)
+    scale = domain.one()
+    for p in range(2, depth + 1):
+        scale = domain.mul(scale, domain.from_int(p))
+        chain[p] = lanes.scale(chain[p], scale)
+    if gradients:
+        return chain
+    return chain[:, :, 0].tolist()
 
 
 @dataclass

@@ -13,20 +13,22 @@ Levels 0..n-1 always suffice: once a level adds nothing to the span of the
 gradients dJ_q, no later level does either (the observability rank
 condition of Hermann and Krener), so that is the default depth.
 
-Jacobians come from vector-mode forward differentiation: the chain runs
-once over values that carry all n partials, seeded x_j = (x_j, e_j), exact
-over the field and over the rationals.
+Jacobians come from forward differentiation inside the chain kernel: the
+Taylor recurrence of ``dynamics.lie_derivatives`` runs once on lanes that
+carry [value | all n partials], seeded x_j = (x_j, e_j). Over the field the
+lanes are uint64 residues mod 2**61 - 1, and every entry is exact, as it is
+over the rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .dynamics import DynamicsSpec, lie_derivatives
 from .hypergraph import UniformHypergraph
 from .linalg import Echelon, modp_rank
-from .scalars import PRIME, PRIME_FIELD, DualDomain, derive_seed, random_point
+from .scalars import PRIME, PRIME_FIELD, derive_seed, random_point
 
 
 @dataclass(frozen=True)
@@ -56,19 +58,12 @@ def lie_derivatives_with_jacobians(
 ) -> tuple[list[list[Any]], list[list[list[Any]]]]:
     """The chain J_0..J_depth and all its Jacobians at x.
 
-    Runs the chain once over ``DualDomain(domain, n)`` with x_j seeded as
-    (x_j, e_j); the eps part of entry i of level p is the gradient of
-    J_p[i]. Returns (values, grads) with grads[p][i][j] = dJ_p[i] / dx[j].
+    Runs the chain once on lanes of width n + 1, [value | gradient], with
+    x_j seeded as (x_j, e_j). Returns (values, grads) with
+    grads[p][i][j] = dJ_p[i] / dx[j].
     """
-    n = dyn.n
-    if len(x) != n:
-        raise ValueError(f"point has {len(x)} coordinates for {n} nodes")
-    dd = DualDomain(domain, n)
-    seeded = [dd.variable(v, j) for j, v in enumerate(x)]
-    chain = lie_derivatives(dyn, seeded, depth, dd)
-    values = [[real for real, _ in level] for level in chain]
-    grads = [[list(eps) for _, eps in level] for level in chain]
-    return values, grads
+    chain = lie_derivatives(dyn, x, depth, domain, gradients=True)
+    return chain[:, :, 0].tolist(), chain[:, :, 1:].tolist()
 
 
 @dataclass(frozen=True)
@@ -135,11 +130,12 @@ class NomOracle:
             self._evaluations[trial] = cached
         return cached
 
-    def rank(self, nodes: Sequence[int]) -> int:
+    def rank(self, nodes: Iterable[int]) -> int:
         """Best rank of the stacked node blocks across the trial points."""
+        nodes = list(nodes)
         seen = set(nodes)
-        if len(seen) != len(list(nodes)):
-            raise ValueError(f"duplicate nodes in {list(nodes)}")
+        if len(seen) != len(nodes):
+            raise ValueError(f"duplicate nodes in {nodes}")
         for i in seen:
             if not 1 <= i <= self.dyn.n:
                 raise IndexError(f"node {i} outside 1..{self.dyn.n}")

@@ -2,13 +2,14 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from hyperobs.cli import main
 from hyperobs.correlation import TimeSeriesMatrix, write_timeseries_csv
-from hyperobs.hypergraph import UniformHypergraph, gen_hyperstar
+from hyperobs.hypergraph import UniformHypergraph, gen_hyperring, gen_hyperstar
 
 
 def run(capsys, *argv):
@@ -54,6 +55,25 @@ def test_gen_resource_limit(capsys):
     code, _, stderr = run(capsys, "gen", "complete", "200", "3")
     assert code == 2
     assert "resource limit" in stderr
+
+
+@pytest.mark.parametrize(
+    "command", [["mon"], ["observable", "--nodes", "1"]], ids=["mon", "observable"]
+)
+def test_huge_depth_is_refused_at_once(tmp_path, capsys, command):
+    # the chain's lanes are counted before any is allocated: a depth no
+    # memory holds is a resource limit within a second, not a long run or
+    # a MemoryError
+    path = tmp_path / "ring5.json"
+    path.write_text(gen_hyperring(5, 3).to_json())
+    started = time.perf_counter()
+    code, stdout, stderr = run(
+        capsys, command[0], str(path), *command[1:], "--depth", "1000000000"
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "resource limit" in stderr
+    assert stdout == ""
 
 
 def test_observable_round_trip(tmp_path, capsys):

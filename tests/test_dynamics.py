@@ -1,6 +1,6 @@
 """Three evaluators for the derivative chain, checked against each other.
 
-The chain evaluator (Leibniz rule over level multisets) is the production
+The chain evaluator (the Taylor recurrence on numpy lanes) is the production
 path; the factor-list recursion and the explicit operator product exist to
 cross-check it. Agreement of all three on random instances over two exact
 domains is the core guarantee of this module.
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperobs.dynamics import (
+    MAX_DENSE_SLOTS,
     DynamicsSpec,
     RecursionStats,
     apply_factors,
@@ -23,8 +24,15 @@ from hyperobs.dynamics import (
     lie_derivatives,
 )
 from hyperobs.errors import ResourceLimitError
-from hyperobs.hypergraph import UniformHypergraph, gen_hyperchain
-from hyperobs.scalars import PRIME, PRIME_FIELD, RATIONALS, DualDomain
+from hyperobs.hypergraph import UniformHypergraph, gen_complete, gen_hyperchain
+from hyperobs.scalars import (
+    PRIME,
+    PRIME_FIELD,
+    RATIONALS,
+    DualDomain,
+    lanes_for,
+    random_point,
+)
 
 from conftest import int_point, random_uniform_hypergraph, rational_point
 
@@ -75,24 +83,23 @@ def test_eval_f_matches_unfolding(triangle_dyn):
 
 
 def test_apply_factors_mixed_matches_kron(triangle_dyn):
-    # apply_factors returns A (f_1 x ... x f_{k-1}) times the number of
-    # distinct orderings of the factors, equal factors being one object
+    # one level step from two arbitrary levels X_0 = x and X_1 = y: every
+    # product has k - 2 factors from level 0 and one from level 1, so the
+    # step gives (k-1)/2 * A (y x x x ... x x), the factor placed in each
+    # of the k-1 slots alike because A is symmetric in its slots
     rng = random.Random(6)
+    lanes = lanes_for(RATIONALS)
     for _ in range(8):
-        for k in (3, 4):
-            g = random_uniform_hypergraph(4, k, rng)
-            dyn = DynamicsSpec(g)
-            x, y, z = (rational_point(4, rng) for _ in range(3))
-            cases = {3: [([x, y], 2), ([x, x], 1)],
-                     4: [([x, x, y], 3), ([x, x, x], 1), ([x, y, z], 6)]}
-            for factors, orderings in cases[k]:
-                direct = apply_factors(dyn, factors, RATIONALS)
-                table = _apply_table(dyn, _kron(factors))
-                assert direct == [orderings * v for v in table]
-    with pytest.raises(ValueError):
-        apply_factors(triangle_dyn, [[Fraction(1)] * 3], RATIONALS)
-    with pytest.raises(ValueError):
-        apply_factors(triangle_dyn, [[Fraction(1)] * 2] * 2, RATIONALS)
+        for k in (2, 3, 4):
+            dyn = DynamicsSpec(random_uniform_hypergraph(4, k, rng))
+            x, y = rational_point(4, rng), rational_point(4, rng)
+            chain = lanes.cast([[[v] for v in x], [[v] for v in y], [[0]] * 4])
+            series = [lanes.empty((2, len(dyn.incidence), 1))] * (k - 3)
+            first = apply_factors(dyn, chain, series, 0, lanes)[:, 0]
+            assert first.tolist() == _apply_table(dyn, _kron([x] * (k - 1)))
+            second = apply_factors(dyn, chain, series, 1, lanes)[:, 0]
+            table = _apply_table(dyn, _kron([y] + [x] * (k - 2)))
+            assert second.tolist() == [Fraction(k - 1, 2) * v for v in table]
 
 
 @given(st.integers(min_value=0, max_value=2**31))
@@ -231,16 +238,14 @@ def test_weight_scales_each_order():
 
 def test_homogeneity_euler_identity(triangle_dyn):
     # J_p is homogeneous of degree p(k-2)+1: sum_j x_j dJ_p/dx_j = m J_p,
-    # every gradient coming from one run over the gradient domain
-    dual = DualDomain(RATIONALS, 3)
+    # every gradient coming from one run over lanes of width n + 1
     x = _frac([2, -3, 5])
     p = 2
     m = p * (3 - 2) + 1
     values = lie_derivatives(triangle_dyn, x, p)[p]
-    lifted = [dual.variable(v, j) for j, v in enumerate(x)]
-    level = lie_derivatives(triangle_dyn, lifted, p, domain=dual)[p]
-    assert [real for real, _ in level] == values
-    weighted_sum = [sum(a * b for a, b in zip(x, eps)) for _, eps in level]
+    level = lie_derivatives(triangle_dyn, x, p, gradients=True)[p].tolist()
+    assert [row[0] for row in level] == values
+    weighted_sum = [sum(a * b for a, b in zip(x, row[1:])) for row in level]
     assert weighted_sum == [Fraction(m) * v for v in values]
 
 
@@ -259,6 +264,9 @@ def test_lie_derivatives_validation(triangle_dyn):
         lie_derivatives(triangle_dyn, _frac([1, 2, 3]), -1)
     with pytest.raises(ValueError):
         lie_derivatives(triangle_dyn, _frac([1, 2]), 1)
+    # the kernel runs on numpy lanes; dual numbers serve the recursion only
+    with pytest.raises(TypeError):
+        lie_derivatives(triangle_dyn, [1, 2, 3], 1, DualDomain(RATIONALS, 3))
     with pytest.raises(ValueError):
         lie_derivative_recursive(triangle_dyn, -1, _frac([1, 2, 3]))
     with pytest.raises(ValueError):
@@ -267,3 +275,28 @@ def test_lie_derivatives_validation(triangle_dyn):
     for p in (0, 1):
         with pytest.raises(ValueError):
             lie_derivative_naive_scaled(triangle_dyn, p, [1, 2])
+
+
+def test_scatter_of_many_full_range_terms():
+    # every node of complete(8,3) sums 21 remainders, and 21 full-range
+    # residues overflow 64 bits unless the scatter splits its sums
+    dyn = DynamicsSpec(gen_complete(8, 3))
+    assert min(dyn.graph.degrees().values()) == 21
+    for t in range(3):
+        z = random_point(dyn.n, 500 + t)
+        chain = lie_derivatives(dyn, z, 4, domain=PRIME_FIELD)
+        for p in range(5):
+            ints, scale = lie_derivative_naive_scaled(dyn, p, z)
+            inv_scale = pow(scale, -1, PRIME)
+            assert chain[p] == [v * inv_scale % PRIME for v in ints]
+
+
+def test_depth_guard_before_allocation(triangle_dyn):
+    # a chain of (depth + 1) n (n + 1) lane slots beyond the cap is refused
+    # before any lane exists, so a huge depth fails at once, not in
+    # MemoryError
+    for depth in (10**9, MAX_DENSE_SLOTS // (3 * 4)):
+        with pytest.raises(ResourceLimitError, match="lane slots"):
+            lie_derivatives(
+                triangle_dyn, [1, 2, 3], depth, PRIME_FIELD, gradients=True
+            )

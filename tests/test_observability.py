@@ -105,25 +105,34 @@ def test_assemble_nom_matches_kalman_for_pairwise_graphs():
 
 def test_node_blocks_match_rational_jacobians_mod_p():
     # the production lane (one gradient pass mod P) against the exact
-    # rational Jacobians, reduced mod P afterwards; up to order 3 those are
-    # also checked against the factor-list recursion over the same domain,
-    # which never calls the production kernel
+    # rational Jacobians, reduced mod P afterwards. Both come from the same
+    # recurrence, so the rational ones are checked against the factor-list
+    # recursion over dual numbers, which never calls the production kernel:
+    # every level up to n - 1 for n <= 5, levels up to 3 above that
     def phi(q):
         return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
 
     rng = random.Random(29)
+    cases = []
     for _ in range(12):
         k = rng.randint(2, 4)
         n = rng.randint(k, 6)
-        dyn = DynamicsSpec(random_uniform_hypergraph(n, k, rng))
-        x = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(n)]
+        g = random_uniform_hypergraph(n, k, rng)
+        cases.append((g, [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(n)]))
+    # five nodes at every uniformity, so level 4 is checked for each
+    for k in (2, 3, 4):
+        g = random_uniform_hypergraph(5, k, rng)
+        cases.append((g, [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(5)]))
+    for g, x in cases:
+        n = g.n
+        dyn = DynamicsSpec(g)
         depth = n - 1
         ev = node_blocks(dyn, x, depth)
         _, grads = lie_derivatives_with_jacobians(dyn, _frac(x), depth, RATIONALS)
         dual = DualDomain(RATIONALS, n)
         seeded = [dual.variable(v, j) for j, v in enumerate(_frac(x))]
         for p in range(depth + 1):
-            if p <= 3:
+            if n <= 5 or p <= 3:
                 rec = lie_derivative_recursive(dyn, p, seeded, dual)
                 assert grads[p] == [list(eps) for _, eps in rec]
             for i in range(n):
@@ -181,6 +190,10 @@ def test_oracle_caching_and_validation(triangle_dyn):
         oracle.evaluation(2)
     with pytest.raises(ValueError):
         oracle.rank([1, 1])
+    with pytest.raises(ValueError):
+        oracle.rank(i for i in (2, 2))
+    # any iterable of nodes, read once
+    assert oracle.rank(i for i in (1, 3)) == oracle.rank([1, 3])
     with pytest.raises(IndexError):
         oracle.rank([9])
     assert len(oracle.echelons()) == 2

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hyperobs.scalars import (
     RATIONALS,
     DualDomain,
     derive_seed,
+    lanes_for,
     random_point,
 )
 
@@ -211,3 +213,62 @@ def test_derive_seed_stable_and_label_sensitive():
     assert derive_seed(0, "x") != derive_seed(1, "x")
     # frozen value guards against accidental algorithm drift
     assert derive_seed(0, "rank-point-0") == 15152959838619848816
+
+
+_EDGE_RESIDUES = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 1, PRIME - 2, PRIME - 1]
+
+
+def test_field_lanes_match_int_arithmetic():
+    lanes = lanes_for(PRIME_FIELD)
+    rng = random.Random(41)
+    pairs = [(a, b) for a in _EDGE_RESIDUES for b in _EDGE_RESIDUES]
+    pairs += [(rng.randrange(PRIME), rng.randrange(PRIME)) for _ in range(10**4)]
+    a = np.array([u for u, _ in pairs], dtype=np.uint64)
+    b = np.array([v for _, v in pairs], dtype=np.uint64)
+    assert lanes.mul(a, b).tolist() == [u * v % PRIME for u, v in pairs]
+    assert lanes.add(a, b).tolist() == [(u + v) % PRIME for u, v in pairs]
+    assert lanes.scale(a, PRIME - 1).tolist() == [(-u) % PRIME for u, _ in pairs]
+    # the folded sums, along an axis and over row segments, of 10**4 terms
+    column = a.reshape(-1, 1)
+    assert lanes.sum(column).tolist() == [sum(u for u, _ in pairs) % PRIME]
+    starts = np.array([0, 3, 64, 65, 5000])
+    ends = starts.tolist()[1:] + [len(pairs)]
+    assert lanes.reduceat(column, starts)[:, 0].tolist() == [
+        sum(u for u, _ in pairs[lo:hi]) % PRIME
+        for lo, hi in zip(starts.tolist(), ends)
+    ]
+
+
+def test_field_lanes_stay_uint64():
+    # numpy 1.x promotes uint64 with a signed Python int to float64, which
+    # would silently round residues
+    lanes = lanes_for(PRIME_FIELD)
+    a = lanes.cast([[PRIME - 1, 5], [2**32 + 1, 0]])
+    results = [
+        a,
+        lanes.mul(a, a),
+        lanes.mul(a[:, :1], a),
+        lanes.add(a, a),
+        lanes.sum(a),
+        lanes.reduceat(a, np.array([0, 1])),
+        lanes.scale(a, 3),
+        lanes.zeros((2, 2)),
+        lanes.empty((1, 2)),
+    ]
+    assert all(r.dtype == np.uint64 for r in results)
+    assert lanes.mul(a, a).tolist() == [
+        [(PRIME - 1) ** 2 % PRIME, 25], [(2**32 + 1) ** 2 % PRIME, 0]
+    ]
+
+
+def test_field_lanes_reduce_before_the_cast():
+    lanes = lanes_for(PRIME_FIELD)
+    values = [-1, -PRIME, PRIME, PRIME + 5, 2**64 + 3, -(2**70) - 1]
+    assert lanes.cast(values).tolist() == [v % PRIME for v in values]
+
+
+def test_lanes_per_domain():
+    assert lanes_for(RATIONALS).cast([1, 2]).tolist() == [Fraction(1), Fraction(2)]
+    assert lanes_for(FLOATS).cast([1, 2]).dtype == np.float64
+    with pytest.raises(TypeError):
+        lanes_for(DualDomain(RATIONALS, 2))
