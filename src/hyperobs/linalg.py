@@ -1,23 +1,19 @@
-"""Exact rank computation over the prime field and over the rationals.
+"""Exact rank computation over the prime field F_P, P = 2**61 - 1.
 
 The probabilistic observability checks reduce everything to row ranks of
-integer matrices modulo a large prime; those go through an incremental
-row-echelon basis so that candidate rows can be scored without repeating
-the elimination. Rational matrices get fraction-free Bareiss elimination,
-which stays in integers throughout.
+integer matrices mod P; those go through an incremental row-echelon basis
+so that candidate rows can be scored without repeating the elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .scalars import PRIME
 
 
 class Echelon:
-    """Incremental row-echelon basis over integers mod a prime.
+    """Incremental row-echelon basis over integers mod P.
 
     Rows are stored normalized (pivot 1) and indexed by pivot column.
     ``add_row`` folds one row in; ``probe`` scores a batch of rows without
@@ -25,11 +21,10 @@ class Echelon:
     left to right and the first nonzero entry pivots.
     """
 
-    def __init__(self, width: int, modulus: int = PRIME):
+    def __init__(self, width: int):
         if width < 0:
             raise ValueError("width must be nonnegative")
         self.width = width
-        self.modulus = modulus
         self.pivots: dict[int, list[int]] = {}
 
     @property
@@ -41,7 +36,7 @@ class Echelon:
     ) -> tuple[int, list[int]] | None:
         """Reduce a row against the basis; return (pivot column, normalized row)
         if a new pivot remains, else None."""
-        m = self.modulus
+        m = PRIME
         r = [v % m for v in row]
         if len(r) != self.width:
             raise ValueError(
@@ -85,65 +80,8 @@ class Echelon:
         return gained
 
 
-def modp_rank(
-    rows: Iterable[Sequence[int]], width: int, modulus: int = PRIME
-) -> int:
-    """Rank of a matrix given as an iterable of integer rows, mod a prime."""
-    ech = Echelon(width, modulus)
+def modp_rank(rows: Iterable[Sequence[int]], width: int) -> int:
+    """Rank of a matrix given as an iterable of integer rows, mod P."""
+    ech = Echelon(width)
     ech.add_rows(rows)
     return ech.rank
-
-
-def _integer_rows(rows: Sequence[Sequence[int | Fraction]]) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators. Rank is unchanged."""
-    out = []
-    for row in rows:
-        scale = lcm(
-            *(v.denominator for v in row if isinstance(v, Fraction)), 1
-        )
-        out.append([int(v * scale) for v in row])
-    return out
-
-
-def bareiss_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
-    """Rank of an integer or rational matrix by fraction-free elimination.
-
-    Every intermediate value is an integer (a minor of the scaled matrix);
-    the interior division is exact by the Bareiss identity. Pivoting is
-    deterministic: first usable row per column.
-    """
-    mat = _integer_rows(rows)
-    if not mat:
-        return 0
-    nrows = len(mat)
-    ncols = len(mat[0])
-    if any(len(r) != ncols for r in mat):
-        raise ValueError("ragged matrix")
-    prev = 1
-    rank = 0
-    for col in range(ncols):
-        sel = next(
-            (r for r in range(rank, nrows) if mat[r][col] != 0), None
-        )
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        pivot = mat[rank][col]
-        for r in range(rank + 1, nrows):
-            mrc = mat[r][col]
-            row_r = mat[r]
-            row_p = mat[rank]
-            for c in range(col + 1, ncols):
-                num = pivot * row_r[c] - mrc * row_p[c]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError(
-                        "fraction-free elimination produced a remainder"
-                    )
-                row_r[c] = q
-            row_r[col] = 0
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
-    return rank

@@ -24,7 +24,7 @@ from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph, induced_subhypergraph
 from .linalg import modp_rank
 from .observability import NomOracle, RankConfig, _as_dynamics
-from .scalars import PRIME, derive_seed
+from .scalars import derive_seed
 
 TIE_BREAKS = ("degree", "index", "random")
 
@@ -205,7 +205,7 @@ def brute_force_mon(
                     f"exhaustive search exceeded {max_subsets} subsets"
                 )
             rank = max(
-                modp_rank(ev.rows_for(subset), n, PRIME)
+                modp_rank(ev.rows_for(subset), n)
                 for ev in evaluations
             )
             if rank == n:

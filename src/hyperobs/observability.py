@@ -15,20 +15,19 @@ condition of Hermann and Krener), so that is the default depth.
 
 Jacobians come from forward differentiation inside the chain kernel: the
 Taylor recurrence of ``dynamics.lie_derivatives`` runs once on lanes that
-carry [value | all n partials], seeded x_j = (x_j, e_j). Over the field the
-lanes are uint64 residues mod 2**61 - 1, and every entry is exact, as it is
-over the rationals.
+carry [value | all n partials], seeded x_j = (x_j, e_j). The lanes are
+uint64 residues mod 2**61 - 1, and every entry is exact in that field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .dynamics import DynamicsSpec, lie_derivatives
 from .hypergraph import UniformHypergraph
 from .linalg import Echelon, modp_rank
-from .scalars import PRIME, PRIME_FIELD, derive_seed, random_point
+from .scalars import PRIME, derive_seed, random_point
 
 
 @dataclass(frozen=True)
@@ -54,15 +53,16 @@ class RankConfig:
 
 
 def lie_derivatives_with_jacobians(
-    dyn: DynamicsSpec, x: Sequence[Any], depth: int, domain: Any
-) -> tuple[list[list[Any]], list[list[list[Any]]]]:
-    """The chain J_0..J_depth and all its Jacobians at x.
+    dyn: DynamicsSpec, x: Sequence[int], depth: int
+) -> tuple[list[list[int]], list[list[list[int]]]]:
+    """The chain J_0..J_depth and all its Jacobians at the integer point x,
+    as residues mod P.
 
     Runs the chain once on lanes of width n + 1, [value | gradient], with
     x_j seeded as (x_j, e_j). Returns (values, grads) with
     grads[p][i][j] = dJ_p[i] / dx[j].
     """
-    chain = lie_derivatives(dyn, x, depth, domain, gradients=True)
+    chain = lie_derivatives(dyn, x, depth)
     return chain[:, :, 0].tolist(), chain[:, :, 1:].tolist()
 
 
@@ -90,10 +90,8 @@ def node_blocks(
     dyn: DynamicsSpec, x: Sequence[int], depth: int
 ) -> NomEvaluation:
     """Evaluate every node's observability block at a field point."""
-    point = [PRIME_FIELD.from_int(v) for v in x]
-    _, grads = lie_derivatives_with_jacobians(
-        dyn, point, depth, PRIME_FIELD
-    )
+    point = [v % PRIME for v in x]
+    _, grads = lie_derivatives_with_jacobians(dyn, point, depth)
     blocks = tuple(
         tuple(tuple(grads[p][i]) for p in range(depth + 1))
         for i in range(dyn.n)
@@ -142,14 +140,14 @@ class NomOracle:
         best = 0
         for t in range(self.trials):
             rows = self.evaluation(t).rows_for(sorted(seen))
-            best = max(best, modp_rank(rows, self.dyn.n, PRIME))
+            best = max(best, modp_rank(rows, self.dyn.n))
             if best == self.dyn.n:
                 break
         return best
 
     def echelons(self) -> list[Echelon]:
         """Fresh empty bases, one per trial, for incremental selection."""
-        return [Echelon(self.dyn.n, PRIME) for _ in range(self.trials)]
+        return [Echelon(self.dyn.n) for _ in range(self.trials)]
 
 
 def _as_dynamics(g: UniformHypergraph | DynamicsSpec) -> DynamicsSpec:

@@ -7,6 +7,7 @@ from typing import Mapping
 import pytest
 
 from hyperobs import DynamicsSpec, UniformHypergraph
+from hyperobs.dynamics import lie_derivatives
 
 
 @pytest.fixture
@@ -27,6 +28,13 @@ def rational_point(n: int, rng: random.Random) -> list[Fraction]:
 
 def int_point(n: int, rng: random.Random) -> list[int]:
     return [rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]) for _ in range(n)]
+
+
+def chain_values(
+    dyn: DynamicsSpec, x: list[int], depth: int
+) -> list[list[int]]:
+    """The kernel's chain values J_0..J_depth at x, as residues mod P."""
+    return lie_derivatives(dyn, x, depth)[:, :, 0].tolist()
 
 
 def random_uniform_hypergraph(

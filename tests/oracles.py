@@ -1,0 +1,323 @@
+"""Independent checks of the derivative kernel, over plain Python numbers.
+
+``hyperobs.dynamics.lie_derivatives`` computes the chain J_0 = x,
+J_1 = f(x), ... and its Jacobians mod P only. The two oracles here compute
+the same J_p with plain ``+`` and ``*`` on whatever numbers they are given:
+``Fraction`` for exact values, ``float`` for finite differences, and
+``Dual`` for exact or float gradients. They share no code and no input with
+the kernel: the column table of the unfolding is built here from the
+hyperedges, not from the kernel's incidence array. Exact values are compared
+with the kernel's residues through ``residue``.
+
+* ``lie_derivative_recursive``: the factor-list recursion. Keeps a list of
+  n-vectors, repeatedly contracts a window of k-1 of them through A, and
+  sums over window positions. Materializes Kronecker products of at most
+  k-1 vectors (n**(k-1) entries), never a full power of the state.
+* ``lie_derivative_naive_scaled``: the spelled-out operator product
+  A B_2 ... B_p x^[m], where each B_q is a sum of I x ... x A x ... x I
+  factors, over the integers with A scaled by (k-1)!. Exponentially large;
+  its (values, scale) result serves both the rational and the mod-P
+  comparisons.
+
+``bareiss_rank`` gives exact ranks over the rationals.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import permutations
+from math import factorial, lcm
+from typing import Any, Sequence
+
+import numpy as np
+
+from hyperobs.dynamics import MAX_DENSE_SLOTS, DynamicsSpec
+from hyperobs.errors import ResourceLimitError
+from hyperobs.scalars import PRIME
+
+DEFAULT_RECURSION_BUDGET = 500_000
+
+_INT64_SAFE = 1 << 62
+
+
+def residue(q: int | Fraction) -> int:
+    """The image of an integer or a rational in F_P: the numerator times the
+    inverse of the denominator, mod P."""
+    q = Fraction(q)
+    if q.denominator % PRIME == 0:
+        raise ZeroDivisionError(f"{q} has no residue mod P")
+    return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
+
+
+class Dual:
+    """a + sum_j eps_j e_j with every e_i e_j = 0, over any Python numbers.
+
+    Multiplication applies the product rule to every partial at once, and a
+    plain number acts as a constant. Evaluating a polynomial at the seeded
+    variables x_j = (a_j, e_j) therefore yields its value and its whole
+    gradient in one pass.
+    """
+
+    __slots__ = ("value", "eps")
+
+    def __init__(self, value: Any, eps: Any):
+        self.value = value
+        self.eps = tuple(eps)
+
+    @classmethod
+    def variable(cls, value: Any, j: int, n: int) -> Dual:
+        """value as coordinate j (0-based) of an n-point: eps is e_j."""
+        return cls(value, [int(i == j) for i in range(n)])
+
+    def __add__(self, other: Any) -> Dual:
+        if isinstance(other, Dual):
+            return Dual(
+                self.value + other.value,
+                [a + b for a, b in zip(self.eps, other.eps)],
+            )
+        return Dual(self.value + other, self.eps)
+
+    __radd__ = __add__
+
+    def __mul__(self, other: Any) -> Dual:
+        if isinstance(other, Dual):
+            a, b = self.value, other.value
+            return Dual(
+                a * b, [a * db + da * b for da, db in zip(self.eps, other.eps)]
+            )
+        return Dual(self.value * other, [d * other for d in self.eps])
+
+    __rmul__ = __mul__
+
+
+def columns(dyn: DynamicsSpec) -> list[list[int]]:
+    """The adjacency unfolding A, row by row, as its nonzero columns.
+
+    Entry i - 1 holds the sorted 0-based column of every ordering
+    (j_1, ..., j_{k-1}) of every hyperedge remainder through node i,
+    flattened with the first factor most significant:
+    sum_t (j_t - 1) n**(k-1-t), the digit order of the Kronecker product and
+    of numpy's row-major reshapes. Each listed entry of A is
+    weight / (k-1)!, and every other entry is zero. Callers build vectors of
+    n**(k-1) slots against it, so more than MAX_DENSE_SLOTS columns is
+    refused.
+    """
+    n, k = dyn.n, dyn.k
+    if n ** (k - 1) > MAX_DENSE_SLOTS:
+        raise ResourceLimitError(
+            f"unfolding has n^(k-1) = {n ** (k - 1)} columns, "
+            f"cap is {MAX_DENSE_SLOTS}"
+        )
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for e in dyn.graph.edges:
+        for i in e:
+            for order in permutations(j for j in e if j != i):
+                col = 0
+                for j in order:
+                    col = col * n + j - 1
+                rows[i - 1].append(col)
+    return [sorted(cols) for cols in rows]
+
+
+@dataclass
+class RecursionStats:
+    """Instrumentation for the factor-list recursion."""
+
+    calls: int = 0
+    max_kron_len: int = 0
+
+
+def _kron(vectors: Sequence[Sequence[Any]], stats: RecursionStats) -> list[Any]:
+    out = list(vectors[0])
+    stats.max_kron_len = max(stats.max_kron_len, len(out))
+    for v in vectors[1:]:
+        out = [a * b for a in out for b in v]
+        stats.max_kron_len = max(stats.max_kron_len, len(out))
+    return out
+
+
+def _apply_columns(
+    table: list[list[int]], w: Sequence[Any], entry: Fraction
+) -> list[Any]:
+    """A w: each row sums w over its columns, then scales once by the entry
+    of A."""
+    zero = 0 * w[0]  # a zero of the entries' own type, Dual included
+    return [sum((w[c] for c in cols), zero) * entry for cols in table]
+
+
+def lie_derivative_recursive(
+    dyn: DynamicsSpec,
+    p: int,
+    x: Sequence[Any],
+    stats: RecursionStats | None = None,
+    max_calls: int = DEFAULT_RECURSION_BUDGET,
+) -> list[Any]:
+    """J_p by recursion on a list of factor vectors.
+
+    The list starts as p(k-2)+1 copies of x. One step picks each window of
+    k-1 adjacent factors, contracts it through A into a single n-vector,
+    and recurses with the shortened list; the results over all windows sum.
+    The branch count grows factorially in p, so a call budget guards the
+    recursion.
+    """
+    if p < 0:
+        raise ValueError(f"derivative order must be nonnegative, got {p}")
+    if len(x) != dyn.n:
+        raise ValueError(f"point has {len(x)} coordinates for {dyn.n} nodes")
+    if stats is None:
+        stats = RecursionStats()
+    if p == 0:
+        return list(x)
+    table = columns(dyn)
+    entry = Fraction(dyn.weight, factorial(dyn.k - 1))
+    start = [list(x)] * (p * (dyn.k - 2) + 1)
+    return _recurse_factors(dyn.k, table, entry, p, start, stats, max_calls)
+
+
+def _recurse_factors(
+    k: int,
+    table: list[list[int]],
+    entry: Fraction,
+    p: int,
+    factors: list[Sequence[Any]],
+    stats: RecursionStats,
+    max_calls: int,
+) -> list[Any]:
+    stats.calls += 1
+    if stats.calls > max_calls:
+        raise ResourceLimitError(
+            f"factor-list recursion exceeded its call budget "
+            f"({stats.calls} > {max_calls})"
+        )
+    if p == 1:
+        return _apply_columns(table, _kron(factors, stats), entry)
+    windows = (p - 1) * (k - 2) + 1
+    out = None
+    for i in range(windows):
+        merged = _apply_columns(table, _kron(factors[i : i + k - 1], stats), entry)
+        shorter = factors[:i] + [merged] + factors[i + k - 1 :]
+        sub = _recurse_factors(k, table, entry, p - 1, shorter, stats, max_calls)
+        out = sub if out is None else [a + b for a, b in zip(out, sub)]
+    return out
+
+
+def lie_derivative_naive_scaled(
+    dyn: DynamicsSpec,
+    p: int,
+    x: Sequence[int],
+    max_slots: int = MAX_DENSE_SLOTS,
+) -> tuple[list[int], int]:
+    """Integer form of the operator-product evaluation.
+
+    Works over Z with the unfolding scaled by (k-1)!, so that every listed
+    entry is the integer weight; returns (values, scale) with
+    J_p = values / scale and scale = ((k-1)!)**p. Vectorized with int64 when
+    a priori bounds permit, otherwise with exact object arrays. Coordinates
+    must be integers.
+    """
+    if any(not isinstance(v, int) for v in x):
+        raise ValueError("integer evaluation needs integer coordinates")
+    if p < 0:
+        raise ValueError(f"derivative order must be nonnegative, got {p}")
+    n, k = dyn.n, dyn.k
+    if len(x) != n:
+        raise ValueError(f"point has {len(x)} coordinates for {n} nodes")
+    if p == 0:
+        return [int(v) for v in x], 1
+    m = p * (k - 2) + 1
+    if n**m > max_slots:
+        raise ResourceLimitError(
+            f"naive evaluation needs {n}**{m} = {n**m} slots (cap {max_slots})"
+        )
+    cols_by_row = columns(dyn)
+    max_mult = max((len(c) for c in cols_by_row), default=0)
+    wt = abs(dyn.weight)
+
+    # A priori magnitude bound, stage by stage, to pick a safe dtype.
+    bound = max((abs(int(v)) for v in x), default=1) ** m
+    for q in range(p, 1, -1):
+        bound *= ((q - 1) * (k - 2) + 1) * max(max_mult, 1) * max(wt, 1)
+    bound *= max(max_mult, 1) * max(wt, 1)
+    dtype: Any = np.int64 if bound < _INT64_SAFE else object
+
+    xv = np.asarray([int(v) for v in x], dtype=dtype)
+    w = xv
+    for _ in range(m - 1):
+        w = (w[:, None] * xv[None, :]).reshape(-1)
+    for q in range(p, 1, -1):
+        width = (q - 1) * (k - 2) + 1
+        out = np.zeros(n**width, dtype=dtype)
+        for slot in range(width):
+            lhs = n**slot
+            rhs = n ** (width - 1 - slot)
+            w3 = w.reshape(lhs, n ** (k - 1), rhs)
+            out3 = out.reshape(lhs, n, rhs)
+            for row in range(n):
+                cols = cols_by_row[row]
+                if len(cols):
+                    out3[:, row, :] += w3[:, cols, :].sum(axis=1)
+        if dyn.weight != 1:
+            out *= dyn.weight
+        w = out
+    final = []
+    for row in range(n):
+        cols = cols_by_row[row]
+        total = int(w[cols].sum()) if len(cols) else 0
+        final.append(total * dyn.weight)
+    return final, factorial(k - 1) ** p
+
+
+def _integer_rows(rows: Sequence[Sequence[int | Fraction]]) -> list[list[int]]:
+    """Scale each row by the lcm of its denominators. Rank is unchanged."""
+    out = []
+    for row in rows:
+        scale = lcm(
+            *(v.denominator for v in row if isinstance(v, Fraction)), 1
+        )
+        out.append([int(v * scale) for v in row])
+    return out
+
+
+def bareiss_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
+    """Rank of an integer or rational matrix by fraction-free elimination.
+
+    Every intermediate value is an integer (a minor of the scaled matrix);
+    the interior division is exact by the Bareiss identity. Pivoting is
+    deterministic: first usable row per column.
+    """
+    mat = _integer_rows(rows)
+    if not mat:
+        return 0
+    nrows = len(mat)
+    ncols = len(mat[0])
+    if any(len(r) != ncols for r in mat):
+        raise ValueError("ragged matrix")
+    prev = 1
+    rank = 0
+    for col in range(ncols):
+        sel = next(
+            (r for r in range(rank, nrows) if mat[r][col] != 0), None
+        )
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        pivot = mat[rank][col]
+        for r in range(rank + 1, nrows):
+            mrc = mat[r][col]
+            row_r = mat[r]
+            row_p = mat[rank]
+            for c in range(col + 1, ncols):
+                num = pivot * row_r[c] - mrc * row_p[c]
+                q, rem = divmod(num, prev)
+                if rem:
+                    raise ArithmeticError(
+                        "fraction-free elimination produced a remainder"
+                    )
+                row_r[c] = q
+            row_r[col] = 0
+        prev = pivot
+        rank += 1
+        if rank == nrows:
+            break
+    return rank

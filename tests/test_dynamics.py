@@ -1,15 +1,18 @@
-"""Three evaluators for the derivative chain, checked against each other.
+"""The derivative kernel mod P, checked against the two oracles.
 
-The chain evaluator (the Taylor recurrence on numpy lanes) is the production
-path; the factor-list recursion and the explicit operator product exist to
-cross-check it. Agreement of all three on random instances over two exact
-domains is the core guarantee of this module.
+The chain evaluator (the Taylor recurrence on uint64 lanes mod P) is the
+production path. The factor-list recursion and the explicit operator
+product in ``oracles`` compute the same derivatives exactly over the
+rationals and share no code with it. Agreement of their values, reduced mod
+P, with the kernel's residues on random instances is the core guarantee of
+this module; the two oracles also agree with each other exactly.
 """
 
 import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,45 +20,59 @@ from hypothesis import strategies as st
 from hyperobs.dynamics import (
     MAX_DENSE_SLOTS,
     DynamicsSpec,
-    RecursionStats,
     apply_factors,
-    lie_derivative_naive_scaled,
-    lie_derivative_recursive,
     lie_derivatives,
 )
 from hyperobs.errors import ResourceLimitError
-from hyperobs.hypergraph import UniformHypergraph, gen_complete, gen_hyperchain
-from hyperobs.scalars import (
-    PRIME,
-    PRIME_FIELD,
-    RATIONALS,
-    DualDomain,
-    lanes_for,
-    random_point,
+from hyperobs.hypergraph import (
+    UniformHypergraph,
+    gen_complete,
+    gen_hyperchain,
+    gen_hyperring,
 )
+from hyperobs.scalars import PRIME, cast, random_point
 
-from conftest import int_point, random_uniform_hypergraph, rational_point
+from conftest import chain_values, int_point, random_uniform_hypergraph
+from oracles import (
+    Dual,
+    RecursionStats,
+    columns,
+    lie_derivative_naive_scaled,
+    lie_derivative_recursive,
+    residue,
+)
 
 
 def _frac(values):
     return [Fraction(v) for v in values]
 
 
+def _residues(values):
+    return [residue(v) for v in values]
+
+
 def test_eval_f_triangle(triangle_dyn):
-    assert lie_derivatives(triangle_dyn, _frac([1, 2, 3]), 1)[1] == _frac([6, 3, 2])
-    assert lie_derivatives(triangle_dyn, _frac([1, 0, 0]), 1)[1] == _frac([0, 0, 0])
+    assert chain_values(triangle_dyn, [1, 2, 3], 1)[1] == [6, 3, 2]
+    assert chain_values(triangle_dyn, [1, 0, 0], 1)[1] == [0, 0, 0]
 
 
 def test_second_derivative_triangle(triangle_dyn):
-    chain = lie_derivatives(triangle_dyn, _frac([1, 2, 3]), 2)
-    assert chain[0] == _frac([1, 2, 3])
-    assert chain[1] == _frac([6, 3, 2])
+    chain = chain_values(triangle_dyn, [1, 2, 3], 2)
+    assert chain[0] == [1, 2, 3]
+    assert chain[1] == [6, 3, 2]
     # d/dt (x2 x3) = f2 x3 + x2 f3 = 3*3 + 2*2 = 13, and so on
-    assert chain[2] == _frac([13, 20, 15])
+    assert chain[2] == [13, 20, 15]
+
+
+def test_unfold_single_edge():
+    cols = columns(DynamicsSpec(UniformHypergraph(3, 3, [(1, 2, 3)])))
+    # row 1 holds (2,3) and (3,2), first factor most significant:
+    # (2-1)*3 + (3-1) = 5 and (3-1)*3 + (2-1) = 7
+    assert cols == [[5, 7], [2, 6], [1, 3]]
 
 
 def _kron(vectors):
-    # first factor most significant, as in DynamicsSpec.unfolding_columns
+    # first factor most significant, as in oracles.columns
     out = [Fraction(1)]
     for v in vectors:
         out = [a * b for a in out for b in v]
@@ -65,58 +82,60 @@ def _kron(vectors):
 def _apply_table(dyn, w):
     # A w over the column table, every listed entry being weight / (k-1)!
     scale = Fraction(dyn.weight, factorial(dyn.k - 1))
-    return [
-        scale * sum((w[c] for c in cols.tolist()), Fraction(0))
-        for cols in dyn.unfolding_columns
-    ]
+    return [scale * sum((w[c] for c in cols), Fraction(0)) for cols in columns(dyn)]
 
 
-def test_eval_f_matches_unfolding(triangle_dyn):
+def test_eval_f_matches_unfolding():
     # f(x) edge by edge equals the unfolding times x^[k-1]
     rng = random.Random(2)
     for _ in range(10):
         g = random_uniform_hypergraph(rng.randint(3, 5), rng.randint(2, 3), rng)
         dyn = DynamicsSpec(g)
-        x = rational_point(g.n, rng)
-        f = lie_derivatives(dyn, x, 1)[1]
-        assert f == _apply_table(dyn, _kron([x] * (g.k - 1)))
+        x = int_point(g.n, rng)
+        f = chain_values(dyn, x, 1)[1]
+        assert f == _residues(_apply_table(dyn, _kron([_frac(x)] * (g.k - 1))))
 
 
-def test_apply_factors_mixed_matches_kron(triangle_dyn):
+def test_apply_factors_mixed_matches_kron():
     # one level step from two arbitrary levels X_0 = x and X_1 = y: every
     # product has k - 2 factors from level 0 and one from level 1, so the
     # step gives (k-1)/2 * A (y x x x ... x x), the factor placed in each
     # of the k-1 slots alike because A is symmetric in its slots
     rng = random.Random(6)
-    lanes = lanes_for(RATIONALS)
     for _ in range(8):
         for k in (2, 3, 4):
             dyn = DynamicsSpec(random_uniform_hypergraph(4, k, rng))
-            x, y = rational_point(4, rng), rational_point(4, rng)
-            chain = lanes.cast([[[v] for v in x], [[v] for v in y], [[0]] * 4])
-            series = [lanes.empty((2, len(dyn.incidence), 1))] * (k - 3)
-            first = apply_factors(dyn, chain, series, 0, lanes)[:, 0]
-            assert first.tolist() == _apply_table(dyn, _kron([x] * (k - 1)))
-            second = apply_factors(dyn, chain, series, 1, lanes)[:, 0]
-            table = _apply_table(dyn, _kron([y] + [x] * (k - 2)))
-            assert second.tolist() == [Fraction(k - 1, 2) * v for v in table]
+            x, y = int_point(4, rng), int_point(4, rng)
+            chain = cast([[[v] for v in x], [[v] for v in y], [[0]] * 4])
+            series = [np.empty((2, len(dyn.incidence), 1), np.uint64)] * (k - 3)
+            first = apply_factors(dyn, chain, series, 0)[:, 0]
+            table = _apply_table(dyn, _kron([_frac(x)] * (k - 1)))
+            assert first.tolist() == _residues(table)
+            second = apply_factors(dyn, chain, series, 1)[:, 0]
+            table = _apply_table(dyn, _kron([_frac(y)] + [_frac(x)] * (k - 2)))
+            assert second.tolist() == _residues(
+                Fraction(k - 1, 2) * v for v in table
+            )
 
 
 @given(st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=20, deadline=None)
 def test_evaluators_agree_rational(seed):
+    # the two oracles agree exactly over the rationals, and the kernel's
+    # residues are their values reduced mod P
     rng = random.Random(seed)
     k = rng.randint(2, 3)
     n = rng.randint(k, 4)
     g = random_uniform_hypergraph(n, k, rng)
     dyn = DynamicsSpec(g)
-    x = rational_point(n, rng)
+    x = int_point(n, rng)
     depth = rng.randint(0, 3)
-    chain = lie_derivatives(dyn, x, depth)
+    chain = chain_values(dyn, x, depth)
     for p in range(depth + 1):
-        assert lie_derivative_recursive(dyn, p, x) == chain[p]
-        ints, scale = lie_derivative_naive_scaled(dyn, p, [int(v) for v in x])
-        assert [Fraction(v, scale) for v in ints] == chain[p]
+        exact = lie_derivative_recursive(dyn, p, _frac(x))
+        ints, scale = lie_derivative_naive_scaled(dyn, p, x)
+        assert [Fraction(v, scale) for v in ints] == exact
+        assert _residues(exact) == chain[p]
 
 
 @given(st.integers(min_value=0, max_value=2**31))
@@ -130,28 +149,24 @@ def test_evaluators_agree_mod_p(seed):
     # full-range residues, not just small integers
     x = [rng.randrange(PRIME) for _ in range(n)]
     depth = rng.randint(1, 3)
-    chain = lie_derivatives(dyn, x, depth, domain=PRIME_FIELD)
+    chain = chain_values(dyn, x, depth)
     p = depth
-    rec = lie_derivative_recursive(dyn, p, x, domain=PRIME_FIELD)
+    rec = lie_derivative_recursive(dyn, p, x)
     ints, scale = lie_derivative_naive_scaled(dyn, p, x)
     inv_scale = pow(scale, -1, PRIME)
-    assert [v % PRIME for v in rec] == [v % PRIME for v in chain[p]]
-    assert [v * inv_scale % PRIME for v in ints] == [v % PRIME for v in chain[p]]
+    assert _residues(rec) == chain[p]
+    assert [v * inv_scale % PRIME for v in ints] == chain[p]
 
 
 def test_rational_field_homomorphism(triangle_dyn):
+    # negative coordinates reach the kernel as residues and the oracle as
+    # integers; level by level, the kernel is the oracle reduced mod P
     rng = random.Random(13)
     x = int_point(3, rng)
-    chain = lie_derivatives(triangle_dyn, _frac(x), 3)
-    chain_p = lie_derivatives(
-        triangle_dyn, [v % PRIME for v in x], 3, domain=PRIME_FIELD
-    )
-    for exact, modular in zip(chain, chain_p):
-        for q, r in zip(exact, modular):
-            expected = (
-                q.numerator * pow(q.denominator, -1, PRIME)
-            ) % PRIME
-            assert r % PRIME == expected
+    chain = chain_values(triangle_dyn, [v % PRIME for v in x], 3)
+    for p, modular in enumerate(chain):
+        exact = lie_derivative_recursive(triangle_dyn, p, _frac(x))
+        assert modular == _residues(exact)
 
 
 def test_scaled_integer_lane_matches():
@@ -206,8 +221,7 @@ def test_recursion_budget(triangle_dyn):
 
 def test_naive_rejects_dual_domain(triangle_dyn):
     # the operator-product oracle evaluates integer points only
-    dual = DualDomain(RATIONALS, 3)
-    x = [dual.variable(Fraction(v), j) for j, v in enumerate((1, 2, 3))]
+    x = [Dual.variable(Fraction(v), j, 3) for j, v in enumerate((1, 2, 3))]
     with pytest.raises(ValueError):
         lie_derivative_naive_scaled(triangle_dyn, 1, x)
 
@@ -220,15 +234,15 @@ def test_naive_resource_caps(triangle_dyn):
 def test_weight_scales_each_order():
     rng = random.Random(17)
     g = random_uniform_hypergraph(4, 3, rng)
-    x = rational_point(4, rng)
-    plain = lie_derivatives(DynamicsSpec(g), x, 3)
-    weighted = lie_derivatives(DynamicsSpec(g, weight=3), x, 3)
+    x = int_point(4, rng)
+    plain = chain_values(DynamicsSpec(g), x, 3)
+    weighted = chain_values(DynamicsSpec(g, weight=3), x, 3)
     for p in range(4):
-        assert weighted[p] == [Fraction(3) ** p * v for v in plain[p]]
+        assert weighted[p] == [3**p * v % PRIME for v in plain[p]]
     ints, scale = lie_derivative_naive_scaled(
         DynamicsSpec(g, weight=3), 2, [1, -2, 3, 1]
     )
-    plain2 = lie_derivatives(DynamicsSpec(g), _frac([1, -2, 3, 1]), 2)[2]
+    plain2 = lie_derivative_recursive(DynamicsSpec(g), 2, _frac([1, -2, 3, 1]))
     assert [Fraction(v, scale) for v in ints] == [9 * v for v in plain2]
     rec = lie_derivative_recursive(
         DynamicsSpec(g, weight=3), 2, _frac([1, -2, 3, 1])
@@ -239,34 +253,32 @@ def test_weight_scales_each_order():
 def test_homogeneity_euler_identity(triangle_dyn):
     # J_p is homogeneous of degree p(k-2)+1: sum_j x_j dJ_p/dx_j = m J_p,
     # every gradient coming from one run over lanes of width n + 1
-    x = _frac([2, -3, 5])
+    x = [2, -3, 5]
     p = 2
     m = p * (3 - 2) + 1
-    values = lie_derivatives(triangle_dyn, x, p)[p]
-    level = lie_derivatives(triangle_dyn, x, p, gradients=True)[p].tolist()
-    assert [row[0] for row in level] == values
-    weighted_sum = [sum(a * b for a, b in zip(x, row[1:])) for row in level]
-    assert weighted_sum == [Fraction(m) * v for v in values]
+    level = lie_derivatives(triangle_dyn, x, p)[p].tolist()
+    assert [row[0] for row in level] == _residues(
+        lie_derivative_recursive(triangle_dyn, p, _frac(x))
+    )
+    weighted_sum = [sum(a * b for a, b in zip(x, row[1:])) % PRIME for row in level]
+    assert weighted_sum == [m * row[0] % PRIME for row in level]
 
 
 def test_chain_symmetry_conservation():
     # outer nodes of the 4-chain see the same single edge remainder {2,3}
     dyn = DynamicsSpec(gen_hyperchain(4, 3))
     rng = random.Random(30)
-    x = rational_point(4, rng)
-    chain = lie_derivatives(dyn, x, 3)
+    x = int_point(4, rng)
+    chain = chain_values(dyn, x, 3)
     for p in range(1, 4):
         assert chain[p][0] == chain[p][3]
 
 
 def test_lie_derivatives_validation(triangle_dyn):
     with pytest.raises(ValueError):
-        lie_derivatives(triangle_dyn, _frac([1, 2, 3]), -1)
+        lie_derivatives(triangle_dyn, [1, 2, 3], -1)
     with pytest.raises(ValueError):
-        lie_derivatives(triangle_dyn, _frac([1, 2]), 1)
-    # the kernel runs on numpy lanes; dual numbers serve the recursion only
-    with pytest.raises(TypeError):
-        lie_derivatives(triangle_dyn, [1, 2, 3], 1, DualDomain(RATIONALS, 3))
+        lie_derivatives(triangle_dyn, [1, 2], 1)
     with pytest.raises(ValueError):
         lie_derivative_recursive(triangle_dyn, -1, _frac([1, 2, 3]))
     with pytest.raises(ValueError):
@@ -277,6 +289,17 @@ def test_lie_derivatives_validation(triangle_dyn):
             lie_derivative_naive_scaled(triangle_dyn, p, [1, 2])
 
 
+def test_non_integer_coordinates_rejected():
+    # truncating 1.5 to 1 would evaluate the chain at a point nobody asked
+    # for, so any coordinate that is not an integer is refused
+    dyn = DynamicsSpec(gen_hyperring(5, 3))
+    for bad in (1.5, 2.0, Fraction(1, 2), Fraction(2), "2", None):
+        with pytest.raises(ValueError, match="integer"):
+            lie_derivatives(dyn, [bad, 2, 3, 4, 5], 1)
+    level0 = chain_values(dyn, [np.int64(-1), 2, 3, 4, 5], 0)[0]
+    assert level0 == [PRIME - 1, 2, 3, 4, 5]
+
+
 def test_scatter_of_many_full_range_terms():
     # every node of complete(8,3) sums 21 remainders, and 21 full-range
     # residues overflow 64 bits unless the scatter splits its sums
@@ -284,7 +307,7 @@ def test_scatter_of_many_full_range_terms():
     assert min(dyn.graph.degrees().values()) == 21
     for t in range(3):
         z = random_point(dyn.n, 500 + t)
-        chain = lie_derivatives(dyn, z, 4, domain=PRIME_FIELD)
+        chain = chain_values(dyn, z, 4)
         for p in range(5):
             ints, scale = lie_derivative_naive_scaled(dyn, p, z)
             inv_scale = pow(scale, -1, PRIME)
@@ -297,6 +320,4 @@ def test_depth_guard_before_allocation(triangle_dyn):
     # MemoryError
     for depth in (10**9, MAX_DENSE_SLOTS // (3 * 4)):
         with pytest.raises(ResourceLimitError, match="lane slots"):
-            lie_derivatives(
-                triangle_dyn, [1, 2, 3], depth, PRIME_FIELD, gradients=True
-            )
+            lie_derivatives(triangle_dyn, [1, 2, 3], depth)

@@ -20,6 +20,7 @@ from hyperobs.hypergraph import (
     induced_subhypergraph,
 )
 from conftest import disjoint_union, random_uniform_hypergraph, relabel
+from oracles import columns
 
 
 def test_construction_canonicalizes():
@@ -149,7 +150,7 @@ def test_from_dict_errors():
 
 
 def _flat(rest, n):
-    # first factor most significant, as in DynamicsSpec.unfolding_columns
+    # first factor most significant, as in oracles.columns
     pos = 0
     for j in rest:
         pos = pos * n + (j - 1)
@@ -160,8 +161,8 @@ def _table(dyn):
     """The column table as a set of (row, column) positions, 1-based rows."""
     return {
         (r, c)
-        for r, cols in enumerate(dyn.unfolding_columns, start=1)
-        for c in cols.tolist()
+        for r, cols in enumerate(columns(dyn), start=1)
+        for c in cols
     }
 
 
@@ -207,7 +208,7 @@ def test_adjacency_unfolding_matches_tensor_unfold():
 def test_unfolding_row_sums_are_degrees():
     # row i holds degree(i) * (k-1)! entries of 1/(k-1)!, summing to the degree
     g = gen_hyperstar(6, 3)
-    cols = DynamicsSpec(g).unfolding_columns
+    cols = columns(DynamicsSpec(g))
     assert {i: len(c) for i, c in enumerate(cols, start=1)} == {
         i: d * factorial(g.k - 1) for i, d in g.degrees().items()
     }
@@ -217,6 +218,6 @@ def test_unfolding_column_cap():
     # n^(k-1) columns may not exceed the 1e8 slot cap: 465^3 > 1e8 >= 464^3
     over = DynamicsSpec(UniformHypergraph(465, 4, [(1, 2, 3, 4)]))
     with pytest.raises(ResourceLimitError, match="columns"):
-        over.unfolding_columns
+        columns(over)
     at_cap = DynamicsSpec(UniformHypergraph(464, 4, [(1, 2, 3, 4)]))
-    assert [len(c) for c in at_cap.unfolding_columns[:5]] == [6, 6, 6, 6, 0]
+    assert [len(c) for c in columns(at_cap)[:5]] == [6, 6, 6, 6, 0]

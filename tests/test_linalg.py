@@ -1,4 +1,5 @@
-"""Rank routines: incremental echelon mod p and fraction-free elimination."""
+"""Rank routines: the incremental echelon mod P, and the fraction-free
+elimination that the tests use as an exact reference."""
 
 import random
 from fractions import Fraction
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperobs.linalg import Echelon, bareiss_rank, modp_rank
+from hyperobs.linalg import Echelon, modp_rank
 from hyperobs.scalars import PRIME
+
+from oracles import bareiss_rank
 
 
 def _gauss_rank(rows):
@@ -41,8 +44,6 @@ def test_modp_rank_examples():
     # wraparound: P and 0 are the same residue
     assert modp_rank([[PRIME, 0]], 2) == 0
     assert modp_rank([[PRIME + 1, 0]], 2) == 1
-    # a small modulus can lose rank that the rationals keep
-    assert modp_rank([[2, 0], [0, 1]], 2, modulus=2) == 1
     assert bareiss_rank([[2, 0], [0, 1]]) == 2
 
 

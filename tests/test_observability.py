@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from hyperobs.dynamics import DynamicsSpec, lie_derivative_recursive, lie_derivatives
+from hyperobs.dynamics import DynamicsSpec
 from hyperobs.hypergraph import (
     UniformHypergraph,
     gen_complete,
     gen_hyperchain,
     gen_hyperstar,
 )
-from hyperobs.linalg import bareiss_rank
 from hyperobs.observability import (
     NomOracle,
     RankConfig,
@@ -20,44 +19,46 @@ from hyperobs.observability import (
     lie_derivatives_with_jacobians,
     node_blocks,
 )
-from hyperobs.scalars import FLOATS, PRIME, RATIONALS, DualDomain
-
-from conftest import random_uniform_hypergraph, rational_point
+from conftest import random_uniform_hypergraph
+from oracles import Dual, bareiss_rank, lie_derivative_recursive, residue
 
 
 def _frac(values):
     return [Fraction(v) for v in values]
 
 
-def _jacobian(dyn, p, x, domain):
-    return lie_derivatives_with_jacobians(dyn, x, p, domain)[1][p]
+def _jacobian(dyn, p, x):
+    return lie_derivatives_with_jacobians(dyn, x, p)[1][p]
+
+
+def _dual_point(x):
+    return [Dual.variable(v, j, len(x)) for j, v in enumerate(x)]
 
 
 def test_jacobian_first_order_triangle(triangle_dyn):
     # f = (x2 x3, x1 x3, x1 x2); its Jacobian at (1,2,3) by hand
-    J = _jacobian(triangle_dyn, 1, _frac([1, 2, 3]), RATIONALS)
-    assert J == [
-        _frac([0, 3, 2]),
-        _frac([3, 0, 1]),
-        _frac([2, 1, 0]),
-    ]
-    J0 = _jacobian(triangle_dyn, 0, _frac([1, 2, 3]), RATIONALS)
-    assert J0 == [_frac([1, 0, 0]), _frac([0, 1, 0]), _frac([0, 0, 1])]
+    J = _jacobian(triangle_dyn, 1, [1, 2, 3])
+    assert J == [[0, 3, 2], [3, 0, 1], [2, 1, 0]]
+    J0 = _jacobian(triangle_dyn, 0, [1, 2, 3])
+    assert J0 == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     with pytest.raises(ValueError):
-        lie_derivatives_with_jacobians(triangle_dyn, _frac([1, 2, 3]), -1, RATIONALS)
+        lie_derivatives_with_jacobians(triangle_dyn, [1, 2, 3], -1)
 
 
 def test_jacobian_against_finite_differences(triangle_dyn):
+    # the recursion oracle over float dual numbers against central
+    # differences of the same oracle over floats; the exact tests tie the
+    # oracle to the kernel
     h = 1e-6
     x = [0.8, 1.3, 1.9]
-    J = _jacobian(triangle_dyn, 2, list(x), FLOATS)
+    J = [d.eps for d in lie_derivative_recursive(triangle_dyn, 2, _dual_point(x))]
     for j in range(3):
         lo = list(x)
         hi = list(x)
         lo[j] -= h
         hi[j] += h
-        f_lo = lie_derivatives(triangle_dyn, lo, 2, FLOATS)[2]
-        f_hi = lie_derivatives(triangle_dyn, hi, 2, FLOATS)[2]
+        f_lo = lie_derivative_recursive(triangle_dyn, 2, lo)
+        f_hi = lie_derivative_recursive(triangle_dyn, 2, hi)
         for i in range(3):
             fd = (f_hi[i] - f_lo[i]) / (2 * h)
             assert J[i][j] == pytest.approx(fd, rel=1e-5, abs=1e-5)
@@ -65,17 +66,20 @@ def test_jacobian_against_finite_differences(triangle_dyn):
 
 def test_jacobians_reject_wrong_sized_point(triangle_dyn):
     # too long is not cut to n coordinates, too short is no IndexError
-    for x in (_frac([1, 2, 3, 4]), _frac([1, 2])):
+    for x in ([1, 2, 3, 4], [1, 2]):
         with pytest.raises(ValueError, match="coordinates for 3 nodes"):
-            lie_derivatives_with_jacobians(triangle_dyn, x, 1, RATIONALS)
+            lie_derivatives_with_jacobians(triangle_dyn, x, 1)
 
 
 def test_values_match_plain_chain(triangle_dyn):
-    x = _frac([2, -1, 3])
-    values, grads = lie_derivatives_with_jacobians(
-        triangle_dyn, x, 3, RATIONALS
-    )
-    assert values == lie_derivatives(triangle_dyn, x, 3)
+    # the values that ride along with the gradients are the chain itself,
+    # which the recursion oracle computes from the values alone
+    x = [2, -1, 3]
+    values, grads = lie_derivatives_with_jacobians(triangle_dyn, x, 3)
+    assert values == [
+        [residue(v) for v in lie_derivative_recursive(triangle_dyn, p, _frac(x))]
+        for p in range(4)
+    ]
     assert len(grads) == 4
 
 
@@ -84,8 +88,7 @@ def test_assemble_nom_matches_kalman_for_pairwise_graphs():
     # blocks of y = x_1 are exactly C, CA, CA^2, ... with C = e_1
     g = UniformHypergraph(4, 2, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
     dyn = DynamicsSpec(g)
-    x = _frac([5, -2, 7, 1])
-    _, grads = lie_derivatives_with_jacobians(dyn, x, 4, RATIONALS)
+    _, grads = lie_derivatives_with_jacobians(dyn, [5, -2, 7, 1], 4)
     stacked = [grads[p][0] for p in range(5)]
     # at k = 2 the unfolding is the adjacency matrix
     A = [[0] * 4 for _ in range(4)]
@@ -99,19 +102,18 @@ def test_assemble_nom_matches_kalman_for_pairwise_graphs():
             sum(current[i] * A[i][j] for i in range(4)) for j in range(4)
         ]
         rows.append(list(current))
+    # the entries of C A^p are small nonnegative integers, so their
+    # residues are the integers themselves
     assert stacked == rows
     assert bareiss_rank(stacked) == is_locally_weakly_observable(g, [1]).rank
 
 
 def test_node_blocks_match_rational_jacobians_mod_p():
-    # the production lane (one gradient pass mod P) against the exact
-    # rational Jacobians, reduced mod P afterwards. Both come from the same
-    # recurrence, so the rational ones are checked against the factor-list
-    # recursion over dual numbers, which never calls the production kernel:
-    # every level up to n - 1 for n <= 5, levels up to 3 above that
-    def phi(q):
-        return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
-
+    # the production kernel (one gradient pass mod P) against the exact
+    # rational Jacobians of the factor-list recursion over dual numbers,
+    # reduced mod P afterwards: every level up to n - 1, except levels 4
+    # and 5 of the six-node 4-uniform graphs, where the recursion takes
+    # half a minute per point
     rng = random.Random(29)
     cases = []
     for _ in range(12):
@@ -128,15 +130,11 @@ def test_node_blocks_match_rational_jacobians_mod_p():
         dyn = DynamicsSpec(g)
         depth = n - 1
         ev = node_blocks(dyn, x, depth)
-        _, grads = lie_derivatives_with_jacobians(dyn, _frac(x), depth, RATIONALS)
-        dual = DualDomain(RATIONALS, n)
-        seeded = [dual.variable(v, j) for j, v in enumerate(_frac(x))]
-        for p in range(depth + 1):
-            if n <= 5 or p <= 3:
-                rec = lie_derivative_recursive(dyn, p, seeded, dual)
-                assert grads[p] == [list(eps) for _, eps in rec]
+        seeded = _dual_point(_frac(x))
+        for p in range((depth if n <= 5 or g.k <= 3 else 3) + 1):
+            rec = lie_derivative_recursive(dyn, p, seeded)
             for i in range(n):
-                assert ev.blocks[i][p] == tuple(phi(q) for q in grads[p][i])
+                assert ev.blocks[i][p] == tuple(residue(q) for q in rec[i].eps)
 
 
 def test_node_blocks_level_zero(triangle_dyn):
