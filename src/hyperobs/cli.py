@@ -255,7 +255,11 @@ def _render_text(report: dict[str, Any]) -> str:
 
 
 def _add_rank_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth", type=int, default=None, help="highest derivative level stacked")
+    p.add_argument(
+        "--depth", type=int, default=None,
+        help="highest derivative level stacked (default n-1). The chain's "
+        "cost grows as depth squared, and levels past n-1 add no generic rank",
+    )
     p.add_argument("--trials", type=int, default=3, help="random evaluation points per rank check")
     p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
 

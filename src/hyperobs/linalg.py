@@ -3,6 +3,8 @@
 The probabilistic observability checks reduce everything to row ranks of
 integer matrices mod P; those go through an incremental row-echelon basis
 so that candidate rows can be scored without repeating the elimination.
+Once a basis reaches full rank no row can add a pivot, so further rows are
+only checked for length, never reduced.
 """
 
 from __future__ import annotations
@@ -31,17 +33,27 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def copy(self) -> Echelon:
+        """A basis with the same rows that grows on its own. Stored rows are
+        never changed in place, so they are shared."""
+        twin = Echelon(self.width)
+        twin.pivots = dict(self.pivots)
+        return twin
+
+    def _check(self, row: Sequence[int]) -> None:
+        if len(row) != self.width:
+            raise ValueError(
+                f"row length {len(row)} does not match width {self.width}"
+            )
+
     def _reduce(
         self, row: Sequence[int], extra: dict[int, list[int]] | None = None
     ) -> tuple[int, list[int]] | None:
         """Reduce a row against the basis; return (pivot column, normalized row)
         if a new pivot remains, else None."""
+        self._check(row)
         m = PRIME
         r = [v % m for v in row]
-        if len(r) != self.width:
-            raise ValueError(
-                f"row length {len(r)} does not match width {self.width}"
-            )
         for j in range(self.width):
             if r[j] == 0:
                 continue
@@ -66,18 +78,26 @@ class Echelon:
         return True
 
     def add_rows(self, rows: Iterable[Sequence[int]]) -> int:
-        return sum(self.add_row(row) for row in rows)
+        """Fold rows in; return how many pivots they added."""
+        gained = 0
+        for row in rows:
+            if self.rank < self.width:
+                gained += self.add_row(row)
+            else:
+                self._check(row)
+        return gained
 
     def probe(self, rows: Iterable[Sequence[int]]) -> int:
         """How many pivots the rows would add, without committing them."""
         extra: dict[int, list[int]] = {}
-        gained = 0
         for row in rows:
-            hit = self._reduce(row, extra)
-            if hit is not None:
-                extra[hit[0]] = hit[1]
-                gained += 1
-        return gained
+            if self.rank + len(extra) < self.width:
+                hit = self._reduce(row, extra)
+                if hit is not None:
+                    extra[hit[0]] = hit[1]
+            else:
+                self._check(row)
+        return len(extra)
 
 
 def modp_rank(rows: Iterable[Sequence[int]], width: int) -> int:

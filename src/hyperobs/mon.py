@@ -7,6 +7,15 @@ observability matrix: repeatedly add the node whose block buys the largest
 rank gain at shared random evaluation points, stopping at full rank. An
 exact brute-force search over subsets in size order backs it up at small n.
 
+Both searches stop rank work once the answer is decided. A candidate's score
+is its best rank over the trial points, and n is the most any trial can
+give, so scoring stops at the first trial that reaches n. Greedy evaluates
+trial point 0 first and the next one only while some candidate is still
+below n at every evaluated point. Brute force enters each node as the basis
+of its block and keeps, per trial, the echelon of the current subset's
+prefix, so consecutive subsets share the elimination of their common prefix.
+Every result is the one a full evaluation of every trial would give.
+
 Rank contributions never cross connected components (every block entry only
 involves coordinates from the node's own component), so selection solves
 components independently and unions the picks; isolated nodes have
@@ -22,8 +31,8 @@ from itertools import combinations
 from .dynamics import DynamicsSpec
 from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph, induced_subhypergraph
-from .linalg import modp_rank
-from .observability import NomOracle, RankConfig, _as_dynamics
+from .linalg import Echelon, modp_rank
+from .observability import NomEvaluation, NomOracle, RankConfig, _as_dynamics
 from .scalars import derive_seed
 
 TIE_BREAKS = ("degree", "index", "random")
@@ -64,6 +73,19 @@ class MonResult:
         return len(self.selected)
 
 
+def _reach(
+    trials: list[tuple[Echelon, NomEvaluation]], s: int, n: int
+) -> int:
+    """Best rank node s would bring the selection to over the trials; stops
+    at the first trial that reaches n."""
+    best = 0
+    for ech, ev in trials:
+        best = max(best, ech.rank + ech.probe(ev.rows_for([s])))
+        if best == n:
+            break
+    return best
+
+
 def greedy_mon(
     g: UniformHypergraph | DynamicsSpec,
     config: RankConfig | None = None,
@@ -77,6 +99,11 @@ def greedy_mon(
     if no node helps. tie_break names how rank-gain ties resolve: "degree"
     prefers the highest-degree node (then the lowest label), "index" the
     lowest label, "random" a draw seeded from the config seed.
+
+    Trial points are evaluated on demand: the next one only while some
+    candidate is below full rank at every point evaluated so far. A score
+    of n cannot be beaten, so the picks equal those of scoring every
+    candidate at every trial.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(
@@ -85,8 +112,6 @@ def greedy_mon(
     dyn = _as_dynamics(g)
     n = dyn.n
     oracle = NomOracle(dyn, config)
-    echelons = oracle.echelons()
-    evaluations = [oracle.evaluation(t) for t in range(oracle.trials)]
 
     degrees = dyn.graph.degrees()
     if tie_break == "degree":
@@ -102,28 +127,37 @@ def greedy_mon(
     selected: list[int] = []
     trace: list[int] = []
     remaining = list(range(1, n + 1))
+    # the trials evaluated so far, each with its basis of the selection
+    live: list[tuple[Echelon, NomEvaluation]] = []
+
+    def go_live() -> None:
+        ev = oracle.evaluation(len(live))
+        ech = Echelon(n)
+        ech.add_rows(ev.rows_for(selected))
+        live.append((ech, ev))
+
+    go_live()
     rank = 0
     while rank < n and remaining:
-        scored = []
-        for s in remaining:
-            reach = max(
-                ech.rank + ech.probe(ev.rows_for([s]))
-                for ech, ev in zip(echelons, evaluations)
-            )
-            scored.append((reach - rank, s))
-        best_gain = max(gain for gain, _ in scored)
-        if best_gain <= 0:
+        reach = {s: _reach(live, s, n) for s in remaining}
+        while len(live) < oracle.trials and min(reach.values()) < n:
+            go_live()
+            for s, r in reach.items():
+                if r < n:
+                    reach[s] = max(r, _reach(live[-1:], s, n))
+        best = max(reach.values())
+        if best <= rank:
             break
-        pool = [s for gain, s in scored if gain == best_gain]
+        pool = [s for s in remaining if reach[s] == best]
         if rng is not None:
             pick = pool[rng.randrange(len(pool))]
         else:
             pick = min(pool, key=key_fn)
         selected.append(pick)
         remaining.remove(pick)
-        for ech, ev in zip(echelons, evaluations):
+        for ech, ev in live:
             ech.add_rows(ev.rows_for([pick]))
-        rank = max(ech.rank for ech in echelons)
+        rank = max(ech.rank for ech, _ in live)
         trace.append(rank)
     return MonResult(
         selected=tuple(selected),
@@ -178,6 +212,13 @@ def minimum_observable_nodes(
     )
 
 
+def _shared_length(a: list[int], b: tuple[int, ...]) -> int:
+    j = 0
+    while j < min(len(a), len(b)) and a[j] == b[j]:
+        j += 1
+    return j
+
+
 def brute_force_mon(
     g: UniformHypergraph | DynamicsSpec,
     config: RankConfig | None = None,
@@ -190,11 +231,29 @@ def brute_force_mon(
     the result is the lexicographically first minimum set. Shares its
     evaluation points with the greedy path (same seed derivation), and
     gives up with ResourceLimitError past the subset budget.
+
+    A subset is decided at each trial by the rank of its prefix's basis
+    plus the basis of its last node's block; a node's basis spans the same
+    rows as its block, so the rank is the block rank. Trials and node bases
+    are computed when first needed, and the first trial at full rank ends
+    the search.
     """
     dyn = _as_dynamics(g)
     n = dyn.n
     oracle = NomOracle(dyn, config)
-    evaluations = [oracle.evaluation(t) for t in range(oracle.trials)]
+    bases: dict[tuple[int, int], list[list[int]]] = {}
+
+    def basis(t: int, node: int) -> list[list[int]]:
+        rows = bases.get((t, node))
+        if rows is None:
+            ech = Echelon(n)
+            ech.add_rows(oracle.evaluation(t).rows_for([node]))
+            rows = bases[t, node] = list(ech.pivots.values())
+        return rows
+
+    # stacks[t][j] is trial t's echelon of the bases of prefix[:j]
+    prefix: list[int] = []
+    stacks = [[Echelon(n)] for _ in range(oracle.trials)]
     limit = n if max_size is None else min(max_size, n)
     tried = 0
     for size in range(1, limit + 1):
@@ -204,17 +263,22 @@ def brute_force_mon(
                 raise ResourceLimitError(
                     f"exhaustive search exceeded {max_subsets} subsets"
                 )
-            rank = max(
-                modp_rank(ev.rows_for(subset), n)
-                for ev in evaluations
-            )
-            if rank == n:
-                return MonResult(
-                    selected=subset,
-                    rank_trace=(rank,),
-                    verdict="complete",
-                    depth=oracle.depth,
-                )
+            keep = _shared_length(prefix, subset[:-1])
+            prefix[keep:] = subset[keep:-1]
+            for t, stack in enumerate(stacks):
+                del stack[keep + 1:]
+                for node in prefix[keep:]:
+                    ech = stack[-1].copy()
+                    ech.add_rows(basis(t, node))
+                    stack.append(ech)
+                rows = list(stack[-1].pivots.values()) + basis(t, subset[-1])
+                if modp_rank(rows, n) == n:
+                    return MonResult(
+                        selected=subset,
+                        rank_trace=(n,),
+                        verdict="complete",
+                        depth=oracle.depth,
+                    )
     return MonResult(
         selected=(), rank_trace=(), verdict="stalled", depth=oracle.depth
     )

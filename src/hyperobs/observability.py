@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .dynamics import DynamicsSpec, lie_derivatives
 from .hypergraph import UniformHypergraph
-from .linalg import Echelon, modp_rank
+from .linalg import modp_rank
 from .scalars import PRIME, derive_seed, random_point
 
 
@@ -144,10 +144,6 @@ class NomOracle:
             if best == self.dyn.n:
                 break
         return best
-
-    def echelons(self) -> list[Echelon]:
-        """Fresh empty bases, one per trial, for incremental selection."""
-        return [Echelon(self.dyn.n) for _ in range(self.trials)]
 
 
 def _as_dynamics(g: UniformHypergraph | DynamicsSpec) -> DynamicsSpec:

@@ -1,4 +1,5 @@
-"""Independent checks of the derivative kernel, over plain Python numbers.
+"""Independent checks of the derivative kernel, over plain Python numbers,
+and the plain forms of the MON searches.
 
 ``hyperobs.dynamics.lie_derivatives`` computes the chain J_0 = x,
 J_1 = f(x), ... and its Jacobians mod P only. The two oracles here compute
@@ -20,13 +21,19 @@ with the kernel's residues through ``residue``.
   comparisons.
 
 ``bareiss_rank`` gives exact ranks over the rationals.
+
+``eager_greedy`` and ``naive_brute_force`` are the MON searches with no
+early stop: greedy scores every candidate at every trial point, evaluated up
+front, and brute force ranks the raw blocks of each subset at every trial.
+``hyperobs.mon`` must return the same results.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial, lcm
 from typing import Any, Sequence
 
@@ -34,7 +41,11 @@ import numpy as np
 
 from hyperobs.dynamics import MAX_DENSE_SLOTS, DynamicsSpec
 from hyperobs.errors import ResourceLimitError
-from hyperobs.scalars import PRIME
+from hyperobs.hypergraph import UniformHypergraph
+from hyperobs.linalg import Echelon, modp_rank
+from hyperobs.mon import DEFAULT_SUBSET_BUDGET, MonResult
+from hyperobs.observability import NomOracle, RankConfig, _as_dynamics
+from hyperobs.scalars import PRIME, derive_seed
 
 DEFAULT_RECURSION_BUDGET = 500_000
 
@@ -321,3 +332,93 @@ def bareiss_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def eager_greedy(
+    g: UniformHypergraph | DynamicsSpec,
+    config: RankConfig | None = None,
+    tie_break: str = "degree",
+) -> MonResult:
+    """``mon.greedy_mon`` with every trial evaluated up front and every
+    candidate scored at every trial."""
+    dyn = _as_dynamics(g)
+    n = dyn.n
+    oracle = NomOracle(dyn, config)
+    echelons = [Echelon(n) for _ in range(oracle.trials)]
+    evaluations = [oracle.evaluation(t) for t in range(oracle.trials)]
+    degrees = dyn.graph.degrees()
+    if tie_break == "degree":
+        key_fn = lambda s: (-degrees[s], s)
+    else:
+        key_fn = lambda s: s
+    rng = (
+        random.Random(derive_seed(oracle.seed, "tie-break"))
+        if tie_break == "random"
+        else None
+    )
+    selected: list[int] = []
+    trace: list[int] = []
+    remaining = list(range(1, n + 1))
+    rank = 0
+    while rank < n and remaining:
+        scored = []
+        for s in remaining:
+            reach = max(
+                ech.rank + ech.probe(ev.rows_for([s]))
+                for ech, ev in zip(echelons, evaluations)
+            )
+            scored.append((reach - rank, s))
+        best_gain = max(gain for gain, _ in scored)
+        if best_gain <= 0:
+            break
+        pool = [s for gain, s in scored if gain == best_gain]
+        if rng is not None:
+            pick = pool[rng.randrange(len(pool))]
+        else:
+            pick = min(pool, key=key_fn)
+        selected.append(pick)
+        remaining.remove(pick)
+        for ech, ev in zip(echelons, evaluations):
+            ech.add_rows(ev.rows_for([pick]))
+        rank = max(ech.rank for ech in echelons)
+        trace.append(rank)
+    return MonResult(
+        selected=tuple(selected),
+        rank_trace=tuple(trace),
+        verdict="complete" if rank == n else "stalled",
+        depth=oracle.depth,
+    )
+
+
+def naive_brute_force(
+    g: UniformHypergraph | DynamicsSpec,
+    config: RankConfig | None = None,
+    max_size: int | None = None,
+    max_subsets: int = DEFAULT_SUBSET_BUDGET,
+) -> MonResult:
+    """``mon.brute_force_mon`` ranking each subset's raw blocks at every
+    trial, all trials evaluated up front."""
+    dyn = _as_dynamics(g)
+    n = dyn.n
+    oracle = NomOracle(dyn, config)
+    evaluations = [oracle.evaluation(t) for t in range(oracle.trials)]
+    limit = n if max_size is None else min(max_size, n)
+    tried = 0
+    for size in range(1, limit + 1):
+        for subset in combinations(range(1, n + 1), size):
+            tried += 1
+            if tried > max_subsets:
+                raise ResourceLimitError(
+                    f"exhaustive search exceeded {max_subsets} subsets"
+                )
+            rank = max(modp_rank(ev.rows_for(subset), n) for ev in evaluations)
+            if rank == n:
+                return MonResult(
+                    selected=subset,
+                    rank_trace=(rank,),
+                    verdict="complete",
+                    depth=oracle.depth,
+                )
+    return MonResult(
+        selected=(), rank_trace=(), verdict="stalled", depth=oracle.depth
+    )

@@ -75,6 +75,39 @@ def test_echelon_validation():
     assert Echelon(0).rank == 0
 
 
+def test_rows_past_full_rank_are_only_length_checked(monkeypatch):
+    reduced = []
+    original = Echelon._reduce
+
+    def counting(self, row, extra=None):
+        reduced.append(row)
+        return original(self, row, extra)
+
+    monkeypatch.setattr(Echelon, "_reduce", counting)
+    rows = [[1, 2, 3], [2, 4, 7], [0, 1, 5], [4, 5, 6], [1, 1, 1]]
+    ech = Echelon(3)
+    assert ech.add_rows(rows) == Echelon(3).add_rows(rows[:3]) == 3
+    # the first three rows reached full rank; the rest were not reduced
+    assert len(reduced) == 3 + 3
+    assert ech.add_rows([[7, 8, 9]]) == 0
+    with pytest.raises(ValueError):
+        ech.add_rows([[7, 8]])
+    with pytest.raises(ValueError):
+        ech.probe([[7, 8, 9, 10]])
+    assert modp_rank(rows, 3) == 3
+
+    # probe stops once its own pivots fill the width
+    reduced.clear()
+    half = Echelon(3)
+    half.add_row(rows[0])
+    twin = half.copy()
+    assert half.probe(rows[1:]) == 2
+    assert len(reduced) == 1 + 2
+    # a copy grows on its own
+    twin.add_rows(rows[1:3])
+    assert (half.rank, twin.rank) == (1, 3)
+
+
 @given(st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=40, deadline=None)
 def test_ranks_agree_on_random_integer_matrices(seed):

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperobs import mon, observability
 from hyperobs.dynamics import DynamicsSpec
 from hyperobs.errors import ResourceLimitError
 from hyperobs.hypergraph import (
@@ -14,6 +17,7 @@ from hyperobs.hypergraph import (
     gen_hyperstar,
 )
 from hyperobs.mon import (
+    TIE_BREAKS,
     MonResult,
     brute_force_mon,
     greedy_mon,
@@ -21,7 +25,8 @@ from hyperobs.mon import (
 )
 from hyperobs.observability import RankConfig, is_locally_weakly_observable
 
-from conftest import disjoint_union, relabel
+from conftest import disjoint_union, random_uniform_hypergraph, relabel
+from oracles import eager_greedy, naive_brute_force
 
 
 def test_options_validation(triangle):
@@ -136,8 +141,6 @@ def test_selection_equivariant_under_relabelling():
 
 def test_rank_trace_strictly_increases():
     rng = random.Random(29)
-    from conftest import random_uniform_hypergraph
-
     for _ in range(8):
         g = random_uniform_hypergraph(6, 3, rng)
         res = minimum_observable_nodes(g)
@@ -164,3 +167,70 @@ def test_weight_does_not_change_selection():
     scaled = minimum_observable_nodes(DynamicsSpec(g, weight=4))
     assert plain.selected == scaled.selected
     assert plain.rank_trace == scaled.rank_trace
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except ResourceLimitError as exc:
+        return ("refused", str(exc))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=7),
+    k=st.integers(min_value=2, max_value=4),
+    trials=st.integers(min_value=1, max_value=3),
+    depth=st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+    tie_break=st.sampled_from(TIE_BREAKS),
+    max_size=st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
+    budget=st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_searches_match_their_plain_forms(
+    seed, n, k, trials, depth, tie_break, max_size, budget
+):
+    # the early stops may only skip work, never change a result
+    rng = random.Random(seed)
+    g = random_uniform_hypergraph(max(n, k), k, rng, density=rng.random())
+    cfg = RankConfig(trials=trials, seed=seed, depth=depth)
+    assert greedy_mon(g, cfg, tie_break) == eager_greedy(g, cfg, tie_break)
+    assert brute_force_mon(g, cfg, max_size) == naive_brute_force(
+        g, cfg, max_size
+    )
+    assert _outcome(brute_force_mon, g, cfg, max_subsets=budget) == _outcome(
+        naive_brute_force, g, cfg, max_subsets=budget
+    )
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_greedy_evaluates_trials_only_when_needed(monkeypatch):
+    cfg = RankConfig(trials=3)
+    # every ring node reaches full rank at trial 0, so no other trial can
+    # change a score
+    evals = _count_calls(monkeypatch, observability, "node_blocks")
+    ring = greedy_mon(gen_hyperring(6, 3), cfg)
+    assert len(evals) == 1
+    assert ring == MonResult((1,), (6,), "complete", depth=5)
+    # a star leaf alone stays below full rank, so every trial is scored
+    evals.clear()
+    greedy_mon(gen_hyperstar(6, 3), cfg)
+    assert len(evals) == 3
+
+
+def test_brute_force_stops_at_the_first_full_rank_trial(monkeypatch):
+    ranks = _count_calls(monkeypatch, mon, "modp_rank")
+    res = brute_force_mon(gen_hyperring(6, 3), RankConfig(trials=3))
+    assert res.selected == (1,)
+    assert len(ranks) == 1

@@ -194,7 +194,6 @@ def test_oracle_caching_and_validation(triangle_dyn):
     assert oracle.rank(i for i in (1, 3)) == oracle.rank([1, 3])
     with pytest.raises(IndexError):
         oracle.rank([9])
-    assert len(oracle.echelons()) == 2
     # an unset depth resolves to n - 1 of the oracle's own dynamics
     assert oracle.depth == 3
     assert NomOracle(triangle_dyn).depth == 2
