@@ -35,7 +35,13 @@ from .hypergraph import (
     gen_hyperring,
     gen_hyperstar,
 )
-from .mon import TIE_BREAKS, brute_force_mon, minimum_observable_nodes
+from .mon import (
+    TIE_BREAKS,
+    brute_force_mon,
+    invisible_pair,
+    minimum_observable_nodes,
+    twin_lower_bound,
+)
 from .observability import RankConfig, is_locally_weakly_observable
 from .scalars import PRIME
 
@@ -107,6 +113,8 @@ def _cmd_observable(args: argparse.Namespace) -> dict[str, Any]:
     nodes = _parse_nodes(args.nodes, g.n)
     cfg = RankConfig(trials=args.trials, seed=args.seed, depth=args.depth)
     outcome = is_locally_weakly_observable(g, nodes, cfg)
+    # an unmeasured twin pair makes "not observable" certain
+    pair = None if outcome.observable else invisible_pair(g, nodes)
     report = {
         "command": "observable",
         "version": __version__,
@@ -124,6 +132,7 @@ def _cmd_observable(args: argparse.Namespace) -> dict[str, Any]:
             "observable": outcome.observable,
             "rank": outcome.rank,
             "n": outcome.n,
+            "invisible_pair": pair,
         },
     }
     if args.out:
@@ -136,11 +145,15 @@ def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
     g = _load_hypergraph(args.hypergraph)
     cfg = RankConfig(trials=args.trials, seed=args.seed, depth=args.depth)
     res = minimum_observable_nodes(g, cfg, args.tie_break)
+    bound = twin_lower_bound(g)
     result: dict[str, Any] = {
         "selected": list(res.selected),
         "size": res.size,
         "rank_trace": list(res.rank_trace),
         "verdict": res.verdict,
+        "lower_bound": bound,
+        # greedy's full-rank set is certified, and no smaller one exists
+        "proven_minimum": res.verdict == "complete" and res.size == bound,
         "components": [
             {
                 "nodes": list(c.nodes),
@@ -238,6 +251,10 @@ def _render_text(report: dict[str, Any]) -> str:
             + (" ".join(str(r) for r in result["rank_trace"]) or "(empty)")
         )
         lines.append(f"verdict: {result['verdict']}")
+        lines.append(
+            f"lower bound {result['lower_bound']}, proven minimum: "
+            f"{str(result['proven_minimum']).lower()}"
+        )
         if "brute_force" in result:
             bf = result["brute_force"]
             lines.append(

@@ -81,7 +81,11 @@ class TimeSeriesMatrix:
 
 
 def read_timeseries_csv(text: str) -> TimeSeriesMatrix:
-    """Parse a CSV whose first row holds labels and whose body is numeric."""
+    """Parse a CSV whose first row holds labels and whose body is numeric.
+
+    Every sample must be a finite float: nan, inf and overflowing values
+    such as 1e400 are refused with their line.
+    """
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row]
     if len(rows) < 3:
@@ -97,7 +101,14 @@ def read_timeseries_csv(text: str) -> TimeSeriesMatrix:
             data.append([float(cell) for cell in row])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return TimeSeriesMatrix(labels, np.array(data, dtype=float))
+    values = np.array(data, dtype=float)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        r, c = bad[0]
+        raise ValueError(
+            f"line {r + 2}: non-finite value {rows[r + 1][c].strip()!r}"
+        )
+    return TimeSeriesMatrix(labels, values)
 
 
 def write_timeseries_csv(series: TimeSeriesMatrix) -> str:

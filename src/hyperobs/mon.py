@@ -16,6 +16,17 @@ of its block and keeps, per trial, the echelon of the current subset's
 prefix, so consecutive subsets share the elimination of their common prefix.
 Every result is the one a full evaluation of every trial would give.
 
+Twins bound both searches from below. Nodes u and v are twins when they
+have the same set of hyperedge remainders e - {u}; twins never share a
+hyperedge. Then f_u = f_v, neither depends on x_u or x_v, and every other
+f_i depends on x_u + x_v alone, so x_u - x_v is conserved by the flow:
+e_u - e_v is orthogonal to every gradient row except level 0 of u and v.
+This is a polynomial identity over Z, so it holds mod P at every point and
+depth. A class of m twins thus needs m - 1 measured members, and every
+connected component needs one (``twin_lower_bound``). Brute force starts
+at that size and skips, before any rank work, each subset that leaves two
+twins unmeasured.
+
 Rank contributions never cross connected components (every block entry only
 involves coordinates from the node's own component), so selection solves
 components independently and unions the picks; isolated nodes have
@@ -27,6 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Iterable
 
 from .dynamics import DynamicsSpec
 from .errors import ResourceLimitError
@@ -71,6 +83,54 @@ class MonResult:
     @property
     def size(self) -> int:
         return len(self.selected)
+
+
+def twin_classes(
+    g: UniformHypergraph | DynamicsSpec,
+) -> list[tuple[int, ...]]:
+    """Classes of two or more twins: nodes of positive degree whose sets of
+    hyperedge remainders are equal. Each class is sorted, and the classes
+    are ordered by their first node."""
+    graph = _as_dynamics(g).graph
+    rests: dict[int, set[tuple[int, ...]]] = {}
+    for e in graph.edges:
+        for p, i in enumerate(e):
+            rests.setdefault(i, set()).add(e[:p] + e[p + 1 :])
+    groups: dict[frozenset[tuple[int, ...]], list[int]] = {}
+    for i in sorted(rests):
+        groups.setdefault(frozenset(rests[i]), []).append(i)
+    return [tuple(c) for c in groups.values() if len(c) > 1]
+
+
+def twin_lower_bound(g: UniformHypergraph | DynamicsSpec) -> int:
+    """Proven lower bound on the size of any full-rank node set: the sum
+    over connected components of max(1, sum over its twin classes of m - 1).
+    """
+    graph = _as_dynamics(g).graph
+    comps = graph.connected_components()
+    where = {i: c for c, nodes in enumerate(comps) for i in nodes}
+    need = [0] * len(comps)
+    for cls in twin_classes(graph):
+        # twins share their remainders' component
+        need[where[cls[0]]] += len(cls) - 1
+    return sum(max(1, m) for m in need)
+
+
+def invisible_pair(
+    g: UniformHypergraph | DynamicsSpec, measured: Iterable[int]
+) -> tuple[int, int] | None:
+    """The lexicographically first pair of unmeasured twins, or None.
+
+    For such a pair u < v, x_u - x_v is an invisible direction: the node
+    set is not observable, over any field and at any depth.
+    """
+    chosen = set(measured)
+    pairs = []
+    for cls in twin_classes(g):
+        rest = [i for i in cls if i not in chosen]
+        if len(rest) > 1:
+            pairs.append((rest[0], rest[1]))
+    return min(pairs, default=None)
 
 
 def _reach(
@@ -229,8 +289,13 @@ def brute_force_mon(
 
     Subsets enumerate in size order and lexicographically within a size, so
     the result is the lexicographically first minimum set. Shares its
-    evaluation points with the greedy path (same seed derivation), and
-    gives up with ResourceLimitError past the subset budget.
+    evaluation points with the greedy path (same seed derivation).
+
+    The sizes start at ``twin_lower_bound``, since no smaller set has full
+    rank, and a subset that leaves two twins unmeasured is skipped before
+    any rank work, since it is below rank n at every point. max_subsets
+    counts the subsets enumerated from the start size, skipped ones
+    included; past it the search gives up with ResourceLimitError.
 
     A subset is decided at each trial by the rank of its prefix's basis
     plus the basis of its last node's block; a node's basis spans the same
@@ -254,15 +319,20 @@ def brute_force_mon(
     # stacks[t][j] is trial t's echelon of the bases of prefix[:j]
     prefix: list[int] = []
     stacks = [[Echelon(n)] for _ in range(oracle.trials)]
+    twins = [set(cls) for cls in twin_classes(dyn)]
+    start = twin_lower_bound(dyn)
     limit = n if max_size is None else min(max_size, n)
     tried = 0
-    for size in range(1, limit + 1):
+    for size in range(start, limit + 1):
         for subset in combinations(range(1, n + 1), size):
             tried += 1
             if tried > max_subsets:
                 raise ResourceLimitError(
-                    f"exhaustive search exceeded {max_subsets} subsets"
+                    f"exhaustive search exceeded {max_subsets} subsets "
+                    f"from size {start} up"
                 )
+            if any(len(cls.difference(subset)) > 1 for cls in twins):
+                continue
             keep = _shared_length(prefix, subset[:-1])
             prefix[keep:] = subset[keep:-1]
             for t, stack in enumerate(stacks):

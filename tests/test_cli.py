@@ -90,6 +90,8 @@ def test_observable_round_trip(tmp_path, capsys):
     assert report["parameters"]["field_modulus"] == 2**61 - 1
     assert "sha256" in report["input"]
 
+    assert report["result"]["invisible_pair"] is None
+
     code, stdout, _ = run(
         capsys, "observable", str(path), "--nodes", "5", "--format", "text"
     )
@@ -146,12 +148,40 @@ def test_mon_report(tmp_path, capsys):
     assert res["rank_trace"][-1] == 6
     assert res["brute_force"]["matches_greedy_size"] is True
     assert len(res["components"]) == 1
+    # three of the four twin leaves must be measured
+    assert res["lower_bound"] == 3
+    assert res["proven_minimum"] is True
 
     code, stdout, _ = run(
         capsys, "mon", str(path), "--tie-break", "index", "--format", "text",
     )
     assert code == 0
-    assert "verdict: complete" in stdout
+    assert "verdict: complete\nlower bound 3, proven minimum: true\n" in stdout
+
+    # at depth 0 greedy needs every node, which the bound cannot prove
+    code, stdout, _ = run(capsys, "mon", str(path), "--depth", "0")
+    assert code == 0
+    res = json.loads(stdout)["result"]
+    assert (res["size"], res["lower_bound"]) == (6, 3)
+    assert res["proven_minimum"] is False
+
+
+def test_observable_names_an_invisible_pair(tmp_path, capsys):
+    path = tmp_path / "star.json"
+    path.write_text(gen_hyperstar(20, 3).to_json())
+    code, stdout, _ = run(capsys, "observable", str(path), "--nodes", "1")
+    assert code == 0
+    res = json.loads(stdout)["result"]
+    assert res["verdict"] == "not-observable-at-depth"
+    assert res["invisible_pair"] == [3, 4]
+    # a deficient rank without unmeasured twins names no pair
+    path.write_text(gen_hyperring(6, 3).to_json())
+    code, stdout, _ = run(
+        capsys, "observable", str(path), "--nodes", "1", "--depth", "0"
+    )
+    assert code == 0
+    res = json.loads(stdout)["result"]
+    assert (res["rank"], res["invisible_pair"]) == (1, None)
 
 
 def test_mon_reports_depth(tmp_path, capsys):
@@ -219,6 +249,16 @@ def test_ingest(tmp_path, capsys):
     )
     assert code == 1
     assert "threshold" in stderr
+
+
+@pytest.mark.parametrize("sample", ["nan", "inf", "-inf", "1e400"])
+def test_ingest_refuses_non_finite_samples(tmp_path, capsys, sample):
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text(f"a,b,c\n1,2,3\n4,5,6\n7,{sample},9\n")
+    code, stdout, stderr = run(capsys, "ingest", str(csv_path))
+    assert code == 1
+    assert f"line 4: non-finite value '{sample}'" in stderr
+    assert stdout == ""
 
 
 def test_reports_deterministic(tmp_path, capsys):

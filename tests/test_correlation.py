@@ -60,6 +60,11 @@ def test_csv_parse_errors():
         read_timeseries_csv("a,b\n1,2\n1\n")
     with pytest.raises(ValueError, match="line 2"):
         read_timeseries_csv("a,b\nx,2\n3,4\n")
+    # float() accepts these; a sample must be finite
+    for cell in ("nan", "NaN", "inf", "-Infinity", "1e400"):
+        message = f"line 3: non-finite value '{cell}'"
+        with pytest.raises(ValueError, match=message):
+            read_timeseries_csv(f"a,b\n1,2\n3, {cell}\n")
 
 
 def test_pearson_frozen_and_oracle():

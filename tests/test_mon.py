@@ -1,6 +1,8 @@
 """Greedy and exhaustive minimum observable node selection."""
 
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,17 @@ from hyperobs.mon import (
     MonResult,
     brute_force_mon,
     greedy_mon,
+    invisible_pair,
     minimum_observable_nodes,
+    twin_classes,
+    twin_lower_bound,
 )
-from hyperobs.observability import RankConfig, is_locally_weakly_observable
+from hyperobs.linalg import modp_rank
+from hyperobs.observability import (
+    NomOracle,
+    RankConfig,
+    is_locally_weakly_observable,
+)
 
 from conftest import disjoint_union, random_uniform_hypergraph, relabel
 from oracles import eager_greedy, naive_brute_force
@@ -198,9 +208,92 @@ def test_searches_match_their_plain_forms(
     assert brute_force_mon(g, cfg, max_size) == naive_brute_force(
         g, cfg, max_size
     )
-    assert _outcome(brute_force_mon, g, cfg, max_subsets=budget) == _outcome(
-        naive_brute_force, g, cfg, max_subsets=budget
-    )
+    # the budget counts subsets from the twin bound up; the plain search
+    # also counts every smaller subset it is allowed to try
+    start = twin_lower_bound(g)
+    limit = g.n if max_size is None else min(max_size, g.n)
+    below = sum(comb(g.n, s) for s in range(1, min(start - 1, limit) + 1))
+    fast = _outcome(brute_force_mon, g, cfg, max_size, budget)
+    plain = _outcome(naive_brute_force, g, cfg, max_size, budget + below)
+    if isinstance(fast, MonResult):
+        assert fast == plain
+    else:
+        message = f"exhaustive search exceeded {budget} subsets"
+        assert fast == ("refused", f"{message} from size {start} up")
+        assert plain[0] == "refused"
+
+
+def test_twin_classes_and_bound():
+    star = gen_hyperstar(11, 3)
+    assert twin_classes(star) == [tuple(range(3, 12))]
+    assert twin_lower_bound(star) == 8
+    assert twin_lower_bound(gen_hyperstar(10, 3)) == 7
+    assert twin_lower_bound(gen_hyperstar(7, 4)) == 3
+    # one node observes a ring: no twins, one sensor
+    assert twin_classes(gen_hyperring(20, 3)) == []
+    assert twin_lower_bound(gen_hyperring(20, 3)) == 1
+    # isolated nodes have no remainders and are nobody's twins, but each is
+    # a component of its own
+    lone = UniformHypergraph(5, 3, [(1, 2, 3)])
+    assert twin_classes(lone) == []
+    assert twin_lower_bound(lone) == 3
+    # components add up
+    two = disjoint_union(gen_hyperstar(6, 3), gen_hyperstar(5, 3))
+    assert twin_classes(two) == [(3, 4, 5, 6), (9, 10, 11)]
+    assert twin_lower_bound(two) == 5 == minimum_observable_nodes(two).size
+    # at k = 2, twins are non-adjacent nodes with the same neighbours
+    path = UniformHypergraph(3, 2, [(1, 2), (2, 3)])
+    assert twin_classes(path) == [(1, 3)]
+    assert brute_force_mon(path).selected == (1,)
+
+
+def test_invisible_pair():
+    star = gen_hyperstar(11, 3)
+    assert invisible_pair(star, [1]) == (3, 4)
+    assert invisible_pair(star, [3, 5]) == (4, 6)
+    assert invisible_pair(star, range(3, 11)) is None
+    two = disjoint_union(gen_hyperstar(6, 3), gen_hyperstar(5, 3))
+    assert invisible_pair(two, [3, 4, 5, 6, 9]) == (10, 11)
+    assert invisible_pair(gen_hyperring(6, 3), [1]) is None
+
+
+def _with_twin(g: UniformHypergraph) -> UniformHypergraph:
+    """g plus a new node n+1, a twin of the first node of g's first edge."""
+    u = g.edges[0][0]
+    copies = [
+        tuple(i for i in e if i != u) + (g.n + 1,) for e in g.edges if u in e
+    ]
+    return UniformHypergraph(g.n + 1, g.k, list(g.edges) + copies)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=6),
+    k=st.integers(min_value=2, max_value=4),
+    trials=st.integers(min_value=1, max_value=3),
+    depth=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+    twin=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_twins_bound_every_full_rank_set(seed, n, k, trials, depth, twin):
+    rng = random.Random(seed)
+    g = random_uniform_hypergraph(max(n, k), k, rng, density=rng.random())
+    if twin:
+        g = _with_twin(g)
+    cfg = RankConfig(trials=trials, seed=seed, depth=depth)
+    best = naive_brute_force(g, cfg)
+    if best.verdict == "complete":
+        assert twin_lower_bound(g) <= best.size
+    # a subset that leaves two twins unmeasured is below rank n at every
+    # trial, on the raw blocks
+    oracle = NomOracle(DynamicsSpec(g), cfg)
+    for size in range(1, g.n + 1):
+        for subset in combinations(range(1, g.n + 1), size):
+            if invisible_pair(g, subset) is None:
+                continue
+            for t in range(trials):
+                rows = oracle.evaluation(t).rows_for(subset)
+                assert modp_rank(rows, g.n) < g.n
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -233,4 +326,17 @@ def test_brute_force_stops_at_the_first_full_rank_trial(monkeypatch):
     ranks = _count_calls(monkeypatch, mon, "modp_rank")
     res = brute_force_mon(gen_hyperring(6, 3), RankConfig(trials=3))
     assert res.selected == (1,)
+    assert len(ranks) == 1
+
+
+def test_brute_force_starts_at_the_twin_bound(monkeypatch):
+    # star 20/3 needs 17 of its 18 twin leaves; every 17-subset with a core
+    # node leaves two leaves unmeasured, so the first subset ranked is the
+    # answer
+    sizes = _count_calls(monkeypatch, mon, "combinations")
+    ranks = _count_calls(monkeypatch, mon, "modp_rank")
+    res = brute_force_mon(gen_hyperstar(20, 3))
+    assert res.selected == tuple(range(3, 20))
+    assert res.verdict == "complete"
+    assert [args[1] for args in sizes] == [17]
     assert len(ranks) == 1
