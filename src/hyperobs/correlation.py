@@ -87,12 +87,13 @@ def read_timeseries_csv(text: str) -> TimeSeriesMatrix:
     such as 1e400 are refused with their line.
     """
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    # (line, row) with the line as the file counts it, blank lines included
+    rows = [(reader.line_num, row) for row in reader if row]
     if len(rows) < 3:
         raise ValueError("CSV needs a label row and at least two data rows")
-    labels = tuple(cell.strip() for cell in rows[0])
+    labels = tuple(cell.strip() for cell in rows[0][1])
     data = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(labels):
             raise ValueError(
                 f"line {lineno}: {len(row)} cells, expected {len(labels)}"
@@ -105,9 +106,8 @@ def read_timeseries_csv(text: str) -> TimeSeriesMatrix:
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         r, c = bad[0]
-        raise ValueError(
-            f"line {r + 2}: non-finite value {rows[r + 1][c].strip()!r}"
-        )
+        lineno, row = rows[r + 1]
+        raise ValueError(f"line {lineno}: non-finite value {row[c].strip()!r}")
     return TimeSeriesMatrix(labels, values)
 
 

@@ -10,25 +10,35 @@ tensor, the vector field collapses edgewise:
 remainders through each node. ``lie_derivatives`` computes the higher time
 derivatives J_p of the state along the flow (J_0 = x, J_1 = f(x), ...) and
 all their Jacobians in one pass of the Taylor recurrence of the ODE
-solution, on uint64 lanes mod P = 2**61 - 1 (``scalars``). The two oracles
-that check it, the factor-list recursion and the spelled-out operator
-product, live with the tests.
+solution and its variational equation, exactly mod P = 2**61 - 1
+(``scalars``). The two oracles that check it, the factor-list recursion and
+the spelled-out operator product, live with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph
-from .scalars import PRIME, add, cast, mul, row_sum, scale, segment_sums
+from .scalars import (
+    PRIME,
+    cast,
+    limb_cols,
+    limb_matmul,
+    limb_rows,
+    mul,
+    row_sum,
+    scale,
+    segment_sums,
+)
 
 MAX_DENSE_SLOTS = 10**8
-_BLOCK_SLOTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -75,53 +85,137 @@ class DynamicsSpec:
             [0] + [degrees[i] for i in range(1, self.n + 1)], dtype=np.intp
         )
 
+    @cached_property
+    def jacobian_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where the entries of an (M, k-1) array over ``incidence`` land in
+        the n x n Jacobian of f: entry (r, s) in cell (owner of row r,
+        incidence[r, s]).
 
-def _cauchy_block(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_j u[j] v[j] over axis 0, for lanes of [value | gradient] on the
-    last axis: the gradient of each product follows the product rule."""
-    out = row_sum(mul(u[..., :1], v))
-    out[..., 1:] = add(out[..., 1:], row_sum(mul(u[..., 1:], v[..., :1])))
-    return out
+        Returns the order that sorts the entries by flat cell index, the
+        distinct cells, and where each cell's run starts in that order.
+        """
+        owners = np.repeat(np.arange(self.n), np.diff(self.incidence_starts))
+        cells = (owners[:, None] * self.n + self.incidence).ravel()
+        order = np.argsort(cells, kind="stable")
+        distinct, starts = np.unique(cells[order], return_index=True)
+        return order, distinct, starts
+
+
+@dataclass(frozen=True)
+class ChainStacks:
+    """What a chain pass keeps between levels, besides the chain itself.
+
+    ``series`` holds, for every remainder (a_1, ..., a_{k-1}), coefficients
+    0..depth-1 of the value products x_{a_1} ... x_{a_s} (row s - 2) and
+    x_{a_s} ... x_{a_{k-1}} (row k + s - 5), for s = 2..k-2; only k >= 4
+    has any. ``jacobians`` holds the limbs of the Taylor coefficient D_q of
+    Df(x(t)) at column block depth - 1 - q, so that D_p, ..., D_0 is one
+    slice; ``states`` holds the limbs of level q of the chain at row block
+    q.
+    """
+
+    series: np.ndarray
+    jacobians: np.ndarray
+    states: np.ndarray
+
+    @staticmethod
+    def shapes(
+        dyn: DynamicsSpec, depth: int, width: int
+    ) -> tuple[tuple[int, ...], ...]:
+        n = dyn.n
+        return (
+            (2 * max(dyn.k - 3, 0), depth, len(dyn.incidence)),
+            (3 * n, depth * n),
+            (depth * n, 3 * width),
+        )
+
+    @classmethod
+    def allocate(cls, dyn: DynamicsSpec, depth: int, width: int) -> ChainStacks:
+        series, jacobians, states = cls.shapes(dyn, depth, width)
+        return cls(
+            np.empty(series, dtype=np.uint64),
+            np.empty(jacobians),
+            np.empty(states),
+        )
+
+
+def _coefficient(
+    u: np.ndarray | None, v: np.ndarray | None, p: int, rows: int
+) -> np.ndarray:
+    """Coefficient p of the product of two series, each given by its
+    coefficients 0..p on axis 0, None standing for the constant 1."""
+    if u is None and v is None:
+        return np.full(rows, p == 0, dtype=np.uint64)
+    if u is None:
+        return v[p]
+    if v is None:
+        return u[p]
+    return row_sum(mul(u[: p + 1], v[p::-1]))
+
+
+def _leave_one_out(
+    rests: np.ndarray, values: np.ndarray, series: np.ndarray, p: int
+) -> np.ndarray:
+    """Coefficient p of every leave-one-out product: entry (r, s) is that of
+    the product over the remainder rests[r] without its factor s.
+
+    values holds X_0..X_p. The product without factor s is the prefix
+    before s times the suffix after it; this call adds coefficient p of
+    the prefixes and suffixes of two or more factors to ``series``.
+    """
+    rows, m = rests.shape
+    factors = [values[:, rests[:, s]] for s in range(m)]
+    # prefix[s]: factors 0..s-1; suffix[s]: factors s..m-1
+    prefix = {0: None, 1: factors[0]}
+    suffix = {m: None, m - 1: factors[m - 1]}
+
+    def extend(row: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        series[row, p] = _coefficient(u, v, p, rows)
+        return series[row, : p + 1]
+
+    for s in range(2, m):
+        prefix[s] = extend(s - 2, prefix[s - 1], factors[s - 1])
+    for s in range(m - 2, 0, -1):
+        suffix[s] = extend(m - 3 + s, factors[s], suffix[s + 1])
+    return np.stack(
+        [_coefficient(prefix[s], suffix[s + 1], p, rows) for s in range(m)],
+        axis=1,
+    )
 
 
 def apply_factors(
-    dyn: DynamicsSpec, chain: np.ndarray, series: list[np.ndarray], p: int
+    dyn: DynamicsSpec, chain: np.ndarray, stacks: ChainStacks, p: int
 ) -> np.ndarray:
-    """One level of the normalized Taylor recurrence: X_{p+1} from X_0..X_p.
+    """One level of the variational Taylor recurrence: Y_{p+1} from
+    Y_0..Y_p.
 
-    chain[q] holds X_q = J_q / q!, the Taylor coefficients of the solution
-    x(t), for q <= p. Since dx/dt = f(x), (p+1) X_{p+1} is coefficient p of
-    f(x(t)): for each remainder (a_1, ..., a_{k-1}) of a hyperedge through
-    node i, coefficient p of the product x_{a_1}(t) ... x_{a_{k-1}}(t),
-    summed into node i and scaled by weight / (p+1).
+    chain[q] holds Y_q, the Taylor coefficients of the solution x(t) in
+    column 0 and, in any further columns, those of its derivatives along
+    the seeded directions (Phi = dx(t)/dx_0 for the seed [x | I]). Phi
+    obeys Phi' = Df(x(t)) Phi, and Euler's identity Df(x) x = (k-1) f(x)
+    gives x' = f(x) from the same product, so
 
-    The product is built factor by factor: coefficient p of (P x_a)(t) is
-    the Cauchy sum over q of P_q X_{p-q}[a], taken in blocks of at most
-    _BLOCK_SLOTS lane slots so that temporaries stay small. The partial
-    products of 2..k-2 factors need every earlier coefficient, so
-    ``series`` keeps them, one (depth, M, width) array per length; this call
-    fills their coefficient p.
+        (p+1) Y_{p+1} = weight * sum_{q <= p} D_q Y_{p-q},
+
+    column 0 scaled by (k-1)^-1, with D_q coefficient q of Df(x(t)). This
+    call builds D_p from the leave-one-out products of each hyperedge
+    remainder, summed into the cells (owner, factor), and takes the sum as
+    one exact mod-P GEMM (``scalars.limb_matmul``).
     """
-    rests = dyn.incidence
-    k = dyn.k
-    term = chain[p, rests[:, 0]]
-    step = max(1, _BLOCK_SLOTS // max(1, term.size))
-    for t in range(1, k - 1):
-        term = None
-        for lo in range(0, p + 1, step):
-            hi = min(lo + step, p + 1)
-            head = chain[lo:hi, rests[:, 0]] if t == 1 else series[t - 2][lo:hi]
-            tail = chain[p + 1 - hi : p + 1 - lo, rests[:, t]][::-1]
-            block = _cauchy_block(head, tail)
-            term = block if term is None else add(term, block)
-        if t < k - 2:
-            series[t - 1][p] = term
-    starts = dyn.incidence_starts
-    owners = np.flatnonzero(np.diff(starts))
-    out = np.zeros((dyn.n,) + chain.shape[2:], dtype=np.uint64)
-    if len(owners):
-        out[owners] = segment_sums(term, starts[owners])
-    return scale(out, dyn.weight * pow(p + 1, -1, PRIME))
+    n, k = dyn.n, dyn.k
+    loo = _leave_one_out(dyn.incidence, chain[: p + 1, :, 0], stacks.series, p)
+    order, cells, starts = dyn.jacobian_cells
+    d = np.zeros(n * n, dtype=np.uint64)
+    if len(cells):
+        d[cells] = segment_sums(loo.ravel()[order], starts)
+    block = stacks.jacobians.shape[1] - (p + 1) * n
+    stacks.jacobians[:, block : block + n] = limb_rows(d.reshape(n, n))
+    stacks.states[p * n : (p + 1) * n] = limb_cols(chain[p])
+    out = limb_matmul(stacks.jacobians[:, block:], stacks.states[: (p + 1) * n])
+    step = dyn.weight * pow(p + 1, -1, PRIME)
+    factors = np.full(out.shape[1], step % PRIME, dtype=np.uint64)
+    factors[0] = step * pow(k - 1, -1, PRIME) % PRIME
+    return mul(out, factors)
 
 
 def lie_derivatives(
@@ -130,24 +224,25 @@ def lie_derivatives(
     """The chain J_0, ..., J_depth of time derivatives of the state and all
     their Jacobians at the integer point x, mod P.
 
-    Lanes carry [value | all n partials] from x_j seeded as (x_j, e_j). The
-    Taylor recurrence (``apply_factors``) runs once per level, and level p
-    is multiplied by p! at the end, which restores J_p exactly mod P. Level
-    p costs O(M (k-2) p n) lane operations for M = k |E| remainders.
+    Lanes carry [value | all n partials], seeded [x | I]. The variational
+    recurrence (``apply_factors``) runs once per level, and level p is
+    multiplied by p! at the end, which restores J_p exactly mod P. Level p
+    costs one GEMM of 9 (p+1) n^2 (n+1) float64 multiply-adds, plus
+    O(M (k-1)^2 p) value products for M = k |E| remainders.
 
     Returns one (depth + 1, n, n + 1) uint64 array: row i of level p is
     J_p[i] followed by its gradient. A non-integer coordinate raises
-    ValueError. More than MAX_DENSE_SLOTS lane slots, counted before any is
-    allocated, is refused.
+    ValueError. More than MAX_DENSE_SLOTS lane slots (the chain, the value
+    series and both limb stacks), counted before any is allocated, is
+    refused.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
-    n, k = dyn.n, dyn.k
+    n = dyn.n
     if len(x) != n:
         raise ValueError(f"point has {len(x)} coordinates for {n} nodes")
-    rows = len(dyn.incidence)
-    # the chain, and the partial products of 2..k-2 factors
-    slots = (depth + 1) * (n + 1) * (n + max(k - 3, 0) * rows)
+    shapes = ((depth + 1, n, n + 1),) + ChainStacks.shapes(dyn, depth, n + 1)
+    slots = sum(prod(shape) for shape in shapes)
     if slots > MAX_DENSE_SLOTS:
         raise ResourceLimitError(
             f"depth {depth} at n = {n} needs {slots} lane slots, "
@@ -156,11 +251,9 @@ def lie_derivatives(
     chain = np.empty((depth + 1, n, n + 1), dtype=np.uint64)
     chain[0, :, 0] = cast(x)
     chain[0, :, 1:] = np.eye(n, dtype=np.uint64)
-    series = [
-        np.empty((depth, rows, n + 1), dtype=np.uint64) for _ in range(k - 3)
-    ]
+    stacks = ChainStacks.allocate(dyn, depth, n + 1)
     for p in range(depth):
-        chain[p + 1] = apply_factors(dyn, chain, series, p)
+        chain[p + 1] = apply_factors(dyn, chain, stacks, p)
     factorial = 1
     for p in range(2, depth + 1):
         factorial = factorial * p % PRIME

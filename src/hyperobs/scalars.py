@@ -4,10 +4,15 @@ The derivative-chain kernel is the only arithmetic the package runs, and it
 runs mod P: every lane holds a canonical residue in a uint64 array. A
 product splits each operand into 32-bit halves, so the four partial
 products fit in 64 bits, and folds the 2**64 and 2**32 carries with
-2**61 = 1 (mod P). A sum adds at most two residues before it folds. A sum
-over rows adds the 32-bit halves separately, so up to 2**31 terms stay
-exact before the fold. Constants are uint64 scalars, so no operand promotes
-to float64. The module also derives the seeded random evaluation points.
+2**61 = 1 (mod P). A sum over rows adds the 32-bit halves separately, so
+up to 2**31 terms stay exact before the fold. Constants are uint64 scalars,
+so no operand promotes to float64.
+
+A matrix product runs on float64 instead, and stays exact: each residue
+splits into three 21-bit limbs, one GEMM forms every limb product, and the
+inner dimension goes in chunks of at most 2**11, so every partial sum is an
+integer below 2**11 * 2**42 = 2**53 whatever order BLAS adds in. The module
+also derives the seeded random evaluation points.
 """
 
 from __future__ import annotations
@@ -23,7 +28,12 @@ PRIME = (1 << 61) - 1
 _P = np.uint64(PRIME)
 _LOW32 = np.uint64((1 << 32) - 1)
 _LOW29 = np.uint64((1 << 29) - 1)
-_SHIFT3, _SHIFT29, _SHIFT32, _SHIFT61 = (np.uint64(s) for s in (3, 29, 32, 61))
+_LOW21 = np.uint64((1 << 21) - 1)
+_SHIFT3, _SHIFT21, _SHIFT29, _SHIFT32, _SHIFT42, _SHIFT61 = (
+    np.uint64(s) for s in (3, 21, 29, 32, 42, 61)
+)
+# 2**11 limb products below 2**42 sum to less than 2**53
+_GEMM_CHUNK = 1 << 11
 
 
 def _canonical(s: np.ndarray) -> np.ndarray:
@@ -52,11 +62,6 @@ def cast(values: Any) -> np.ndarray:
     if not all(isinstance(v, (int, np.integer)) for v in objects.flat):
         raise ValueError("field lanes take integer values only")
     return (objects % PRIME).astype(np.uint64)
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    s = a + b
-    return np.minimum(s, np.subtract(s, _P), out=s)
 
 
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,6 +103,55 @@ def segment_sums(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def scale(a: np.ndarray, c: int) -> np.ndarray:
     """a times the integer c, reduced mod P."""
     return mul(a, np.array([c % PRIME], dtype=np.uint64))
+
+
+def limb_rows(a: np.ndarray) -> np.ndarray:
+    """The (m, K) residues a as a (3m, K) float64 stack of their 21-bit
+    limbs, lowest first: the left operand of ``limb_matmul``."""
+    return np.concatenate(
+        (a & _LOW21, (a >> _SHIFT21) & _LOW21, a >> _SHIFT42)
+    ).astype(np.float64)
+
+
+def limb_cols(b: np.ndarray) -> np.ndarray:
+    """The (K, w) residues b as a (K, 3w) float64 row of their 21-bit limbs,
+    lowest first: the right operand of ``limb_matmul``."""
+    return np.concatenate(
+        (b & _LOW21, (b >> _SHIFT21) & _LOW21, b >> _SHIFT42), axis=1
+    ).astype(np.float64)
+
+
+def _times_power_of_two(r: np.ndarray, e: int) -> np.ndarray:
+    """r 2**e up to a multiple of P, for r < 2**63 and 0 < e < 61: below
+    2**61 + 2**(e + 2), since 2**61 = 1 (mod P)."""
+    low = np.uint64((1 << (61 - e)) - 1)
+    return (r >> np.uint64(61 - e)) + ((r & low) << np.uint64(e))
+
+
+def limb_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A @ B mod P, for a = limb_rows(A) and b = limb_cols(B).
+
+    Block (i, j) of a @ b is limb i of A times limb j of B, worth
+    2**(21 (i + j)) = 2**(21 (i + j) mod 61) (mod P): 2**63 = 4 and
+    2**84 = 2**23. Each chunk of the inner dimension gives integers below
+    2**53, exact in float64 under any summation order, FMA or threading.
+    """
+    m, w = len(a) // 3, b.shape[1] // 3
+    acc = np.zeros((3 * m, 3 * w), dtype=np.uint64)
+    for lo in range(0, len(b), _GEMM_CHUNK):
+        part = a[:, lo : lo + _GEMM_CHUNK] @ b[lo : lo + _GEMM_CHUNK]
+        # below 2**61 + 2**53
+        acc = _canonical(acc) + part.astype(np.uint64)
+    blocks = acc.reshape(3, m, 3, w)
+    out = blocks[0, :, 0].copy()
+    for s in range(1, 5):
+        # at most three blocks, so the sum stays below 2**63, and the five
+        # terms of out below 2**64
+        same = np.add.reduce(
+            [blocks[i, :, s - i] for i in range(max(0, s - 2), min(s, 2) + 1)]
+        )
+        out += _times_power_of_two(same, 21 * s % 61)
+    return _canonical(out)
 
 
 def derive_seed(seed: int, label: str) -> int:

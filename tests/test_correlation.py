@@ -65,6 +65,11 @@ def test_csv_parse_errors():
         message = f"line 3: non-finite value '{cell}'"
         with pytest.raises(ValueError, match=message):
             read_timeseries_csv(f"a,b\n1,2\n3, {cell}\n")
+    # lines are numbered as in the file, blank lines included
+    with pytest.raises(ValueError, match="line 4: could not convert string to float: 'x'"):
+        read_timeseries_csv("a,b\n\n1,2\nx,3\n")
+    with pytest.raises(ValueError, match="line 5: non-finite value 'nan'"):
+        read_timeseries_csv("\na,b\n1,2\n\n3,nan\n")
 
 
 def test_pearson_frozen_and_oracle():

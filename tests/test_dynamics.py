@@ -1,7 +1,7 @@
 """The derivative kernel mod P, checked against the two oracles.
 
-The chain evaluator (the Taylor recurrence on uint64 lanes mod P) is the
-production path. The factor-list recursion and the explicit operator
+The chain evaluator (the Taylor recurrence of the variational equation,
+exact mod P) is the production path. The factor-list recursion and the explicit operator
 product in ``oracles`` compute the same derivatives exactly over the
 rationals and share no code with it. Agreement of their values, reduced mod
 P, with the kernel's residues on random instances is the core guarantee of
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from hyperobs.dynamics import (
     MAX_DENSE_SLOTS,
+    ChainStacks,
     DynamicsSpec,
     apply_factors,
     lie_derivatives,
@@ -97,21 +98,25 @@ def test_eval_f_matches_unfolding():
 
 
 def test_apply_factors_mixed_matches_kron():
-    # one level step from two arbitrary levels X_0 = x and X_1 = y: every
-    # product has k - 2 factors from level 0 and one from level 1, so the
-    # step gives (k-1)/2 * A (y x x x ... x x), the factor placed in each
-    # of the k-1 slots alike because A is symmetric in its slots
+    # two level steps from two arbitrary levels X_0 = x and X_1 = y, on
+    # value-only lanes: every product has k - 2 factors from level 0 and
+    # one from level 1, so the second step gives (k-1)/2 * A (y x x ... x),
+    # the factor placed in each of the k-1 slots alike because A is
+    # symmetric in its slots
     rng = random.Random(6)
     for _ in range(8):
-        for k in (2, 3, 4):
-            dyn = DynamicsSpec(random_uniform_hypergraph(4, k, rng))
-            x, y = int_point(4, rng), int_point(4, rng)
-            chain = cast([[[v] for v in x], [[v] for v in y], [[0]] * 4])
-            series = [np.empty((2, len(dyn.incidence), 1), np.uint64)] * (k - 3)
-            first = apply_factors(dyn, chain, series, 0)[:, 0]
+        for k in (2, 3, 4, 5):
+            n = max(4, k)
+            dyn = DynamicsSpec(
+                random_uniform_hypergraph(n, k, rng), weight=rng.randint(1, 3)
+            )
+            x, y = int_point(n, rng), int_point(n, rng)
+            chain = cast([[[v] for v in x], [[v] for v in y], [[0]] * n])
+            stacks = ChainStacks.allocate(dyn, 2, 1)
+            first = apply_factors(dyn, chain, stacks, 0)[:, 0]
             table = _apply_table(dyn, _kron([_frac(x)] * (k - 1)))
             assert first.tolist() == _residues(table)
-            second = apply_factors(dyn, chain, series, 1)[:, 0]
+            second = apply_factors(dyn, chain, stacks, 1)[:, 0]
             table = _apply_table(dyn, _kron([_frac(y)] + [_frac(x)] * (k - 2)))
             assert second.tolist() == _residues(
                 Fraction(k - 1, 2) * v for v in table
@@ -142,13 +147,14 @@ def test_evaluators_agree_rational(seed):
 @settings(max_examples=15, deadline=None)
 def test_evaluators_agree_mod_p(seed):
     rng = random.Random(seed)
-    k = rng.randint(2, 3)
-    n = rng.randint(k, 4)
+    k = rng.randint(2, 5)
+    n = rng.randint(k, max(k, 4))
     g = random_uniform_hypergraph(n, k, rng)
-    dyn = DynamicsSpec(g)
+    dyn = DynamicsSpec(g, weight=rng.randint(1, 5))
     # full-range residues, not just small integers
     x = [rng.randrange(PRIME) for _ in range(n)]
-    depth = rng.randint(1, 3)
+    # the operator product spans n**(p(k-2)+1) slots
+    depth = rng.randint(1, 3 if k < 5 else 2)
     chain = chain_values(dyn, x, depth)
     p = depth
     rec = lie_derivative_recursive(dyn, p, x)
@@ -156,6 +162,28 @@ def test_evaluators_agree_mod_p(seed):
     inv_scale = pow(scale, -1, PRIME)
     assert _residues(rec) == chain[p]
     assert [v * inv_scale % PRIME for v in ints] == chain[p]
+
+
+def test_jacobians_match_recursion_at_k5_and_weights():
+    # values and gradients against the factor-list recursion over Dual
+    # numbers at full-range points, for k up to 5 and weights other than 1:
+    # the prefix and suffix series (k >= 4) and the (k-1)^-1 value scale
+    # are on these paths. Level 3 reads coefficient 2 of every series; the
+    # Dual recursion takes seconds there at k = 5, so level 3 checks values
+    rng = random.Random(44)
+    for k, n, weight in [(5, 5, 1), (5, 6, 3), (5, 7, 2), (4, 6, 5), (3, 5, 4), (2, 4, 2)]:
+        dyn = DynamicsSpec(random_uniform_hypergraph(n, k, rng), weight=weight)
+        x = [rng.randrange(PRIME) for _ in range(n)]
+        chain = lie_derivatives(dyn, x, 3).tolist()
+        seeded = [Dual.variable(v, j, n) for j, v in enumerate(x)]
+        for p in range(3):
+            rec = lie_derivative_recursive(dyn, p, seeded)
+            assert chain[p] == [
+                [residue(d.value)] + [residue(e) for e in d.eps] for d in rec
+            ]
+        if n < 7:
+            rec = lie_derivative_recursive(dyn, 3, x)
+            assert [row[0] for row in chain[3]] == _residues(rec)
 
 
 def test_rational_field_homomorphism(triangle_dyn):
@@ -315,9 +343,11 @@ def test_scatter_of_many_full_range_terms():
 
 
 def test_depth_guard_before_allocation(triangle_dyn):
-    # a chain of (depth + 1) n (n + 1) lane slots beyond the cap is refused
-    # before any lane exists, so a huge depth fails at once, not in
-    # MemoryError
-    for depth in (10**9, MAX_DENSE_SLOTS // (3 * 4)):
+    # a pass holds (depth + 1) n (n + 1) chain slots, 3 n^2 depth and
+    # 3 n (n + 1) depth limb slots, and 2 (k - 3) M depth series slots:
+    # 75 depth + 12 on the triangle. Past the cap it is refused before any
+    # lane exists, so a huge depth fails at once, not in MemoryError; the
+    # last depth fits the chain alone but not the limb stacks
+    for depth in (10**9, MAX_DENSE_SLOTS // (3 * 4), MAX_DENSE_SLOTS // 70):
         with pytest.raises(ResourceLimitError, match="lane slots"):
             lie_derivatives(triangle_dyn, [1, 2, 3], depth)

@@ -1,5 +1,5 @@
-"""Field arithmetic on uint64 lanes, the oracles' exact scalars, and the
-seeded evaluation points."""
+"""Field arithmetic on uint64 lanes and float64 limbs, the oracles' exact
+scalars, and the seeded evaluation points."""
 
 from __future__ import annotations
 
@@ -29,6 +29,11 @@ residues = st.integers(min_value=0, max_value=PRIME - 1)
 
 def _lanes(*values):
     return scalars.cast(list(values))
+
+
+def _add(a, b):
+    # the sum of two lanes as the kernel takes sums, along an axis
+    return scalars.row_sum(np.stack([a, b]))
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -80,7 +85,7 @@ def test_field_axioms_random_triples():
     a, b, c = (
         _lanes(*(rng.randrange(PRIME) for _ in range(1000))) for _ in range(3)
     )
-    add, mul = scalars.add, scalars.mul
+    add, mul = _add, scalars.mul
     assert (add(add(a, b), c) == add(a, add(b, c))).all()
     assert (mul(mul(a, b), c) == mul(a, mul(b, c))).all()
     assert (mul(a, add(b, c)) == add(mul(a, b), mul(a, c))).all()
@@ -91,7 +96,7 @@ def test_field_axioms_random_triples():
 @given(residues)
 def test_field_units(x):
     a, zero, one = _lanes(x), _lanes(0), _lanes(1)
-    assert scalars.add(a, zero).tolist() == [x]
+    assert _add(a, zero).tolist() == [x]
     assert scalars.mul(a, one).tolist() == [x]
     assert scalars.mul(a, zero).tolist() == [0]
     if x != 0:
@@ -99,7 +104,7 @@ def test_field_units(x):
 
 
 def test_int_coercion_reduces():
-    assert scalars.add(_lanes(1), _lanes(PRIME)).tolist() == [1]
+    assert _add(_lanes(1), _lanes(PRIME)).tolist() == [1]
     assert scalars.mul(_lanes(2), _lanes(PRIME + 3)).tolist() == [6]
     assert _lanes(-1).tolist() == [PRIME - 1]
     assert _lanes(PRIME + 4).tolist() == [4]
@@ -179,12 +184,12 @@ def test_dual_over_field_elements():
     la = _lanes(*([u.value, *u.eps] for u in a))
     lb = _lanes(*([v.value, *v.eps] for v in b))
     prod = scalars.mul(la[:, :1], lb)
-    prod[:, 1:] = scalars.add(prod[:, 1:], scalars.mul(la[:, 1:], lb[:, :1]))
+    prod[:, 1:] = _add(prod[:, 1:], scalars.mul(la[:, 1:], lb[:, :1]))
     assert prod.tolist() == [
         [w.value % PRIME, *(e % PRIME for e in w.eps)]
         for w in (u * v for u, v in zip(a, b))
     ]
-    assert scalars.add(la, lb).tolist() == [
+    assert _add(la, lb).tolist() == [
         [w.value % PRIME, *(e % PRIME for e in w.eps)]
         for w in (u + v for u, v in zip(a, b))
     ]
@@ -217,7 +222,7 @@ def test_field_lanes_match_int_arithmetic():
     a = np.array([u for u, _ in pairs], dtype=np.uint64)
     b = np.array([v for _, v in pairs], dtype=np.uint64)
     assert scalars.mul(a, b).tolist() == [u * v % PRIME for u, v in pairs]
-    assert scalars.add(a, b).tolist() == [(u + v) % PRIME for u, v in pairs]
+    assert _add(a, b).tolist() == [(u + v) % PRIME for u, v in pairs]
     assert scalars.scale(a, PRIME - 1).tolist() == [(-u) % PRIME for u, _ in pairs]
     # the folded sums, along an axis and over row segments, of 10**4 terms
     column = a.reshape(-1, 1)
@@ -230,6 +235,34 @@ def test_field_lanes_match_int_arithmetic():
     ]
 
 
+def _int_matmul(a, b):
+    return [[sum(u * v for u, v in zip(row, col)) % PRIME for col in zip(*b)] for row in a]
+
+
+def test_limb_matmul_matches_int_products():
+    # full-range residues, all-(P-1) operands, and 2**42 - 1, whose two low
+    # limbs are both 2**21 - 1, the largest limb product; inner lengths
+    # 2048, 2049 and 5000 sit on and past the GEMM chunk of 2**11, where
+    # an unchunked float64 sum of such products would pass 2**53
+    rng = random.Random(53)
+    for m, inner, w in [(1, 1, 1), (3, 5, 4), (2, 2048, 3), (2, 2049, 3), (3, 5000, 2)]:
+        full = (
+            [[rng.randrange(PRIME) for _ in range(inner)] for _ in range(m)],
+            [[rng.randrange(PRIME) for _ in range(w)] for _ in range(inner)],
+        )
+        for a, b in [
+            full,
+            ([[PRIME - 1] * inner] * m, [[PRIME - 1] * w] * inner),
+            ([[2**42 - 1] * inner] * m, [[2**42 - 1] * w] * inner),
+        ]:
+            got = scalars.limb_matmul(
+                scalars.limb_rows(np.array(a, dtype=np.uint64)),
+                scalars.limb_cols(np.array(b, dtype=np.uint64)),
+            )
+            assert got.dtype == np.uint64
+            assert got.tolist() == _int_matmul(a, b)
+
+
 def test_field_lanes_stay_uint64():
     # numpy 1.x promotes uint64 with a signed Python int to float64, which
     # would silently round residues
@@ -238,10 +271,11 @@ def test_field_lanes_stay_uint64():
         a,
         scalars.mul(a, a),
         scalars.mul(a[:, :1], a),
-        scalars.add(a, a),
+        _add(a, a),
         scalars.row_sum(a),
         scalars.segment_sums(a, np.array([0, 1])),
         scalars.scale(a, 3),
+        scalars.limb_matmul(scalars.limb_rows(a), scalars.limb_cols(a)),
         lie_derivatives(DynamicsSpec(gen_complete(4, 3)), a.ravel().tolist(), 3),
     ]
     assert all(r.dtype == np.uint64 for r in results)
