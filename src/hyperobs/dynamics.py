@@ -228,7 +228,7 @@ def lie_derivatives(
     recurrence (``apply_factors``) runs once per level, and level p is
     multiplied by p! at the end, which restores J_p exactly mod P. Level p
     costs one GEMM of 9 (p+1) n^2 (n+1) float64 multiply-adds, plus
-    O(M (k-1)^2 p) value products for M = k |E| remainders.
+    O(k M p) value products for M = k |E| remainders.
 
     Returns one (depth + 1, n, n + 1) uint64 array: row i of level p is
     J_p[i] followed by its gradient. A non-integer coordinate raises
