@@ -29,9 +29,7 @@ from .hypergraph import UniformHypergraph
 from .scalars import (
     PRIME,
     cast,
-    limb_cols,
     limb_matmul,
-    limb_rows,
     mul,
     row_sum,
     scale,
@@ -108,34 +106,28 @@ class ChainStacks:
     ``series`` holds, for every remainder (a_1, ..., a_{k-1}), coefficients
     0..depth-1 of the value products x_{a_1} ... x_{a_s} (row s - 2) and
     x_{a_s} ... x_{a_{k-1}} (row k + s - 5), for s = 2..k-2; only k >= 4
-    has any. ``jacobians`` holds the limbs of the Taylor coefficient D_q of
-    Df(x(t)) at column block depth - 1 - q, so that D_p, ..., D_0 is one
-    slice; ``states`` holds the limbs of level q of the chain at row block
-    q.
+    has any. ``jacobians`` holds the Taylor coefficients D_q of Df(x(t))
+    at [:, depth - 1 - q], so that D_p, ..., D_0 side by side is one slice;
+    at k = 2 Df is the constant adjacency, applied as sums, and none is
+    kept.
     """
 
     series: np.ndarray
     jacobians: np.ndarray
-    states: np.ndarray
 
     @staticmethod
-    def shapes(
-        dyn: DynamicsSpec, depth: int, width: int
-    ) -> tuple[tuple[int, ...], ...]:
-        n = dyn.n
+    def shapes(dyn: DynamicsSpec, depth: int) -> tuple[tuple[int, ...], ...]:
         return (
             (2 * max(dyn.k - 3, 0), depth, len(dyn.incidence)),
-            (3 * n, depth * n),
-            (depth * n, 3 * width),
+            (dyn.n, depth if dyn.k > 2 else 0, dyn.n),
         )
 
     @classmethod
-    def allocate(cls, dyn: DynamicsSpec, depth: int, width: int) -> ChainStacks:
-        series, jacobians, states = cls.shapes(dyn, depth, width)
+    def allocate(cls, dyn: DynamicsSpec, depth: int) -> ChainStacks:
+        series, jacobians = cls.shapes(dyn, depth)
         return cls(
             np.empty(series, dtype=np.uint64),
-            np.empty(jacobians),
-            np.empty(states),
+            np.empty(jacobians, dtype=np.uint64),
         )
 
 
@@ -200,22 +192,33 @@ def apply_factors(
     column 0 scaled by (k-1)^-1, with D_q coefficient q of Df(x(t)). This
     call builds D_p from the leave-one-out products of each hyperedge
     remainder, summed into the cells (owner, factor), and takes the sum as
-    one exact mod-P GEMM (``scalars.limb_matmul``).
+    one exact mod-P GEMM (``scalars.limb_matmul``). At k = 2, Df is the
+    constant adjacency: D_q = 0 for q > 0, and D_0 Y_p sums rows of Y_p.
     """
     n, k = dyn.n, dyn.k
+    step = dyn.weight * pow(p + 1, -1, PRIME)
+    if k == 2:
+        starts = dyn.incidence_starts
+        owners = np.flatnonzero(np.diff(starts))
+        out = np.zeros(chain.shape[1:], dtype=np.uint64)
+        if len(owners):
+            rows = chain[p, dyn.incidence[:, 0]]
+            out[owners] = segment_sums(rows, starts[owners])
+        return scale(out, step)
     loo = _leave_one_out(dyn.incidence, chain[: p + 1, :, 0], stacks.series, p)
     order, cells, starts = dyn.jacobian_cells
     d = np.zeros(n * n, dtype=np.uint64)
     if len(cells):
         d[cells] = segment_sums(loo.ravel()[order], starts)
-    block = stacks.jacobians.shape[1] - (p + 1) * n
-    stacks.jacobians[:, block : block + n] = limb_rows(d.reshape(n, n))
-    stacks.states[p * n : (p + 1) * n] = limb_cols(chain[p])
-    out = limb_matmul(stacks.jacobians[:, block:], stacks.states[: (p + 1) * n])
-    step = dyn.weight * pow(p + 1, -1, PRIME)
-    factors = np.full(out.shape[1], step % PRIME, dtype=np.uint64)
-    factors[0] = step * pow(k - 1, -1, PRIME) % PRIME
-    return mul(out, factors)
+    jacobians = stacks.jacobians
+    block = jacobians.shape[1] - 1 - p
+    jacobians[:, block] = d.reshape(n, n)
+    out = limb_matmul(
+        jacobians.reshape(n, -1)[:, block * n :],
+        chain[: p + 1].reshape(-1, chain.shape[2]),
+    )
+    out[:, 0] = scale(out[:, 0], pow(k - 1, -1, PRIME))
+    return scale(out, step)
 
 
 def lie_derivatives(
@@ -226,14 +229,16 @@ def lie_derivatives(
 
     Lanes carry [value | all n partials], seeded [x | I]. The variational
     recurrence (``apply_factors``) runs once per level, and level p is
-    multiplied by p! at the end, which restores J_p exactly mod P. Level p
-    costs one GEMM of 9 (p+1) n^2 (n+1) float64 multiply-adds, plus
-    O(k M p) value products for M = k |E| remainders.
+    multiplied by p! at the end, which restores J_p exactly mod P. For
+    k >= 3, level p costs one GEMM of 9 (p+1) n^2 (n+1) float64
+    multiply-adds, the split of its operands into limbs, O(p n^2), and
+    O(k M p) value products for M = k |E| remainders; at k = 2 it costs
+    O(M n) sums.
 
     Returns one (depth + 1, n, n + 1) uint64 array: row i of level p is
     J_p[i] followed by its gradient. A non-integer coordinate raises
     ValueError. More than MAX_DENSE_SLOTS lane slots (the chain, the value
-    series and both limb stacks), counted before any is allocated, is
+    series and the Jacobian stack), counted before any is allocated, is
     refused.
     """
     if depth < 0:
@@ -241,7 +246,7 @@ def lie_derivatives(
     n = dyn.n
     if len(x) != n:
         raise ValueError(f"point has {len(x)} coordinates for {n} nodes")
-    shapes = ((depth + 1, n, n + 1),) + ChainStacks.shapes(dyn, depth, n + 1)
+    shapes = ((depth + 1, n, n + 1),) + ChainStacks.shapes(dyn, depth)
     slots = sum(prod(shape) for shape in shapes)
     if slots > MAX_DENSE_SLOTS:
         raise ResourceLimitError(
@@ -251,7 +256,7 @@ def lie_derivatives(
     chain = np.empty((depth + 1, n, n + 1), dtype=np.uint64)
     chain[0, :, 0] = cast(x)
     chain[0, :, 1:] = np.eye(n, dtype=np.uint64)
-    stacks = ChainStacks.allocate(dyn, depth, n + 1)
+    stacks = ChainStacks.allocate(dyn, depth)
     for p in range(depth):
         chain[p + 1] = apply_factors(dyn, chain, stacks, p)
     factorial = 1

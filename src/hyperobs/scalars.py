@@ -29,6 +29,7 @@ _P = np.uint64(PRIME)
 _LOW32 = np.uint64((1 << 32) - 1)
 _LOW29 = np.uint64((1 << 29) - 1)
 _LOW21 = np.uint64((1 << 21) - 1)
+_MID21 = np.uint64(((1 << 21) - 1) << 21)
 _SHIFT3, _SHIFT21, _SHIFT29, _SHIFT32, _SHIFT42, _SHIFT61 = (
     np.uint64(s) for s in (3, 21, 29, 32, 42, 61)
 )
@@ -105,20 +106,21 @@ def scale(a: np.ndarray, c: int) -> np.ndarray:
     return mul(a, np.array([c % PRIME], dtype=np.uint64))
 
 
-def limb_rows(a: np.ndarray) -> np.ndarray:
-    """The (m, K) residues a as a (3m, K) float64 stack of their 21-bit
-    limbs, lowest first: the left operand of ``limb_matmul``."""
-    return np.concatenate(
-        (a & _LOW21, (a >> _SHIFT21) & _LOW21, a >> _SHIFT42)
-    ).astype(np.float64)
-
-
-def limb_cols(b: np.ndarray) -> np.ndarray:
-    """The (K, w) residues b as a (K, 3w) float64 row of their 21-bit limbs,
-    lowest first: the right operand of ``limb_matmul``."""
-    return np.concatenate(
-        (b & _LOW21, (b >> _SHIFT21) & _LOW21, b >> _SHIFT42), axis=1
-    ).astype(np.float64)
+def _limbs(a: np.ndarray, axis: int, buffer: np.ndarray) -> np.ndarray:
+    """The (m, w) residues a as float64 21-bit limbs, lowest first, stacked
+    along axis, in the leading 3 m w slots of the flat buffer."""
+    shape = list(a.shape)
+    shape.insert(axis, 3)
+    parts = buffer[: 3 * a.size].reshape(shape)
+    limbs = np.moveaxis(parts, axis, 0)
+    # each ufunc casts to float64 as it writes, exactly: every value < 2**53
+    np.bitwise_and(a, _LOW21, out=limbs[0], casting="unsafe")
+    np.bitwise_and(a, _MID21, out=limbs[1], casting="unsafe")
+    limbs[1] *= 2.0**-21
+    np.right_shift(a, _SHIFT42, out=limbs[2], casting="unsafe")
+    shape = list(a.shape)
+    shape[axis] *= 3
+    return parts.reshape(shape)
 
 
 def _times_power_of_two(r: np.ndarray, e: int) -> np.ndarray:
@@ -129,17 +131,22 @@ def _times_power_of_two(r: np.ndarray, e: int) -> np.ndarray:
 
 
 def limb_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A @ B mod P, for a = limb_rows(A) and b = limb_cols(B).
+    """A @ B mod P for the residues a (m, K) and b (K, w).
 
-    Block (i, j) of a @ b is limb i of A times limb j of B, worth
-    2**(21 (i + j)) = 2**(21 (i + j) mod 61) (mod P): 2**63 = 4 and
-    2**84 = 2**23. Each chunk of the inner dimension gives integers below
-    2**53, exact in float64 under any summation order, FMA or threading.
+    Each chunk of the inner dimension is split into limbs as it goes, so
+    block (i, j) of its float64 product is limb i of A times limb j of B,
+    worth 2**(21 (i + j)) = 2**(21 (i + j) mod 61) (mod P): 2**63 = 4 and
+    2**84 = 2**23. A chunk gives integers below 2**53, exact in float64
+    under any summation order, FMA or threading.
     """
-    m, w = len(a) // 3, b.shape[1] // 3
+    m, w = a.shape[0], b.shape[1]
     acc = np.zeros((3 * m, 3 * w), dtype=np.uint64)
+    chunk = min(len(b), _GEMM_CHUNK)
+    left, right = np.empty(3 * m * chunk), np.empty(3 * chunk * w)
     for lo in range(0, len(b), _GEMM_CHUNK):
-        part = a[:, lo : lo + _GEMM_CHUNK] @ b[lo : lo + _GEMM_CHUNK]
+        part = _limbs(a[:, lo : lo + chunk], 0, left) @ _limbs(
+            b[lo : lo + chunk], 1, right
+        )
         # below 2**61 + 2**53
         acc = _canonical(acc) + part.astype(np.uint64)
     blocks = acc.reshape(3, m, 3, w)

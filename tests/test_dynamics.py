@@ -112,7 +112,7 @@ def test_apply_factors_mixed_matches_kron():
             )
             x, y = int_point(n, rng), int_point(n, rng)
             chain = cast([[[v] for v in x], [[v] for v in y], [[0]] * n])
-            stacks = ChainStacks.allocate(dyn, 2, 1)
+            stacks = ChainStacks.allocate(dyn, 2)
             first = apply_factors(dyn, chain, stacks, 0)[:, 0]
             table = _apply_table(dyn, _kron([_frac(x)] * (k - 1)))
             assert first.tolist() == _residues(table)
@@ -343,11 +343,36 @@ def test_scatter_of_many_full_range_terms():
 
 
 def test_depth_guard_before_allocation(triangle_dyn):
-    # a pass holds (depth + 1) n (n + 1) chain slots, 3 n^2 depth and
-    # 3 n (n + 1) depth limb slots, and 2 (k - 3) M depth series slots:
-    # 75 depth + 12 on the triangle. Past the cap it is refused before any
-    # lane exists, so a huge depth fails at once, not in MemoryError; the
-    # last depth fits the chain alone but not the limb stacks
-    for depth in (10**9, MAX_DENSE_SLOTS // (3 * 4), MAX_DENSE_SLOTS // 70):
+    # a pass holds (depth + 1) n (n + 1) chain slots, n^2 depth Jacobian
+    # slots and 2 (k - 3) M depth series slots: 21 depth + 12 on the
+    # triangle. Past the cap it is refused before any lane exists, so a
+    # huge depth fails at once, not in MemoryError; the last depth fits the
+    # chain alone but not the Jacobian stack
+    for depth in (10**9, MAX_DENSE_SLOTS // (3 * 4), MAX_DENSE_SLOTS // 13):
         with pytest.raises(ResourceLimitError, match="lane slots"):
             lie_derivatives(triangle_dyn, [1, 2, 3], depth)
+
+
+def test_slot_count_at_the_cap(monkeypatch):
+    # the count is exact: a pass that needs the cap runs, one slot less is
+    # refused. k = 2 keeps no Jacobian stack, k = 4 adds the series
+    for g, depth, slots in [
+        (gen_hyperring(5, 2), 4, 5 * 5 * 6),
+        (gen_hyperring(6, 3), 5, 6 * 6 * 7 + 5 * 36),
+        (gen_hyperring(6, 4), 5, 6 * 6 * 7 + 5 * 36 + 2 * 5 * 24),
+    ]:
+        dyn = DynamicsSpec(g)
+        x = list(range(1, g.n + 1))
+        monkeypatch.setattr("hyperobs.dynamics.MAX_DENSE_SLOTS", slots)
+        assert lie_derivatives(dyn, x, depth).shape == (depth + 1, g.n, g.n + 1)
+        monkeypatch.setattr("hyperobs.dynamics.MAX_DENSE_SLOTS", slots - 1)
+        with pytest.raises(ResourceLimitError, match=f"needs {slots} lane"):
+            lie_derivatives(dyn, x, depth)
+    # at k = 3 and depth n - 1 a pass needs about 2 n^3 slots: ring 368/3
+    # fits under the cap of 10**8 and ring 369/3 does not, both read from
+    # the refusal, so nothing is allocated
+    for n, slots in [(368, 99672064), (369, 100486818)]:
+        monkeypatch.setattr("hyperobs.dynamics.MAX_DENSE_SLOTS", slots - 1)
+        with pytest.raises(ResourceLimitError, match=f"needs {slots} lane"):
+            lie_derivatives(DynamicsSpec(gen_hyperring(n, 3)), [1] * n, n - 1)
+    assert 99672064 <= MAX_DENSE_SLOTS < 100486818

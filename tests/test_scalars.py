@@ -256,8 +256,7 @@ def test_limb_matmul_matches_int_products():
             ([[2**42 - 1] * inner] * m, [[2**42 - 1] * w] * inner),
         ]:
             got = scalars.limb_matmul(
-                scalars.limb_rows(np.array(a, dtype=np.uint64)),
-                scalars.limb_cols(np.array(b, dtype=np.uint64)),
+                np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
             )
             assert got.dtype == np.uint64
             assert got.tolist() == _int_matmul(a, b)
@@ -275,7 +274,7 @@ def test_field_lanes_stay_uint64():
         scalars.row_sum(a),
         scalars.segment_sums(a, np.array([0, 1])),
         scalars.scale(a, 3),
-        scalars.limb_matmul(scalars.limb_rows(a), scalars.limb_cols(a)),
+        scalars.limb_matmul(a, a),
         lie_derivatives(DynamicsSpec(gen_complete(4, 3)), a.ravel().tolist(), 3),
     ]
     assert all(r.dtype == np.uint64 for r in results)
