@@ -71,13 +71,14 @@ def main(argv: list[str] | None = None) -> int:
     # round-trip through the CSV layer, same as the CLI would
     series = read_timeseries_csv(text)
 
-    table = multicorrelation_table(series)
-    ranked = sorted(table, key=lambda t: -t.rho)
-    print(f"{series.num_signals} signals, {len(table)} triples evaluated")
+    triples, rho = multicorrelation_table(series)
+    ranked = np.argsort(-rho, kind="stable")
+    print(f"{series.num_signals} signals, {len(triples)} triples evaluated")
     print("top triples by multi-correlation:")
-    for t in ranked[: args.groups + 2]:
-        mark = " (planted)" if t.indices in planted else ""
-        print(f"  {t.indices}: rho = {t.rho:.4f}{mark}")
+    for row in ranked[: args.groups + 2]:
+        indices = tuple(triples[row].tolist())
+        mark = " (planted)" if indices in planted else ""
+        print(f"  {indices}: rho = {rho[row]:.4f}{mark}")
 
     g = hypergraph_from_timeseries(series, args.threshold)
     pair = pairwise_graph_from_timeseries(series, args.threshold)

@@ -20,6 +20,8 @@ import time
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from . import __version__
 from .correlation import (
     check_threshold,
@@ -200,9 +202,8 @@ def _cmd_ingest(args: argparse.Namespace) -> dict[str, Any]:
     series = read_timeseries_csv(Path(args.csv).read_text())
     table = multicorrelation_table(series)
     g = hypergraph_from_table(series.num_signals, table, args.threshold)
-    bins = [0] * 10
-    for t in table:
-        bins[min(int(t.rho * 10), 9)] += 1
+    triples, rho = table
+    bins = np.bincount(np.minimum(rho * 10, 9).astype(int), minlength=10)
     report = {
         "command": "ingest",
         "version": __version__,
@@ -210,11 +211,11 @@ def _cmd_ingest(args: argparse.Namespace) -> dict[str, Any]:
         "parameters": {"threshold": args.threshold},
         "signals": list(series.labels),
         "result": {
-            "triples_evaluated": len(table),
+            "triples_evaluated": len(triples),
             "num_edges": g.num_edges,
             "rho_histogram": {
                 "bin_width": 0.1,
-                "counts": bins,
+                "counts": bins.tolist(),
             },
             "hypergraph": g.to_dict(),
         },

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -69,11 +67,14 @@ class TimeSeriesMatrix:
         cached = self._standardized.get(index)
         if cached is None:
             col = self.column(index)
-            sd = col.std(ddof=1)
-            if sd == 0.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sd = col.std(ddof=1)
+            # finite samples can overflow in the mean or the squares
+            if not 0.0 < sd < np.inf:
+                what = "constant" if sd == 0.0 else "beyond float64 range"
                 raise ValueError(
                     f"signal {self.labels[index - 1]!r} (column {index}) is "
-                    "constant, correlation undefined"
+                    f"{what}, correlation undefined"
                 )
             cached = (col - col.mean()) / sd
             self._standardized[index] = cached
@@ -88,7 +89,10 @@ def read_timeseries_csv(text: str) -> TimeSeriesMatrix:
     """
     reader = csv.reader(io.StringIO(text))
     # (line, row) with the line as the file counts it, blank lines included
-    rows = [(reader.line_num, row) for row in reader if row]
+    try:
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     if len(rows) < 3:
         raise ValueError("CSV needs a label row and at least two data rows")
     labels = tuple(cell.strip() for cell in rows[0][1])
@@ -129,62 +133,55 @@ def pearson(series: TimeSeriesMatrix, i: int, j: int) -> float:
     return float(a @ b) / (series.num_samples - 1)
 
 
-@dataclass(frozen=True)
-class CorrelationTriple:
-    """A sorted signal triple paired with its multi-correlation rho."""
-
-    indices: tuple[int, int, int]
-    rho: float
-
-    def __post_init__(self) -> None:
-        if list(self.indices) != sorted(self.indices):
-            raise ValueError(f"indices must be sorted, got {self.indices}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-
-
 def multicorrelation_table(
     series: TimeSeriesMatrix,
-) -> list[CorrelationTriple]:
-    """rho = sqrt(1 - det R) for every signal triple, in lexicographic
-    index order, R being the triple's 3x3 Pearson matrix.
+) -> tuple[np.ndarray, np.ndarray]:
+    """rho = sqrt(1 - det R) for every signal triple, R being the triple's
+    3x3 Pearson matrix.
 
-    Each pair's Pearson value is computed once and shared by every triple
-    that holds the pair. The determinant of a correlation matrix sits in
-    [0, 1]; rounding can push it a hair outside, so the result is clamped
-    before the root.
+    Returns (triples, rho): a (T, 3) array of sorted 1-based index triples
+    in lexicographic order, and their rho. Each pair's Pearson value is
+    computed once and shared by every triple that holds the pair. The
+    determinant of a correlation matrix sits in [0, 1]; rounding can push
+    it a hair outside, so the result is clamped before the root.
     """
     if series.num_signals < 3:
         raise ValueError(
             f"need at least 3 signals, got {series.num_signals}"
         )
     signals = range(1, series.num_signals + 1)
-    r = {(i, j): pearson(series, i, j) for i, j in combinations(signals, 2)}
-    table = []
-    for a, b, c in combinations(signals, 3):
-        r_ab, r_ac, r_bc = r[a, b], r[a, c], r[b, c]
-        det = 1.0 + 2.0 * r_ab * r_ac * r_bc - r_ab**2 - r_ac**2 - r_bc**2
-        rho = math.sqrt(min(max(1.0 - det, 0.0), 1.0))
-        table.append(CorrelationTriple((a, b, c), rho))
-    return table
+    r = np.zeros((series.num_signals + 1,) * 2)
+    for i, j in combinations(signals, 2):
+        r[i, j] = pearson(series, i, j)
+    triples = np.array(list(combinations(signals, 3)), dtype=np.int64)
+    a, b, c = triples.T
+    r_ab, r_ac, r_bc = r[a, b], r[a, c], r[b, c]
+    # squares through the C library's pow, as Python's float ** takes them;
+    # numpy's ** 2 multiplies and can round the other way, which would move
+    # triples that tie at a threshold or in a ranking by rho
+    sq = np.float_power(r, 2.0)
+    det = 1.0 + 2.0 * r_ab * r_ac * r_bc - sq[a, b] - sq[a, c] - sq[b, c]
+    rho = np.sqrt(np.clip(1.0 - det, 0.0, 1.0))
+    return triples, rho
 
 
 def hypergraph_from_table(
-    num_signals: int, table: Sequence[CorrelationTriple], threshold: float
+    num_signals: int,
+    table: tuple[np.ndarray, np.ndarray],
+    threshold: float,
 ) -> UniformHypergraph:
     """3-uniform hypergraph on the signals, linking every triple of the
     table whose rho is strictly above the threshold. Signals that land in
     no triple stay as isolated nodes."""
     check_threshold(threshold)
-    edges = [t.indices for t in table if t.rho > threshold]
-    return UniformHypergraph(num_signals, 3, edges)
+    triples, rho = table
+    return UniformHypergraph(num_signals, 3, triples[rho > threshold].tolist())
 
 
 def hypergraph_from_timeseries(
     series: TimeSeriesMatrix, threshold: float = 0.95
 ) -> UniformHypergraph:
     """``hypergraph_from_table`` over the full multi-correlation table."""
-    check_threshold(threshold)
     return hypergraph_from_table(
         series.num_signals, multicorrelation_table(series), threshold
     )

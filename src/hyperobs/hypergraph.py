@@ -108,7 +108,10 @@ class UniformHypergraph:
 
     @classmethod
     def from_json(cls, text: str) -> UniformHypergraph:
-        return cls.from_dict(json.loads(text))
+        try:
+            return cls.from_dict(json.loads(text))
+        except RecursionError:
+            raise ValueError("JSON nests too deeply to load") from None
 
 
 def _is_int(value: Any) -> bool:
@@ -143,15 +146,14 @@ def gen_hyperstar(n: int, k: int) -> UniformHypergraph:
     )
 
 
-def gen_complete(
-    n: int, k: int, max_edges: int = MAX_COMPLETE_EDGES
-) -> UniformHypergraph:
-    """All C(n, k) hyperedges."""
+def gen_complete(n: int, k: int) -> UniformHypergraph:
+    """All C(n, k) hyperedges, at most MAX_COMPLETE_EDGES of them."""
     _check_generator_args(n, k)
     total = comb(n, k)
-    if total > max_edges:
+    if total > MAX_COMPLETE_EDGES:
         raise ResourceLimitError(
-            f"complete hypergraph would hold {total} edges (cap {max_edges})"
+            f"complete hypergraph would hold {total} edges "
+            f"(cap {MAX_COMPLETE_EDGES})"
         )
     return UniformHypergraph(n, k, combinations(range(1, n + 1), k))
 

@@ -49,7 +49,7 @@ from .scalars import derive_seed
 
 TIE_BREAKS = ("degree", "index", "random")
 
-DEFAULT_SUBSET_BUDGET = 200_000
+SUBSET_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,10 @@ class ComponentSelection:
 class MonResult:
     """A selected node set with its rank history.
 
-    verdict is "complete" when the selection reached full rank, "stalled"
-    when no remaining candidate could raise it further or a subset budget
-    ran out. rank_trace records the rank after each pick. depth is the one
-    its oracle stacked; None for a union over components, which carry theirs.
+    verdict is "complete" at full rank, "stalled" when greedy found no
+    candidate to raise it further. rank_trace records the rank after each
+    pick. depth is the one its oracle stacked; None for a union over
+    components, which carry theirs.
     """
 
     selected: tuple[int, ...]
@@ -282,8 +282,6 @@ def _shared_length(a: list[int], b: tuple[int, ...]) -> int:
 def brute_force_mon(
     g: UniformHypergraph | DynamicsSpec,
     config: RankConfig | None = None,
-    max_size: int | None = None,
-    max_subsets: int = DEFAULT_SUBSET_BUDGET,
 ) -> MonResult:
     """Smallest full-rank node set by exhaustive search.
 
@@ -293,9 +291,10 @@ def brute_force_mon(
 
     The sizes start at ``twin_lower_bound``, since no smaller set has full
     rank, and a subset that leaves two twins unmeasured is skipped before
-    any rank work, since it is below rank n at every point. max_subsets
+    any rank work, since it is below rank n at every point. SUBSET_BUDGET
     counts the subsets enumerated from the start size, skipped ones
-    included; past it the search gives up with ResourceLimitError.
+    included; past it the search gives up with ResourceLimitError. It
+    never stalls: every block holds its level-0 row e_i.
 
     A subset is decided at each trial by the rank of its prefix's basis
     plus the basis of its last node's block; a node's basis spans the same
@@ -321,14 +320,13 @@ def brute_force_mon(
     stacks = [[Echelon(n)] for _ in range(oracle.trials)]
     twins = [set(cls) for cls in twin_classes(dyn)]
     start = twin_lower_bound(dyn)
-    limit = n if max_size is None else min(max_size, n)
     tried = 0
-    for size in range(start, limit + 1):
+    for size in range(start, n + 1):
         for subset in combinations(range(1, n + 1), size):
             tried += 1
-            if tried > max_subsets:
+            if tried > SUBSET_BUDGET:
                 raise ResourceLimitError(
-                    f"exhaustive search exceeded {max_subsets} subsets "
+                    f"exhaustive search exceeded {SUBSET_BUDGET} subsets "
                     f"from size {start} up"
                 )
             if any(len(cls.difference(subset)) > 1 for cls in twins):
@@ -349,6 +347,4 @@ def brute_force_mon(
                         verdict="complete",
                         depth=oracle.depth,
                     )
-    return MonResult(
-        selected=(), rank_trace=(), verdict="stalled", depth=oracle.depth
-    )
+    raise AssertionError("the full node set has rank n at trial 0")

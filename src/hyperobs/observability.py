@@ -76,7 +76,6 @@ class NomEvaluation:
     """
 
     point: tuple[int, ...]
-    depth: int
     blocks: tuple[tuple[tuple[int, ...], ...], ...]
 
     def rows_for(self, nodes: Sequence[int]) -> list[tuple[int, ...]]:
@@ -96,7 +95,7 @@ def node_blocks(
         tuple(tuple(grads[p][i]) for p in range(depth + 1))
         for i in range(dyn.n)
     )
-    return NomEvaluation(tuple(point), depth, blocks)
+    return NomEvaluation(tuple(point), blocks)
 
 
 class NomOracle:

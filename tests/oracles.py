@@ -43,7 +43,7 @@ from hyperobs.dynamics import MAX_DENSE_SLOTS, DynamicsSpec
 from hyperobs.errors import ResourceLimitError
 from hyperobs.hypergraph import UniformHypergraph
 from hyperobs.linalg import Echelon, modp_rank
-from hyperobs.mon import DEFAULT_SUBSET_BUDGET, MonResult
+from hyperobs.mon import SUBSET_BUDGET, MonResult
 from hyperobs.observability import NomOracle, RankConfig, _as_dynamics
 from hyperobs.scalars import PRIME, derive_seed
 
@@ -393,8 +393,7 @@ def eager_greedy(
 def naive_brute_force(
     g: UniformHypergraph | DynamicsSpec,
     config: RankConfig | None = None,
-    max_size: int | None = None,
-    max_subsets: int = DEFAULT_SUBSET_BUDGET,
+    max_subsets: int = SUBSET_BUDGET,
 ) -> MonResult:
     """``mon.brute_force_mon`` ranking each subset's raw blocks at every
     trial, all trials evaluated up front."""
@@ -402,9 +401,8 @@ def naive_brute_force(
     n = dyn.n
     oracle = NomOracle(dyn, config)
     evaluations = [oracle.evaluation(t) for t in range(oracle.trials)]
-    limit = n if max_size is None else min(max_size, n)
     tried = 0
-    for size in range(1, limit + 1):
+    for size in range(1, n + 1):
         for subset in combinations(range(1, n + 1), size):
             tried += 1
             if tried > max_subsets:
@@ -419,6 +417,4 @@ def naive_brute_force(
                     verdict="complete",
                     depth=oracle.depth,
                 )
-    return MonResult(
-        selected=(), rank_trace=(), verdict="stalled", depth=oracle.depth
-    )
+    raise AssertionError("the full node set has rank n at trial 0")

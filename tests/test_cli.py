@@ -1,11 +1,15 @@
 """Command line behaviour: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperobs.cli import main
 from hyperobs.correlation import TimeSeriesMatrix, write_timeseries_csv
@@ -127,8 +131,11 @@ def test_missing_and_malformed_input(tmp_path, capsys):
     worse.write_text("not json at all")
     code, _, _ = run(capsys, "observable", str(worse), "--nodes", "1")
     assert code == 1
-    # valid JSON of the wrong shape is bad input too, never an internal error
-    for text in ("3", "null", "true", '{"n": true, "k": 3, "edges": []}'):
+    # valid JSON of the wrong shape is bad input too, never an internal
+    # error, and so is JSON nested past the parser's recursion limit
+    for text in (
+        "3", "null", "true", '{"n": true, "k": 3, "edges": []}', "[" * 100000
+    ):
         worse.write_text(text)
         for cmd in (["observable", str(worse), "--nodes", "1"], ["mon", str(worse)]):
             code, _, stderr = run(capsys, *cmd)
@@ -261,6 +268,26 @@ def test_ingest_refuses_non_finite_samples(tmp_path, capsys, sample):
     assert stdout == ""
 
 
+def test_ingest_refuses_an_oversized_cell(tmp_path, capsys):
+    # the csv module refuses fields past 131,072 characters
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text("a,b,c\n1,2,3\n" + "4" * 140000 + ",5,6\n7,8,9\n")
+    code, stdout, stderr = run(capsys, "ingest", str(csv_path))
+    assert code == 1
+    assert "line 3: field larger than field limit" in stderr
+    assert stdout == ""
+
+
+def test_ingest_refuses_a_column_that_overflows(tmp_path, capsys):
+    # every sample is finite, but the deviations from the mean are not
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text("a,b,c\n1.7e308,1,2\n-1.7e308,2,1\n-1.7e308,3,3\n")
+    code, stdout, stderr = run(capsys, "ingest", str(csv_path))
+    assert code == 1
+    assert "signal 'a' (column 1) is beyond float64 range" in stderr
+    assert stdout == ""
+
+
 def test_reports_deterministic(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(gen_hyperstar(6, 3).to_json())
@@ -278,3 +305,85 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert main([]) == 1
     capsys.readouterr()
+
+
+def _exit_and_stderr(argv):
+    # capsys is per test, not per hypothesis example
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_handled(path, data, argv):
+    path.write_bytes(data.encode("utf-8", "surrogatepass"))
+    code, stderr = _exit_and_stderr(argv)
+    assert code in (0, 1, 2), stderr
+    assert "internal error" not in stderr
+
+
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_ODD_CELL = st.sampled_from(["", " 1", "x", '"2"', "1e400", "nan", '"', "\0"])
+
+
+def _csv_doc(cell):
+    """CSV documents of a few rows, each as wide as the first."""
+    return st.integers(1, 5).flatmap(
+        lambda width: st.lists(
+            st.lists(cell, min_size=width, max_size=width), max_size=8
+        )
+    ).map(lambda rows: "\n".join(",".join(row) for row in rows))
+
+
+@given(
+    text=st.one_of(st.text(), _csv_doc(_NUMBER), _csv_doc(_NUMBER | _ODD_CELL))
+)
+@settings(max_examples=150, deadline=None)
+def test_ingest_survives_any_text(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    _assert_handled(path, text, ["ingest", str(path)])
+
+
+# JSON leaves and containers, with every integer small enough that a
+# document naming it as n stays a small hypergraph
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+_MALFORMED_DOC = st.fixed_dictionaries(
+    {
+        "n": st.integers(-1, 30) | _JSON,
+        "k": st.integers(-1, 6) | _JSON,
+        "edges": st.lists(
+            st.lists(st.integers(-1, 31), max_size=6), max_size=10
+        )
+        | _JSON,
+    }
+)
+# well-formed k-uniform documents on at most 30 nodes
+_HYPERGRAPH_DOC = st.tuples(st.integers(2, 5), st.integers(5, 30)).flatmap(
+    lambda kn: st.fixed_dictionaries(
+        {
+            "n": st.just(kn[1]),
+            "k": st.just(kn[0]),
+            "edges": st.lists(
+                st.lists(
+                    st.integers(1, kn[1]), min_size=kn[0], max_size=kn[0]
+                ),
+                max_size=10,
+            ),
+        }
+    )
+)
+
+
+@given(
+    text=st.one_of(st.text(), (_MALFORMED_DOC | _HYPERGRAPH_DOC).map(json.dumps))
+)
+@settings(max_examples=150, deadline=None)
+def test_observable_survives_any_json(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    argv = ["observable", str(path), "--nodes", "1", "--depth", "1"]
+    _assert_handled(path, text, argv + ["--trials", "1"])

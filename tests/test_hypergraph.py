@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperobs import hypergraph
 from hyperobs.dynamics import DynamicsSpec
 from hyperobs.errors import ResourceLimitError
 from hyperobs.hypergraph import (
@@ -57,7 +58,7 @@ def test_generator_shapes():
     assert gen_complete(4, 2).num_edges == 6
 
 
-def test_generator_validation():
+def test_generator_validation(monkeypatch):
     for gen in (gen_hyperchain, gen_hyperring, gen_hyperstar, gen_complete):
         with pytest.raises(ValueError):
             gen(3, 5)
@@ -65,7 +66,11 @@ def test_generator_validation():
             gen(3, 1)
     with pytest.raises(ResourceLimitError):
         gen_complete(200, 3)
-    assert gen_complete(200, 3, max_edges=2 * 10**6).num_edges == 1313400
+    # the cap admits exactly MAX_COMPLETE_EDGES edges
+    monkeypatch.setattr(hypergraph, "MAX_COMPLETE_EDGES", 10)
+    assert gen_complete(5, 3).num_edges == 10
+    with pytest.raises(ResourceLimitError, match="20 edges .cap 10."):
+        gen_complete(6, 3)
 
 
 @given(st.integers(min_value=0, max_value=2**31))

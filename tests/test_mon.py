@@ -3,6 +3,7 @@
 import random
 from itertools import combinations
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -163,12 +164,11 @@ def test_rank_trace_strictly_increases():
         assert fresh.rank == 6
 
 
-def test_brute_force_budget_and_stall():
+def test_brute_force_budget(monkeypatch):
     g = gen_hyperstar(6, 3)
+    monkeypatch.setattr(mon, "SUBSET_BUDGET", 5)
     with pytest.raises(ResourceLimitError):
-        brute_force_mon(g, max_subsets=5)
-    stalled = brute_force_mon(g, max_size=1)
-    assert stalled == MonResult((), (), "stalled", depth=5)
+        brute_force_mon(g)
 
 
 def test_weight_does_not_change_selection():
@@ -193,28 +193,25 @@ def _outcome(search, *args, **kwargs):
     trials=st.integers(min_value=1, max_value=3),
     depth=st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
     tie_break=st.sampled_from(TIE_BREAKS),
-    max_size=st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
     budget=st.integers(min_value=1, max_value=40),
 )
 @settings(max_examples=60, deadline=None)
 def test_searches_match_their_plain_forms(
-    seed, n, k, trials, depth, tie_break, max_size, budget
+    seed, n, k, trials, depth, tie_break, budget
 ):
     # the early stops may only skip work, never change a result
     rng = random.Random(seed)
     g = random_uniform_hypergraph(max(n, k), k, rng, density=rng.random())
     cfg = RankConfig(trials=trials, seed=seed, depth=depth)
     assert greedy_mon(g, cfg, tie_break) == eager_greedy(g, cfg, tie_break)
-    assert brute_force_mon(g, cfg, max_size) == naive_brute_force(
-        g, cfg, max_size
-    )
+    assert brute_force_mon(g, cfg) == naive_brute_force(g, cfg)
     # the budget counts subsets from the twin bound up; the plain search
-    # also counts every smaller subset it is allowed to try
+    # also counts every smaller subset
     start = twin_lower_bound(g)
-    limit = g.n if max_size is None else min(max_size, g.n)
-    below = sum(comb(g.n, s) for s in range(1, min(start - 1, limit) + 1))
-    fast = _outcome(brute_force_mon, g, cfg, max_size, budget)
-    plain = _outcome(naive_brute_force, g, cfg, max_size, budget + below)
+    below = sum(comb(g.n, s) for s in range(1, start))
+    with patch.object(mon, "SUBSET_BUDGET", budget):
+        fast = _outcome(brute_force_mon, g, cfg)
+    plain = _outcome(naive_brute_force, g, cfg, budget + below)
     if isinstance(fast, MonResult):
         assert fast == plain
     else:
