@@ -29,6 +29,7 @@ from .correlation import (
     multicorrelation_table,
     read_timeseries_csv,
 )
+from .dynamics import DynamicsSpec
 from .errors import ResourceLimitError
 from .hypergraph import (
     UniformHypergraph,
@@ -44,7 +45,11 @@ from .mon import (
     minimum_observable_nodes,
     twin_lower_bound,
 )
-from .observability import RankConfig, is_locally_weakly_observable
+from .observability import (
+    NomOracle,
+    RankConfig,
+    is_locally_weakly_observable,
+)
 from .scalars import PRIME
 
 GENERATORS = {
@@ -146,7 +151,9 @@ def _cmd_observable(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
     g = _load_hypergraph(args.hypergraph)
     cfg = RankConfig(trials=args.trials, seed=args.seed, depth=args.depth)
-    res = minimum_observable_nodes(g, cfg, args.tie_break)
+    # on a connected hypergraph, brute force reuses greedy's evaluations
+    oracle = NomOracle(DynamicsSpec(g), cfg)
+    res = minimum_observable_nodes(oracle, tie_break=args.tie_break)
     bound = twin_lower_bound(g)
     result: dict[str, Any] = {
         "selected": list(res.selected),
@@ -168,7 +175,7 @@ def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
         ],
     }
     if args.brute_force:
-        exact = brute_force_mon(g, cfg)
+        exact = brute_force_mon(oracle)
         result["brute_force"] = {
             "selected": list(exact.selected),
             "size": exact.size,

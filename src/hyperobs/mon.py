@@ -7,14 +7,15 @@ observability matrix: repeatedly add the node whose block buys the largest
 rank gain at shared random evaluation points, stopping at full rank. An
 exact brute-force search over subsets in size order backs it up at small n.
 
-Both searches stop rank work once the answer is decided. A candidate's score
-is its best rank over the trial points, and n is the most any trial can
-give, so scoring stops at the first trial that reaches n. Greedy evaluates
-trial point 0 first and the next one only while some candidate is still
-below n at every evaluated point. Brute force enters each node as the basis
-of its block and keeps, per trial, the echelon of the current subset's
-prefix, so consecutive subsets share the elimination of their common prefix.
-Every result is the one a full evaluation of every trial would give.
+Both searches stop rank work once the answer is decided, and both enter
+each node as the row basis of its block, reduced once per oracle. A
+candidate's score is its best rank over the trial points, and n is the most
+any trial can give, so scoring stops at the first trial that reaches n;
+a trial point is evaluated only when a score needs it. Greedy is lazy: it
+rescores only candidates whose bound from their last gains could still win.
+Brute force keeps, per trial, the echelon of the current subset's prefix,
+so consecutive subsets share the elimination of their common prefix. Every
+result is the one a full evaluation of every trial would give.
 
 Twins bound both searches from below. Nodes u and v are twins when they
 have the same set of hyperedge remainders e - {u}; twins never share a
@@ -35,6 +36,7 @@ an empty dynamics block and always select themselves.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -44,7 +46,7 @@ from .dynamics import DynamicsSpec
 from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph, induced_subhypergraph
 from .linalg import Echelon, modp_rank
-from .observability import NomEvaluation, NomOracle, RankConfig, _as_dynamics
+from .observability import NomOracle, RankConfig, _as_dynamics
 from .scalars import derive_seed
 
 TIE_BREAKS = ("degree", "index", "random")
@@ -133,47 +135,49 @@ def invisible_pair(
     return min(pairs, default=None)
 
 
-def _reach(
-    trials: list[tuple[Echelon, NomEvaluation]], s: int, n: int
-) -> int:
-    """Best rank node s would bring the selection to over the trials; stops
-    at the first trial that reaches n."""
-    best = 0
-    for ech, ev in trials:
-        best = max(best, ech.rank + ech.probe(ev.rows_for([s])))
-        if best == n:
-            break
-    return best
+def _as_oracle(
+    g: UniformHypergraph | DynamicsSpec | NomOracle, config: RankConfig | None
+) -> NomOracle:
+    """The oracle given, whose config then stands, or a fresh one on g."""
+    if isinstance(g, NomOracle):
+        return g
+    return NomOracle(_as_dynamics(g), config)
 
 
 def greedy_mon(
-    g: UniformHypergraph | DynamicsSpec,
+    g: UniformHypergraph | DynamicsSpec | NomOracle,
     config: RankConfig | None = None,
     tie_break: str = "degree",
 ) -> MonResult:
     """Greedy rank ascent over the whole hypergraph as given.
 
-    Each step scores every unselected node by the rank its block would add
-    at the best trial point, picks a maximizer, and folds its rows into the
-    per-trial echelon bases. Stops at full rank, or with a "stalled" verdict
-    if no node helps. tie_break names how rank-gain ties resolve: "degree"
-    prefers the highest-degree node (then the lowest label), "index" the
-    lowest label, "random" a draw seeded from the config seed.
+    Each step picks the unselected node whose block would bring the
+    selection to the highest rank at the best trial point, and folds its
+    basis into the per-trial echelons. Stops at full rank, or with a
+    "stalled" verdict if no node helps. tie_break names how ties resolve:
+    "degree" prefers the highest-degree node (then the lowest label),
+    "index" the lowest label, "random" a draw seeded from the config seed.
+    Given a NomOracle, greedy uses its points, bases and config.
 
-    Trial points are evaluated on demand: the next one only while some
-    candidate is below full rank at every point evaluated so far. A score
-    of n cannot be beaten, so the picks equal those of scoring every
-    candidate at every trial.
+    The picks are those of scoring every candidate at every trial, made
+    with less work (Minoux's accelerated greedy). At one trial a node's
+    gain dim(U + W) - dim(U) never grows as the selection's span U grows,
+    so the selection's rank at a trial plus the candidate's gain there
+    when last scored bounds the rank it can reach there now. Candidates
+    pop in (-bound, key) order; a stale one is rescored and pushed back,
+    and the first fresh one popped is the pick. A candidate not yet scored
+    at every trial has bound n, so the first one in key order to reach n
+    ends the step. A score stops at the first trial that reaches n, and a
+    trial point is evaluated when a score first needs it.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(
             f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}"
         )
-    dyn = _as_dynamics(g)
-    n = dyn.n
-    oracle = NomOracle(dyn, config)
+    oracle = _as_oracle(g, config)
+    n = oracle.dyn.n
 
-    degrees = dyn.graph.degrees()
+    degrees = oracle.dyn.graph.degrees()
     if tie_break == "degree":
         key_fn = lambda s: (-degrees[s], s)
     else:
@@ -186,38 +190,65 @@ def greedy_mon(
 
     selected: list[int] = []
     trace: list[int] = []
-    remaining = list(range(1, n + 1))
-    # the trials evaluated so far, each with its basis of the selection
-    live: list[tuple[Echelon, NomEvaluation]] = []
+    remaining = set(range(1, n + 1))
+    # per evaluated trial, the echelon of the selection's bases
+    live: list[Echelon] = []
+    # each candidate's gain per trial when last scored, kept only for
+    # candidates that were below n at every trial
+    gains: dict[int, list[int]] = {}
 
-    def go_live() -> None:
-        ev = oracle.evaluation(len(live))
-        ech = Echelon(n)
-        ech.add_rows(ev.rows_for(selected))
-        live.append((ech, ev))
+    def echelon(t: int) -> Echelon:
+        if t == len(live):
+            ech = Echelon(n)
+            for s in selected:
+                ech.add_rows(oracle.basis(t, s))
+            live.append(ech)
+        return live[t]
 
-    go_live()
+    def score(s: int) -> int:
+        best = 0
+        row = []
+        for t in range(oracle.trials):
+            ech = echelon(t)
+            gain = ech.probe(oracle.basis(t, s))
+            best = max(best, ech.rank + gain)
+            if best == n:
+                gains.pop(s, None)
+                return n
+            row.append(gain)
+        gains[s] = row
+        return best
+
+    def bound(s: int) -> int:
+        row = gains.get(s)
+        if row is None:
+            return n
+        return min(n, max(ech.rank + gain for ech, gain in zip(live, row)))
+
     rank = 0
     while rank < n and remaining:
-        reach = {s: _reach(live, s, n) for s in remaining}
-        while len(live) < oracle.trials and min(reach.values()) < n:
-            go_live()
-            for s, r in reach.items():
-                if r < n:
-                    reach[s] = max(r, _reach(live[-1:], s, n))
-        best = max(reach.values())
+        heap = [(-bound(s), key_fn(s), s) for s in remaining]
+        heapq.heapify(heap)
+        fresh: dict[int, int] = {}
+        # the candidates that reach the best score, in key order; "random"
+        # draws from all of them, the other tie-breaks take the first
+        pool: list[int] = []
+        while heap and not (pool and (rng is None or -heap[0][0] < best)):
+            _, key, s = heapq.heappop(heap)
+            if s in fresh:
+                best = fresh[s]
+                pool.append(s)
+            else:
+                fresh[s] = score(s)
+                heapq.heappush(heap, (-fresh[s], key, s))
         if best <= rank:
             break
-        pool = [s for s in remaining if reach[s] == best]
-        if rng is not None:
-            pick = pool[rng.randrange(len(pool))]
-        else:
-            pick = min(pool, key=key_fn)
+        pick = pool[rng.randrange(len(pool))] if rng is not None else pool[0]
         selected.append(pick)
         remaining.remove(pick)
-        for ech, ev in live:
-            ech.add_rows(ev.rows_for([pick]))
-        rank = max(ech.rank for ech, _ in live)
+        for t, ech in enumerate(live):
+            ech.add_rows(oracle.basis(t, pick))
+        rank = max(ech.rank for ech in live)
         trace.append(rank)
     return MonResult(
         selected=tuple(selected),
@@ -228,7 +259,7 @@ def greedy_mon(
 
 
 def minimum_observable_nodes(
-    g: UniformHypergraph | DynamicsSpec,
+    g: UniformHypergraph | DynamicsSpec | NomOracle,
     config: RankConfig | None = None,
     tie_break: str = "degree",
 ) -> MonResult:
@@ -236,16 +267,23 @@ def minimum_observable_nodes(
 
     Observability blocks are block-diagonal across components, so the union
     of per-component selections is a selection for the whole hypergraph and
-    the ranks add. Isolated nodes always pick themselves.
+    the ranks add. Isolated nodes always pick themselves. Given a NomOracle,
+    a connected hypergraph's greedy uses that oracle itself, and components
+    get oracles of their own under its config.
     """
-    dyn = _as_dynamics(g)
+    oracle = _as_oracle(g, config)
+    dyn = oracle.dyn
     parts: list[ComponentSelection] = []
     selected: list[int] = []
     trace: list[int] = []
     achieved = 0
     for comp in dyn.graph.connected_components():
-        sub, back = induced_subhypergraph(dyn.graph, comp)
-        res = greedy_mon(DynamicsSpec(sub, dyn.weight), config, tie_break)
+        if len(comp) == dyn.n:
+            part, back = oracle, {s: s for s in comp}
+        else:
+            sub, back = induced_subhypergraph(dyn.graph, comp)
+            part = NomOracle(DynamicsSpec(sub, dyn.weight), oracle.config)
+        res = greedy_mon(part, tie_break=tie_break)
         mapped = tuple(back[s] for s in res.selected)
         parts.append(
             ComponentSelection(
@@ -280,14 +318,15 @@ def _shared_length(a: list[int], b: tuple[int, ...]) -> int:
 
 
 def brute_force_mon(
-    g: UniformHypergraph | DynamicsSpec,
+    g: UniformHypergraph | DynamicsSpec | NomOracle,
     config: RankConfig | None = None,
 ) -> MonResult:
     """Smallest full-rank node set by exhaustive search.
 
     Subsets enumerate in size order and lexicographically within a size, so
     the result is the lexicographically first minimum set. Shares its
-    evaluation points with the greedy path (same seed derivation).
+    evaluation points with the greedy path (same seed derivation); given
+    the oracle greedy used, it shares the evaluations and node bases too.
 
     The sizes start at ``twin_lower_bound``, since no smaller set has full
     rank, and a subset that leaves two twins unmeasured is skipped before
@@ -297,24 +336,13 @@ def brute_force_mon(
     never stalls: every block holds its level-0 row e_i.
 
     A subset is decided at each trial by the rank of its prefix's basis
-    plus the basis of its last node's block; a node's basis spans the same
-    rows as its block, so the rank is the block rank. Trials and node bases
-    are computed when first needed, and the first trial at full rank ends
-    the search.
+    plus the basis of its last node's block (``NomOracle.basis``), which
+    spans the same rows as the block. Trials and node bases are computed
+    when first needed, and the first trial at full rank ends the search.
     """
-    dyn = _as_dynamics(g)
+    oracle = _as_oracle(g, config)
+    dyn = oracle.dyn
     n = dyn.n
-    oracle = NomOracle(dyn, config)
-    bases: dict[tuple[int, int], list[list[int]]] = {}
-
-    def basis(t: int, node: int) -> list[list[int]]:
-        rows = bases.get((t, node))
-        if rows is None:
-            ech = Echelon(n)
-            ech.add_rows(oracle.evaluation(t).rows_for([node]))
-            rows = bases[t, node] = list(ech.pivots.values())
-        return rows
-
     # stacks[t][j] is trial t's echelon of the bases of prefix[:j]
     prefix: list[int] = []
     stacks = [[Echelon(n)] for _ in range(oracle.trials)]
@@ -337,9 +365,10 @@ def brute_force_mon(
                 del stack[keep + 1:]
                 for node in prefix[keep:]:
                     ech = stack[-1].copy()
-                    ech.add_rows(basis(t, node))
+                    ech.add_rows(oracle.basis(t, node))
                     stack.append(ech)
-                rows = list(stack[-1].pivots.values()) + basis(t, subset[-1])
+                rows = list(stack[-1].pivots.values())
+                rows += oracle.basis(t, subset[-1])
                 if modp_rank(rows, n) == n:
                     return MonResult(
                         selected=subset,

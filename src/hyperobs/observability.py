@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .dynamics import DynamicsSpec, lie_derivatives
 from .hypergraph import UniformHypergraph
-from .linalg import modp_rank
+from .linalg import Echelon, modp_rank
 from .scalars import PRIME, derive_seed, random_point
 
 
@@ -104,16 +104,19 @@ class NomOracle:
     All rank queries against one oracle reuse the same trial points, which
     keeps greedy selection consistent and makes repeated queries cheap. The
     points have no zero coordinates and derive deterministically from the
-    seed. A config depth of None resolves here, to n - 1 of ``dyn``.
+    seed. A config depth of None resolves here, to n - 1 of ``dyn``; the
+    config itself is kept for oracles on parts of ``dyn``.
     """
 
     def __init__(self, dyn: DynamicsSpec, config: RankConfig | None = None):
         cfg = config or RankConfig()
         self.dyn = dyn
+        self.config = cfg
         self.depth = cfg.depth if cfg.depth is not None else dyn.n - 1
         self.trials = cfg.trials
         self.seed = cfg.seed
         self._evaluations: dict[int, NomEvaluation] = {}
+        self._bases: dict[tuple[int, int], list[list[int]]] = {}
 
     def evaluation(self, trial: int) -> NomEvaluation:
         if not 0 <= trial < self.trials:
@@ -126,6 +129,19 @@ class NomOracle:
             cached = node_blocks(self.dyn, point, self.depth)
             self._evaluations[trial] = cached
         return cached
+
+    def basis(self, trial: int, node: int) -> list[list[int]]:
+        """Row basis of a node's block at one trial point, reduced once.
+
+        It spans the same rows as the block, so it can stand in for the
+        block in any rank, probe or echelon, with fewer rows to reduce.
+        """
+        rows = self._bases.get((trial, node))
+        if rows is None:
+            ech = Echelon(self.dyn.n)
+            ech.add_rows(self.evaluation(trial).rows_for([node]))
+            rows = self._bases[trial, node] = list(ech.pivots.values())
+        return rows
 
     def rank(self, nodes: Iterable[int]) -> int:
         """Best rank of the stacked node blocks across the trial points."""

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperobs import observability
 from hyperobs.cli import main
 from hyperobs.correlation import TimeSeriesMatrix, write_timeseries_csv
 from hyperobs.hypergraph import UniformHypergraph, gen_hyperring, gen_hyperstar
@@ -209,6 +210,25 @@ def test_mon_reports_depth(tmp_path, capsys):
     assert [c["nodes"] for c in res["components"]] == [[1, 2, 3, 4], [5, 6, 7]]
     assert [c["depth"] for c in res["components"]] == [3, 2]
     assert res["brute_force"]["depth"] == 6
+
+
+def test_mon_brute_force_reuses_greedys_points(tmp_path, capsys, monkeypatch):
+    # on a connected hypergraph both searches rank at the same points, and
+    # each point's chain runs once for the two
+    path = tmp_path / "star11.json"
+    path.write_text(gen_hyperstar(11, 3).to_json())
+    points = []
+    original = observability.node_blocks
+
+    def counting(dyn, x, depth):
+        points.append(tuple(x))
+        return original(dyn, x, depth)
+
+    monkeypatch.setattr(observability, "node_blocks", counting)
+    code, stdout, _ = run(capsys, "mon", str(path), "--brute-force")
+    assert code == 0
+    assert json.loads(stdout)["result"]["brute_force"]["size"] == 8
+    assert len(points) == len(set(points)) == 3
 
 
 def test_mon_out_file_matches_stdout_report(tmp_path, capsys):

@@ -29,8 +29,9 @@ from hyperobs.mon import (
     twin_classes,
     twin_lower_bound,
 )
-from hyperobs.linalg import modp_rank
+from hyperobs.linalg import Echelon, modp_rank
 from hyperobs.observability import (
+    NomEvaluation,
     NomOracle,
     RankConfig,
     is_locally_weakly_observable,
@@ -218,6 +219,75 @@ def test_searches_match_their_plain_forms(
         message = f"exhaustive search exceeded {budget} subsets"
         assert fast == ("refused", f"{message} from size {start} up")
         assert plain[0] == "refused"
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=14),
+    k=st.integers(min_value=2, max_value=4),
+    trials=st.integers(min_value=1, max_value=3),
+    depth=st.integers(min_value=0, max_value=3),
+    tie_break=st.sampled_from(TIE_BREAKS),
+)
+@settings(max_examples=60, deadline=None)
+def test_lazy_greedy_matches_eager_on_larger_graphs(
+    seed, n, k, trials, depth, tie_break
+):
+    # shallow blocks on up to 14 nodes leave many candidates below n with
+    # stale bounds and tied scores
+    rng = random.Random(seed)
+    g = random_uniform_hypergraph(max(n, k), k, rng, density=rng.random())
+    cfg = RankConfig(trials=trials, seed=seed, depth=depth)
+    assert greedy_mon(g, cfg, tie_break) == eager_greedy(g, cfg, tie_break)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=10),
+    k=st.integers(min_value=2, max_value=4),
+    depth=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_gains_shrink_as_the_selection_grows(seed, n, k, depth):
+    # lazy greedy's bounds rest on this: at one point, the rank a block adds
+    # to a span U, dim(U + W) - dim(U), never grows as U grows
+    rng = random.Random(seed)
+    g = random_uniform_hypergraph(max(n, k), k, rng, density=rng.random())
+    oracle = NomOracle(DynamicsSpec(g), RankConfig(seed=seed, depth=depth))
+    ev = oracle.evaluation(0)
+    nodes = list(range(1, g.n + 1))
+    rng.shuffle(nodes)
+    inner_size = rng.randint(0, g.n)
+    outer_size = rng.randint(inner_size, g.n)
+    inner, outer = Echelon(g.n), Echelon(g.n)
+    inner.add_rows(ev.rows_for(nodes[:inner_size]))
+    outer.add_rows(ev.rows_for(nodes[:outer_size]))
+    for c in range(1, g.n + 1):
+        block = ev.rows_for([c])
+        assert outer.probe(block) <= inner.probe(block)
+        # a node's basis stands in for its block
+        assert inner.probe(oracle.basis(0, c)) == inner.probe(block)
+
+
+def test_lazy_greedy_work_counts(monkeypatch):
+    cfg = RankConfig(trials=3)
+    probes = _count_calls(monkeypatch, Echelon, "probe")
+    blocks = _count_calls(monkeypatch, NomEvaluation, "rows_for")
+    # node 1 comes first in key order and reaches n at trial 0, so no other
+    # candidate is scored
+    assert greedy_mon(gen_hyperring(20, 3), cfg).selected == (1,)
+    assert len(probes) == 1
+    # each (point, node) block is reduced once, into its basis
+    probes.clear()
+    blocks.clear()
+    star = gen_hyperstar(11, 3)
+    lazy = greedy_mon(star, cfg)
+    assert len(probes) == 79
+    reduced = [(ev.point, tuple(nodes)) for ev, nodes in blocks]
+    assert len(reduced) == len(set(reduced)) == 33
+    probes.clear()
+    assert eager_greedy(star, cfg) == lazy
+    assert len(probes) == 180
 
 
 def test_twin_classes_and_bound():
