@@ -67,15 +67,18 @@ class TimeSeriesMatrix:
         cached = self._standardized.get(index)
         if cached is None:
             col = self.column(index)
-            with np.errstate(over="ignore", invalid="ignore"):
-                sd = col.std(ddof=1)
-            # finite samples can overflow in the mean or the squares
-            if not 0.0 < sd < np.inf:
-                what = "constant" if sd == 0.0 else "beyond float64 range"
+            if (col == col[0]).all():
                 raise ValueError(
                     f"signal {self.labels[index - 1]!r} (column {index}) is "
-                    f"{what}, correlation undefined"
+                    "constant, correlation undefined"
                 )
+            with np.errstate(over="ignore", invalid="ignore"):
+                sd = col.std(ddof=1)
+            # the mean or the squares over- or underflowed; correlation
+            # does not depend on scale
+            if not 0.0 < sd < np.inf:
+                col = col / np.abs(col).max()
+                sd = col.std(ddof=1)
             cached = (col - col.mean()) / sd
             self._standardized[index] = cached
         return cached

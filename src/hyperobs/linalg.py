@@ -3,8 +3,9 @@
 The probabilistic observability checks reduce everything to row ranks of
 integer matrices mod P; those go through an incremental row-echelon basis
 so that candidate rows can be scored without repeating the elimination.
-Once a basis reaches full rank no row can add a pivot, so further rows are
-only checked for length, never reduced.
+One loop folds rows into a pivot dict: the basis's own to commit them, a
+copy of it to probe them. Once a basis reaches full rank no row can add a
+pivot, so further rows are only checked for length, never reduced.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from .scalars import PRIME
 class Echelon:
     """Incremental row-echelon basis over integers mod P.
 
-    Rows are stored normalized (pivot 1) and indexed by pivot column.
-    ``add_row`` folds one row in; ``probe`` scores a batch of rows without
-    committing them. Elimination order is deterministic: columns are scanned
-    left to right and the first nonzero entry pivots.
+    Rows are stored normalized (pivot 1) and indexed by pivot column, and
+    never changed in place. ``add_rows`` folds rows in; ``probe`` scores
+    rows without committing them. Elimination order is deterministic:
+    columns are scanned left to right and the first nonzero entry pivots.
     """
 
     def __init__(self, width: int):
@@ -33,13 +34,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def copy(self) -> Echelon:
-        """A basis with the same rows that grows on its own. Stored rows are
-        never changed in place, so they are shared."""
-        twin = Echelon(self.width)
-        twin.pivots = dict(self.pivots)
-        return twin
-
     def _check(self, row: Sequence[int]) -> None:
         if len(row) != self.width:
             raise ValueError(
@@ -47,19 +41,17 @@ class Echelon:
             )
 
     def _reduce(
-        self, row: Sequence[int], extra: dict[int, list[int]] | None = None
+        self, row: Sequence[int], pivots: dict[int, list[int]]
     ) -> tuple[int, list[int]] | None:
-        """Reduce a row against the basis; return (pivot column, normalized row)
-        if a new pivot remains, else None."""
+        """Reduce a row against the pivot rows; return (pivot column,
+        normalized row) if a new pivot remains, else None."""
         self._check(row)
         m = PRIME
         r = [v % m for v in row]
         for j in range(self.width):
             if r[j] == 0:
                 continue
-            basis_row = self.pivots.get(j)
-            if basis_row is None and extra is not None:
-                basis_row = extra.get(j)
+            basis_row = pivots.get(j)
             if basis_row is None:
                 inv = pow(r[j], -1, m)
                 return j, [(v * inv) % m for v in r]
@@ -68,36 +60,28 @@ class Echelon:
                 r[t] = (r[t] - coef * basis_row[t]) % m
         return None
 
-    def add_row(self, row: Sequence[int]) -> bool:
-        """Fold one row in; True if it added a pivot."""
-        hit = self._reduce(row)
-        if hit is None:
-            return False
-        j, r = hit
-        self.pivots[j] = r
-        return True
-
-    def add_rows(self, rows: Iterable[Sequence[int]]) -> int:
-        """Fold rows in; return how many pivots they added."""
+    def _fold(
+        self, rows: Iterable[Sequence[int]], pivots: dict[int, list[int]]
+    ) -> int:
+        """Fold rows into pivots; return how many pivots they added."""
         gained = 0
         for row in rows:
-            if self.rank < self.width:
-                gained += self.add_row(row)
+            if len(pivots) < self.width:
+                hit = self._reduce(row, pivots)
+                if hit is not None:
+                    pivots[hit[0]] = hit[1]
+                    gained += 1
             else:
                 self._check(row)
         return gained
 
+    def add_rows(self, rows: Iterable[Sequence[int]]) -> int:
+        """Fold rows in; return how many pivots they added."""
+        return self._fold(rows, self.pivots)
+
     def probe(self, rows: Iterable[Sequence[int]]) -> int:
         """How many pivots the rows would add, without committing them."""
-        extra: dict[int, list[int]] = {}
-        for row in rows:
-            if self.rank + len(extra) < self.width:
-                hit = self._reduce(row, extra)
-                if hit is not None:
-                    extra[hit[0]] = hit[1]
-            else:
-                self._check(row)
-        return len(extra)
+        return self._fold(rows, dict(self.pivots))
 
 
 def modp_rank(rows: Iterable[Sequence[int]], width: int) -> int:

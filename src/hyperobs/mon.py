@@ -13,9 +13,9 @@ candidate's score is its best rank over the trial points, and n is the most
 any trial can give, so scoring stops at the first trial that reaches n;
 a trial point is evaluated only when a score needs it. Greedy is lazy: it
 rescores only candidates whose bound from their last gains could still win.
-Brute force keeps, per trial, the echelon of the current subset's prefix,
-so consecutive subsets share the elimination of their common prefix. Every
-result is the one a full evaluation of every trial would give.
+Brute force ranks each subset at each trial it needs with one
+``modp_rank`` over its nodes' bases. Every result is the one a full
+evaluation of every trial would give.
 
 Twins bound both searches from below. Nodes u and v are twins when they
 have the same set of hyperedge remainders e - {u}; twins never share a
@@ -310,13 +310,6 @@ def minimum_observable_nodes(
     )
 
 
-def _shared_length(a: list[int], b: tuple[int, ...]) -> int:
-    j = 0
-    while j < min(len(a), len(b)) and a[j] == b[j]:
-        j += 1
-    return j
-
-
 def brute_force_mon(
     g: UniformHypergraph | DynamicsSpec | NomOracle,
     config: RankConfig | None = None,
@@ -335,17 +328,14 @@ def brute_force_mon(
     included; past it the search gives up with ResourceLimitError. It
     never stalls: every block holds its level-0 row e_i.
 
-    A subset is decided at each trial by the rank of its prefix's basis
-    plus the basis of its last node's block (``NomOracle.basis``), which
-    spans the same rows as the block. Trials and node bases are computed
-    when first needed, and the first trial at full rank ends the search.
+    A subset is decided at each trial by one ``modp_rank`` over the bases
+    of its nodes' blocks (``NomOracle.basis``), which span the same rows
+    as the blocks. Trials and node bases are computed when first needed,
+    and the first trial at full rank ends the search.
     """
     oracle = _as_oracle(g, config)
     dyn = oracle.dyn
     n = dyn.n
-    # stacks[t][j] is trial t's echelon of the bases of prefix[:j]
-    prefix: list[int] = []
-    stacks = [[Echelon(n)] for _ in range(oracle.trials)]
     twins = [set(cls) for cls in twin_classes(dyn)]
     start = twin_lower_bound(dyn)
     tried = 0
@@ -359,16 +349,8 @@ def brute_force_mon(
                 )
             if any(len(cls.difference(subset)) > 1 for cls in twins):
                 continue
-            keep = _shared_length(prefix, subset[:-1])
-            prefix[keep:] = subset[keep:-1]
-            for t, stack in enumerate(stacks):
-                del stack[keep + 1:]
-                for node in prefix[keep:]:
-                    ech = stack[-1].copy()
-                    ech.add_rows(oracle.basis(t, node))
-                    stack.append(ech)
-                rows = list(stack[-1].pivots.values())
-                rows += oracle.basis(t, subset[-1])
+            for t in range(oracle.trials):
+                rows = [row for s in subset for row in oracle.basis(t, s)]
                 if modp_rank(rows, n) == n:
                     return MonResult(
                         selected=subset,

@@ -298,13 +298,34 @@ def test_ingest_refuses_an_oversized_cell(tmp_path, capsys):
     assert stdout == ""
 
 
-def test_ingest_refuses_a_column_that_overflows(tmp_path, capsys):
-    # every sample is finite, but the deviations from the mean are not
+@pytest.mark.parametrize("scale", [1.7e308, 1e-170], ids=["over", "under"])
+def test_ingest_rescales_squares_beyond_float64(tmp_path, capsys, scale):
+    # every sample is finite, but the squares of column a's deviations
+    # overflow or underflow to 0; correlation does not depend on scale
     csv_path = tmp_path / "series.csv"
-    csv_path.write_text("a,b,c\n1.7e308,1,2\n-1.7e308,2,1\n-1.7e308,3,3\n")
+    reports = []
+    for s in (scale, 1.0):
+        csv_path.write_text(
+            "a,b,c\n"
+            + "".join(
+                f"{v * s!r},{i},{i * i % 7}\n"
+                for i, v in enumerate([1, -1, -1, 1, 1, -1])
+            )
+        )
+        code, stdout, stderr = run(capsys, "ingest", str(csv_path))
+        assert code == 0, stderr
+        reports.append(json.loads(stdout)["result"])
+    assert reports[0] == reports[1]
+
+
+def test_ingest_refuses_a_constant_column(tmp_path, capsys):
+    # 0.3 is inexact, so the sample deviation of 600 copies is not 0
+    rows = "".join(f"{i % 5},0.3,{i % 3}\n" for i in range(600))
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text("a,b,c\n" + rows)
     code, stdout, stderr = run(capsys, "ingest", str(csv_path))
     assert code == 1
-    assert "signal 'a' (column 1) is beyond float64 range" in stderr
+    assert "signal 'b' (column 2) is constant" in stderr
     assert stdout == ""
 
 
@@ -407,3 +428,54 @@ def test_observable_survives_any_json(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     argv = ["observable", str(path), "--nodes", "1", "--depth", "1"]
     _assert_handled(path, text, argv + ["--trials", "1"])
+
+
+@st.composite
+def _small_doc(draw):
+    """Well-formed k-uniform documents on at most 8 nodes."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(2, min(n, 4)))
+    edge = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
+    return {"n": n, "k": k, "edges": draw(st.lists(edge, max_size=6))}
+
+
+# odd --nodes text; the test adds node lists within 1..n
+_ODD_NODES = st.one_of(
+    st.lists(
+        st.integers(-1, 9).map(str) | st.sampled_from(["", " ", "x", "1.5"]),
+        max_size=4,
+    ).map(",".join),
+    st.sampled_from(["all", " ALL ", "1,1"]),
+    st.text(max_size=8),
+)
+
+
+@given(
+    doc=_small_doc(),
+    command=st.sampled_from(["mon", "observable"]),
+    depth=st.none() | st.integers(0, 3) | st.integers(-2, 3),
+    trials=st.integers(1, 2) | st.integers(-1, 2),
+    seed=st.integers(-(2**70), 2**70),
+    tie_break=st.sampled_from(["degree", "index", "random", "best"]),
+    brute_force=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_mon_and_observable_survive_any_flags(
+    tmp_path_factory, doc, command, depth, trials, seed, tie_break,
+    brute_force, data,
+):
+    path = tmp_path_factory.getbasetemp() / "flags.json"
+    argv = [command, str(path), "--trials", str(trials), "--seed", str(seed)]
+    if depth is not None:
+        argv += ["--depth", str(depth)]
+    if command == "observable":
+        in_range = st.lists(
+            st.integers(1, doc["n"]), min_size=1, max_size=4, unique=True
+        ).map(lambda nodes: ",".join(map(str, nodes)))
+        argv.append(f"--nodes={data.draw(in_range | _ODD_NODES)}")
+    else:
+        argv += ["--tie-break", tie_break]
+        if brute_force:
+            argv.append("--brute-force")
+    _assert_handled(path, json.dumps(doc), argv)

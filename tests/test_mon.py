@@ -407,3 +407,15 @@ def test_brute_force_starts_at_the_twin_bound(monkeypatch):
     assert res.verdict == "complete"
     assert [args[1] for args in sizes] == [17]
     assert len(ranks) == 1
+
+
+def test_brute_force_ranks_each_subset_once_per_trial(monkeypatch):
+    # complete 6/2 has no twins and needs five nodes, so brute force ranks
+    # every smaller subset at all three trials, then (1, ..., 5) at one
+    g = gen_complete(6, 2)
+    cfg = RankConfig(trials=3)
+    ranks = _count_calls(monkeypatch, mon, "modp_rank")
+    res = brute_force_mon(g, cfg)
+    assert len(ranks) == 3 * sum(comb(6, size) for size in range(1, 5)) + 1
+    assert res == naive_brute_force(g, cfg)
+    assert res.selected == (1, 2, 3, 4, 5)
