@@ -83,8 +83,6 @@ def main(argv: list[str] | None = None) -> int:
                     row += f" {exact.size:>6} {str(match).lower():>6}"
                 picks = ",".join(str(s) for s in res.selected)
                 row += f" {picks:<18} {elapsed:>7.3f}"
-                if res.verdict != "complete":
-                    row += f"  ({res.verdict})"
                 print(row)
 
     if args.brute_force and disagreements:

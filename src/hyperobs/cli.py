@@ -7,7 +7,7 @@ report to stdout, JSON by default; reports are byte-identical across runs
 with the same flags and seed (wall-clock timing goes to stderr only).
 
 Exit codes: 0 success, 1 bad usage or unreadable input, 2 a resource
-budget refused the computation, 3 an internal invariant broke.
+budget (or memory) refused the computation, 3 an internal invariant broke.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
         "verdict": res.verdict,
         "lower_bound": bound,
         # greedy's full-rank set is certified, and no smaller one exists
-        "proven_minimum": res.verdict == "complete" and res.size == bound,
+        "proven_minimum": res.size == bound,
         "components": [
             {
                 "nodes": list(c.nodes),
@@ -364,8 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = args.handler(args)
-    except ResourceLimitError as exc:
-        print(f"hyperobs: resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        reason = str(exc) or "out of memory"
+        print(f"hyperobs: resource limit: {reason}", file=sys.stderr)
         return 2
     except (ValueError, IndexError, KeyError, OSError) as exc:
         print(f"hyperobs: error: {exc}", file=sys.stderr)

@@ -118,7 +118,7 @@ class ChainStacks:
     @staticmethod
     def shapes(dyn: DynamicsSpec, depth: int) -> tuple[tuple[int, ...], ...]:
         return (
-            (2 * max(dyn.k - 3, 0), depth, len(dyn.incidence)),
+            (2 * max(dyn.k - 3, 0), depth, dyn.k * dyn.graph.num_edges),
             (dyn.n, depth if dyn.k > 2 else 0, dyn.n),
         )
 
@@ -131,13 +131,23 @@ class ChainStacks:
         )
 
 
+def check_lane_slots(dyn: DynamicsSpec, depth: int) -> None:
+    """Refuse a chain pass whose lanes (chain, value series and Jacobian
+    stack) exceed MAX_DENSE_SLOTS, counted from n, k, |E| and depth alone."""
+    shapes = ((depth + 1, dyn.n, dyn.n + 1),) + ChainStacks.shapes(dyn, depth)
+    slots = sum(prod(shape) for shape in shapes)
+    if slots > MAX_DENSE_SLOTS:
+        raise ResourceLimitError(
+            f"depth {depth} at n = {dyn.n} needs {slots} lane slots, "
+            f"cap is {MAX_DENSE_SLOTS}"
+        )
+
+
 def _coefficient(
-    u: np.ndarray | None, v: np.ndarray | None, p: int, rows: int
+    u: np.ndarray | None, v: np.ndarray | None, p: int
 ) -> np.ndarray:
     """Coefficient p of the product of two series, each given by its
-    coefficients 0..p on axis 0, None standing for the constant 1."""
-    if u is None and v is None:
-        return np.full(rows, p == 0, dtype=np.uint64)
+    coefficients 0..p on axis 0, at most one None for the constant 1."""
     if u is None:
         return v[p]
     if v is None:
@@ -155,14 +165,14 @@ def _leave_one_out(
     before s times the suffix after it; this call adds coefficient p of
     the prefixes and suffixes of two or more factors to ``series``.
     """
-    rows, m = rests.shape
+    m = rests.shape[1]
     factors = [values[:, rests[:, s]] for s in range(m)]
     # prefix[s]: factors 0..s-1; suffix[s]: factors s..m-1
     prefix = {0: None, 1: factors[0]}
     suffix = {m: None, m - 1: factors[m - 1]}
 
     def extend(row: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        series[row, p] = _coefficient(u, v, p, rows)
+        series[row, p] = _coefficient(u, v, p)
         return series[row, : p + 1]
 
     for s in range(2, m):
@@ -170,7 +180,7 @@ def _leave_one_out(
     for s in range(m - 2, 0, -1):
         suffix[s] = extend(m - 3 + s, factors[s], suffix[s + 1])
     return np.stack(
-        [_coefficient(prefix[s], suffix[s + 1], p, rows) for s in range(m)],
+        [_coefficient(prefix[s], suffix[s + 1], p) for s in range(m)],
         axis=1,
     )
 
@@ -237,22 +247,15 @@ def lie_derivatives(
 
     Returns one (depth + 1, n, n + 1) uint64 array: row i of level p is
     J_p[i] followed by its gradient. A non-integer coordinate raises
-    ValueError. More than MAX_DENSE_SLOTS lane slots (the chain, the value
-    series and the Jacobian stack), counted before any is allocated, is
-    refused.
+    ValueError. More lane slots than MAX_DENSE_SLOTS are refused before
+    any is allocated (``check_lane_slots``).
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     n = dyn.n
     if len(x) != n:
         raise ValueError(f"point has {len(x)} coordinates for {n} nodes")
-    shapes = ((depth + 1, n, n + 1),) + ChainStacks.shapes(dyn, depth)
-    slots = sum(prod(shape) for shape in shapes)
-    if slots > MAX_DENSE_SLOTS:
-        raise ResourceLimitError(
-            f"depth {depth} at n = {n} needs {slots} lane slots, "
-            f"cap is {MAX_DENSE_SLOTS}"
-        )
+    check_lane_slots(dyn, depth)
     chain = np.empty((depth + 1, n, n + 1), dtype=np.uint64)
     chain[0, :, 0] = cast(x)
     chain[0, :, 1:] = np.eye(n, dtype=np.uint64)

@@ -9,6 +9,7 @@ and duplicate-free, so equal hypergraphs compare equal structurally.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -99,6 +100,8 @@ class UniformHypergraph:
         n, k, edges = data["n"], data["k"], data["edges"]
         if not _is_int(n) or not _is_int(k):
             raise ValueError("n and k must be integers")
+        # only singleton components, built in memory, may have k > n
+        _check_sizes(n, k)
         if not isinstance(edges, list):
             raise ValueError("edges must be a list of node lists")
         for pos, e in enumerate(edges, start=1):
@@ -121,7 +124,7 @@ def _is_int(value: Any) -> bool:
 
 def gen_hyperchain(n: int, k: int) -> UniformHypergraph:
     """Consecutive windows {i, ..., i+k-1}; n-k+1 edges."""
-    _check_generator_args(n, k)
+    _check_sizes(n, k)
     return UniformHypergraph(
         n, k, [tuple(range(i, i + k)) for i in range(1, n - k + 2)]
     )
@@ -130,7 +133,7 @@ def gen_hyperchain(n: int, k: int) -> UniformHypergraph:
 def gen_hyperring(n: int, k: int) -> UniformHypergraph:
     """Cyclic windows of width k. Windows that wrap onto the same node set
     collapse, so the ring on n = k nodes has a single edge."""
-    _check_generator_args(n, k)
+    _check_sizes(n, k)
     edges = [
         tuple((i + t) % n + 1 for t in range(k)) for i in range(n)
     ]
@@ -139,7 +142,7 @@ def gen_hyperring(n: int, k: int) -> UniformHypergraph:
 
 def gen_hyperstar(n: int, k: int) -> UniformHypergraph:
     """Shared core {1, ..., k-1} plus one leaf per edge; n-k+1 edges."""
-    _check_generator_args(n, k)
+    _check_sizes(n, k)
     core = tuple(range(1, k))
     return UniformHypergraph(
         n, k, [core + (leaf,) for leaf in range(k, n + 1)]
@@ -148,7 +151,7 @@ def gen_hyperstar(n: int, k: int) -> UniformHypergraph:
 
 def gen_complete(n: int, k: int) -> UniformHypergraph:
     """All C(n, k) hyperedges, at most MAX_COMPLETE_EDGES of them."""
-    _check_generator_args(n, k)
+    _check_sizes(n, k)
     total = comb(n, k)
     if total > MAX_COMPLETE_EDGES:
         raise ResourceLimitError(
@@ -158,11 +161,13 @@ def gen_complete(n: int, k: int) -> UniformHypergraph:
     return UniformHypergraph(n, k, combinations(range(1, n + 1), k))
 
 
-def _check_generator_args(n: int, k: int) -> None:
+def _check_sizes(n: int, k: int) -> None:
     if k < 2:
         raise ValueError(f"uniformity must be at least 2, got {k}")
     if n < k:
         raise ValueError(f"need at least k = {k} nodes, got n = {n}")
+    if n >= sys.maxsize:  # range(n + 1) must have a length
+        raise ValueError(f"node count {n} must be below {sys.maxsize}")
 
 
 def induced_subhypergraph(

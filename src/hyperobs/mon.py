@@ -36,7 +36,6 @@ an empty dynamics block and always select themselves.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -57,7 +56,7 @@ SUBSET_BUDGET = 200_000
 @dataclass(frozen=True)
 class ComponentSelection:
     """Outcome of selection on one connected component, with the depth its
-    oracle stacked."""
+    oracle stacked; verdict is "complete", as in ``MonResult``."""
 
     nodes: tuple[int, ...]
     selected: tuple[int, ...]
@@ -70,10 +69,10 @@ class ComponentSelection:
 class MonResult:
     """A selected node set with its rank history.
 
-    verdict is "complete" at full rank, "stalled" when greedy found no
-    candidate to raise it further. rank_trace records the rank after each
-    pick. depth is the one its oracle stacked; None for a union over
-    components, which carry theirs.
+    verdict is always "complete", kept because reports print it: every
+    block holds its level-0 row e_i, so no search stops short of rank n.
+    rank_trace records the rank after each pick. depth is the one its
+    oracle stacked; None for a union over components, which carry theirs.
     """
 
     selected: tuple[int, ...]
@@ -153,8 +152,8 @@ def greedy_mon(
 
     Each step picks the unselected node whose block would bring the
     selection to the highest rank at the best trial point, and folds its
-    basis into the per-trial echelons. Stops at full rank, or with a
-    "stalled" verdict if no node helps. tie_break names how ties resolve:
+    basis into the per-trial echelons, until full rank: below it, some
+    unselected e_i adds 1 at every trial. tie_break names how ties resolve:
     "degree" prefers the highest-degree node (then the lowest label),
     "index" the lowest label, "random" a draw seeded from the config seed.
     Given a NomOracle, greedy uses its points, bases and config.
@@ -163,12 +162,12 @@ def greedy_mon(
     with less work (Minoux's accelerated greedy). At one trial a node's
     gain dim(U + W) - dim(U) never grows as the selection's span U grows,
     so the selection's rank at a trial plus the candidate's gain there
-    when last scored bounds the rank it can reach there now. Candidates
-    pop in (-bound, key) order; a stale one is rescored and pushed back,
-    and the first fresh one popped is the pick. A candidate not yet scored
-    at every trial has bound n, so the first one in key order to reach n
-    ends the step. A score stops at the first trial that reaches n, and a
-    trial point is evaluated when a score first needs it.
+    when last scored bounds the rank it can reach there now. A step scores
+    candidates in (-bound, key) order until the next sorts after the best
+    (-score, key) so far, which is the pick. A candidate not yet scored at
+    every trial has bound n, so the first one in key order to reach n ends
+    the step. A score stops at the first trial that reaches n, and a trial
+    point is evaluated when a score first needs it.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(
@@ -226,23 +225,17 @@ def greedy_mon(
         return min(n, max(ech.rank + gain for ech, gain in zip(live, row)))
 
     rank = 0
-    while rank < n and remaining:
-        heap = [(-bound(s), key_fn(s), s) for s in remaining]
-        heapq.heapify(heap)
-        fresh: dict[int, int] = {}
-        # the candidates that reach the best score, in key order; "random"
-        # draws from all of them, the other tie-breaks take the first
-        pool: list[int] = []
-        while heap and not (pool and (rng is None or -heap[0][0] < best)):
-            _, key, s = heapq.heappop(heap)
-            if s in fresh:
-                best = fresh[s]
-                pool.append(s)
-            else:
-                fresh[s] = score(s)
-                heapq.heappush(heap, (-fresh[s], key, s))
-        if best <= rank:
-            break
+    while rank < n:
+        # every (-score, key, s) scored, and the least; (1,) sorts after all.
+        # "random" scores on while a bound reaches the best score
+        scored, top = [], (1,)
+        for entry in sorted((-bound(s), key_fn(s), s) for s in remaining):
+            if (entry > top) if rng is None else (entry[0] > top[0]):
+                break
+            scored.append((-score(entry[2]),) + entry[1:])
+            top = min(top, scored[-1])
+        # the candidates at the best score, in key order
+        pool = [s for score_, _, s in sorted(scored) if score_ == top[0]]
         pick = pool[rng.randrange(len(pool))] if rng is not None else pool[0]
         selected.append(pick)
         remaining.remove(pick)
@@ -253,7 +246,7 @@ def greedy_mon(
     return MonResult(
         selected=tuple(selected),
         rank_trace=tuple(trace),
-        verdict="complete" if rank == n else "stalled",
+        verdict="complete",
         depth=oracle.depth,
     )
 
@@ -276,7 +269,6 @@ def minimum_observable_nodes(
     parts: list[ComponentSelection] = []
     selected: list[int] = []
     trace: list[int] = []
-    achieved = 0
     for comp in dyn.graph.connected_components():
         if len(comp) == dyn.n:
             part, back = oracle, {s: s for s in comp}
@@ -295,17 +287,12 @@ def minimum_observable_nodes(
             )
         )
         selected.extend(mapped)
-        trace.extend(achieved + r for r in res.rank_trace)
-        achieved += res.rank_trace[-1] if res.rank_trace else 0
-    verdict = (
-        "complete"
-        if all(p.verdict == "complete" for p in parts)
-        else "stalled"
-    )
+        below = trace[-1] if trace else 0
+        trace.extend(below + r for r in res.rank_trace)
     return MonResult(
         selected=tuple(selected),
         rank_trace=tuple(trace),
-        verdict=verdict,
+        verdict="complete",
         components=tuple(parts),
     )
 
@@ -325,8 +312,7 @@ def brute_force_mon(
     rank, and a subset that leaves two twins unmeasured is skipped before
     any rank work, since it is below rank n at every point. SUBSET_BUDGET
     counts the subsets enumerated from the start size, skipped ones
-    included; past it the search gives up with ResourceLimitError. It
-    never stalls: every block holds its level-0 row e_i.
+    included; past it the search gives up with ResourceLimitError.
 
     A subset is decided at each trial by one ``modp_rank`` over the bases
     of its nodes' blocks (``NomOracle.basis``), which span the same rows

@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dynamics import DynamicsSpec, lie_derivatives
+import numpy as np
+
+from .dynamics import DynamicsSpec, check_lane_slots, lie_derivatives
 from .hypergraph import UniformHypergraph
 from .linalg import Echelon, modp_rank
 from .scalars import PRIME, derive_seed, random_point
@@ -54,34 +56,29 @@ class RankConfig:
 
 def lie_derivatives_with_jacobians(
     dyn: DynamicsSpec, x: Sequence[int], depth: int
-) -> tuple[list[list[int]], list[list[list[int]]]]:
-    """The chain J_0..J_depth and all its Jacobians at the integer point x,
-    as residues mod P.
-
-    Runs the chain once on lanes of width n + 1, [value | gradient], with
-    x_j seeded as (x_j, e_j). Returns (values, grads) with
-    grads[p][i][j] = dJ_p[i] / dx[j].
-    """
-    chain = lie_derivatives(dyn, x, depth)
-    return chain[:, :, 0].tolist(), chain[:, :, 1:].tolist()
+) -> np.ndarray:
+    """The Jacobians of the chain J_0..J_depth at the integer point x mod P:
+    the kernel's gradient lanes, [p, i, j] = dJ_p[i] / dx[j], not copied."""
+    return lie_derivatives(dyn, x, depth)[:, :, 1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NomEvaluation:
     """Per-node observability blocks at one evaluation point.
 
-    blocks[i-1][p] is the gradient row of J_p for node i, reduced mod the
-    field prime; stacking a node's rows over p gives its observability
-    block, and a node set's matrix is the union of its blocks.
+    blocks[i-1, p] is the gradient row of J_p for node i mod P, in a
+    node-major view of the kernel's lanes; stacking a node's rows over p
+    gives its observability block, and a node set's matrix is the union of
+    its blocks. ``rows_for`` turns only the blocks asked for into ints.
     """
 
     point: tuple[int, ...]
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]
+    blocks: np.ndarray
 
-    def rows_for(self, nodes: Sequence[int]) -> list[tuple[int, ...]]:
+    def rows_for(self, nodes: Sequence[int]) -> list[list[int]]:
         out = []
         for i in nodes:
-            out.extend(self.blocks[i - 1])
+            out.extend(self.blocks[i - 1].tolist())
         return out
 
 
@@ -90,12 +87,8 @@ def node_blocks(
 ) -> NomEvaluation:
     """Evaluate every node's observability block at a field point."""
     point = [v % PRIME for v in x]
-    _, grads = lie_derivatives_with_jacobians(dyn, point, depth)
-    blocks = tuple(
-        tuple(tuple(grads[p][i]) for p in range(depth + 1))
-        for i in range(dyn.n)
-    )
-    return NomEvaluation(tuple(point), blocks)
+    grads = lie_derivatives_with_jacobians(dyn, point, depth)
+    return NomEvaluation(tuple(point), grads.transpose(1, 0, 2))
 
 
 class NomOracle:
@@ -123,6 +116,8 @@ class NomOracle:
             raise IndexError(f"trial {trial} outside 0..{self.trials - 1}")
         cached = self._evaluations.get(trial)
         if cached is None:
+            # refuse a chain no memory holds before drawing its n coordinates
+            check_lane_slots(self.dyn, self.depth)
             point = random_point(
                 self.dyn.n, derive_seed(self.seed, f"rank-point-{trial}")
             )

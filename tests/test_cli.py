@@ -4,13 +4,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperobs
 from hyperobs import observability
 from hyperobs.cli import main
 from hyperobs.correlation import TimeSeriesMatrix, write_timeseries_csv
@@ -79,6 +84,64 @@ def test_huge_depth_is_refused_at_once(tmp_path, capsys, command):
     assert code == 2
     assert "resource limit" in stderr
     assert stdout == ""
+
+
+@pytest.mark.parametrize(
+    "doc, argv, code",
+    [
+        ({"n": 3, "k": 100000}, ["observable", "--nodes", "1"], 1),
+        ({"n": 3, "k": 100000}, ["mon", "--brute-force"], 1),
+        ({"n": 10**30, "k": 3}, ["mon"], 1),
+        ({"n": 10**30, "k": 3}, ["observable", "--nodes", "all"], 1),
+        ({"n": 10**30, "k": 3}, ["observable", "--nodes", "1"], 1),
+        ({"n": sys.maxsize, "k": 3}, ["mon"], 1),
+        ({"n": 3 * 10**6, "k": 3}, ["observable", "--nodes", "1"], 2),
+    ],
+    ids=[
+        "k-above-n-observable", "k-above-n-brute-force", "n-1e30-mon",
+        "n-1e30-all", "n-1e30-one", "n-maxsize-mon", "n-3e6-one",
+    ],
+)
+def test_bad_hypergraph_files_end_at_once(tmp_path, capsys, doc, argv, code):
+    # a k no edge can have, or an n no list can index, is bad input; a chain
+    # no memory holds is refused before its n coordinates are drawn
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**doc, "edges": []}))
+    started = time.perf_counter()
+    got, stdout, stderr = run(capsys, argv[0], str(path), *argv[1:])
+    assert time.perf_counter() - started < 2.0
+    assert got == code, stderr
+    assert stdout == ""
+    assert "internal error" not in stderr
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/statm").exists(), reason="reads /proc/self/statm"
+)
+def test_running_out_of_memory_is_a_resource_limit(tmp_path):
+    # with 512 MB of address space left, mon on 10^8 nodes cannot hold its
+    # node lists; the MemoryError ends in exit 2, not an internal error
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**8, "k": 3, "edges": [[1, 2, 3]]}))
+    code = (
+        "import os, resource, sys\n"
+        "from hyperobs.cli import main\n"
+        "pages = int(open('/proc/self/statm').read().split()[0])\n"
+        "cap = pages * os.sysconf('SC_PAGE_SIZE') + (512 << 20)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    package_root = str(Path(hyperobs.__file__).resolve().parent.parent)
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "mon", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert time.perf_counter() - started < 2.0
+    assert proc.returncode == 2, proc.stderr
+    assert "resource limit: out of memory" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_observable_round_trip(tmp_path, capsys):

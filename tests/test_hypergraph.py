@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from itertools import permutations
 from math import factorial
 
@@ -152,6 +153,17 @@ def test_from_dict_errors():
     for top in (3, None, True, [1, 2], "text"):
         with pytest.raises(ValueError, match="JSON object"):
             UniformHypergraph.from_dict(top)
+    # a file holds to the generators' rule k <= n, though singleton
+    # components built in memory do not
+    with pytest.raises(ValueError, match="need at least k = 4 nodes"):
+        UniformHypergraph.from_dict({"n": 3, "k": 4, "edges": []})
+    assert UniformHypergraph(1, 3).n == 1
+    # n + 1 must still be a list length
+    with pytest.raises(ValueError, match="must be below"):
+        UniformHypergraph.from_dict({"n": sys.maxsize, "k": 3, "edges": []})
+    assert UniformHypergraph.from_dict(
+        {"n": sys.maxsize - 1, "k": 3, "edges": []}
+    ).n == sys.maxsize - 1
 
 
 def _flat(rest, n):

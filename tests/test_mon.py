@@ -274,9 +274,10 @@ def test_lazy_greedy_work_counts(monkeypatch):
     probes = _count_calls(monkeypatch, Echelon, "probe")
     blocks = _count_calls(monkeypatch, NomEvaluation, "rows_for")
     # node 1 comes first in key order and reaches n at trial 0, so no other
-    # candidate is scored
+    # candidate is scored, and no other block is read
     assert greedy_mon(gen_hyperring(20, 3), cfg).selected == (1,)
     assert len(probes) == 1
+    assert [nodes for _, nodes in blocks] == [[1]]
     # each (point, node) block is reduced once, into its basis
     probes.clear()
     blocks.clear()
@@ -288,6 +289,29 @@ def test_lazy_greedy_work_counts(monkeypatch):
     probes.clear()
     assert eager_greedy(star, cfg) == lazy
     assert len(probes) == 180
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=12),
+    k=st.integers(min_value=2, max_value=4),
+    trials=st.integers(min_value=1, max_value=3),
+    depth=st.integers(min_value=0, max_value=3),
+    tie_break=st.sampled_from(TIE_BREAKS),
+)
+@settings(max_examples=60, deadline=None)
+def test_greedy_never_stalls(seed, n, k, trials, depth, tie_break):
+    # every block holds its level-0 row e_i, so greedy reaches full rank on
+    # every component, isolated nodes included, at any depth
+    rng = random.Random(seed)
+    g = random_uniform_hypergraph(max(n, k), k, rng, density=rng.random() / 2)
+    cfg = RankConfig(trials=trials, seed=seed, depth=depth)
+    res = minimum_observable_nodes(g, cfg, tie_break)
+    assert res.verdict == "complete"
+    assert res.rank_trace[-1] == g.n
+    for part in res.components:
+        assert part.verdict == "complete"
+        assert part.rank_trace[-1] == len(part.nodes)
 
 
 def test_twin_classes_and_bound():

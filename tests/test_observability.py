@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from hyperobs.dynamics import DynamicsSpec
+import numpy as np
+
+from hyperobs import observability
+from hyperobs.dynamics import DynamicsSpec, lie_derivatives
 from hyperobs.hypergraph import (
     UniformHypergraph,
     gen_complete,
@@ -28,7 +31,7 @@ def _frac(values):
 
 
 def _jacobian(dyn, p, x):
-    return lie_derivatives_with_jacobians(dyn, x, p)[1][p]
+    return lie_derivatives_with_jacobians(dyn, x, p)[p].tolist()
 
 
 def _dual_point(x):
@@ -75,12 +78,12 @@ def test_values_match_plain_chain(triangle_dyn):
     # the values that ride along with the gradients are the chain itself,
     # which the recursion oracle computes from the values alone
     x = [2, -1, 3]
-    values, grads = lie_derivatives_with_jacobians(triangle_dyn, x, 3)
+    values = lie_derivatives(triangle_dyn, x, 3)[:, :, 0].tolist()
     assert values == [
         [residue(v) for v in lie_derivative_recursive(triangle_dyn, p, _frac(x))]
         for p in range(4)
     ]
-    assert len(grads) == 4
+    assert lie_derivatives_with_jacobians(triangle_dyn, x, 3).shape == (4, 3, 3)
 
 
 def test_assemble_nom_matches_kalman_for_pairwise_graphs():
@@ -88,8 +91,8 @@ def test_assemble_nom_matches_kalman_for_pairwise_graphs():
     # blocks of y = x_1 are exactly C, CA, CA^2, ... with C = e_1
     g = UniformHypergraph(4, 2, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
     dyn = DynamicsSpec(g)
-    _, grads = lie_derivatives_with_jacobians(dyn, [5, -2, 7, 1], 4)
-    stacked = [grads[p][0] for p in range(5)]
+    grads = lie_derivatives_with_jacobians(dyn, [5, -2, 7, 1], 4)
+    stacked = grads[:, 0].tolist()
     # at k = 2 the unfolding is the adjacency matrix
     A = [[0] * 4 for _ in range(4)]
     for i, j in g.edges:
@@ -134,19 +137,35 @@ def test_node_blocks_match_rational_jacobians_mod_p():
         for p in range((depth if n <= 5 or g.k <= 3 else 3) + 1):
             rec = lie_derivative_recursive(dyn, p, seeded)
             for i in range(n):
-                assert ev.blocks[i][p] == tuple(residue(q) for q in rec[i].eps)
+                assert ev.blocks[i, p].tolist() == [residue(q) for q in rec[i].eps]
 
 
 def test_node_blocks_level_zero(triangle_dyn):
     ev = node_blocks(triangle_dyn, [4, 5, 6], 2)
     n = triangle_dyn.n
     for i in range(1, n + 1):
-        row0 = ev.blocks[i - 1][0]
-        assert row0 == tuple(
-            1 if j == i else 0 for j in range(1, n + 1)
-        )
-    assert ev.rows_for([2]) == list(ev.blocks[1])
-    assert len(ev.rows_for([1, 3])) == 2 * 3
+        row0 = ev.blocks[i - 1, 0].tolist()
+        assert row0 == [1 if j == i else 0 for j in range(1, n + 1)]
+    assert ev.rows_for([2]) == ev.blocks[1].tolist()
+    assert ev.rows_for([3, 1]) == ev.blocks[[2, 0]].reshape(-1, n).tolist()
+
+
+def test_node_blocks_are_the_kernels_lanes(triangle_dyn, monkeypatch):
+    # the blocks are a node-major view of the chain's gradient lanes, not a
+    # copy of them
+    chains = []
+
+    def kernel(*args):
+        chains.append(lie_derivatives(*args))
+        return chains[-1]
+
+    monkeypatch.setattr(observability, "lie_derivatives", kernel)
+    ev = node_blocks(triangle_dyn, [4, 5, 6], 2)
+    (chain,) = chains
+    assert ev.blocks.dtype == np.uint64
+    assert ev.blocks.shape == (3, 3, 3)
+    assert np.shares_memory(ev.blocks, chain)
+    assert (ev.blocks == chain[:, :, 1:].transpose(1, 0, 2)).all()
 
 
 def test_generic_rank_known_cases():
