@@ -16,22 +16,8 @@ import argparse
 import sys
 import time
 
-from hyperobs import (
-    RankConfig,
-    brute_force_mon,
-    gen_complete,
-    gen_hyperchain,
-    gen_hyperring,
-    gen_hyperstar,
-    minimum_observable_nodes,
-)
-
-FAMILIES = {
-    "chain": gen_hyperchain,
-    "ring": gen_hyperring,
-    "star": gen_hyperstar,
-    "complete": gen_complete,
-}
+from hyperobs import RankConfig, brute_force_mon, minimum_observable_nodes
+from hyperobs.hypergraph import FAMILIES
 
 
 def main(argv: list[str] | None = None) -> int:

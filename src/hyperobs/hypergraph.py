@@ -17,7 +17,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ResourceLimitError
 
-MAX_COMPLETE_EDGES = 10**6
+MAX_EDGES = 10**6
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,7 @@ def _is_int(value: Any) -> bool:
 def gen_hyperchain(n: int, k: int) -> UniformHypergraph:
     """Consecutive windows {i, ..., i+k-1}; n-k+1 edges."""
     _check_sizes(n, k)
+    _check_edges("chain", n - k + 1)
     return UniformHypergraph(
         n, k, [tuple(range(i, i + k)) for i in range(1, n - k + 2)]
     )
@@ -134,6 +135,7 @@ def gen_hyperring(n: int, k: int) -> UniformHypergraph:
     """Cyclic windows of width k. Windows that wrap onto the same node set
     collapse, so the ring on n = k nodes has a single edge."""
     _check_sizes(n, k)
+    _check_edges("ring", 1 if n == k else n)
     edges = [
         tuple((i + t) % n + 1 for t in range(k)) for i in range(n)
     ]
@@ -143,6 +145,7 @@ def gen_hyperring(n: int, k: int) -> UniformHypergraph:
 def gen_hyperstar(n: int, k: int) -> UniformHypergraph:
     """Shared core {1, ..., k-1} plus one leaf per edge; n-k+1 edges."""
     _check_sizes(n, k)
+    _check_edges("star", n - k + 1)
     core = tuple(range(1, k))
     return UniformHypergraph(
         n, k, [core + (leaf,) for leaf in range(k, n + 1)]
@@ -150,15 +153,27 @@ def gen_hyperstar(n: int, k: int) -> UniformHypergraph:
 
 
 def gen_complete(n: int, k: int) -> UniformHypergraph:
-    """All C(n, k) hyperedges, at most MAX_COMPLETE_EDGES of them."""
+    """All C(n, k) hyperedges."""
     _check_sizes(n, k)
-    total = comb(n, k)
-    if total > MAX_COMPLETE_EDGES:
-        raise ResourceLimitError(
-            f"complete hypergraph would hold {total} edges "
-            f"(cap {MAX_COMPLETE_EDGES})"
-        )
+    _check_edges("complete", comb(n, k))
     return UniformHypergraph(n, k, combinations(range(1, n + 1), k))
+
+
+FAMILIES = {
+    "chain": gen_hyperchain,
+    "ring": gen_hyperring,
+    "star": gen_hyperstar,
+    "complete": gen_complete,
+}
+
+
+def _check_edges(family: str, total: int) -> None:
+    """Refuse a family member of more than MAX_EDGES edges before any is
+    built."""
+    if total > MAX_EDGES:
+        raise ResourceLimitError(
+            f"{family} hypergraph would hold {total} edges (cap {MAX_EDGES})"
+        )
 
 
 def _check_sizes(n: int, k: int) -> None:

@@ -30,8 +30,8 @@ twins unmeasured.
 
 Rank contributions never cross connected components (every block entry only
 involves coordinates from the node's own component), so selection solves
-components independently and unions the picks; isolated nodes have
-an empty dynamics block and always select themselves.
+components independently and unions the picks; an isolated node has
+no dynamics, so it selects itself without a rank query.
 """
 
 from __future__ import annotations
@@ -56,28 +56,26 @@ SUBSET_BUDGET = 200_000
 @dataclass(frozen=True)
 class ComponentSelection:
     """Outcome of selection on one connected component, with the depth its
-    oracle stacked; verdict is "complete", as in ``MonResult``."""
+    oracle stacked, or would have for an isolated node."""
 
     nodes: tuple[int, ...]
     selected: tuple[int, ...]
     rank_trace: tuple[int, ...]
-    verdict: str
     depth: int
 
 
 @dataclass(frozen=True)
 class MonResult:
-    """A selected node set with its rank history.
+    """A full-rank node set with its rank history.
 
-    verdict is always "complete", kept because reports print it: every
-    block holds its level-0 row e_i, so no search stops short of rank n.
-    rank_trace records the rank after each pick. depth is the one its
-    oracle stacked; None for a union over components, which carry theirs.
+    Every block holds its level-0 row e_i, so no search stops short of
+    rank n. rank_trace records the rank after each pick. depth is the one
+    its oracle stacked; None for a union over components, which carry
+    theirs.
     """
 
     selected: tuple[int, ...]
     rank_trace: tuple[int, ...]
-    verdict: str
     depth: int | None = None
     components: tuple[ComponentSelection, ...] = field(default_factory=tuple)
 
@@ -143,6 +141,13 @@ def _as_oracle(
     return NomOracle(_as_dynamics(g), config)
 
 
+def _check_tie_break(tie_break: str) -> None:
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(
+            f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}"
+        )
+
+
 def greedy_mon(
     g: UniformHypergraph | DynamicsSpec | NomOracle,
     config: RankConfig | None = None,
@@ -153,39 +158,36 @@ def greedy_mon(
     Each step picks the unselected node whose block would bring the
     selection to the highest rank at the best trial point, and folds its
     basis into the per-trial echelons, until full rank: below it, some
-    unselected e_i adds 1 at every trial. tie_break names how ties resolve:
-    "degree" prefers the highest-degree node (then the lowest label),
-    "index" the lowest label, "random" a draw seeded from the config seed.
-    Given a NomOracle, greedy uses its points, bases and config.
+    unselected e_i adds 1 at every trial. tie_break names the key order
+    that resolves ties: "degree" puts the highest-degree node first (then
+    the lowest label), "index" the lowest label, and "random" follows one
+    shuffle of the nodes seeded from the config seed. Given a NomOracle,
+    greedy uses its points, bases and config.
 
     The picks are those of scoring every candidate at every trial, made
     with less work (Minoux's accelerated greedy). At one trial a node's
     gain dim(U + W) - dim(U) never grows as the selection's span U grows,
     so the selection's rank at a trial plus the candidate's gain there
     when last scored bounds the rank it can reach there now. A step scores
-    candidates in (-bound, key) order until the next sorts after the best
+    candidates in (-bound, key) order until the next sorts after the least
     (-score, key) so far, which is the pick. A candidate not yet scored at
     every trial has bound n, so the first one in key order to reach n ends
     the step. A score stops at the first trial that reaches n, and a trial
     point is evaluated when a score first needs it.
     """
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(
-            f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}"
-        )
+    _check_tie_break(tie_break)
     oracle = _as_oracle(g, config)
     n = oracle.dyn.n
 
-    degrees = oracle.dyn.graph.degrees()
     if tie_break == "degree":
+        degrees = oracle.dyn.graph.degrees()
         key_fn = lambda s: (-degrees[s], s)
+    elif tie_break == "random":
+        order = list(range(1, n + 1))
+        random.Random(derive_seed(oracle.seed, "tie-break")).shuffle(order)
+        key_fn = {s: p for p, s in enumerate(order)}.__getitem__
     else:
         key_fn = lambda s: s
-    rng = (
-        random.Random(derive_seed(oracle.seed, "tie-break"))
-        if tie_break == "random"
-        else None
-    )
 
     selected: list[int] = []
     trace: list[int] = []
@@ -226,17 +228,13 @@ def greedy_mon(
 
     rank = 0
     while rank < n:
-        # every (-score, key, s) scored, and the least; (1,) sorts after all.
-        # "random" scores on while a bound reaches the best score
-        scored, top = [], (1,)
+        # the least (-score, key, s) scored; (1,) sorts after every entry
+        top = (1,)
         for entry in sorted((-bound(s), key_fn(s), s) for s in remaining):
-            if (entry > top) if rng is None else (entry[0] > top[0]):
+            if entry > top:
                 break
-            scored.append((-score(entry[2]),) + entry[1:])
-            top = min(top, scored[-1])
-        # the candidates at the best score, in key order
-        pool = [s for score_, _, s in sorted(scored) if score_ == top[0]]
-        pick = pool[rng.randrange(len(pool))] if rng is not None else pool[0]
+            top = min(top, (-score(entry[2]),) + entry[1:])
+        pick = top[2]
         selected.append(pick)
         remaining.remove(pick)
         for t, ech in enumerate(live):
@@ -244,10 +242,7 @@ def greedy_mon(
         rank = max(ech.rank for ech in live)
         trace.append(rank)
     return MonResult(
-        selected=tuple(selected),
-        rank_trace=tuple(trace),
-        verdict="complete",
-        depth=oracle.depth,
+        selected=tuple(selected), rank_trace=tuple(trace), depth=oracle.depth
     )
 
 
@@ -260,29 +255,34 @@ def minimum_observable_nodes(
 
     Observability blocks are block-diagonal across components, so the union
     of per-component selections is a selection for the whole hypergraph and
-    the ranks add. Isolated nodes always pick themselves. Given a NomOracle,
-    a connected hypergraph's greedy uses that oracle itself, and components
-    get oracles of their own under its config.
+    the ranks add. An isolated node picks itself without an oracle. Given a
+    NomOracle, a connected hypergraph's greedy uses that oracle itself, and
+    components get oracles of their own under its config.
     """
+    _check_tie_break(tie_break)
     oracle = _as_oracle(g, config)
     dyn = oracle.dyn
     parts: list[ComponentSelection] = []
     selected: list[int] = []
     trace: list[int] = []
     for comp in dyn.graph.connected_components():
-        if len(comp) == dyn.n:
-            part, back = oracle, {s: s for s in comp}
+        if len(comp) == 1:
+            # e_i alone has rank 1, at the depth a one-node oracle would
+            # stack: the configured one, or n - 1 = 0
+            res = MonResult((1,), (1,), oracle.config.depth or 0)
+        elif len(comp) == dyn.n:
+            res = greedy_mon(oracle, tie_break=tie_break)
         else:
-            sub, back = induced_subhypergraph(dyn.graph, comp)
+            sub, _ = induced_subhypergraph(dyn.graph, comp)
             part = NomOracle(DynamicsSpec(sub, dyn.weight), oracle.config)
-        res = greedy_mon(part, tie_break=tie_break)
-        mapped = tuple(back[s] for s in res.selected)
+            res = greedy_mon(part, tie_break=tie_break)
+        # components are sorted, and relabelled 1.. in that order
+        mapped = tuple(comp[s - 1] for s in res.selected)
         parts.append(
             ComponentSelection(
                 nodes=tuple(comp),
                 selected=mapped,
                 rank_trace=res.rank_trace,
-                verdict=res.verdict,
                 depth=res.depth,
             )
         )
@@ -292,7 +292,6 @@ def minimum_observable_nodes(
     return MonResult(
         selected=tuple(selected),
         rank_trace=tuple(trace),
-        verdict="complete",
         components=tuple(parts),
     )
 
@@ -339,9 +338,6 @@ def brute_force_mon(
                 rows = [row for s in subset for row in oracle.basis(t, s)]
                 if modp_rank(rows, n) == n:
                     return MonResult(
-                        selected=subset,
-                        rank_trace=(n,),
-                        verdict="complete",
-                        depth=oracle.depth,
+                        selected=subset, rank_trace=(n,), depth=oracle.depth
                     )
     raise AssertionError("the full node set has rank n at trial 0")

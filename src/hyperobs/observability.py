@@ -29,7 +29,7 @@ import numpy as np
 from .dynamics import DynamicsSpec, check_lane_slots, lie_derivatives
 from .hypergraph import UniformHypergraph
 from .linalg import Echelon, modp_rank
-from .scalars import PRIME, derive_seed, random_point
+from .scalars import derive_seed, random_point
 
 
 @dataclass(frozen=True)
@@ -62,33 +62,16 @@ def lie_derivatives_with_jacobians(
     return lie_derivatives(dyn, x, depth)[:, :, 1:]
 
 
-@dataclass(frozen=True, eq=False)
-class NomEvaluation:
-    """Per-node observability blocks at one evaluation point.
-
-    blocks[i-1, p] is the gradient row of J_p for node i mod P, in a
-    node-major view of the kernel's lanes; stacking a node's rows over p
-    gives its observability block, and a node set's matrix is the union of
-    its blocks. ``rows_for`` turns only the blocks asked for into ints.
-    """
-
-    point: tuple[int, ...]
-    blocks: np.ndarray
-
-    def rows_for(self, nodes: Sequence[int]) -> list[list[int]]:
-        out = []
-        for i in nodes:
-            out.extend(self.blocks[i - 1].tolist())
-        return out
-
-
 def node_blocks(
     dyn: DynamicsSpec, x: Sequence[int], depth: int
-) -> NomEvaluation:
-    """Evaluate every node's observability block at a field point."""
-    point = [v % PRIME for v in x]
-    grads = lie_derivatives_with_jacobians(dyn, point, depth)
-    return NomEvaluation(tuple(point), grads.transpose(1, 0, 2))
+) -> np.ndarray:
+    """Every node's observability block at the integer point x mod P.
+
+    [i-1, p] is the gradient row of J_p for node i, in a node-major view
+    of the kernel's lanes: stacking a node's rows over p gives its block,
+    and a node set's matrix is the union of its blocks.
+    """
+    return lie_derivatives_with_jacobians(dyn, x, depth).transpose(1, 0, 2)
 
 
 class NomOracle:
@@ -108,10 +91,11 @@ class NomOracle:
         self.depth = cfg.depth if cfg.depth is not None else dyn.n - 1
         self.trials = cfg.trials
         self.seed = cfg.seed
-        self._evaluations: dict[int, NomEvaluation] = {}
+        self._evaluations: dict[int, np.ndarray] = {}
         self._bases: dict[tuple[int, int], list[list[int]]] = {}
 
-    def evaluation(self, trial: int) -> NomEvaluation:
+    def evaluation(self, trial: int) -> np.ndarray:
+        """Every node's block at one trial point (``node_blocks``)."""
         if not 0 <= trial < self.trials:
             raise IndexError(f"trial {trial} outside 0..{self.trials - 1}")
         cached = self._evaluations.get(trial)
@@ -134,7 +118,7 @@ class NomOracle:
         rows = self._bases.get((trial, node))
         if rows is None:
             ech = Echelon(self.dyn.n)
-            ech.add_rows(self.evaluation(trial).rows_for([node]))
+            ech.add_rows(self.evaluation(trial)[node - 1].tolist())
             rows = self._bases[trial, node] = list(ech.pivots.values())
         return rows
 
@@ -149,7 +133,8 @@ class NomOracle:
                 raise IndexError(f"node {i} outside 1..{self.dyn.n}")
         best = 0
         for t in range(self.trials):
-            rows = self.evaluation(t).rows_for(sorted(seen))
+            blocks = self.evaluation(t)
+            rows = [r for i in sorted(seen) for r in blocks[i - 1].tolist()]
             best = max(best, modp_rank(rows, self.dyn.n))
             if best == self.dyn.n:
                 break

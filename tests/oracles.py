@@ -334,28 +334,34 @@ def bareiss_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     return rank
 
 
+def block_rows(blocks: np.ndarray, nodes: Sequence[int]) -> list[list[int]]:
+    """The rows of the given nodes' blocks, from ``node_blocks``' array, as
+    ints."""
+    return [row for i in nodes for row in blocks[i - 1].tolist()]
+
+
 def eager_greedy(
     g: UniformHypergraph | DynamicsSpec,
     config: RankConfig | None = None,
     tie_break: str = "degree",
 ) -> MonResult:
     """``mon.greedy_mon`` with every trial evaluated up front and every
-    candidate scored at every trial."""
+    candidate scored at every trial. A tie goes to the node first in the
+    tie-break's order: by degree then label, by label, or by a seeded
+    shuffle of the labels."""
     dyn = _as_dynamics(g)
     n = dyn.n
     oracle = NomOracle(dyn, config)
     echelons = [Echelon(n) for _ in range(oracle.trials)]
     evaluations = [oracle.evaluation(t) for t in range(oracle.trials)]
     degrees = dyn.graph.degrees()
-    if tie_break == "degree":
-        key_fn = lambda s: (-degrees[s], s)
-    else:
-        key_fn = lambda s: s
-    rng = (
-        random.Random(derive_seed(oracle.seed, "tie-break"))
-        if tie_break == "random"
-        else None
-    )
+    shuffled = list(range(1, n + 1))
+    random.Random(derive_seed(oracle.seed, "tie-break")).shuffle(shuffled)
+    key_fn = {
+        "degree": lambda s: (-degrees[s], s),
+        "index": lambda s: s,
+        "random": shuffled.index,
+    }[tie_break]
     selected: list[int] = []
     trace: list[int] = []
     remaining = list(range(1, n + 1))
@@ -364,29 +370,24 @@ def eager_greedy(
         scored = []
         for s in remaining:
             reach = max(
-                ech.rank + ech.probe(ev.rows_for([s]))
+                ech.rank + ech.probe(block_rows(ev, [s]))
                 for ech, ev in zip(echelons, evaluations)
             )
             scored.append((reach - rank, s))
         best_gain = max(gain for gain, _ in scored)
         if best_gain <= 0:
             break
-        pool = [s for gain, s in scored if gain == best_gain]
-        if rng is not None:
-            pick = pool[rng.randrange(len(pool))]
-        else:
-            pick = min(pool, key=key_fn)
+        pick = min(
+            (s for gain, s in scored if gain == best_gain), key=key_fn
+        )
         selected.append(pick)
         remaining.remove(pick)
         for ech, ev in zip(echelons, evaluations):
-            ech.add_rows(ev.rows_for([pick]))
+            ech.add_rows(block_rows(ev, [pick]))
         rank = max(ech.rank for ech in echelons)
         trace.append(rank)
     return MonResult(
-        selected=tuple(selected),
-        rank_trace=tuple(trace),
-        verdict="complete" if rank == n else "stalled",
-        depth=oracle.depth,
+        selected=tuple(selected), rank_trace=tuple(trace), depth=oracle.depth
     )
 
 
@@ -409,12 +410,11 @@ def naive_brute_force(
                 raise ResourceLimitError(
                     f"exhaustive search exceeded {max_subsets} subsets"
                 )
-            rank = max(modp_rank(ev.rows_for(subset), n) for ev in evaluations)
+            rank = max(
+                modp_rank(block_rows(ev, subset), n) for ev in evaluations
+            )
             if rank == n:
                 return MonResult(
-                    selected=subset,
-                    rank_trace=(rank,),
-                    verdict="complete",
-                    depth=oracle.depth,
+                    selected=subset, rank_trace=(rank,), depth=oracle.depth
                 )
     raise AssertionError("the full node set has rank n at trial 0")

@@ -65,6 +65,12 @@ def test_gen_resource_limit(capsys):
     code, _, stderr = run(capsys, "gen", "complete", "200", "3")
     assert code == 2
     assert "resource limit" in stderr
+    # the edge cap is checked before any edge is built
+    started = time.perf_counter()
+    code, _, stderr = run(capsys, "gen", "chain", "10000000000", "3")
+    assert code == 2
+    assert "chain hypergraph would hold 9999999998 edges" in stderr
+    assert time.perf_counter() - started < 2
 
 
 @pytest.mark.parametrize(
@@ -292,6 +298,39 @@ def test_mon_brute_force_reuses_greedys_points(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(stdout)["result"]["brute_force"]["size"] == 8
     assert len(points) == len(set(points)) == 3
+
+
+def test_mon_isolated_nodes_need_no_rank_work(tmp_path, capsys, monkeypatch):
+    # 9,997 isolated nodes select themselves at the depth a one-node oracle
+    # would stack; only the 3-node component's chain runs, at one point
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps({"n": 10000, "k": 3, "edges": [[1, 2, 3]]}))
+    sizes = []
+    original = observability.node_blocks
+
+    def counting(dyn, x, depth):
+        sizes.append(dyn.n)
+        return original(dyn, x, depth)
+
+    monkeypatch.setattr(observability, "node_blocks", counting)
+    code, stdout, _ = run(capsys, "mon", str(path))
+    assert code == 0
+    assert sizes == [3]
+    res = json.loads(stdout)["result"]
+    assert (res["size"], res["proven_minimum"]) == (9998, True)
+    assert len(res["components"]) == 9998
+    assert res["components"][1] == {
+        "nodes": [4],
+        "selected": [4],
+        "rank_trace": [1],
+        "verdict": "complete",
+        "depth": 0,
+    }
+    path.write_text(UniformHypergraph(5, 3, [(1, 2, 3)]).to_json())
+    code, stdout, _ = run(capsys, "mon", str(path), "--depth", "4")
+    assert code == 0
+    res = json.loads(stdout)["result"]
+    assert [c["depth"] for c in res["components"]] == [4, 4, 4]
 
 
 def test_mon_out_file_matches_stdout_report(tmp_path, capsys):

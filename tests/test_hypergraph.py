@@ -67,11 +67,22 @@ def test_generator_validation(monkeypatch):
             gen(3, 1)
     with pytest.raises(ResourceLimitError):
         gen_complete(200, 3)
-    # the cap admits exactly MAX_COMPLETE_EDGES edges
-    monkeypatch.setattr(hypergraph, "MAX_COMPLETE_EDGES", 10)
-    assert gen_complete(5, 3).num_edges == 10
-    with pytest.raises(ResourceLimitError, match="20 edges .cap 10."):
-        gen_complete(6, 3)
+    # every family admits exactly MAX_EDGES edges, and refuses one more
+    # before building any
+    monkeypatch.setattr(hypergraph, "MAX_EDGES", 10)
+    for family, n, k, over in (
+        ("chain", 12, 3, 11),
+        ("ring", 10, 3, 11),
+        ("star", 12, 3, 11),
+        ("complete", 5, 3, 20),
+    ):
+        gen = hypergraph.FAMILIES[family]
+        assert gen(n, k).num_edges == 10
+        with pytest.raises(
+            ResourceLimitError,
+            match=f"^{family} hypergraph would hold {over} edges .cap 10.$",
+        ):
+            gen(n + 1, k)
 
 
 @given(st.integers(min_value=0, max_value=2**31))

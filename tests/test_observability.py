@@ -132,22 +132,20 @@ def test_node_blocks_match_rational_jacobians_mod_p():
         n = g.n
         dyn = DynamicsSpec(g)
         depth = n - 1
-        ev = node_blocks(dyn, x, depth)
+        blocks = node_blocks(dyn, x, depth)
         seeded = _dual_point(_frac(x))
         for p in range((depth if n <= 5 or g.k <= 3 else 3) + 1):
             rec = lie_derivative_recursive(dyn, p, seeded)
             for i in range(n):
-                assert ev.blocks[i, p].tolist() == [residue(q) for q in rec[i].eps]
+                assert blocks[i, p].tolist() == [residue(q) for q in rec[i].eps]
 
 
 def test_node_blocks_level_zero(triangle_dyn):
-    ev = node_blocks(triangle_dyn, [4, 5, 6], 2)
+    blocks = node_blocks(triangle_dyn, [4, 5, 6], 2)
     n = triangle_dyn.n
     for i in range(1, n + 1):
-        row0 = ev.blocks[i - 1, 0].tolist()
+        row0 = blocks[i - 1, 0].tolist()
         assert row0 == [1 if j == i else 0 for j in range(1, n + 1)]
-    assert ev.rows_for([2]) == ev.blocks[1].tolist()
-    assert ev.rows_for([3, 1]) == ev.blocks[[2, 0]].reshape(-1, n).tolist()
 
 
 def test_node_blocks_are_the_kernels_lanes(triangle_dyn, monkeypatch):
@@ -160,12 +158,12 @@ def test_node_blocks_are_the_kernels_lanes(triangle_dyn, monkeypatch):
         return chains[-1]
 
     monkeypatch.setattr(observability, "lie_derivatives", kernel)
-    ev = node_blocks(triangle_dyn, [4, 5, 6], 2)
+    blocks = node_blocks(triangle_dyn, [4, 5, 6], 2)
     (chain,) = chains
-    assert ev.blocks.dtype == np.uint64
-    assert ev.blocks.shape == (3, 3, 3)
-    assert np.shares_memory(ev.blocks, chain)
-    assert (ev.blocks == chain[:, :, 1:].transpose(1, 0, 2)).all()
+    assert blocks.dtype == np.uint64
+    assert blocks.shape == (3, 3, 3)
+    assert np.shares_memory(blocks, chain)
+    assert (blocks == chain[:, :, 1:].transpose(1, 0, 2)).all()
 
 
 def test_generic_rank_known_cases():
@@ -201,8 +199,7 @@ def test_oracle_caching_and_validation(triangle_dyn):
     oracle = NomOracle(triangle_dyn, RankConfig(trials=2, seed=0, depth=3))
     ev0 = oracle.evaluation(0)
     assert oracle.evaluation(0) is ev0
-    assert all(v != 0 for v in ev0.point)
-    assert oracle.evaluation(1).point != ev0.point
+    assert (oracle.evaluation(1) != ev0).any()
     with pytest.raises(IndexError):
         oracle.evaluation(2)
     with pytest.raises(ValueError):
@@ -222,10 +219,10 @@ def test_oracle_caching_and_validation(triangle_dyn):
 def test_oracle_deterministic(triangle_dyn):
     a = NomOracle(triangle_dyn, RankConfig(trials=2, seed=7, depth=3))
     b = NomOracle(triangle_dyn, RankConfig(trials=2, seed=7, depth=3))
-    assert a.evaluation(0).point == b.evaluation(0).point
+    assert (a.evaluation(0) == b.evaluation(0)).all()
     assert a.rank([1]) == b.rank([1])
     c = NomOracle(triangle_dyn, RankConfig(trials=2, seed=8, depth=3))
-    assert c.evaluation(0).point != a.evaluation(0).point
+    assert (c.evaluation(0) != a.evaluation(0)).any()
 
 
 def test_rank_config_validation():
