@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
@@ -137,7 +138,7 @@ def _cmd_observable(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
     g = _load_hypergraph(args.hypergraph)
     cfg = RankConfig(trials=args.trials, seed=args.seed, depth=args.depth)
-    # on a connected hypergraph, brute force reuses greedy's evaluations
+    # both searches rank each component on this oracle's parts
     oracle = NomOracle(DynamicsSpec(g), cfg)
     res = minimum_observable_nodes(oracle, tie_break=args.tie_break)
     bound = twin_lower_bound(g)
@@ -151,14 +152,7 @@ def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
         # greedy's full-rank set is certified, and no smaller one exists
         "proven_minimum": res.size == bound,
         "components": [
-            {
-                "nodes": list(c.nodes),
-                "selected": list(c.selected),
-                "rank_trace": list(c.rank_trace),
-                "verdict": "complete",
-                "depth": c.depth,
-            }
-            for c in res.components
+            {**asdict(c), "verdict": "complete"} for c in res.components
         ],
     }
     if args.brute_force:
@@ -167,7 +161,6 @@ def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
             "selected": list(exact.selected),
             "size": exact.size,
             "verdict": "complete",
-            "depth": exact.depth,
             "matches_greedy_size": exact.size == res.size,
         }
     report = {

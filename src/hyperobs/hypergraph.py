@@ -12,7 +12,6 @@ import json
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import ResourceLimitError
@@ -155,7 +154,14 @@ def gen_hyperstar(n: int, k: int) -> UniformHypergraph:
 def gen_complete(n: int, k: int) -> UniformHypergraph:
     """All C(n, k) hyperedges."""
     _check_sizes(n, k)
-    _check_edges("complete", comb(n, k))
+    # C(n, j) grows with j up to n / 2: refuse at the first one over the cap
+    total = 1
+    for j in range(1, min(k, n - k) + 1):
+        total = total * (n - j + 1) // j
+        if total > MAX_EDGES:
+            raise ResourceLimitError(
+                f"complete hypergraph would hold more than {MAX_EDGES} edges"
+            )
     return UniformHypergraph(n, k, combinations(range(1, n + 1), k))
 
 
@@ -187,11 +193,10 @@ def _check_sizes(n: int, k: int) -> None:
 
 def induced_subhypergraph(
     g: UniformHypergraph, nodes: Sequence[int]
-) -> tuple[UniformHypergraph, dict[int, int]]:
-    """Restrict to a node subset, relabelled to 1..len(nodes).
+) -> UniformHypergraph:
+    """Restrict to a node subset, relabelled 1..len(nodes) in sorted order.
 
-    Only edges entirely inside the subset survive. Returns the restricted
-    hypergraph and the map from new labels back to originals.
+    Only edges entirely inside the subset survive.
     """
     ordered = sorted(set(nodes))
     if not ordered:
@@ -199,9 +204,7 @@ def induced_subhypergraph(
     if ordered[0] < 1 or ordered[-1] > g.n:
         raise IndexError(f"nodes {nodes} outside 1..{g.n}")
     to_new = {old: new for new, old in enumerate(ordered, start=1)}
-    keep = set(ordered)
     edges = [
-        tuple(to_new[i] for i in e) for e in g.edges if keep.issuperset(e)
+        tuple(to_new[i] for i in e) for e in g.edges if to_new.keys() >= set(e)
     ]
-    back = {new: old for old, new in to_new.items()}
-    return UniformHypergraph(len(ordered), g.k, edges), back
+    return UniformHypergraph(len(ordered), g.k, edges)

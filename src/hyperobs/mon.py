@@ -29,21 +29,21 @@ at that size and skips, before any rank work, each subset that leaves two
 twins unmeasured.
 
 Rank contributions never cross connected components (every block entry only
-involves coordinates from the node's own component), so selection solves
-components independently and unions the picks; an isolated node has
-no dynamics, so it selects itself without a rank query.
+involves coordinates from the node's own component), so both searches solve
+each component on its own oracle (``NomOracle.parts``) and union the picks;
+an isolated node has no dynamics, so it selects itself without a rank query.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .dynamics import DynamicsSpec
 from .errors import ResourceLimitError
-from .hypergraph import UniformHypergraph, induced_subhypergraph
+from .hypergraph import UniformHypergraph
 from .linalg import Echelon, modp_rank
 from .observability import NomOracle, RankConfig, _as_dynamics
 from .scalars import derive_seed
@@ -69,9 +69,9 @@ class MonResult:
     """A full-rank node set with its rank history.
 
     Every block holds its level-0 row e_i, so no search stops short of
-    rank n. rank_trace records the rank after each pick. depth is the one
-    its oracle stacked; None for a union over components, which carry
-    theirs.
+    rank n. rank_trace holds the rank after each greedy pick or component's
+    exhaustive set. depth is the one its oracle stacked; None for the union
+    over components both searches return, which carry theirs.
     """
 
     selected: tuple[int, ...]
@@ -246,6 +246,28 @@ def greedy_mon(
     )
 
 
+def _per_component(
+    oracle: NomOracle, search: Callable[[NomOracle], MonResult]
+) -> MonResult:
+    """search run on each of the oracle's parts, whose labels 1.. follow
+    the sorted component, its picks mapped back and the ranks stacked. An
+    isolated node picks itself, at the depth a one-node oracle would
+    stack: the configured one, or 0."""
+    comps: list[ComponentSelection] = []
+    trace: list[int] = []
+    lone = MonResult((1,), (1,), oracle.config.depth or 0)
+    for nodes, part in oracle.parts:
+        res = lone if part is None else search(part)
+        mapped = tuple(nodes[s - 1] for s in res.selected)
+        comps.append(
+            ComponentSelection(nodes, mapped, res.rank_trace, res.depth)
+        )
+        below = trace[-1] if trace else 0
+        trace.extend(below + r for r in res.rank_trace)
+    selected = tuple(s for c in comps for s in c.selected)
+    return MonResult(selected, tuple(trace), components=tuple(comps))
+
+
 def minimum_observable_nodes(
     g: UniformHypergraph | DynamicsSpec | NomOracle,
     config: RankConfig | None = None,
@@ -255,74 +277,39 @@ def minimum_observable_nodes(
 
     Observability blocks are block-diagonal across components, so the union
     of per-component selections is a selection for the whole hypergraph and
-    the ranks add. An isolated node picks itself without an oracle. Given a
-    NomOracle, a connected hypergraph's greedy uses that oracle itself, and
-    components get oracles of their own under its config.
+    the ranks add. Given a NomOracle, its parts rank the components.
     """
     _check_tie_break(tie_break)
     oracle = _as_oracle(g, config)
-    dyn = oracle.dyn
-    parts: list[ComponentSelection] = []
-    selected: list[int] = []
-    trace: list[int] = []
-    for comp in dyn.graph.connected_components():
-        if len(comp) == 1:
-            # e_i alone has rank 1, at the depth a one-node oracle would
-            # stack: the configured one, or n - 1 = 0
-            res = MonResult((1,), (1,), oracle.config.depth or 0)
-        elif len(comp) == dyn.n:
-            res = greedy_mon(oracle, tie_break=tie_break)
-        else:
-            sub, _ = induced_subhypergraph(dyn.graph, comp)
-            part = NomOracle(DynamicsSpec(sub, dyn.weight), oracle.config)
-            res = greedy_mon(part, tie_break=tie_break)
-        # components are sorted, and relabelled 1.. in that order
-        mapped = tuple(comp[s - 1] for s in res.selected)
-        parts.append(
-            ComponentSelection(
-                nodes=tuple(comp),
-                selected=mapped,
-                rank_trace=res.rank_trace,
-                depth=res.depth,
-            )
-        )
-        selected.extend(mapped)
-        below = trace[-1] if trace else 0
-        trace.extend(below + r for r in res.rank_trace)
-    return MonResult(
-        selected=tuple(selected),
-        rank_trace=tuple(trace),
-        components=tuple(parts),
-    )
+    return _per_component(oracle, lambda p: greedy_mon(p, tie_break=tie_break))
 
 
 def brute_force_mon(
     g: UniformHypergraph | DynamicsSpec | NomOracle,
     config: RankConfig | None = None,
 ) -> MonResult:
-    """Smallest full-rank node set by exhaustive search.
+    """Smallest full-rank node set by exhaustive search on each connected
+    component, unioned and sorted: the whole hypergraph's lexicographically
+    first minimum set, since full rank is full rank on every component.
+    Given the oracle greedy used, it ranks on the same parts, so each point
+    is evaluated and each node basis reduced once for both searches.
 
-    Subsets enumerate in size order and lexicographically within a size, so
-    the result is the lexicographically first minimum set. Shares its
-    evaluation points with the greedy path (same seed derivation); given
-    the oracle greedy used, it shares the evaluations and node bases too.
-
-    The sizes start at ``twin_lower_bound``, since no smaller set has full
-    rank, and a subset that leaves two twins unmeasured is skipped before
-    any rank work, since it is below rank n at every point. SUBSET_BUDGET
-    counts the subsets enumerated from the start size, skipped ones
-    included; past it the search gives up with ResourceLimitError.
-
-    A subset is decided at each trial by one ``modp_rank`` over the bases
-    of its nodes' blocks (``NomOracle.basis``), which span the same rows
-    as the blocks. Trials and node bases are computed when first needed,
-    and the first trial at full rank ends the search.
+    On a component, subsets enumerate in size order and lexicographically
+    within a size, from its ``twin_lower_bound`` up, and a subset that
+    leaves two twins unmeasured is skipped before any rank work. At each
+    trial it needs, a subset is decided by one ``modp_rank`` over its
+    nodes' bases. SUBSET_BUDGET counts the subsets one component's search
+    enumerates, skipped ones included; past it, ResourceLimitError.
     """
-    oracle = _as_oracle(g, config)
-    dyn = oracle.dyn
-    n = dyn.n
-    twins = [set(cls) for cls in twin_classes(dyn)]
-    start = twin_lower_bound(dyn)
+    res = _per_component(_as_oracle(g, config), _exhaustive)
+    return replace(res, selected=tuple(sorted(res.selected)))
+
+
+def _exhaustive(oracle: NomOracle) -> MonResult:
+    """``brute_force_mon`` on the whole hypergraph of the oracle."""
+    n = oracle.dyn.n
+    twins = [set(cls) for cls in twin_classes(oracle.dyn)]
+    start = twin_lower_bound(oracle.dyn)
     tried = 0
     for size in range(start, n + 1):
         for subset in combinations(range(1, n + 1), size):

@@ -22,12 +22,13 @@ uint64 residues mod 2**61 - 1, and every entry is exact in that field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dynamics import DynamicsSpec, check_lane_slots, lie_derivatives
-from .hypergraph import UniformHypergraph
+from .hypergraph import UniformHypergraph, induced_subhypergraph
 from .linalg import Echelon, modp_rank
 from .scalars import derive_seed, random_point
 
@@ -121,6 +122,22 @@ class NomOracle:
             ech.add_rows(self.evaluation(trial)[node - 1].tolist())
             rows = self._bases[trial, node] = list(ech.pivots.values())
         return rows
+
+    @cached_property
+    def parts(self) -> tuple[tuple[tuple[int, ...], NomOracle | None], ...]:
+        """Each sorted connected component with the oracle that ranks it:
+        None for an isolated node, this one on a connected hypergraph, and
+        otherwise one on the induced sub-hypergraph under this config."""
+        dyn, out = self.dyn, []
+        for comp in dyn.graph.connected_components():
+            part: NomOracle | None = None
+            if len(comp) == dyn.n > 1:
+                part = self
+            elif len(comp) > 1:
+                sub = induced_subhypergraph(dyn.graph, comp)
+                part = NomOracle(DynamicsSpec(sub, dyn.weight), self.config)
+            out.append((tuple(comp), part))
+        return tuple(out)
 
     def rank(self, nodes: Iterable[int]) -> int:
         """Best rank of the stacked node blocks across the trial points."""

@@ -21,6 +21,8 @@ from hyperobs.cli import main
 from hyperobs.correlation import TimeSeriesMatrix, write_timeseries_csv
 from hyperobs.hypergraph import UniformHypergraph, gen_hyperring, gen_hyperstar
 
+from conftest import disjoint_union
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -71,6 +73,14 @@ def test_gen_resource_limit(capsys):
     assert code == 2
     assert "chain hypergraph would hold 9999999998 edges" in stderr
     assert time.perf_counter() - started < 2
+    # C(n, k) is built factor by factor and refused once past the cap, never
+    # computed whole
+    for n, k in (("20000", "10000"), ("1000000", "500000")):
+        started = time.perf_counter()
+        code, _, stderr = run(capsys, "gen", "complete", n, k)
+        assert code == 2
+        assert "complete hypergraph would hold more than 1000000" in stderr
+        assert time.perf_counter() - started < 2
 
 
 @pytest.mark.parametrize(
@@ -262,15 +272,15 @@ def test_observable_names_an_invisible_pair(tmp_path, capsys):
 
 
 def test_mon_reports_depth(tmp_path, capsys):
-    # each component and the exhaustive search say which depth ran: n - 1
-    # of the hypergraph their oracle ranked
+    # each component says which depth ran, for both searches: n - 1 of the
+    # hypergraph its oracle ranked; the exhaustive search's union has none
     path = tmp_path / "star6.json"
     path.write_text(gen_hyperstar(6, 3).to_json())
     code, stdout, _ = run(capsys, "mon", str(path), "--brute-force")
     assert code == 0
     res = json.loads(stdout)["result"]
     assert [c["depth"] for c in res["components"]] == [5]
-    assert res["brute_force"]["depth"] == 5
+    assert "depth" not in res["brute_force"]
     two = UniformHypergraph(7, 3, [(1, 2, 3), (2, 3, 4), (5, 6, 7)])
     path.write_text(two.to_json())
     code, stdout, _ = run(capsys, "mon", str(path), "--brute-force")
@@ -278,26 +288,49 @@ def test_mon_reports_depth(tmp_path, capsys):
     res = json.loads(stdout)["result"]
     assert [c["nodes"] for c in res["components"]] == [[1, 2, 3, 4], [5, 6, 7]]
     assert [c["depth"] for c in res["components"]] == [3, 2]
-    assert res["brute_force"]["depth"] == 6
+    assert "depth" not in res["brute_force"]
 
 
 def test_mon_brute_force_reuses_greedys_points(tmp_path, capsys, monkeypatch):
-    # on a connected hypergraph both searches rank at the same points, and
-    # each point's chain runs once for the two
+    # both searches rank each component at the same points, and each
+    # point's chain runs once for the two; a star leaf alone is below full
+    # rank, so greedy evaluates all three trials of every component
     path = tmp_path / "star11.json"
-    path.write_text(gen_hyperstar(11, 3).to_json())
     points = []
     original = observability.node_blocks
 
     def counting(dyn, x, depth):
-        points.append(tuple(x))
+        points.append((dyn.n, tuple(x)))
         return original(dyn, x, depth)
 
     monkeypatch.setattr(observability, "node_blocks", counting)
+    star = gen_hyperstar(11, 3)
+    two = disjoint_union(star, gen_hyperstar(6, 3))
+    for g, sizes, size in ((star, [11], 8), (two, [11, 6], 11)):
+        path.write_text(g.to_json())
+        points.clear()
+        code, stdout, _ = run(capsys, "mon", str(path), "--brute-force")
+        assert code == 0
+        assert json.loads(stdout)["result"]["brute_force"]["size"] == size
+        assert len(points) == len(set(points)) == 3 * len(sizes)
+        assert sorted({n for n, _ in points}) == sorted(sizes)
+
+
+def test_mon_brute_force_runs_per_component(tmp_path, capsys):
+    # six disjoint 3-edges and six isolated nodes, the shape ingest gives:
+    # a whole-graph search would enumerate every subset below size 12
+    path = tmp_path / "triples.json"
+    edges = [[i, i + 1, i + 2] for i in range(1, 19, 3)]
+    path.write_text(json.dumps({"n": 24, "k": 3, "edges": edges}))
+    started = time.perf_counter()
     code, stdout, _ = run(capsys, "mon", str(path), "--brute-force")
+    assert time.perf_counter() - started < 2
     assert code == 0
-    assert json.loads(stdout)["result"]["brute_force"]["size"] == 8
-    assert len(points) == len(set(points)) == 3
+    res = json.loads(stdout)["result"]
+    exact = res["brute_force"]
+    assert (res["size"], exact["size"]) == (12, 12)
+    assert exact["matches_greedy_size"] is True
+    assert exact["selected"] == [1, 4, 7, 10, 13, 16, *range(19, 25)]
 
 
 def test_mon_isolated_nodes_need_no_rank_work(tmp_path, capsys, monkeypatch):

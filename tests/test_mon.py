@@ -196,16 +196,19 @@ def test_searches_match_their_plain_forms(
     g = random_uniform_hypergraph(max(n, k), k, rng, density=rng.random())
     cfg = RankConfig(trials=trials, seed=seed, depth=depth)
     assert greedy_mon(g, cfg, tie_break) == eager_greedy(g, cfg, tie_break)
-    assert brute_force_mon(g, cfg) == naive_brute_force(g, cfg)
-    # the budget counts subsets from the twin bound up; the plain search
-    # also counts every smaller subset
+    exact = naive_brute_force(g, cfg)
+    assert brute_force_mon(g, cfg).selected == exact.selected
+    if len(g.connected_components()) > 1:
+        return
+    # on a connected graph the budget counts subsets from the twin bound up;
+    # the plain search also counts every smaller subset
     start = twin_lower_bound(g)
     below = sum(comb(g.n, s) for s in range(1, start))
     with patch.object(mon, "SUBSET_BUDGET", budget):
         fast = _outcome(brute_force_mon, g, cfg)
     plain = _outcome(naive_brute_force, g, cfg, budget + below)
     if isinstance(fast, MonResult):
-        assert fast == plain
+        assert fast.selected == plain.selected
     else:
         message = f"exhaustive search exceeded {budget} subsets"
         assert fast == ("refused", f"{message} from size {start} up")
@@ -440,5 +443,38 @@ def test_brute_force_ranks_each_subset_once_per_trial(monkeypatch):
     ranks = _count_calls(monkeypatch, mon, "modp_rank")
     res = brute_force_mon(g, cfg)
     assert len(ranks) == 3 * sum(comb(6, size) for size in range(1, 5)) + 1
-    assert res == naive_brute_force(g, cfg)
+    assert res.selected == naive_brute_force(g, cfg).selected
     assert res.selected == (1, 2, 3, 4, 5)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    sizes=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+    lone=st.integers(min_value=0, max_value=2),
+    k=st.integers(min_value=2, max_value=3),
+    trials=st.integers(min_value=1, max_value=3),
+    depth=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+)
+@settings(max_examples=40, deadline=None)
+def test_brute_force_per_component_matches_the_whole_graph_search(
+    seed, sizes, lone, k, trials, depth
+):
+    # the sorted union of each component's lexicographically first minimum
+    # set is the whole graph's, also when shuffled labels interleave the
+    # components
+    rng = random.Random(seed)
+    a, b = (
+        random_uniform_hypergraph(max(m, k), k, rng, density=rng.random())
+        for m in sizes
+    )
+    union = disjoint_union(a, b)
+    g = UniformHypergraph(union.n + lone, k, union.edges)
+    labels = list(range(1, g.n + 1))
+    rng.shuffle(labels)
+    g = relabel(g, dict(zip(range(1, g.n + 1), labels)))
+    cfg = RankConfig(trials=trials, seed=seed, depth=depth)
+    fast, plain = brute_force_mon(g, cfg), naive_brute_force(g, cfg)
+    assert fast.selected == plain.selected
+    assert [c.nodes for c in fast.components] == [
+        tuple(c) for c in g.connected_components()
+    ]
