@@ -126,6 +126,7 @@ def _cmd_observable(args: argparse.Namespace) -> dict[str, Any]:
             "observable": outcome.observable,
             "rank": outcome.rank,
             "n": outcome.n,
+            "stacked_depth": outcome.stacked_depth,
             "invisible_pair": pair,
         },
     }
@@ -231,6 +232,10 @@ def _render_text(report: dict[str, Any]) -> str:
         lines.append(
             f"rank {result['rank']} of {result['n']}: {result['verdict']}"
         )
+        lines.append(
+            f"stacked depth {result['stacked_depth']} "
+            f"of cap {report['parameters']['depth']}"
+        )
     elif report["command"] == "mon":
         picks = " ".join(str(s) for s in result["selected"]) or "(none)"
         lines.append(f"selected: {picks}")
@@ -249,6 +254,10 @@ def _render_text(report: dict[str, Any]) -> str:
                 f"brute force size {bf['size']}, "
                 f"greedy matches: {bf['matches_greedy_size']}"
             )
+        lines.append(
+            "stacked depth per component: "
+            + " ".join(str(c["stacked_depth"]) for c in result["components"])
+        )
     elif report["command"] == "ingest":
         lines.append(
             f"triples evaluated: {result['triples_evaluated']}, "
@@ -262,8 +271,10 @@ def _render_text(report: dict[str, Any]) -> str:
 def _add_rank_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--depth", type=int, default=None,
-        help="highest derivative level stacked (default n-1). The chain's "
-        "cost grows as depth squared, and levels past n-1 add no generic rank",
+        help="cap on the derivative levels stacked (default n-1). Each "
+        "chain stops earlier at the first level that can add no rank, which "
+        "the report gives as stacked_depth; levels past n-1 add no generic "
+        "rank",
     )
     p.add_argument("--trials", type=int, default=3, help="random evaluation points per rank check")
     p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -232,7 +232,10 @@ def apply_factors(
 
 
 def lie_derivatives(
-    dyn: DynamicsSpec, x: Sequence[int], depth: int
+    dyn: DynamicsSpec,
+    x: Sequence[int],
+    depth: int,
+    stop: Callable[[np.ndarray, int], bool] | None = None,
 ) -> np.ndarray:
     """The chain J_0, ..., J_depth of time derivatives of the state and all
     their Jacobians at the integer point x, mod P.
@@ -249,6 +252,12 @@ def lie_derivatives(
     J_p[i] followed by its gradient. A non-integer coordinate raises
     ValueError. More lane slots than MAX_DENSE_SLOTS are refused before
     any is allocated (``check_lane_slots``).
+
+    stop, if given, is asked stop(chain, p) once level p is written and
+    before level p + 1 is computed, for p < depth; levels are still
+    unscaled by p! then, which changes no span. True ends the pass: the
+    result is then levels 0..p only, a view of the array allocated for
+    depth, whose later levels are never written.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -260,10 +269,14 @@ def lie_derivatives(
     chain[0, :, 0] = cast(x)
     chain[0, :, 1:] = np.eye(n, dtype=np.uint64)
     stacks = ChainStacks.allocate(dyn, depth)
+    top = depth
     for p in range(depth):
+        if stop is not None and stop(chain, p):
+            top = p
+            break
         chain[p + 1] = apply_factors(dyn, chain, stacks, p)
     factorial = 1
-    for p in range(2, depth + 1):
+    for p in range(2, top + 1):
         factorial = factorial * p % PRIME
         chain[p] = scale(chain[p], factorial)
-    return chain
+    return chain[: top + 1]

@@ -7,6 +7,14 @@ observability matrix: repeatedly add the node whose block buys the largest
 rank gain at shared random evaluation points, stopping at full rank. An
 exact brute-force search over subsets in size order backs it up at small n.
 
+Both searches rank the blocks of one oracle per component, whose chain
+watches every node alone: each trial's chain stops at the first level
+where every node's block is flat (its last level added no rank) or full,
+so every union's span, and with it every greedy probe and every subset's
+rank, is the one the configured depth, a cap, would give (see
+``observability``). ``ComponentSelection.stacked_depth`` reports how deep
+the chains went.
+
 Both searches stop rank work once the answer is decided, and both enter
 each node as the row basis of its block, reduced once per oracle. A
 candidate's score is its best rank over the trial points, and n is the most
@@ -55,13 +63,16 @@ SUBSET_BUDGET = 200_000
 
 @dataclass(frozen=True)
 class ComponentSelection:
-    """Outcome of selection on one connected component, with the depth its
-    oracle stacked, or would have for an isolated node."""
+    """Outcome of selection on one connected component, with its oracle's
+    depth cap, or the one a one-node oracle would have for an isolated
+    node, and the highest level its oracle stacked so far (0 for an
+    isolated node)."""
 
     nodes: tuple[int, ...]
     selected: tuple[int, ...]
     rank_trace: tuple[int, ...]
     depth: int
+    stacked_depth: int
 
 
 @dataclass(frozen=True)
@@ -70,7 +81,7 @@ class MonResult:
 
     Every block holds its level-0 row e_i, so no search stops short of
     rank n. rank_trace holds the rank after each greedy pick or component's
-    exhaustive set. depth is the one its oracle stacked; None for the union
+    exhaustive set. depth is its oracle's cap; None for the union
     over components both searches return, which carry theirs.
     """
 
@@ -251,16 +262,19 @@ def _per_component(
 ) -> MonResult:
     """search run on each of the oracle's parts, whose labels 1.. follow
     the sorted component, its picks mapped back and the ranks stacked. An
-    isolated node picks itself, at the depth a one-node oracle would
-    stack: the configured one, or 0."""
+    isolated node picks itself, at the depth cap a one-node oracle would
+    have: the configured one, or 0."""
     comps: list[ComponentSelection] = []
     trace: list[int] = []
     lone = MonResult((1,), (1,), oracle.config.depth or 0)
     for nodes, part in oracle.parts:
         res = lone if part is None else search(part)
         mapped = tuple(nodes[s - 1] for s in res.selected)
+        stacked = 0 if part is None else part.stacked_depth
         comps.append(
-            ComponentSelection(nodes, mapped, res.rank_trace, res.depth)
+            ComponentSelection(
+                nodes, mapped, res.rank_trace, res.depth, stacked
+            )
         )
         below = trace[-1] if trace else 0
         trace.extend(below + r for r in res.rank_trace)

@@ -9,9 +9,17 @@ field certifies the generic rank with high probability (a Schwartz-Zippel
 argument), and taking the best of several trials drives the failure odds
 down further.
 
-Levels 0..n-1 always suffice: once a level adds nothing to the span of the
-gradients dJ_q, no later level does either (the observability rank
-condition of Hermann and Krener), so that is the default depth.
+Levels 0..n-1 always suffice, and usually far fewer are needed: once a
+level adds nothing to the span of a node set's gradients, no later level
+does either (the stabilising filtration behind the observability rank
+condition of Hermann and Krener). So the depth, n - 1 by default, is only
+a cap. ``NomOracle`` ends each trial point's chain pass at the first level
+where every watched node set is flat (that level added no rank to it) or
+has rank n, and reports the highest level it stacked as
+``stacked_depth``. A flat level at a random point can mislead only if the
+point lies on a proper subvariety: the same Schwartz-Zippel class of
+failure as the rank itself, so "observable" stays a certificate and "not
+observable" stays probabilistic.
 
 Jacobians come from forward differentiation inside the chain kernel: the
 Taylor recurrence of ``dynamics.lie_derivatives`` runs once on lanes that
@@ -23,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -37,11 +45,14 @@ from .scalars import derive_seed, random_point
 class RankConfig:
     """Knobs for the probabilistic rank checks, validated here only.
 
-    depth is the highest derivative level stacked; None means n - 1 for the
-    n-node dynamics the rank is taken on. trials is the number of
-    independent evaluation points; the reported rank is the best one seen,
-    rank deficiency at every point being overwhelmingly unlikely for a
-    generically full-rank matrix. seed derives every evaluation point.
+    depth caps the derivative levels stacked; None means n - 1 for the
+    n-node dynamics the rank is taken on. Each trial's chain stops below
+    the cap once its watched node sets stop growing (``NomOracle``), so a
+    larger cap costs only the levels that can still add rank. trials is
+    the number of independent evaluation points; the reported rank is the
+    best one seen, rank deficiency at every point being overwhelmingly
+    unlikely for a generically full-rank matrix. seed derives every
+    evaluation point.
     """
 
     trials: int = 3
@@ -56,23 +67,33 @@ class RankConfig:
 
 
 def lie_derivatives_with_jacobians(
-    dyn: DynamicsSpec, x: Sequence[int], depth: int
+    dyn: DynamicsSpec,
+    x: Sequence[int],
+    depth: int,
+    stop: Callable[[np.ndarray, int], bool] | None = None,
 ) -> np.ndarray:
     """The Jacobians of the chain J_0..J_depth at the integer point x mod P:
-    the kernel's gradient lanes, [p, i, j] = dJ_p[i] / dx[j], not copied."""
-    return lie_derivatives(dyn, x, depth)[:, :, 1:]
+    the kernel's gradient lanes, [p, i, j] = dJ_p[i] / dx[j], not copied.
+    stop may end the chain early (``lie_derivatives``)."""
+    return lie_derivatives(dyn, x, depth, stop)[:, :, 1:]
 
 
 def node_blocks(
-    dyn: DynamicsSpec, x: Sequence[int], depth: int
+    dyn: DynamicsSpec,
+    x: Sequence[int],
+    depth: int,
+    stop: Callable[[np.ndarray, int], bool] | None = None,
 ) -> np.ndarray:
     """Every node's observability block at the integer point x mod P.
 
     [i-1, p] is the gradient row of J_p for node i, in a node-major view
     of the kernel's lanes: stacking a node's rows over p gives its block,
-    and a node set's matrix is the union of its blocks.
+    and a node set's matrix is the union of its blocks. stop may end the
+    chain early (``lie_derivatives``).
     """
-    return lie_derivatives_with_jacobians(dyn, x, depth).transpose(1, 0, 2)
+    return lie_derivatives_with_jacobians(dyn, x, depth, stop).transpose(
+        1, 0, 2
+    )
 
 
 class NomOracle:
@@ -83,32 +104,100 @@ class NomOracle:
     points have no zero coordinates and derive deterministically from the
     seed. A config depth of None resolves here, to n - 1 of ``dyn``; the
     config itself is kept for oracles on parts of ``dyn``.
+
+    The depth is a cap. A trial's chain pass ends at the first level where
+    every watched node set is flat (its last level added no rank) or at
+    rank n; from there no level adds rank to any of them, nor to a union
+    of them. watch=None watches each node alone, which makes every node
+    set a union, as MON needs; a given watch is one node set, the only one
+    ``rank`` then takes. Flatness is checked lazily: the pass folds each
+    new level into the echelon of one set still growing, the witness, and
+    only when it goes flat scans the sets after it for a new one. Each
+    set's echelon, grown that way, is kept as its row basis.
     """
 
-    def __init__(self, dyn: DynamicsSpec, config: RankConfig | None = None):
+    def __init__(
+        self,
+        dyn: DynamicsSpec,
+        config: RankConfig | None = None,
+        watch: Iterable[int] | None = None,
+    ):
         cfg = config or RankConfig()
         self.dyn = dyn
         self.config = cfg
         self.depth = cfg.depth if cfg.depth is not None else dyn.n - 1
         self.trials = cfg.trials
         self.seed = cfg.seed
+        self.watch = None if watch is None else tuple(sorted(watch))
         self._evaluations: dict[int, np.ndarray] = {}
-        self._bases: dict[tuple[int, int], list[list[int]]] = {}
+        # per (trial, node set) still growing: its echelon, the last level
+        # folded in, and whether that level added rank below n
+        self._growth: dict[
+            tuple[int, tuple[int, ...]], tuple[Echelon, int, bool]
+        ] = {}
+        self._bases: dict[tuple[int, tuple[int, ...]], list[list[int]]] = {}
+
+    def point(self, trial: int) -> list[int]:
+        """The trial's evaluation point, derived from the seed."""
+        return random_point(
+            self.dyn.n, derive_seed(self.seed, f"rank-point-{trial}")
+        )
 
     def evaluation(self, trial: int) -> np.ndarray:
-        """Every node's block at one trial point (``node_blocks``)."""
+        """Every node's block at one trial point (``node_blocks``), levels
+        0..p for the level p where the chain pass stopped."""
         if not 0 <= trial < self.trials:
             raise IndexError(f"trial {trial} outside 0..{self.trials - 1}")
         cached = self._evaluations.get(trial)
         if cached is None:
             # refuse a chain no memory holds before drawing its n coordinates
             check_lane_slots(self.dyn, self.depth)
-            point = random_point(
-                self.dyn.n, derive_seed(self.seed, f"rank-point-{trial}")
-            )
-            cached = node_blocks(self.dyn, point, self.depth)
+            if self.watch is not None:
+                sets = [self.watch]
+            else:
+                sets = [(i,) for i in range(1, self.dyn.n + 1)]
+            witness = 0
+
+            def flat(chain: np.ndarray, p: int) -> bool:
+                nonlocal witness
+                blocks = chain[:, :, 1:].transpose(1, 0, 2)
+                while witness < len(sets) and not self._grow(
+                    trial, sets[witness], blocks, p
+                ):
+                    witness += 1
+                return witness == len(sets)
+
+            cached = node_blocks(self.dyn, self.point(trial), self.depth, flat)
             self._evaluations[trial] = cached
         return cached
+
+    def _grow(
+        self, trial: int, nodes: tuple[int, ...], blocks: np.ndarray, top: int
+    ) -> bool:
+        """Fold the node set's rows of levels up to top into its echelon at
+        one trial, stopping at its first flat level; whether it may still
+        grow. blocks is the node-major chain so far."""
+        n = self.dyn.n
+        state = self._growth.get((trial, nodes))
+        ech, level, growing = state or (Echelon(n), -1, True)
+        while growing and level < top:
+            level += 1
+            rows = [blocks[i - 1, level].tolist() for i in nodes]
+            gained = ech.add_rows(rows)
+            growing = gained > 0 and ech.rank < n
+        self._growth[trial, nodes] = ech, level, growing
+        return growing
+
+    def _span(self, trial: int, nodes: tuple[int, ...]) -> list[list[int]]:
+        """Echelon rows spanning the node set's stacked blocks at one trial,
+        built once, by the chain pass as far as it went."""
+        rows = self._bases.get((trial, nodes))
+        if rows is None:
+            blocks = self.evaluation(trial)
+            self._grow(trial, nodes, blocks, blocks.shape[1] - 1)
+            ech = self._growth.pop((trial, nodes))[0]
+            rows = self._bases[trial, nodes] = list(ech.pivots.values())
+        return rows
 
     def basis(self, trial: int, node: int) -> list[list[int]]:
         """Row basis of a node's block at one trial point, reduced once.
@@ -116,12 +205,14 @@ class NomOracle:
         It spans the same rows as the block, so it can stand in for the
         block in any rank, probe or echelon, with fewer rows to reduce.
         """
-        rows = self._bases.get((trial, node))
-        if rows is None:
-            ech = Echelon(self.dyn.n)
-            ech.add_rows(self.evaluation(trial)[node - 1].tolist())
-            rows = self._bases[trial, node] = list(ech.pivots.values())
-        return rows
+        return self._span(trial, (node,))
+
+    @property
+    def stacked_depth(self) -> int:
+        """The highest level stacked at any evaluated trial; 0 before any."""
+        return max(
+            (b.shape[1] - 1 for b in self._evaluations.values()), default=0
+        )
 
     @cached_property
     def parts(self) -> tuple[tuple[tuple[int, ...], NomOracle | None], ...]:
@@ -140,7 +231,8 @@ class NomOracle:
         return tuple(out)
 
     def rank(self, nodes: Iterable[int]) -> int:
-        """Best rank of the stacked node blocks across the trial points."""
+        """Best rank of the stacked node blocks across the trial points,
+        taken over the bases of the watched sets that make up the nodes."""
         nodes = list(nodes)
         seen = set(nodes)
         if len(seen) != len(nodes):
@@ -148,10 +240,17 @@ class NomOracle:
         for i in seen:
             if not 1 <= i <= self.dyn.n:
                 raise IndexError(f"node {i} outside 1..{self.dyn.n}")
+        if self.watch is None:
+            sets = [(i,) for i in sorted(seen)]
+        elif seen == set(self.watch):
+            sets = [self.watch]
+        else:
+            raise ValueError(
+                f"this oracle ranks only its watched nodes {list(self.watch)}"
+            )
         best = 0
         for t in range(self.trials):
-            blocks = self.evaluation(t)
-            rows = [r for i in sorted(seen) for r in blocks[i - 1].tolist()]
+            rows = [r for nodes in sets for r in self._span(t, nodes)]
             best = max(best, modp_rank(rows, self.dyn.n))
             if best == self.dyn.n:
                 break
@@ -166,12 +265,14 @@ def _as_dynamics(g: UniformHypergraph | DynamicsSpec) -> DynamicsSpec:
 
 @dataclass(frozen=True)
 class ObservabilityReport:
-    """Outcome of a local weak observability check."""
+    """Outcome of a local weak observability check: depth is the cap,
+    stacked_depth the highest level any trial's chain stacked."""
 
     observable: bool
     rank: int
     n: int
     depth: int
+    stacked_depth: int
     trials: int
 
     @property
@@ -186,15 +287,19 @@ def is_locally_weakly_observable(
 ) -> ObservabilityReport:
     """Does measuring the given nodes pin down the full state locally?
 
-    True when the generic observability rank reaches the node count at the
-    configured depth (default n - 1).
+    True when the generic observability rank reaches the node count. Each
+    trial's chain watches the measured set alone and stops once its rank
+    stops growing or reaches n, below the configured depth (default n - 1)
+    when it can.
     """
-    oracle = NomOracle(_as_dynamics(g), config)
-    rank = oracle.rank(list(nodes))
+    nodes = list(nodes)
+    oracle = NomOracle(_as_dynamics(g), config, watch=nodes)
+    rank = oracle.rank(nodes)
     return ObservabilityReport(
         observable=rank == oracle.dyn.n,
         rank=rank,
         n=oracle.dyn.n,
         depth=oracle.depth,
+        stacked_depth=oracle.stacked_depth,
         trials=oracle.trials,
     )

@@ -25,6 +25,8 @@ with the kernel's residues through ``residue``.
 ``eager_greedy`` and ``naive_brute_force`` are the MON searches with no
 early stop: greedy scores every candidate at every trial point, evaluated up
 front, and brute force ranks the raw blocks of each subset at every trial.
+Both stack every level up to the oracle's depth cap at the oracle's own
+points (``full_depth_blocks``), so they do not share the chain's stop rule.
 ``hyperobs.mon`` must return the same results.
 """
 
@@ -44,7 +46,12 @@ from hyperobs.errors import ResourceLimitError
 from hyperobs.hypergraph import UniformHypergraph
 from hyperobs.linalg import Echelon, modp_rank
 from hyperobs.mon import SUBSET_BUDGET, MonResult
-from hyperobs.observability import NomOracle, RankConfig, _as_dynamics
+from hyperobs.observability import (
+    NomOracle,
+    RankConfig,
+    _as_dynamics,
+    node_blocks,
+)
 from hyperobs.scalars import PRIME, derive_seed
 
 DEFAULT_RECURSION_BUDGET = 500_000
@@ -340,6 +347,12 @@ def block_rows(blocks: np.ndarray, nodes: Sequence[int]) -> list[list[int]]:
     return [row for i in nodes for row in blocks[i - 1].tolist()]
 
 
+def full_depth_blocks(oracle: NomOracle, trial: int) -> np.ndarray:
+    """Every node's block at the oracle's trial point, with every level up
+    to its depth cap: ``node_blocks`` without a stop test."""
+    return node_blocks(oracle.dyn, oracle.point(trial), oracle.depth)
+
+
 def eager_greedy(
     g: UniformHypergraph | DynamicsSpec,
     config: RankConfig | None = None,
@@ -353,7 +366,7 @@ def eager_greedy(
     n = dyn.n
     oracle = NomOracle(dyn, config)
     echelons = [Echelon(n) for _ in range(oracle.trials)]
-    evaluations = [oracle.evaluation(t) for t in range(oracle.trials)]
+    evaluations = [full_depth_blocks(oracle, t) for t in range(oracle.trials)]
     degrees = dyn.graph.degrees()
     shuffled = list(range(1, n + 1))
     random.Random(derive_seed(oracle.seed, "tie-break")).shuffle(shuffled)
@@ -401,7 +414,7 @@ def naive_brute_force(
     dyn = _as_dynamics(g)
     n = dyn.n
     oracle = NomOracle(dyn, config)
-    evaluations = [oracle.evaluation(t) for t in range(oracle.trials)]
+    evaluations = [full_depth_blocks(oracle, t) for t in range(oracle.trials)]
     tried = 0
     for size in range(1, n + 1):
         for subset in combinations(range(1, n + 1), size):

@@ -16,10 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperobs
-from hyperobs import observability
+from hyperobs import dynamics, observability
 from hyperobs.cli import main
 from hyperobs.correlation import TimeSeriesMatrix, write_timeseries_csv
-from hyperobs.hypergraph import UniformHypergraph, gen_hyperring, gen_hyperstar
+from hyperobs.hypergraph import (
+    FAMILIES,
+    UniformHypergraph,
+    gen_hyperring,
+    gen_hyperstar,
+)
 
 from conftest import disjoint_union
 
@@ -291,6 +296,65 @@ def test_mon_reports_depth(tmp_path, capsys):
     assert "depth" not in res["brute_force"]
 
 
+def test_chains_stop_at_the_first_level_that_adds_no_rank(
+    tmp_path, capsys, monkeypatch
+):
+    # stacked_depth is the highest level any trial stacked, and
+    # apply_factors runs once per level past 0; depth stays the cap
+    levels = []
+    original = dynamics.apply_factors
+
+    def counting(dyn, chain, stacks, p):
+        levels.append(p + 1)
+        return original(dyn, chain, stacks, p)
+
+    monkeypatch.setattr(dynamics, "apply_factors", counting)
+
+    def stacked(family, n, k, command, *flags):
+        path = tmp_path / f"{family}{n}-{k}.json"
+        path.write_text(FAMILIES[family](n, k).to_json())
+        levels.clear()
+        code, stdout, _ = run(capsys, command, str(path), *flags)
+        assert code == 0
+        report = json.loads(stdout)
+        if command == "observable":
+            return report["result"]["stacked_depth"], report
+        (part,) = report["result"]["components"]
+        return part["stacked_depth"], report
+
+    # every node measured: rank n at level 0, no level computed
+    depth, report = stacked("ring", 6, 3, "observable", "--nodes", "all")
+    assert (depth, levels) == (0, [])
+    assert report["result"]["verdict"] == "observable"
+    # a star core gains one rank per level through level 2; level 3 adds
+    # none, so each of the three trials stacks levels 0..3 of the cap 19
+    depth, report = stacked("star", 20, 3, "observable", "--nodes", "1")
+    assert (depth, report["parameters"]["depth"]) == (3, 19)
+    assert levels == [1, 2, 3] * 3
+    assert report["result"]["rank"] == 3
+    # every star 11/3 node is flat by level 4
+    depth, report = stacked("star", 11, 3, "mon")
+    assert depth <= 4 < report["result"]["components"][0]["depth"] == 10
+    assert max(levels) <= 4
+    # one ring node and one complete-graph node need every level
+    depth, _ = stacked("ring", 20, 3, "mon")
+    assert depth == 19 == max(levels)
+    depth, report = stacked("complete", 9, 4, "observable", "--nodes", "1")
+    assert depth == 8 == report["parameters"]["depth"]
+    assert levels == list(range(1, 9))
+    assert report["result"]["verdict"] == "observable"
+
+    path = tmp_path / "star20-3.json"
+    code, stdout, _ = run(
+        capsys, "observable", str(path), "--nodes", "1", "--format", "text"
+    )
+    assert stdout.endswith(
+        "rank 3 of 20: not-observable-at-depth\nstacked depth 3 of cap 19\n"
+    )
+    code, stdout, _ = run(capsys, "mon", str(path), "--format", "text")
+    assert stdout.endswith("stacked depth per component: 4\n")
+
+
 def test_mon_brute_force_reuses_greedys_points(tmp_path, capsys, monkeypatch):
     # both searches rank each component at the same points, and each
     # point's chain runs once for the two; a star leaf alone is below full
@@ -299,9 +363,9 @@ def test_mon_brute_force_reuses_greedys_points(tmp_path, capsys, monkeypatch):
     points = []
     original = observability.node_blocks
 
-    def counting(dyn, x, depth):
+    def counting(dyn, x, *rest):
         points.append((dyn.n, tuple(x)))
-        return original(dyn, x, depth)
+        return original(dyn, x, *rest)
 
     monkeypatch.setattr(observability, "node_blocks", counting)
     star = gen_hyperstar(11, 3)
@@ -341,9 +405,9 @@ def test_mon_isolated_nodes_need_no_rank_work(tmp_path, capsys, monkeypatch):
     sizes = []
     original = observability.node_blocks
 
-    def counting(dyn, x, depth):
+    def counting(dyn, x, *rest):
         sizes.append(dyn.n)
-        return original(dyn, x, depth)
+        return original(dyn, x, *rest)
 
     monkeypatch.setattr(observability, "node_blocks", counting)
     code, stdout, _ = run(capsys, "mon", str(path))
@@ -358,6 +422,7 @@ def test_mon_isolated_nodes_need_no_rank_work(tmp_path, capsys, monkeypatch):
         "rank_trace": [1],
         "verdict": "complete",
         "depth": 0,
+        "stacked_depth": 0,
     }
     path.write_text(UniformHypergraph(5, 3, [(1, 2, 3)]).to_json())
     code, stdout, _ = run(capsys, "mon", str(path), "--depth", "4")

@@ -31,7 +31,7 @@ from hyperobs.hypergraph import (
     gen_hyperchain,
     gen_hyperring,
 )
-from hyperobs.scalars import PRIME, cast, random_point
+from hyperobs.scalars import PRIME, cast, random_point, scale
 
 from conftest import chain_values, int_point, random_uniform_hypergraph
 from oracles import (
@@ -376,3 +376,37 @@ def test_slot_count_at_the_cap(monkeypatch):
         with pytest.raises(ResourceLimitError, match=f"needs {slots} lane"):
             lie_derivatives(DynamicsSpec(gen_hyperring(n, 3)), [1] * n, n - 1)
     assert 99672064 <= MAX_DENSE_SLOTS < 100486818
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=7),
+    k=st.integers(min_value=2, max_value=5),
+    depth=st.integers(min_value=0, max_value=6),
+    at=st.integers(min_value=0, max_value=7),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_stopped_chain_is_a_prefix_of_the_full_one(seed, n, k, depth, at):
+    # the stop test sees levels 0..p as the recurrence left them, before
+    # the p! scaling; a pass it ends at level p returns exactly levels 0..p
+    # of the full pass, and a stop test that never fires changes nothing
+    rng = random.Random(seed)
+    dyn = DynamicsSpec(
+        random_uniform_hypergraph(max(n, k), k, rng, density=rng.random())
+    )
+    x = random_point(dyn.n, seed)
+    full = lie_derivatives(dyn, x, depth)
+    asked = []
+
+    def stop(chain, p):
+        asked.append(p)
+        # level p of the running pass is level p of the result over p!
+        fact = factorial(p) % PRIME
+        assert (scale(chain[p], fact) == full[p]).all()
+        return p == at
+
+    stopped = lie_derivatives(dyn, x, depth, stop)
+    top = min(at, depth)
+    assert asked == list(range(min(at + 1, depth)))
+    assert stopped.shape == (top + 1, dyn.n, dyn.n + 1)
+    assert (stopped == full[: top + 1]).all()

@@ -37,7 +37,12 @@ from hyperobs.observability import (
 )
 
 from conftest import disjoint_union, random_uniform_hypergraph, relabel
-from oracles import block_rows, eager_greedy, naive_brute_force
+from oracles import (
+    block_rows,
+    eager_greedy,
+    full_depth_blocks,
+    naive_brute_force,
+)
 
 
 def test_options_validation(triangle):
@@ -248,7 +253,7 @@ def test_gains_shrink_as_the_selection_grows(seed, n, k, depth):
     rng = random.Random(seed)
     g = random_uniform_hypergraph(max(n, k), k, rng, density=rng.random())
     oracle = NomOracle(DynamicsSpec(g), RankConfig(seed=seed, depth=depth))
-    blocks = oracle.evaluation(0)
+    blocks = full_depth_blocks(oracle, 0)
     nodes = list(range(1, g.n + 1))
     rng.shuffle(nodes)
     inner_size = rng.randint(0, g.n)
@@ -261,6 +266,41 @@ def test_gains_shrink_as_the_selection_grows(seed, n, k, depth):
         assert outer.probe(block) <= inner.probe(block)
         # a node's basis stands in for its block
         assert inner.probe(oracle.basis(0, c)) == inner.probe(block)
+
+
+def _sparse_hypergraph(rng: random.Random) -> UniformHypergraph:
+    """3 to 9 nodes, k 2 to 4, and 1 to 12 distinct edges: isolated nodes
+    and several components are common."""
+    n = rng.randint(3, 9)
+    k = rng.randint(2, min(4, n))
+    pool = list(combinations(range(1, n + 1), k))
+    edges = rng.sample(pool, rng.randint(1, min(12, len(pool))))
+    return UniformHypergraph(n, k, edges)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    trials=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_early_stop_matches_full_depth(seed, trials):
+    # each chain stops at the first level where its watched sets are flat;
+    # verdicts, ranks, picks and exhaustive sets must equal those of every
+    # level up to the default cap n - 1, at the same points
+    rng = random.Random(seed)
+    g = _sparse_hypergraph(rng)
+    cfg = RankConfig(trials=trials, seed=seed)
+    reference = NomOracle(DynamicsSpec(g), cfg)
+    blocks = [full_depth_blocks(reference, t) for t in range(trials)]
+    for _ in range(3):
+        nodes = rng.sample(range(1, g.n + 1), rng.randint(1, g.n))
+        want = max(modp_rank(block_rows(b, nodes), g.n) for b in blocks)
+        report = is_locally_weakly_observable(g, nodes, cfg)
+        assert (report.rank, report.observable) == (want, want == g.n)
+        assert report.stacked_depth <= report.depth == g.n - 1
+    for tie_break in TIE_BREAKS:
+        assert greedy_mon(g, cfg, tie_break) == eager_greedy(g, cfg, tie_break)
+    assert brute_force_mon(g, cfg).selected == naive_brute_force(g, cfg).selected
 
 
 def test_lazy_greedy_work_counts(monkeypatch):
@@ -379,14 +419,14 @@ def test_twins_bound_every_full_rank_set(seed, n, k, trials, depth, twin):
     cfg = RankConfig(trials=trials, seed=seed, depth=depth)
     assert twin_lower_bound(g) <= naive_brute_force(g, cfg).size
     # a subset that leaves two twins unmeasured is below rank n at every
-    # trial, on the raw blocks
+    # trial, on the raw blocks of every level up to the cap
     oracle = NomOracle(DynamicsSpec(g), cfg)
     for size in range(1, g.n + 1):
         for subset in combinations(range(1, g.n + 1), size):
             if invisible_pair(g, subset) is None:
                 continue
             for t in range(trials):
-                rows = block_rows(oracle.evaluation(t), subset)
+                rows = block_rows(full_depth_blocks(oracle, t), subset)
                 assert modp_rank(rows, g.n) < g.n
 
 

@@ -260,3 +260,29 @@ def test_observability_report(triangle_dyn):
     assert rep2.rank == 4
     rep3 = is_locally_weakly_observable(star, [5], RankConfig(depth=2))
     assert rep3.depth == 2
+    # the chain stops where the measured set's rank stops growing: a star
+    # leaf gains one rank per level through level 3, and level 4 adds none.
+    # On star 5/3 level 4 is the cap n - 1; on star 8/3 the chain stops
+    # there, three levels below the cap
+    assert (rep2.depth, rep2.stacked_depth) == (4, 4)
+    assert rep3.stacked_depth == 2
+    rep8 = is_locally_weakly_observable(gen_hyperstar(8, 3), [8])
+    assert (rep8.rank, rep8.depth, rep8.stacked_depth) == (4, 7, 4)
+    # every node measured is rank n at level 0
+    assert is_locally_weakly_observable(star, range(1, 6)).stacked_depth == 0
+
+
+def test_a_watched_oracle_ranks_only_its_set(triangle_dyn):
+    # watching one node set makes only that set's span final when the
+    # chain stops, so no other set can be ranked on it
+    oracle = NomOracle(triangle_dyn, watch=[3, 1])
+    assert oracle.watch == (1, 3)
+    assert oracle.rank([3, 1]) == 3
+    assert oracle.stacked_depth == 1
+    with pytest.raises(ValueError, match="watched"):
+        oracle.rank([1])
+    # watching every node alone ranks any set, each trial at one depth
+    every = NomOracle(triangle_dyn)
+    assert every.watch is None
+    assert every.rank([1]) == every.rank([1, 3]) == 3
+    assert every.stacked_depth == 2
