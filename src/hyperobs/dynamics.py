@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import prod
 from typing import Callable, Sequence
 
@@ -28,15 +29,18 @@ from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph
 from .scalars import (
     PRIME,
+    LimbProduct,
     cast,
-    limb_matmul,
     mul,
     row_sum,
-    scale,
     segment_sums,
+    split_limbs,
 )
 
 MAX_DENSE_SLOTS = 10**8
+# lanes the closing p! scaling multiplies in one call: every level at
+# n <= 24 at once, and about 2.5 MB of temporaries at n = 100
+_SCALE_LANES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,109 +88,138 @@ class DynamicsSpec:
         )
 
     @cached_property
-    def jacobian_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def jacobian_cells(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Where the entries of an (M, k-1) array over ``incidence`` land in
         the n x n Jacobian of f: entry (r, s) in cell (owner of row r,
         incidence[r, s]).
 
-        Returns the order that sorts the entries by flat cell index, the
-        distinct cells, and where each cell's run starts in that order.
+        Returns the order that sorts the entries by cell, column first, the
+        distinct cells' rows and columns in that order, and where each
+        cell's run starts in it.
         """
         owners = np.repeat(np.arange(self.n), np.diff(self.incidence_starts))
-        cells = (owners[:, None] * self.n + self.incidence).ravel()
+        cells = (self.incidence * self.n + owners[:, None]).ravel()
         order = np.argsort(cells, kind="stable")
         distinct, starts = np.unique(cells[order], return_index=True)
-        return order, distinct, starts
+        return order, distinct % self.n, distinct // self.n, starts
+
+    @cached_property
+    def leave_one_out(
+        self,
+    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        """How a level takes coefficient p of every leave-one-out product
+        (k >= 3), as columns of a value series.
+
+        The product over a remainder without one of its factors depends
+        only on the set of the other nodes, so each distinct set is one
+        column: columns 0..n-1 are the nodes' values, and each further
+        column a set of z >= 2 nodes, the Cauchy product of the column of
+        its z - 1 lowest nodes with the value of its highest. The sets of
+        one size are one stage: their coefficient p needs coefficient p of
+        the stage before, so each stage is one batched product.
+
+        Returns the stages as (u, v) column arrays, whose products are the
+        next columns in turn, and the column of each entry of an (M, k-1)
+        array over ``incidence``, in ``jacobian_cells`` order.
+        """
+        n, m = self.n, self.k - 1
+        # entry (r, s): the sorted nodes of remainder r without factor s
+        sets = np.stack(
+            [np.sort(np.delete(self.incidence, s, 1), 1) for s in range(m)],
+            axis=1,
+        ).reshape(-1, m - 1)
+        columns, count, stages = sets[:, 0], n, []
+        for z in range(1, m - 1):
+            distinct, inverse = np.unique(
+                columns * n + sets[:, z], return_inverse=True
+            )
+            stages.append((distinct // n, distinct % n))
+            columns = count + inverse.ravel()
+            count += len(distinct)
+        return stages, columns[self.jacobian_cells[0]]
 
 
 @dataclass(frozen=True)
 class ChainStacks:
-    """What a chain pass keeps between levels, besides the chain itself.
+    """What a chain pass at k >= 3 keeps between levels, besides the chain.
 
-    ``series`` holds, for every remainder (a_1, ..., a_{k-1}), coefficients
-    0..depth-1 of the value products x_{a_1} ... x_{a_s} (row s - 2) and
-    x_{a_s} ... x_{a_{k-1}} (row k + s - 5), for s = 2..k-2; only k >= 4
-    has any. ``jacobians`` holds the Taylor coefficients D_q of Df(x(t))
-    at [:, depth - 1 - q], so that D_p, ..., D_0 side by side is one slice;
-    at k = 2 Df is the constant adjacency, applied as sums, and none is
-    kept.
+    ``series`` holds at [q] coefficient q of the columns of
+    ``DynamicsSpec.leave_one_out``, values only. ``chain_limbs`` holds Y_q
+    at [q] as float32 limbs, row j of Y_q in row j (n x 3 (n+1), by limb);
+    ``cell_limbs`` holds D_q at [depth - 1 - q] as the float32 limbs of its
+    ``jacobian_cells`` entries, so that D_p, ..., D_0 is one slice. A level
+    is split into limbs once, when its step first needs it. ``product``
+    holds the buffers of the level GEMM.
     """
 
     series: np.ndarray
-    jacobians: np.ndarray
+    chain_limbs: np.ndarray
+    cell_limbs: np.ndarray
+    product: LimbProduct
 
     @staticmethod
-    def shapes(dyn: DynamicsSpec, depth: int) -> tuple[tuple[int, ...], ...]:
+    def layout(
+        dyn: DynamicsSpec, depth: int
+    ) -> tuple[tuple[tuple[int, ...], type], ...]:
+        """The (shape, dtype) of every array a pass keeps besides the chain
+        and the index arrays of ``dyn``; none at k = 2 or depth 0."""
+        n = dyn.n
+        if dyn.k == 2 or depth == 0:
+            return ()
+        columns = n + sum(len(u) for u, _ in dyn.leave_one_out[0])
+        cells = len(dyn.jacobian_cells[1])
+        left, right, at = LimbProduct.shapes(n, n, n + 1, depth, cells)
         return (
-            (2 * max(dyn.k - 3, 0), depth, dyn.k * dyn.graph.num_edges),
-            (dyn.n, depth if dyn.k > 2 else 0, dyn.n),
+            ((depth, columns), np.uint64),
+            ((depth, n, 3 * (n + 1)), np.float32),
+            ((depth, cells, 3), np.float32),
+            (left, np.float64),
+            (right, np.float64),
+            (at, np.intp),
         )
 
     @classmethod
-    def allocate(cls, dyn: DynamicsSpec, depth: int) -> ChainStacks:
-        series, jacobians = cls.shapes(dyn, depth)
+    def allocate(cls, dyn: DynamicsSpec, depth: int) -> ChainStacks | None:
+        """The stacks of a pass to depth, or None where it keeps none."""
+        layout = cls.layout(dyn, depth)
+        if not layout:
+            return None
+        _, rows, columns, _ = dyn.jacobian_cells
         return cls(
-            np.empty(series, dtype=np.uint64),
-            np.empty(jacobians, dtype=np.uint64),
+            *(np.empty(shape, dtype) for shape, dtype in layout[:3]),
+            LimbProduct(dyn.n, dyn.n, dyn.n + 1, depth, rows, columns),
         )
 
 
 def check_lane_slots(dyn: DynamicsSpec, depth: int) -> None:
-    """Refuse a chain pass whose lanes (chain, value series and Jacobian
-    stack) exceed MAX_DENSE_SLOTS, counted from n, k, |E| and depth alone."""
-    shapes = ((depth + 1, dyn.n, dyn.n + 1),) + ChainStacks.shapes(dyn, depth)
-    slots = sum(prod(shape) for shape in shapes)
-    if slots > MAX_DENSE_SLOTS:
+    """Refuse a chain pass whose arrays (chain, value series, limbs of the
+    chain and of the Jacobian cells, GEMM buffers) exceed MAX_DENSE_SLOTS
+    8-byte slots, counted from their shapes before any is allocated. A
+    chain past the cap alone is refused before the cells are worked out,
+    which takes time linear in n."""
+
+    def slots(arrays: tuple[tuple[tuple[int, ...], type], ...]) -> int:
+        return sum(
+            -(-prod(shape) * np.dtype(dtype).itemsize // 8)
+            for shape, dtype in arrays
+        )
+
+    needs = slots((((depth + 1, dyn.n, dyn.n + 1), np.uint64),))
+    what = "for the chain alone"
+    if needs <= MAX_DENSE_SLOTS:
+        needs += slots(ChainStacks.layout(dyn, depth))
+        what = "in all"
+    if needs > MAX_DENSE_SLOTS:
         raise ResourceLimitError(
-            f"depth {depth} at n = {dyn.n} needs {slots} lane slots, "
+            f"depth {depth} at n = {dyn.n} needs {needs} lane slots {what}, "
             f"cap is {MAX_DENSE_SLOTS}"
         )
 
 
-def _coefficient(
-    u: np.ndarray | None, v: np.ndarray | None, p: int
-) -> np.ndarray:
-    """Coefficient p of the product of two series, each given by its
-    coefficients 0..p on axis 0, at most one None for the constant 1."""
-    if u is None:
-        return v[p]
-    if v is None:
-        return u[p]
-    return row_sum(mul(u[: p + 1], v[p::-1]))
-
-
-def _leave_one_out(
-    rests: np.ndarray, values: np.ndarray, series: np.ndarray, p: int
-) -> np.ndarray:
-    """Coefficient p of every leave-one-out product: entry (r, s) is that of
-    the product over the remainder rests[r] without its factor s.
-
-    values holds X_0..X_p. The product without factor s is the prefix
-    before s times the suffix after it; this call adds coefficient p of
-    the prefixes and suffixes of two or more factors to ``series``.
-    """
-    m = rests.shape[1]
-    factors = [values[:, rests[:, s]] for s in range(m)]
-    # prefix[s]: factors 0..s-1; suffix[s]: factors s..m-1
-    prefix = {0: None, 1: factors[0]}
-    suffix = {m: None, m - 1: factors[m - 1]}
-
-    def extend(row: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        series[row, p] = _coefficient(u, v, p)
-        return series[row, : p + 1]
-
-    for s in range(2, m):
-        prefix[s] = extend(s - 2, prefix[s - 1], factors[s - 1])
-    for s in range(m - 2, 0, -1):
-        suffix[s] = extend(m - 3 + s, factors[s], suffix[s + 1])
-    return np.stack(
-        [_coefficient(prefix[s], suffix[s + 1], p) for s in range(m)],
-        axis=1,
-    )
-
-
 def apply_factors(
-    dyn: DynamicsSpec, chain: np.ndarray, stacks: ChainStacks, p: int
+    dyn: DynamicsSpec, chain: np.ndarray, stacks: ChainStacks | None, p: int
 ) -> np.ndarray:
     """One level of the variational Taylor recurrence: Y_{p+1} from
     Y_0..Y_p.
@@ -200,13 +233,17 @@ def apply_factors(
         (p+1) Y_{p+1} = weight * sum_{q <= p} D_q Y_{p-q},
 
     column 0 scaled by (k-1)^-1, with D_q coefficient q of Df(x(t)). This
-    call builds D_p from the leave-one-out products of each hyperedge
-    remainder, summed into the cells (owner, factor), and takes the sum as
-    one exact mod-P GEMM (``scalars.limb_matmul``). At k = 2, Df is the
-    constant adjacency: D_q = 0 for q > 0, and D_0 Y_p sums rows of Y_p.
+    call splits Y_p into limbs, builds D_p from the leave-one-out products
+    of each hyperedge remainder, summed into the cells (owner, factor),
+    keeps D_p as the limbs of those cells, and takes the sum as one exact
+    mod-P GEMM on the kept limbs (``scalars.LimbProduct``); stacks holds
+    levels 0..p-1 of both. At k = 2, Df is the constant adjacency:
+    D_q = 0 for q > 0, and D_0 Y_p sums rows of Y_p.
     """
     n, k = dyn.n, dyn.k
-    step = dyn.weight * pow(p + 1, -1, PRIME)
+    step = dyn.weight * pow(p + 1, -1, PRIME) % PRIME
+    column = np.full(chain.shape[2], step, dtype=np.uint64)
+    column[0] = step * pow(k - 1, -1, PRIME) % PRIME
     if k == 2:
         starts = dyn.incidence_starts
         owners = np.flatnonzero(np.diff(starts))
@@ -214,21 +251,27 @@ def apply_factors(
         if len(owners):
             rows = chain[p, dyn.incidence[:, 0]]
             out[owners] = segment_sums(rows, starts[owners])
-        return scale(out, step)
-    loo = _leave_one_out(dyn.incidence, chain[: p + 1, :, 0], stacks.series, p)
-    order, cells, starts = dyn.jacobian_cells
-    d = np.zeros(n * n, dtype=np.uint64)
-    if len(cells):
-        d[cells] = segment_sums(loo.ravel()[order], starts)
-    jacobians = stacks.jacobians
-    block = jacobians.shape[1] - 1 - p
-    jacobians[:, block] = d.reshape(n, n)
-    out = limb_matmul(
-        jacobians.reshape(n, -1)[:, block * n :],
-        chain[: p + 1].reshape(-1, chain.shape[2]),
+        return mul(out, column)
+    limbs = stacks.chain_limbs[: p + 1]
+    split_limbs(chain[p], limbs[p].reshape(n, 3, -1).transpose(1, 0, 2))
+    series = stacks.series
+    series[p, :n] = chain[p, :, 0]
+    stages, gather = dyn.leave_one_out
+    lo = n
+    for u, v in stages:
+        lo += len(u)
+        series[p, lo - len(u) : lo] = row_sum(
+            mul(series[: p + 1, u], series[p::-1, v])
+        )
+    block = len(stacks.cell_limbs) - 1 - p
+    split_limbs(
+        segment_sums(series[p, gather], dyn.jacobian_cells[3]),
+        stacks.cell_limbs[block].T,
     )
-    out[:, 0] = scale(out[:, 0], pow(k - 1, -1, PRIME))
-    return scale(out, step)
+    product = stacks.product(
+        stacks.cell_limbs[block:], limbs.reshape(-1, 3 * chain.shape[2])
+    )
+    return mul(product, column)
 
 
 def lie_derivatives(
@@ -244,9 +287,11 @@ def lie_derivatives(
     recurrence (``apply_factors``) runs once per level, and level p is
     multiplied by p! at the end, which restores J_p exactly mod P. For
     k >= 3, level p costs one GEMM of 9 (p+1) n^2 (n+1) float64
-    multiply-adds, the split of its operands into limbs, O(p n^2), and
-    O(k M p) value products for M = k |E| remainders; at k = 2 it costs
-    O(M n) sums.
+    multiply-adds, the widening of the kept limbs into its buffers,
+    O(p n^2), the split of Y_p and D_p into limbs, O(n^2), and O(p S)
+    value products for the S distinct node sets of
+    ``DynamicsSpec.leave_one_out``; at k = 2 it costs O(M n) sums for
+    M = k |E| remainders.
 
     Returns one (depth + 1, n, n + 1) uint64 array: row i of level p is
     J_p[i] followed by its gradient. A non-integer coordinate raises
@@ -275,8 +320,12 @@ def lie_derivatives(
             top = p
             break
         chain[p + 1] = apply_factors(dyn, chain, stacks, p)
-    factorial = 1
-    for p in range(2, top + 1):
-        factorial = factorial * p % PRIME
-        chain[p] = scale(chain[p], factorial)
+    # the limbs and buffers are freed before the scaling's temporaries
+    del stacks
+    factorials = accumulate(range(1, top + 1), lambda f, p: f * p % PRIME)
+    factorials = np.array([1, *factorials], dtype=np.uint64)[:, None, None]
+    levels = max(1, _SCALE_LANES // (n * (n + 1)))
+    for lo in range(2, top + 1, levels):
+        hi = min(lo + levels, top + 1)
+        chain[lo:hi] = mul(chain[lo:hi], factorials[lo:hi])
     return chain[: top + 1]

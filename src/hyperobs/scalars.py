@@ -9,10 +9,11 @@ up to 2**31 terms stay exact before the fold. Constants are uint64 scalars,
 so no operand promotes to float64.
 
 A matrix product runs on float64 instead, and stays exact: each residue
-splits into three 21-bit limbs, one GEMM forms every limb product, and the
-inner dimension goes in chunks of at most 2**11, so every partial sum is an
-integer below 2**11 * 2**42 = 2**53 whatever order BLAS adds in. The module
-also derives the seeded random evaluation points.
+splits once into three 21-bit limbs, which the caller keeps as float32, one
+GEMM forms every limb product, and the inner dimension goes in chunks of at
+most 2**11, so every partial sum is an integer below 2**11 * 2**42 = 2**53
+whatever order BLAS adds in. The module also derives the seeded random
+evaluation points.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ _SHIFT3, _SHIFT21, _SHIFT29, _SHIFT32, _SHIFT42, _SHIFT61 = (
 )
 # 2**11 limb products below 2**42 sum to less than 2**53
 _GEMM_CHUNK = 1 << 11
+# the limb weights 2**(21 s), s = 0..4, as powers 2**e (mod P)
+_FOLD = np.array([0, 21, 42, 2, 23], dtype=np.uint64).reshape(5, 1)
+_FOLD_HIGH = np.uint64(61) - _FOLD
+_FOLD_LOW = (np.uint64(1) << _FOLD_HIGH) - np.uint64(1)
 
 
 def _canonical(s: np.ndarray) -> np.ndarray:
@@ -101,64 +106,134 @@ def segment_sums(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
     )
 
 
-def scale(a: np.ndarray, c: int) -> np.ndarray:
-    """a times the integer c, reduced mod P."""
-    return mul(a, np.array([c % PRIME], dtype=np.uint64))
+def split_limbs(a: np.ndarray, out: np.ndarray) -> None:
+    """Write the residues a as three 21-bit limbs, lowest first, into
+    out[0], out[1] and out[2], each shaped like a.
 
-
-def _limbs(a: np.ndarray, axis: int, buffer: np.ndarray) -> np.ndarray:
-    """The (m, w) residues a as float64 21-bit limbs, lowest first, stacked
-    along axis, in the leading 3 m w slots of the flat buffer."""
-    shape = list(a.shape)
-    shape.insert(axis, 3)
-    parts = buffer[: 3 * a.size].reshape(shape)
-    limbs = np.moveaxis(parts, axis, 0)
-    # each ufunc casts to float64 as it writes, exactly: every value < 2**53
-    np.bitwise_and(a, _LOW21, out=limbs[0], casting="unsafe")
-    np.bitwise_and(a, _MID21, out=limbs[1], casting="unsafe")
-    limbs[1] *= 2.0**-21
-    np.right_shift(a, _SHIFT42, out=limbs[2], casting="unsafe")
-    shape = list(a.shape)
-    shape[axis] *= 3
-    return parts.reshape(shape)
-
-
-def _times_power_of_two(r: np.ndarray, e: int) -> np.ndarray:
-    """r 2**e up to a multiple of P, for r < 2**63 and 0 < e < 61: below
-    2**61 + 2**(e + 2), since 2**61 = 1 (mod P)."""
-    low = np.uint64((1 << (61 - e)) - 1)
-    return (r >> np.uint64(61 - e)) + ((r & low) << np.uint64(e))
-
-
-def limb_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A @ B mod P for the residues a (m, K) and b (K, w).
-
-    Each chunk of the inner dimension is split into limbs as it goes, so
-    block (i, j) of its float64 product is limb i of A times limb j of B,
-    worth 2**(21 (i + j)) = 2**(21 (i + j) mod 61) (mod P): 2**63 = 4 and
-    2**84 = 2**23. A chunk gives integers below 2**53, exact in float64
-    under any summation order, FMA or threading.
+    out may be float32: a limb is an integer below 2**21 < 2**24, and the
+    middle limb is written as limb times 2**21 before it is scaled, so
+    every value fits float32's 24-bit significand exactly.
     """
-    m, w = a.shape[0], b.shape[1]
-    acc = np.zeros((3 * m, 3 * w), dtype=np.uint64)
-    chunk = min(len(b), _GEMM_CHUNK)
-    left, right = np.empty(3 * m * chunk), np.empty(3 * chunk * w)
-    for lo in range(0, len(b), _GEMM_CHUNK):
-        part = _limbs(a[:, lo : lo + chunk], 0, left) @ _limbs(
-            b[lo : lo + chunk], 1, right
+    # each ufunc casts as it writes
+    np.bitwise_and(a, _LOW21, out=out[0], casting="unsafe")
+    np.bitwise_and(a, _MID21, out=out[1], casting="unsafe")
+    out[1] *= 2.0**-21
+    np.right_shift(a, _SHIFT42, out=out[2], casting="unsafe")
+
+
+def _fold(limbs: np.ndarray) -> np.ndarray:
+    """The (m, w) residues sum over i, j of limbs[:, i, j] 2**(21 (i + j))
+    mod P, for limbs (m, 3, 3, w) of entries below 2**62."""
+    # the at most three products of one weight 2**(21 s) sum below 2**63
+    same = np.zeros((len(limbs), 5, limbs.shape[3]), dtype=np.uint64)
+    for i in range(3):
+        same[:, i : i + 3] += limbs[:, i]
+    # r 2**e = (r >> (61 - e)) + (r mod 2**(61 - e)) 2**e (mod P), below
+    # 2**61 + 2**(e + 2), so the five weights sum below 2**64
+    same = (same >> _FOLD_HIGH) + ((same & _FOLD_LOW) << _FOLD)
+    return _canonical(same.sum(axis=1, dtype=np.uint64))
+
+
+class LimbProduct:
+    """A @ B mod P on limbs split once, for residues A (m, K) and B (K, w)
+    with K = blocks * width, where A is nonzero only in fixed cells of each
+    of its (m, width) column blocks.
+
+    The caller keeps A as the float32 limbs of its cells, block by block,
+    and B as float32 limbs, row by row (``split_limbs``). A product widens
+    each chunk of at most 2**11 inner rows into two float64 buffers: B's
+    rows are copied, A's cells scattered into a buffer that is kept zero
+    elsewhere. One GEMM of the limb-stacked chunk (3m rows, 3w columns)
+    then forms all nine limb products: entry (3 r + i, w j + c) is limb i
+    of A's row r times limb j of B's column c, worth
+    2**(21 (i + j)) = 2**(21 (i + j) mod 61) (mod P), since 2**63 = 4 and
+    2**84 = 2**23. A chunk's entries are sums of at most 2**11 products
+    below 2**42, so every partial sum is an integer below 2**53, exact in
+    float64 under any summation order, FMA or threading.
+
+    A chunk holds whole blocks when width <= 2**11 and otherwise one run
+    of at most 2**11 columns of one block.
+    """
+
+    def __init__(
+        self,
+        m: int,
+        width: int,
+        w: int,
+        blocks: int,
+        cell_rows: np.ndarray,
+        cell_columns: np.ndarray,
+    ) -> None:
+        """Buffers for products of up to blocks blocks. The cells are
+        given by row and column within a block, sorted by column, then
+        row."""
+        self.m, self.width = m, width
+        shapes = self.shapes(m, width, w, blocks, len(cell_rows))
+        self.left, self.right = np.empty(shapes[0]), np.empty(shapes[1])
+        # rows of left below this are zero outside the cells; a row is
+        # first zeroed when a chunk first reaches it, so a pass that stops
+        # early touches no more of the buffer than it uses
+        self.clean = 0
+        self.group = len(self.left) // min(width, _GEMM_CHUNK)
+        starts = range(0, width, _GEMM_CHUNK)
+        cuts = np.searchsorted(cell_columns, [*starts, width]).tolist()
+        self.runs = [
+            (lo, min(lo + _GEMM_CHUNK, width), cuts[r], cuts[r + 1])
+            for r, lo in enumerate(starts)
+        ]
+        # the left buffer holds A's chunk transposed: limb l of cell (i, j)
+        # of a chunk's block b sits at flat position (b width + j) 3m +
+        # 3i + l, less the 3m lo of its run. In the order of the cells'
+        # limbs the positions ascend, which keeps the scatter local.
+        at = (
+            np.arange(self.group)[:, None, None] * (width * 3 * m)
+            + (cell_columns * (3 * m) + 3 * cell_rows)[:, None]
+            + np.arange(3)
         )
-        # below 2**61 + 2**53
-        acc = _canonical(acc) + part.astype(np.uint64)
-    blocks = acc.reshape(3, m, 3, w)
-    out = blocks[0, :, 0].copy()
-    for s in range(1, 5):
-        # at most three blocks, so the sum stays below 2**63, and the five
-        # terms of out below 2**64
-        same = np.add.reduce(
-            [blocks[i, :, s - i] for i in range(max(0, s - 2), min(s, 2) + 1)]
-        )
-        out += _times_power_of_two(same, 21 * s % 61)
-    return _canonical(out)
+        for lo, _, c0, c1 in self.runs:
+            at[:, c0:c1] -= lo * 3 * m
+        self.at = at
+
+    @staticmethod
+    def shapes(
+        m: int, width: int, w: int, blocks: int, cells: int
+    ) -> tuple[tuple[int, ...], ...]:
+        """The shapes of the two float64 buffers and of the intp cell
+        positions, for the longest chunk."""
+        group = max(1, min(_GEMM_CHUNK // width, blocks))
+        rows = min(width, _GEMM_CHUNK) * group
+        return (rows, 3 * m), (rows, 3 * w), (group, cells, 3)
+
+    def __call__(self, cells: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """A @ B for the limbs cells (blocks, C, 3) of A's blocks and
+        right (blocks * width, 3w) of B's rows; blocks may be fewer than
+        the buffers were made for."""
+        width = self.width
+        flat = self.left.reshape(-1)
+        acc = None
+        for first in range(0, len(cells), self.group):
+            count = min(self.group, len(cells) - first)
+            for lo, hi, c0, c1 in self.runs:
+                rows = (count - 1) * width + hi - lo
+                if rows > self.clean:
+                    self.left[self.clean : rows] = 0
+                    self.clean = rows
+                at = self.at[:count, c0:c1].ravel()
+                # widened first, as a scatter from float32 takes twice as long
+                values = cells[first : first + count, c0:c1].astype(float)
+                flat[at] = values.ravel()
+                start = first * width + lo
+                self.right[:rows] = right[start : start + rows]
+                part = self.left[:rows].T @ self.right[:rows]
+                part = part.astype(np.uint64)
+                if len(self.runs) > 1:
+                    # the next run scatters other cells
+                    flat[at] = 0
+                if acc is not None:
+                    # below 2**61 + 2**53
+                    part += _canonical(acc)
+                acc = part
+        return _fold(acc.reshape(self.m, 3, 3, -1))
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -22,6 +22,7 @@ from hyperobs.dynamics import (
     ChainStacks,
     DynamicsSpec,
     apply_factors,
+    check_lane_slots,
     lie_derivatives,
 )
 from hyperobs.errors import ResourceLimitError
@@ -31,7 +32,7 @@ from hyperobs.hypergraph import (
     gen_hyperchain,
     gen_hyperring,
 )
-from hyperobs.scalars import PRIME, cast, random_point, scale
+from hyperobs.scalars import PRIME, cast, mul, random_point
 
 from conftest import chain_values, int_point, random_uniform_hypergraph
 from oracles import (
@@ -111,7 +112,8 @@ def test_apply_factors_mixed_matches_kron():
                 random_uniform_hypergraph(n, k, rng), weight=rng.randint(1, 3)
             )
             x, y = int_point(n, rng), int_point(n, rng)
-            chain = cast([[[v] for v in x], [[v] for v in y], [[0]] * n])
+            # full lanes [value | 0], as the kept limbs are sized for them
+            chain = cast([[[v] + [0] * n for v in z] for z in (x, y, [0] * n)])
             stacks = ChainStacks.allocate(dyn, 2)
             first = apply_factors(dyn, chain, stacks, 0)[:, 0]
             table = _apply_table(dyn, _kron([_frac(x)] * (k - 1)))
@@ -278,18 +280,33 @@ def test_weight_scales_each_order():
     assert rec == [9 * v for v in plain2]
 
 
+def _assert_euler(level, x, m):
+    weighted_sum = [sum(a * b for a, b in zip(x, row[1:])) % PRIME for row in level]
+    assert weighted_sum == [m * row[0] % PRIME for row in level]
+
+
 def test_homogeneity_euler_identity(triangle_dyn):
     # J_p is homogeneous of degree p(k-2)+1: sum_j x_j dJ_p/dx_j = m J_p,
     # every gradient coming from one run over lanes of width n + 1
     x = [2, -3, 5]
     p = 2
-    m = p * (3 - 2) + 1
     level = lie_derivatives(triangle_dyn, x, p)[p].tolist()
     assert [row[0] for row in level] == _residues(
         lie_derivative_recursive(triangle_dyn, p, _frac(x))
     )
-    weighted_sum = [sum(a * b for a, b in zip(x, row[1:])) % PRIME for row in level]
-    assert weighted_sum == [m * row[0] % PRIME for row in level]
+    _assert_euler(level, x, p * (3 - 2) + 1)
+    # at every level of rings 46/3 and 46/4 at depth 45, whose last level
+    # products run over 46 * 45 = 2070 inner rows, more than one GEMM
+    # chunk of 2**11; the point mixes in coordinates P - 1 and 2**42 - 1,
+    # whose limbs are the largest the float32 limb store holds
+    for k in (3, 4):
+        x = [
+            (v, PRIME - 1, 2**42 - 1)[j % 3]
+            for j, v in enumerate(random_point(46, k))
+        ]
+        chain = lie_derivatives(DynamicsSpec(gen_hyperring(46, k)), x, 45)
+        for p, level in enumerate(chain.tolist()):
+            _assert_euler(level, x, p * (k - 2) + 1)
 
 
 def test_chain_symmetry_conservation():
@@ -343,23 +360,38 @@ def test_scatter_of_many_full_range_terms():
 
 
 def test_depth_guard_before_allocation(triangle_dyn):
-    # a pass holds (depth + 1) n (n + 1) chain slots, n^2 depth Jacobian
-    # slots and 2 (k - 3) M depth series slots: 21 depth + 12 on the
-    # triangle. Past the cap it is refused before any lane exists, so a
-    # huge depth fails at once, not in MemoryError; the last depth fits the
-    # chain alone but not the Jacobian stack
-    for depth in (10**9, MAX_DENSE_SLOTS // (3 * 4), MAX_DENSE_SLOTS // 13):
+    # at k = 3 a pass to depth d holds, in 8-byte slots: the chain,
+    # (d + 1) n (n + 1); the value series of the n nodes, n d; the chain's
+    # float32 limbs, 1.5 n (n + 1) d; the limbs of the C = 6 Jacobian
+    # cells, 1.5 C d; and for a chunk of g = min(2**11 // n, d) blocks, two
+    # float64 buffers of g n rows, 3 n and 3 (n + 1) wide, and 3 C g cell
+    # positions. On the triangle that is 12 + 42 d + 81 g.
+    # Past the cap a pass is refused before any lane exists, so a huge
+    # depth fails at once, not in MemoryError; the second depth fits the
+    # chain alone, and the last is the first one refused
+    fits = (MAX_DENSE_SLOTS - 12 - 81 * 682) // 42
+    for depth in (10**9, MAX_DENSE_SLOTS // 12 - 1, fits + 1):
         with pytest.raises(ResourceLimitError, match="lane slots"):
             lie_derivatives(triangle_dyn, [1, 2, 3], depth)
+    check_lane_slots(triangle_dyn, fits)
 
 
 def test_slot_count_at_the_cap(monkeypatch):
     # the count is exact: a pass that needs the cap runs, one slot less is
-    # refused. k = 2 keeps no Jacobian stack, k = 4 adds the series
+    # refused. k = 2 keeps only the chain; on ring 6/k at depth 5, k = 3
+    # adds the value series of the 6 nodes, the chain's limbs, the limbs of
+    # 24 cells and a chunk of 5 blocks (30 rows), and k = 4 adds the
+    # series of all 15 node pairs, and has 30 cells
+    def stacks(series, cells):
+        return (
+            5 * series + 5 * 6 * 7 * 3 // 2 + 5 * cells * 3 // 2
+            + 30 * (3 * 6 + 3 * 7) + 5 * cells * 3
+        )
+
     for g, depth, slots in [
         (gen_hyperring(5, 2), 4, 5 * 5 * 6),
-        (gen_hyperring(6, 3), 5, 6 * 6 * 7 + 5 * 36),
-        (gen_hyperring(6, 4), 5, 6 * 6 * 7 + 5 * 36 + 2 * 5 * 24),
+        (gen_hyperring(6, 3), 5, 6 * 6 * 7 + stacks(6, 24)),
+        (gen_hyperring(6, 4), 5, 6 * 6 * 7 + stacks(6 + 15, 30)),
     ]:
         dyn = DynamicsSpec(g)
         x = list(range(1, g.n + 1))
@@ -368,14 +400,16 @@ def test_slot_count_at_the_cap(monkeypatch):
         monkeypatch.setattr("hyperobs.dynamics.MAX_DENSE_SLOTS", slots - 1)
         with pytest.raises(ResourceLimitError, match=f"needs {slots} lane"):
             lie_derivatives(dyn, x, depth)
-    # at k = 3 and depth n - 1 a pass needs about 2 n^3 slots: ring 368/3
-    # fits under the cap of 10**8 and ring 369/3 does not, both read from
-    # the refusal, so nothing is allocated
-    for n, slots in [(368, 99672064), (369, 100486818)]:
+    # at k = 3 and depth n - 1 a pass needs about 2.5 n^3 slots: ring 336/3
+    # fits under the cap of 10**8 and ring 337/3 does not, both read from
+    # the refusal, so nothing is allocated; ring 300/3 passes the check
+    for n, slots in [(336, 99827448), (337, 100706384)]:
         monkeypatch.setattr("hyperobs.dynamics.MAX_DENSE_SLOTS", slots - 1)
         with pytest.raises(ResourceLimitError, match=f"needs {slots} lane"):
             lie_derivatives(DynamicsSpec(gen_hyperring(n, 3)), [1] * n, n - 1)
-    assert 99672064 <= MAX_DENSE_SLOTS < 100486818
+    monkeypatch.undo()
+    assert 99827448 <= MAX_DENSE_SLOTS < 100706384
+    check_lane_slots(DynamicsSpec(gen_hyperring(300, 3)), 299)
 
 
 @given(
@@ -401,8 +435,8 @@ def test_a_stopped_chain_is_a_prefix_of_the_full_one(seed, n, k, depth, at):
     def stop(chain, p):
         asked.append(p)
         # level p of the running pass is level p of the result over p!
-        fact = factorial(p) % PRIME
-        assert (scale(chain[p], fact) == full[p]).all()
+        fact = np.array([factorial(p) % PRIME], dtype=np.uint64)
+        assert (mul(chain[p], fact) == full[p]).all()
         return p == at
 
     stopped = lie_derivatives(dyn, x, depth, stop)

@@ -1,4 +1,4 @@
-"""Field arithmetic on uint64 lanes and float64 limbs, the oracles' exact
+"""Field arithmetic on uint64 lanes and float limbs, the oracles' exact
 scalars, and the seeded evaluation points."""
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def test_inverse_of_two():
     g, s, _ = _egcd(2, PRIME)
     assert g == 1
     assert inv == s % PRIME
-    assert scalars.scale(_lanes(2), inv).tolist() == [1]
+    assert scalars.mul(_lanes(2), _lanes(inv)).tolist() == [1]
 
 
 def test_field_inverse_matches_extended_euclid():
@@ -100,7 +100,7 @@ def test_field_units(x):
     assert scalars.mul(a, one).tolist() == [x]
     assert scalars.mul(a, zero).tolist() == [0]
     if x != 0:
-        assert scalars.scale(a, pow(x, -1, PRIME)).tolist() == [1]
+        assert scalars.mul(a, _lanes(pow(x, -1, PRIME))).tolist() == [1]
 
 
 def test_int_coercion_reduces():
@@ -108,7 +108,7 @@ def test_int_coercion_reduces():
     assert scalars.mul(_lanes(2), _lanes(PRIME + 3)).tolist() == [6]
     assert _lanes(-1).tolist() == [PRIME - 1]
     assert _lanes(PRIME + 4).tolist() == [4]
-    assert scalars.scale(_lanes(5), -1).tolist() == [PRIME - 5]
+    assert scalars.mul(_lanes(5), _lanes(-1)).tolist() == [PRIME - 5]
 
 
 def test_factorial_inverse_values():
@@ -118,7 +118,7 @@ def test_factorial_inverse_values():
         f = factorial(k - 1)
         inv = residue(Fraction(1, f))
         assert inv * f % PRIME == 1
-        assert scalars.scale(_lanes(f), inv).tolist() == [1]
+        assert scalars.mul(_lanes(f), _lanes(inv)).tolist() == [1]
 
 
 def test_rational_field_homomorphism():
@@ -223,7 +223,7 @@ def test_field_lanes_match_int_arithmetic():
     b = np.array([v for _, v in pairs], dtype=np.uint64)
     assert scalars.mul(a, b).tolist() == [u * v % PRIME for u, v in pairs]
     assert _add(a, b).tolist() == [(u + v) % PRIME for u, v in pairs]
-    assert scalars.scale(a, PRIME - 1).tolist() == [(-u) % PRIME for u, _ in pairs]
+    assert scalars.mul(a, _lanes(PRIME - 1)).tolist() == [(-u) % PRIME for u, _ in pairs]
     # the folded sums, along an axis and over row segments, of 10**4 terms
     column = a.reshape(-1, 1)
     assert scalars.row_sum(column).tolist() == [sum(u for u, _ in pairs) % PRIME]
@@ -239,42 +239,77 @@ def _int_matmul(a, b):
     return [[sum(u * v for u, v in zip(row, col)) % PRIME for col in zip(*b)] for row in a]
 
 
+def _limb_operands(a, b, blocks=1):
+    # the kernel's product for a @ b and its operands: a (m, blocks *
+    # width) kept as the float32 limbs of the cells that are nonzero in
+    # any of its blocks, b as float32 limbs row by row
+    m, inner = a.shape
+    width, w = inner // blocks, b.shape[1]
+    split = a.reshape(m, blocks, width)
+    columns, rows = np.nonzero((split != 0).any(axis=1).T)
+    cells = np.empty((blocks, len(rows), 3), dtype=np.float32)
+    for block in range(blocks):
+        scalars.split_limbs(split[rows, block, columns], cells[block].T)
+    right = np.empty((inner, 3, w), dtype=np.float32)
+    scalars.split_limbs(b, right.transpose(1, 0, 2))
+    product = scalars.LimbProduct(m, width, w, blocks, rows, columns)
+    return product, cells, right.reshape(inner, 3 * w)
+
+
 def test_limb_matmul_matches_int_products():
     # full-range residues, all-(P-1) operands, and 2**42 - 1, whose two low
     # limbs are both 2**21 - 1, the largest limb product; inner lengths
     # 2048, 2049 and 5000 sit on and past the GEMM chunk of 2**11, where
-    # an unchunked float64 sum of such products would pass 2**53
+    # an unchunked float64 sum of such products would pass 2**53. One
+    # block of 2049 or 5000 columns splits into runs; 45 blocks of 46
+    # columns go 44 blocks to a chunk. Half the entries zeroed at random
+    # leave cells out of every block, so a run's stale cells would show
     rng = random.Random(53)
-    for m, inner, w in [(1, 1, 1), (3, 5, 4), (2, 2048, 3), (2, 2049, 3), (3, 5000, 2)]:
+    for m, blocks, width, w in [
+        (1, 1, 1, 1), (3, 1, 5, 4), (2, 1, 2048, 3), (2, 1, 2049, 3),
+        (3, 1, 5000, 2), (2, 45, 46, 3),
+    ]:
+        inner = blocks * width
         full = (
             [[rng.randrange(PRIME) for _ in range(inner)] for _ in range(m)],
             [[rng.randrange(PRIME) for _ in range(w)] for _ in range(inner)],
         )
+        sparse = (
+            [[v * rng.randrange(2) for v in row] for row in full[0]], full[1]
+        )
         for a, b in [
             full,
+            sparse,
             ([[PRIME - 1] * inner] * m, [[PRIME - 1] * w] * inner),
             ([[2**42 - 1] * inner] * m, [[2**42 - 1] * w] * inner),
         ]:
-            got = scalars.limb_matmul(
-                np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
+            product, cells, right = _limb_operands(
+                np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64), blocks
             )
-            assert got.dtype == np.uint64
-            assert got.tolist() == _int_matmul(a, b)
+            # a product of fewer blocks than the buffers hold, as a level
+            # below the cap takes
+            for j in {blocks, 1}:
+                got = product(cells[:j], right[: j * width])
+                assert got.dtype == np.uint64
+                assert got.tolist() == _int_matmul(
+                    [row[: j * width] for row in a], b[: j * width]
+                )
 
 
 def test_field_lanes_stay_uint64():
     # numpy 1.x promotes uint64 with a signed Python int to float64, which
     # would silently round residues
     a = scalars.cast([[PRIME - 1, 5], [2**32 + 1, 0]])
+    product, cells, right = _limb_operands(a, a)
     results = [
         a,
         scalars.mul(a, a),
         scalars.mul(a[:, :1], a),
+        scalars.mul(a, np.full(2, 3, dtype=np.uint64)),
         _add(a, a),
         scalars.row_sum(a),
         scalars.segment_sums(a, np.array([0, 1])),
-        scalars.scale(a, 3),
-        scalars.limb_matmul(a, a),
+        product(cells, right),
         lie_derivatives(DynamicsSpec(gen_complete(4, 3)), a.ravel().tolist(), 3),
     ]
     assert all(r.dtype == np.uint64 for r in results)
