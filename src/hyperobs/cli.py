@@ -13,7 +13,9 @@ budget (or memory) refused the computation, 3 an internal invariant broke.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import io
 import json
 import sys
 import time
@@ -59,13 +61,21 @@ def _graph_summary(g: UniformHypergraph) -> dict[str, Any]:
     }
 
 
-def _file_input(path: str) -> dict[str, Any]:
+def _read_input(path: str) -> tuple[str, dict[str, Any]]:
+    """The file's text, decoded as ``Path.read_text`` decodes it (locale
+    encoding, universal newlines), and the report's input entry, which
+    hashes the same bytes: the file is read once."""
     data = Path(path).read_bytes()
-    return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    with io.TextIOWrapper(
+        io.BytesIO(data), encoding=io.text_encoding(None)
+    ) as reader:
+        text = reader.read()
+    return text, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _load_hypergraph(path: str) -> UniformHypergraph:
-    return UniformHypergraph.from_json(Path(path).read_text())
+def _load_hypergraph(path: str) -> tuple[UniformHypergraph, dict[str, Any]]:
+    text, source = _read_input(path)
+    return UniformHypergraph.from_json(text), source
 
 
 def _parse_nodes(raw: str, n: int) -> list[int]:
@@ -103,7 +113,7 @@ def _cmd_gen(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_observable(args: argparse.Namespace) -> dict[str, Any]:
-    g = _load_hypergraph(args.hypergraph)
+    g, source = _load_hypergraph(args.hypergraph)
     nodes = _parse_nodes(args.nodes, g.n)
     cfg = RankConfig(trials=args.trials, seed=args.seed, depth=args.depth)
     outcome = is_locally_weakly_observable(g, nodes, cfg)
@@ -112,7 +122,7 @@ def _cmd_observable(args: argparse.Namespace) -> dict[str, Any]:
     report = {
         "command": "observable",
         "version": __version__,
-        "input": _file_input(args.hypergraph),
+        "input": source,
         "parameters": {
             "nodes": nodes,
             "depth": outcome.depth,
@@ -137,7 +147,7 @@ def _cmd_observable(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
-    g = _load_hypergraph(args.hypergraph)
+    g, source = _load_hypergraph(args.hypergraph)
     cfg = RankConfig(trials=args.trials, seed=args.seed, depth=args.depth)
     # both searches rank each component on this oracle's parts
     oracle = NomOracle(DynamicsSpec(g), cfg)
@@ -167,7 +177,7 @@ def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
     report = {
         "command": "mon",
         "version": __version__,
-        "input": _file_input(args.hypergraph),
+        "input": source,
         "parameters": {
             "depth": args.depth,
             "trials": args.trials,
@@ -187,7 +197,8 @@ def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_ingest(args: argparse.Namespace) -> dict[str, Any]:
     check_threshold(args.threshold)
-    series = read_timeseries_csv(Path(args.csv).read_text())
+    text, source = _read_input(args.csv)
+    series = read_timeseries_csv(text)
     table = multicorrelation_table(series)
     g = hypergraph_from_table(series.num_signals, table, args.threshold)
     triples, rho = table
@@ -195,7 +206,7 @@ def _cmd_ingest(args: argparse.Namespace) -> dict[str, Any]:
     report = {
         "command": "ingest",
         "version": __version__,
-        "input": _file_input(args.csv),
+        "input": source,
         "parameters": {"threshold": args.threshold},
         "signals": list(series.labels),
         "result": {
@@ -287,7 +298,9 @@ def _add_format_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hyperobs",
         description="Observability analysis of uniform hypergraph dynamics",

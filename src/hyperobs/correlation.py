@@ -5,13 +5,18 @@ rho = sqrt(1 - det R) exceeds a threshold, R being the 3x3 matrix of
 pairwise Pearson correlations. rho is 0 for jointly uncorrelated signals
 and 1 when one signal is a linear combination of the other two, which is
 what makes it a three-way redundancy measure rather than a pairwise one.
+
+The per-element work runs in numpy: the CSV body is converted in one call,
+each series has one Pearson matrix from one matrix product, and the
+triples are built by index arithmetic.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -23,14 +28,12 @@ from .hypergraph import UniformHypergraph
 class TimeSeriesMatrix:
     """Samples by signals, with one label per signal column.
 
-    Each column's standardized form is built once, on first use, and kept.
+    The Pearson matrix of every signal pair is built once, on first use,
+    and kept.
     """
 
     labels: tuple[str, ...]
     values: np.ndarray
-    _standardized: dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -54,41 +57,51 @@ class TimeSeriesMatrix:
     def num_samples(self) -> int:
         return self.values.shape[0]
 
-    def column(self, index: int) -> np.ndarray:
+    def offset(self, index: int) -> int:
+        """The 0-based position of signal ``index`` (1-based)."""
         if not 1 <= index <= self.num_signals:
             raise IndexError(
                 f"signal index {index} outside 1..{self.num_signals}"
             )
-        return self.values[:, index - 1]
+        return index - 1
 
-    def standardized(self, index: int) -> np.ndarray:
-        """Column ``index`` (1-based) at zero mean and unit sample standard
-        deviation, as a contiguous 1-D array."""
-        cached = self._standardized.get(index)
-        if cached is None:
-            col = self.column(index)
-            if (col == col[0]).all():
-                raise ValueError(
-                    f"signal {self.labels[index - 1]!r} (column {index}) is "
-                    "constant, correlation undefined"
-                )
-            with np.errstate(over="ignore", invalid="ignore"):
-                sd = col.std(ddof=1)
-            # the mean or the squares over- or underflowed; correlation
-            # does not depend on scale
-            if not 0.0 < sd < np.inf:
-                col = col / np.abs(col).max()
-                sd = col.std(ddof=1)
-            cached = (col - col.mean()) / sd
-            self._standardized[index] = cached
-        return cached
+    def column(self, index: int) -> np.ndarray:
+        return self.values[:, self.offset(index)]
+
+    @cached_property
+    def pearson_matrix(self) -> np.ndarray:
+        """Pearson correlation of every signal pair, 0-based: Z^T Z / (m - 1),
+        Z holding the columns at zero mean and unit sample standard
+        deviation. The first constant column, in index order, is refused."""
+        v = self.values
+        constant = (v == v[0]).all(axis=0)
+        if constant.any():
+            index = int(constant.argmax()) + 1
+            raise ValueError(
+                f"signal {self.labels[index - 1]!r} (column {index}) is "
+                "constant, correlation undefined"
+            )
+        # one contiguous row per signal, so each mean and deviation sums
+        # the column in the same order as it would alone
+        z = v.T.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            sd = z.std(axis=1, ddof=1)
+        # the mean or the squares over- or underflowed; correlation does
+        # not depend on scale
+        for c in np.flatnonzero(~((0.0 < sd) & (sd < np.inf))):
+            z[c] /= np.abs(z[c]).max()
+            sd[c] = z[c].std(ddof=1)
+        z -= z.mean(axis=1, keepdims=True)
+        z /= sd[:, None]
+        return (z @ z.T) / (self.num_samples - 1)
 
 
 def read_timeseries_csv(text: str) -> TimeSeriesMatrix:
     """Parse a CSV whose first row holds labels and whose body is numeric.
 
-    Every sample must be a finite float: nan, inf and overflowing values
-    such as 1e400 are refused with their line.
+    Each sample is Python's ``float()`` of its cell and must be finite:
+    nan, inf and overflowing values such as 1e400 are refused with their
+    line.
     """
     reader = csv.reader(io.StringIO(text))
     # (line, row) with the line as the file counts it, blank lines included
@@ -99,23 +112,43 @@ def read_timeseries_csv(text: str) -> TimeSeriesMatrix:
     if len(rows) < 3:
         raise ValueError("CSV needs a label row and at least two data rows")
     labels = tuple(cell.strip() for cell in rows[0][1])
+    body = rows[1:]
+    values = _body_values(body, len(labels))
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        r, c = bad[0]
+        lineno, row = body[r]
+        raise ValueError(f"line {lineno}: non-finite value {row[c].strip()!r}")
+    return TimeSeriesMatrix(labels, values)
+
+
+def _body_values(body: list[tuple[int, list[str]]], width: int) -> np.ndarray:
+    """The cells as an (m, width) float64 array, each Python's ``float()``
+    of its cell.
+
+    One numpy call converts every ``str`` through ``float()``. Only when
+    that call fails, or the rows are not ``width`` wide, are the rows
+    checked and converted one by one, to report the first short row or
+    refused cell with its line.
+    """
+    try:
+        values = np.array([row for _, row in body], dtype=float)
+    except ValueError:
+        pass
+    else:
+        if values.shape[1] == width:
+            return values
     data = []
-    for lineno, row in rows[1:]:
-        if len(row) != len(labels):
+    for lineno, row in body:
+        if len(row) != width:
             raise ValueError(
-                f"line {lineno}: {len(row)} cells, expected {len(labels)}"
+                f"line {lineno}: {len(row)} cells, expected {width}"
             )
         try:
             data.append([float(cell) for cell in row])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    values = np.array(data, dtype=float)
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        r, c = bad[0]
-        lineno, row = rows[r + 1]
-        raise ValueError(f"line {lineno}: non-finite value {row[c].strip()!r}")
-    return TimeSeriesMatrix(labels, values)
+    return np.array(data, dtype=float)
 
 
 def write_timeseries_csv(series: TimeSeriesMatrix) -> str:
@@ -130,10 +163,9 @@ def write_timeseries_csv(series: TimeSeriesMatrix) -> str:
 
 
 def pearson(series: TimeSeriesMatrix, i: int, j: int) -> float:
-    """Pearson correlation of two signal columns (1-based)."""
-    a = series.standardized(i)
-    b = series.standardized(j)
-    return float(a @ b) / (series.num_samples - 1)
+    """Pearson correlation of two signal columns (1-based), read from the
+    series' Pearson matrix."""
+    return float(series.pearson_matrix[series.offset(i), series.offset(j)])
 
 
 def multicorrelation_table(
@@ -144,20 +176,28 @@ def multicorrelation_table(
 
     Returns (triples, rho): a (T, 3) array of sorted 1-based index triples
     in lexicographic order, and their rho. Each pair's Pearson value is
-    computed once and shared by every triple that holds the pair. The
+    read once and shared by every triple that holds the pair. The
     determinant of a correlation matrix sits in [0, 1]; rounding can push
     it a hair outside, so the result is clamped before the root.
     """
-    if series.num_signals < 3:
-        raise ValueError(
-            f"need at least 3 signals, got {series.num_signals}"
-        )
-    signals = range(1, series.num_signals + 1)
-    r = np.zeros((series.num_signals + 1,) * 2)
-    for i, j in combinations(signals, 2):
+    n = series.num_signals
+    if n < 3:
+        raise ValueError(f"need at least 3 signals, got {n}")
+    r = np.zeros((n + 1, n + 1))
+    for i, j in combinations(range(1, n + 1), 2):
         r[i, j] = pearson(series, i, j)
-    triples = np.array(list(combinations(signals, 3)), dtype=np.int64)
+    # triples in lexicographic order: each pair (a, b), in the order of
+    # triu_indices, once for every c in b+1..n
+    pair_a, pair_b = np.triu_indices(n, k=1)
+    runs = n - 1 - pair_b
+    triples = np.empty((int(runs.sum()), 3), dtype=np.int64)
     a, b, c = triples.T
+    a[:] = np.repeat(pair_a + 1, runs)
+    b[:] = np.repeat(pair_b + 1, runs)
+    # c counts up from b + 1 within each pair's run
+    c[:] = np.arange(len(triples))
+    c -= np.repeat(np.cumsum(runs) - runs, runs)
+    c += b + 1
     r_ab, r_ac, r_bc = r[a, b], r[a, c], r[b, c]
     # squares through the C library's pow, as Python's float ** takes them;
     # numpy's ** 2 multiplies and can round the other way, which would move

@@ -22,6 +22,11 @@ with the kernel's residues through ``residue``.
 
 ``bareiss_rank`` gives exact ranks over the rationals.
 
+``read_timeseries_csv_per_cell`` converts a CSV body one cell at a time
+with ``float()``, and ``pearson_dot`` is the 1-D dot of two standardized
+columns; ``hyperobs.correlation`` converts the body in one numpy call and
+reads Pearson values from one matrix product.
+
 ``eager_greedy`` and ``naive_brute_force`` are the MON searches with no
 early stop: greedy scores every candidate at every trial point, evaluated up
 front, and brute force ranks the raw blocks of each subset at every trial.
@@ -32,6 +37,8 @@ points (``full_depth_blocks``), so they do not share the chain's stop rule.
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +48,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from hyperobs.correlation import TimeSeriesMatrix
 from hyperobs.dynamics import MAX_DENSE_SLOTS, DynamicsSpec
 from hyperobs.errors import ResourceLimitError
 from hyperobs.hypergraph import UniformHypergraph
@@ -339,6 +347,58 @@ def bareiss_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def read_timeseries_csv_per_cell(text: str) -> TimeSeriesMatrix:
+    """``read_timeseries_csv`` converting each cell with ``float()`` as it
+    goes, and reporting the first failure with its line."""
+    reader = csv.reader(io.StringIO(text))
+    # (line, row) with the line as the file counts it, blank lines included
+    try:
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+    if len(rows) < 3:
+        raise ValueError("CSV needs a label row and at least two data rows")
+    labels = tuple(cell.strip() for cell in rows[0][1])
+    data = []
+    for lineno, row in rows[1:]:
+        if len(row) != len(labels):
+            raise ValueError(
+                f"line {lineno}: {len(row)} cells, expected {len(labels)}"
+            )
+        try:
+            data.append([float(cell) for cell in row])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    values = np.array(data, dtype=float)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        r, c = bad[0]
+        lineno, row = rows[r + 1]
+        raise ValueError(f"line {lineno}: non-finite value {row[c].strip()!r}")
+    return TimeSeriesMatrix(labels, values)
+
+
+def _standardized(series: TimeSeriesMatrix, index: int) -> np.ndarray:
+    """Column ``index`` (1-based) at zero mean and unit sample standard
+    deviation, divided first by its largest magnitude when its squares
+    over- or underflow."""
+    col = series.column(index)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = col.std(ddof=1)
+    if not 0.0 < sd < np.inf:
+        col = col / np.abs(col).max()
+        sd = col.std(ddof=1)
+    return (col - col.mean()) / sd
+
+
+def pearson_dot(series: TimeSeriesMatrix, i: int, j: int) -> float:
+    """Pearson correlation of two signal columns (1-based), as the 1-D dot
+    of their standardized forms over m - 1."""
+    a = _standardized(series, i)
+    b = _standardized(series, j)
+    return float(a @ b) / (series.num_samples - 1)
 
 
 def block_rows(blocks: np.ndarray, nodes: Sequence[int]) -> list[list[int]]:

@@ -1,10 +1,12 @@
 """Command line behaviour: reports, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperobs
-from hyperobs import dynamics, observability
+from hyperobs import cli, dynamics, observability
 from hyperobs.cli import main
 from hyperobs.correlation import TimeSeriesMatrix, write_timeseries_csv
 from hyperobs.hypergraph import (
@@ -546,6 +548,72 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert main([]) == 1
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call(capsys):
+    # a usage error, then help, then a valid call, all on the process's one
+    # parser, each against a fresh parser
+    calls = [["gen", "ring", "4"], ["--help"], ["gen", "ring", "4", "3"]]
+
+    def outcomes(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code, stdout, stderr = run(capsys, *argv)
+            seen.append((code, stdout, re.sub(r"elapsed \S+", "", stderr)))
+        return seen
+
+    cli._build_parser.cache_clear()
+    shared = outcomes(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [1, 0, 0]
+    assert "usage:" in shared[0][2]
+    assert shared == outcomes(fresh=True)
+
+
+def test_input_is_read_once_and_hashed_as_parsed(tmp_path, capsys, monkeypatch):
+    # the stand-in readers replace the file after each read, so a second
+    # read would see other bytes than the ones parsed
+    ring = gen_hyperring(5, 3).to_json().encode()
+    star = gen_hyperstar(6, 3).to_json().encode()
+    rng = np.random.default_rng(2)
+    first_csv = write_timeseries_csv(
+        TimeSeriesMatrix(("a", "b", "c"), rng.normal(size=(20, 3)))
+    ).encode()
+    other_csv = write_timeseries_csv(
+        TimeSeriesMatrix(("x", "y", "z", "w"), rng.normal(size=(20, 4)))
+    ).encode()
+    target = tmp_path / "input"
+    replacement = {}
+
+    def replacing(read):
+        def stand_in(self, *args, **kwargs):
+            data = read(self, *args, **kwargs)
+            if self == target:
+                target.write_bytes(replacement["bytes"])
+            return data
+
+        return stand_in
+
+    monkeypatch.setattr(Path, "read_bytes", replacing(Path.read_bytes))
+    monkeypatch.setattr(Path, "read_text", replacing(Path.read_text))
+    cases = [
+        (["observable", str(target), "--nodes", "1"], ring, star),
+        (["mon", str(target)], ring, star),
+        (["ingest", str(target)], first_csv, other_csv),
+    ]
+    for argv, parsed, later in cases:
+        target.write_bytes(parsed)
+        replacement["bytes"] = later
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 0, stderr
+        report = json.loads(stdout)
+        assert report["input"]["sha256"] == hashlib.sha256(parsed).hexdigest()
+        if argv[0] == "ingest":
+            assert report["signals"] == ["a", "b", "c"]
+        else:
+            assert report["hypergraph"]["n"] == 5
 
 
 def _exit_and_stderr(argv):

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperobs.correlation import (
     TimeSeriesMatrix,
@@ -15,6 +17,8 @@ from hyperobs.correlation import (
     read_timeseries_csv,
     write_timeseries_csv,
 )
+
+from oracles import pearson_dot, read_timeseries_csv_per_cell
 
 
 def _series(arr, labels=None):
@@ -72,6 +76,48 @@ def test_csv_parse_errors():
         read_timeseries_csv("\na,b\n1,2\n\n3,nan\n")
 
 
+def _read_outcome(reader, text):
+    try:
+        series = reader(text)
+    except ValueError as exc:
+        return str(exc)
+    # bit for bit, so -0.0 and 0.0 count as different
+    return series.labels, series.values.shape, series.values.tobytes()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_CELL = st.one_of(
+    _FINITE.map(repr),
+    _FINITE.map(lambda x: f"  {x!r}\t"),
+    st.sampled_from(
+        ["1_000", " 2_5 ", "\uff11\uff12", "nan", "inf", "-inf", "1e400",
+         "abc", "", "1\0", "0x10"]
+    ),
+)
+
+
+@st.composite
+def _odd_csv(draw):
+    """Three labels, then rows of odd and ordinary cells (now and then one
+    cell short), with blank lines mixed in."""
+    lines = ["a,b,c"]
+    for _ in range(draw(st.integers(0, 6))):
+        lines.extend([""] * draw(st.integers(0, 2)))
+        width = draw(st.sampled_from([3, 3, 3, 3, 2]))
+        cells = draw(st.lists(_CELL, min_size=width, max_size=width))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@given(text=_odd_csv())
+@settings(max_examples=300, deadline=None)
+def test_csv_conversion_matches_the_per_cell_reader(text):
+    # the same values bit for bit, or the same message
+    assert _read_outcome(read_timeseries_csv, text) == _read_outcome(
+        read_timeseries_csv_per_cell, text
+    )
+
+
 def test_pearson_frozen_and_oracle():
     m = _series([[1, 2], [2, 4], [3, 6], [4, 8]])
     assert pearson(m, 1, 2) == pytest.approx(1.0)
@@ -86,10 +132,32 @@ def test_pearson_frozen_and_oracle():
             assert pearson(m3, i, j) == pytest.approx(ref[i - 1][j - 1])
 
 
+def test_pearson_matches_the_dot_of_standardized_columns():
+    rng = np.random.default_rng(11)
+    for samples in (40, 600, 10000):
+        data = rng.normal(size=(samples, 5))
+        # squares that overflow and that underflow: both columns are rescaled
+        data[:, 1] *= 1.7e308 / np.abs(data[:, 1]).max()
+        data[:, 2] *= 1e-170
+        data[:, 4] = data[:, 0] + 0.1 * data[:, 3]
+        m = _series(data)
+        for i in range(1, 6):
+            for j in range(1, 6):
+                assert abs(pearson(m, i, j) - pearson_dot(m, i, j)) <= 1e-15
+    with pytest.raises(IndexError, match="signal index 6 outside 1..5"):
+        pearson(m, 1, 6)
+    with pytest.raises(IndexError, match="signal index 0 outside 1..5"):
+        pearson(m, 0, 1)
+
+
 def test_pearson_constant_column():
     m = _series([[1, 5], [2, 5], [3, 5]])
     with pytest.raises(ValueError, match="column 2"):
         pearson(m, 1, 2)
+    # of several constant columns, the first in index order is named
+    m = _series([[1, 5, 7, 1], [2, 5, 7, 0], [3, 5, 7, 1]])
+    with pytest.raises(ValueError, match=r"signal 's2' \(column 2\) is constant"):
+        multicorrelation_table(m)
 
 
 def test_multicorrelation_against_determinant():
@@ -104,6 +172,18 @@ def test_multicorrelation_against_determinant():
         det = np.linalg.det(R[np.ix_(idx, idx)])
         expected = math.sqrt(min(max(1.0 - det, 0.0), 1.0))
         assert value == pytest.approx(expected, abs=1e-12)
+
+
+def test_triples_are_every_combination_in_order():
+    rng = np.random.default_rng(5)
+    for n in range(3, 61):
+        triples, rho = multicorrelation_table(_series(rng.normal(size=(3, n))))
+        assert triples.dtype == np.int64
+        assert triples.shape == (math.comb(n, 3), 3)
+        assert rho.shape == (math.comb(n, 3),)
+        assert triples.tolist() == [
+            list(t) for t in combinations(range(1, n + 1), 3)
+        ]
 
 
 def test_multicorrelation_matches_the_scalar_formula():
