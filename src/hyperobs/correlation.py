@@ -6,9 +6,9 @@ pairwise Pearson correlations. rho is 0 for jointly uncorrelated signals
 and 1 when one signal is a linear combination of the other two, which is
 what makes it a three-way redundancy measure rather than a pairwise one.
 
-The per-element work runs in numpy: the CSV body is converted in one call,
-each series has one Pearson matrix from one matrix product, and the
-triples are built by index arithmetic.
+The per-element work runs in numpy: numpy's C text reader converts the
+CSV body, each series has one Pearson matrix from one matrix product, and
+the triples are built by index arithmetic.
 """
 
 from __future__ import annotations
@@ -18,9 +18,12 @@ import io
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
+from .dynamics import MAX_DENSE_SLOTS
+from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph
 
 
@@ -96,23 +99,38 @@ class TimeSeriesMatrix:
         return (z @ z.T) / (self.num_samples - 1)
 
 
+# csv reads a carriage return as a line end and a quote or NUL by its own
+# rules; the C reader strips \x1c-\x1f as whitespace, float() refuses them
+_SCAN_ONLY = '\r"\0\x1c\x1d\x1e\x1f'
+
+
 def read_timeseries_csv(text: str) -> TimeSeriesMatrix:
     """Parse a CSV whose first row holds labels and whose body is numeric.
 
     Each sample is Python's ``float()`` of its cell and must be finite:
     nan, inf and overflowing values such as 1e400 are refused with their
     line.
+
+    The label row goes through ``csv``. The body goes to numpy's C text
+    reader (``_c_reader_values``) unless that reader could disagree with
+    ``float()`` or with csv's line and cell rules; then, and to report
+    any error with its line, csv scans the body row by row.
     """
     reader = csv.reader(io.StringIO(text))
     # (line, row) with the line as the file counts it, blank lines included
+    rows = ((reader.line_num, row) for row in reader if row)
     try:
-        rows = [(reader.line_num, row) for row in reader if row]
+        head = next(rows, None)
+        if head is not None:
+            labels = tuple(cell.strip() for cell in head[1])
+            values = _c_reader_values(text, reader.line_num, len(labels))
+            if values is not None:
+                return TimeSeriesMatrix(labels, values)
+        body = list(rows)
     except csv.Error as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
-    if len(rows) < 3:
+    if head is None or len(body) < 2:
         raise ValueError("CSV needs a label row and at least two data rows")
-    labels = tuple(cell.strip() for cell in rows[0][1])
-    body = rows[1:]
     values = _body_values(body, len(labels))
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
@@ -122,22 +140,46 @@ def read_timeseries_csv(text: str) -> TimeSeriesMatrix:
     return TimeSeriesMatrix(labels, values)
 
 
+def _c_reader_values(
+    text: str, label_lines: int, width: int
+) -> np.ndarray | None:
+    """The body after the first label_lines lines from ``np.loadtxt``, as an
+    (m, width) float64 array, or None where the C reader could read it
+    otherwise than the csv scan.
+
+    For ASCII decimals the C reader gives the correctly rounded value, as
+    ``float()`` does; underscores and non-ASCII digits, which only
+    ``float()`` accepts, make it raise. Lines are split on "\n" alone, as
+    ``io.StringIO`` splits them for the csv scan (``str.splitlines`` also
+    splits at \x0b, \x1c and more). None for a character of _SCAN_ONLY in
+    the body, a line past csv's field limit, fewer than two rows (so
+    loadtxt never warns of empty input), a row count other than the number
+    of non-empty lines, a ``ValueError``, rows not width wide, or a
+    non-finite value.
+    """
+    lines = text.split("\n")
+    start = sum(map(len, lines[:label_lines])) + label_lines
+    if any(text.find(c, start) >= 0 for c in _SCAN_ONLY):
+        return None
+    body = lines[label_lines:]
+    count = len(body) - body.count("")
+    if count < 2 or max(map(len, body)) > csv.field_size_limit():
+        return None
+    try:
+        values = np.loadtxt(
+            body, delimiter=",", comments=None, quotechar=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    if values.shape != (count, width) or not np.isfinite(values).all():
+        return None
+    return values
+
+
 def _body_values(body: list[tuple[int, list[str]]], width: int) -> np.ndarray:
     """The cells as an (m, width) float64 array, each Python's ``float()``
-    of its cell.
-
-    One numpy call converts every ``str`` through ``float()``. Only when
-    that call fails, or the rows are not ``width`` wide, are the rows
-    checked and converted one by one, to report the first short row or
-    refused cell with its line.
-    """
-    try:
-        values = np.array([row for _, row in body], dtype=float)
-    except ValueError:
-        pass
-    else:
-        if values.shape[1] == width:
-            return values
+    of its cell; the first short row or refused cell is reported with its
+    line."""
     data = []
     for lineno, row in body:
         if len(row) != width:
@@ -179,10 +221,19 @@ def multicorrelation_table(
     read once and shared by every triple that holds the pair. The
     determinant of a correlation matrix sits in [0, 1]; rounding can push
     it a hair outside, so the result is clamped before the root.
+
+    A table of more than MAX_DENSE_SLOTS 8-byte slots at its peak
+    (``table_slots``) is refused before any of it is built.
     """
     n = series.num_signals
     if n < 3:
         raise ValueError(f"need at least 3 signals, got {n}")
+    needs = table_slots(n)
+    if needs > MAX_DENSE_SLOTS:
+        raise ResourceLimitError(
+            f"{comb(n, 3)} triples of {n} signals need {needs} slots, "
+            f"cap is {MAX_DENSE_SLOTS}"
+        )
     r = np.zeros((n + 1, n + 1))
     for i, j in combinations(range(1, n + 1), 2):
         r[i, j] = pearson(series, i, j)
@@ -206,6 +257,15 @@ def multicorrelation_table(
     det = 1.0 + 2.0 * r_ab * r_ac * r_bc - sq[a, b] - sq[a, c] - sq[b, c]
     rho = np.sqrt(np.clip(1.0 - det, 0.0, 1.0))
     return triples, rho
+
+
+def table_slots(n: int) -> int:
+    """8-byte slots ``multicorrelation_table`` holds at its peak for n
+    signals: per triple its three indices, its three pair values and the
+    determinant, 1 - det and the clamped value, and the (n + 1)^2 pair
+    table, its squares, and four slots per pair for the pair indices.
+    tracemalloc measures 9.1 slots per triple at n = 200."""
+    return 9 * comb(n, 3) + 2 * (n + 1) ** 2 + 4 * comb(n, 2)
 
 
 def hypergraph_from_table(

@@ -163,14 +163,17 @@ class ChainStacks:
     def layout(
         dyn: DynamicsSpec, depth: int
     ) -> tuple[tuple[tuple[int, ...], type], ...]:
-        """The (shape, dtype) of every array a pass keeps besides the chain
-        and the index arrays of ``dyn``; none at k = 2 or depth 0."""
+        """The (shape, dtype) of every array a pass holds at its peak
+        besides the chain and the index arrays of ``dyn``: the stacks and
+        buffers it keeps, then the transients of a level's product; none
+        at k = 2 or depth 0."""
         n = dyn.n
         if dyn.k == 2 or depth == 0:
             return ()
         columns = n + sum(len(u) for u, _ in dyn.leave_one_out[0])
         cells = len(dyn.jacobian_cells[1])
         left, right, at = LimbProduct.shapes(n, n, n + 1, depth, cells)
+        peak = LimbProduct.peak_shapes(n, n + 1)
         return (
             ((depth, columns), np.uint64),
             ((depth, n, 3 * (n + 1)), np.float32),
@@ -178,6 +181,7 @@ class ChainStacks:
             (left, np.float64),
             (right, np.float64),
             (at, np.intp),
+            *((shape, np.uint64) for shape in peak),
         )
 
     @classmethod
@@ -195,10 +199,11 @@ class ChainStacks:
 
 def check_lane_slots(dyn: DynamicsSpec, depth: int) -> None:
     """Refuse a chain pass whose arrays (chain, value series, limbs of the
-    chain and of the Jacobian cells, GEMM buffers) exceed MAX_DENSE_SLOTS
-    8-byte slots, counted from their shapes before any is allocated. A
-    chain past the cap alone is refused before the cells are worked out,
-    which takes time linear in n."""
+    chain and of the Jacobian cells, GEMM buffers, and the transients of a
+    level's product) exceed MAX_DENSE_SLOTS 8-byte slots, counted from
+    their shapes before any is allocated. A chain past the cap alone is
+    refused before the cells are worked out, which takes time linear in
+    n."""
 
     def slots(arrays: tuple[tuple[tuple[int, ...], type], ...]) -> int:
         return sum(

@@ -204,6 +204,16 @@ class LimbProduct:
         rows = min(width, _GEMM_CHUNK) * group
         return (rows, 3 * m), (rows, 3 * w), (group, cells, 3)
 
+    @staticmethod
+    def peak_shapes(m: int, w: int) -> tuple[tuple[int, ...], ...]:
+        """The shapes of the uint64 arrays a product holds at its peak,
+        besides its buffers: the accumulated (3m, 3w) limb products and
+        the fold's (m, 5, w) sums with three temporaries of their shape,
+        29 m w slots. A chunk's float64 result and its uint64 copy, (3m, 3w)
+        each, live only beside the accumulator, 27 m w slots; a ``mul`` of
+        the (m, w) product holds about 6 m w."""
+        return (3 * m, 3 * w), (4, m, 5, w)
+
     def __call__(self, cells: np.ndarray, right: np.ndarray) -> np.ndarray:
         """A @ B for the limbs cells (blocks, C, 3) of A's blocks and
         right (blocks * width, 3w) of B's rows; blocks may be fewer than

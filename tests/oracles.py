@@ -24,8 +24,8 @@ with the kernel's residues through ``residue``.
 
 ``read_timeseries_csv_per_cell`` converts a CSV body one cell at a time
 with ``float()``, and ``pearson_dot`` is the 1-D dot of two standardized
-columns; ``hyperobs.correlation`` converts the body in one numpy call and
-reads Pearson values from one matrix product.
+columns; ``hyperobs.correlation`` converts the body with numpy's C text
+reader and reads Pearson values from one matrix product.
 
 ``eager_greedy`` and ``naive_brute_force`` are the MON searches with no
 early stop: greedy scores every candidate at every trial point, evaluated up

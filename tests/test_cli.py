@@ -531,6 +531,20 @@ def test_ingest_refuses_a_constant_column(tmp_path, capsys):
     assert stdout == ""
 
 
+def test_ingest_refuses_an_oversized_table(tmp_path, capsys):
+    # 500 signals make 20,708,500 triples, past the memory cap
+    labels = ",".join(f"s{j}" for j in range(500))
+    rows = (
+        ",".join(str(i * (j % 7 + 1)) for j in range(500)) for i in (1, 2, 4)
+    )
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text("\n".join([labels, *rows]) + "\n")
+    code, stdout, stderr = run(capsys, "ingest", str(csv_path))
+    assert code == 2
+    assert "resource limit: 20708500 triples of 500 signals" in stderr
+    assert stdout == ""
+
+
 def test_reports_deterministic(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(gen_hyperstar(6, 3).to_json())

@@ -1,6 +1,9 @@
 """Time series parsing, Pearson and multiple correlation, threshold graphs."""
 
+import csv
 import math
+import tracemalloc
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -10,13 +13,17 @@ from hypothesis import strategies as st
 
 from hyperobs.correlation import (
     TimeSeriesMatrix,
+    _body_values,
     hypergraph_from_timeseries,
     multicorrelation_table,
     pairwise_graph_from_timeseries,
     pearson,
     read_timeseries_csv,
+    table_slots,
     write_timeseries_csv,
 )
+from hyperobs.dynamics import MAX_DENSE_SLOTS
+from hyperobs.errors import ResourceLimitError
 
 from oracles import pearson_dot, read_timeseries_csv_per_cell
 
@@ -86,36 +93,107 @@ def _read_outcome(reader, text):
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_CELL = st.one_of(
+_LIMIT = csv.field_size_limit()
+# whitespace that float() strips, some of which str.splitlines splits at
+_SPACE = st.sampled_from(
+    ["", " ", "\t", "\x0b", "\x0c", "\x85", "\xa0", "\u2028", "\u3000"]
+)
+_PLAIN = st.one_of(
     _FINITE.map(repr),
-    _FINITE.map(lambda x: f"  {x!r}\t"),
+    st.tuples(_SPACE, _FINITE, _SPACE).map(lambda t: f"{t[0]}{t[1]!r}{t[2]}"),
+)
+_CELL = st.one_of(
+    _PLAIN,
     st.sampled_from(
         ["1_000", " 2_5 ", "\uff11\uff12", "nan", "inf", "-inf", "1e400",
-         "abc", "", "1\0", "0x10"]
+         "abc", "", "1\0", "0x10", "#", "#1", "\x1c1", "2\x1f", '"3"',
+         '"4,5"', '"6\n7"', '"8\r\n9"', '" 1 "', '"',
+         " " * _LIMIT + "1", " " * (_LIMIT // 2) + "2"]
     ),
 )
+_LABELS = st.sampled_from(
+    ["a,b,c", '"a","b","c"', '"a,1",b,c', '"a\nx",b," c "', " a , b ,c"]
+)
+# lines csv reads as rows that are not blank
+_ODD_LINE = st.sampled_from([" ", "\t", "\x0b", ",", ",,", ",,,"])
+_LINE_END = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
 
 
 @st.composite
 def _odd_csv(draw):
-    """Three labels, then rows of odd and ordinary cells (now and then one
-    cell short), with blank lines mixed in."""
-    lines = ["a,b,c"]
+    """Blank lines, then three labels, then rows of three ordinary or odd
+    cells (now and then one cell short), with blank, whitespace-only and
+    comma-only lines mixed in, and mixed line ends.
+
+    One example in two is plain: ordinary cells, full rows and few odd
+    lines; and one in two has only "\\n" line ends, so the C reader's
+    path is taken often."""
+    plain = draw(st.booleans())
+    if plain:
+        cell, width = _PLAIN, st.just(3)
+        gap = st.sampled_from([""] * 6 + [" ", ","])
+    else:
+        cell, width = _CELL, st.sampled_from([3, 3, 3, 3, 2])
+        gap = st.just("") | _ODD_LINE
+    end = st.just("\n") if draw(st.booleans()) else _LINE_END
+    text = "".join(draw(end) for _ in range(draw(st.integers(0, 2))))
+    text += draw(_LABELS)
     for _ in range(draw(st.integers(0, 6))):
-        lines.extend([""] * draw(st.integers(0, 2)))
-        width = draw(st.sampled_from([3, 3, 3, 3, 2]))
-        cells = draw(st.lists(_CELL, min_size=width, max_size=width))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+        for _ in range(draw(st.integers(0, 2))):
+            text += draw(end) + draw(gap)
+        cells = draw(st.lists(cell, min_size=3, max_size=3))
+        text += draw(end) + ",".join(cells[: draw(width)])
+    return text + draw(st.sampled_from(["", "\n", "\n\n", "\r\n"]))
 
 
 @given(text=_odd_csv())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_csv_conversion_matches_the_per_cell_reader(text):
-    # the same values bit for bit, or the same message
-    assert _read_outcome(read_timeseries_csv, text) == _read_outcome(
-        read_timeseries_csv_per_cell, text
-    )
+    # the same values bit for bit, or the same message, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _read_outcome(read_timeseries_csv, text)
+    assert got == _read_outcome(read_timeseries_csv_per_cell, text)
+
+
+def test_plain_bodies_skip_the_csv_scan(monkeypatch):
+    """The C reader converts a plain body, and the csv scan takes every
+    body it could read differently."""
+    scanned = []
+
+    def scan(body, width):
+        scanned.append(len(body))
+        return _body_values(body, width)
+
+    monkeypatch.setattr("hyperobs.correlation._body_values", scan)
+    plain = "a,b\n1,2\n\n 3e-1 ,-4\n"
+    series = read_timeseries_csv(plain)
+    assert scanned == []
+    assert series.values.tolist() == [[1.0, 2.0], [0.3, -4.0]]
+    # quoted labels after blank lines; the body starts after them
+    quoted = '\n\n"a,1","b"\n1,2\n3,4'
+    assert read_timeseries_csv(quoted).labels == ("a,1", "b")
+    assert scanned == []
+    long_line = " " * (_LIMIT // 2) + "1," + " " * (_LIMIT // 2) + "2"
+    for text in [
+        'a,b\n1,2\n"3",4\n',  # a quote in the body
+        "a,b\r\n1,2\r\n3,4\r\n",  # a carriage return
+        "a,b\n1,2\n3,4\0\n",  # a NUL
+        "a,b\n1,2\n3,\x1c4\n",  # only the C reader strips \x1c
+        f"a,b\n1,2\n{long_line}\n",  # a line past csv's field limit
+        "a,b\n1,2\n3,4\n \n",  # a whitespace-only line
+        "a,b\n1,2\n3,1_0\n",  # only float() reads underscores
+        "a,b\n1,2\n3,nan\n",  # non-finite
+        "a,b,c\n1,2\n3,4\n",  # narrower than the labels
+    ]:
+        scanned.clear()
+        _read_outcome(read_timeseries_csv, text)
+        assert len(scanned) == 1, repr(text)
+    # one body row is refused before either reader converts it
+    scanned.clear()
+    with pytest.raises(ValueError, match="at least two data rows"):
+        read_timeseries_csv("a,b\n1,2\n")
+    assert scanned == []
 
 
 def test_pearson_frozen_and_oracle():
@@ -196,6 +274,48 @@ def test_multicorrelation_matches_the_scalar_formula():
         r_ab, r_ac, r_bc = (pearson(m, i, j) for i, j in combinations(triple, 2))
         det = 1.0 + 2.0 * r_ab * r_ac * r_bc - r_ab**2 - r_ac**2 - r_bc**2
         assert value == math.sqrt(min(max(1.0 - det, 0.0), 1.0))
+
+
+def test_table_slot_count_at_the_cap(monkeypatch):
+    # a table that needs the cap is built, one slot less is refused
+    series = _series(np.random.default_rng(6).normal(size=(3, 10)))
+    slots = table_slots(10)
+    assert slots == 9 * 120 + 2 * 11**2 + 4 * 45
+    monkeypatch.setattr("hyperobs.correlation.MAX_DENSE_SLOTS", slots)
+    assert len(multicorrelation_table(series)[1]) == 120
+    monkeypatch.setattr("hyperobs.correlation.MAX_DENSE_SLOTS", slots - 1)
+    message = f"120 triples of 10 signals need {slots} slots"
+    with pytest.raises(ResourceLimitError, match=message):
+        multicorrelation_table(series)
+
+
+def test_table_past_the_cap_is_refused_before_it_is_built(monkeypatch):
+    # 405 signals fit under the cap of 10**8 slots and 406 do not; no
+    # Pearson value is read for the refused table
+    assert table_slots(405) <= MAX_DENSE_SLOTS < table_slots(406)
+
+    def unread(*args):
+        raise AssertionError("pearson called")
+
+    monkeypatch.setattr("hyperobs.correlation.pearson", unread)
+    series = _series(np.random.default_rng(7).normal(size=(3, 406)))
+    message = f"{math.comb(406, 3)} triples of 406 signals"
+    with pytest.raises(ResourceLimitError, match=message):
+        multicorrelation_table(series)
+    assert "pearson_matrix" not in vars(series)
+
+
+def test_table_slot_count_bounds_the_traced_peak():
+    series = _series(np.random.default_rng(8).normal(size=(50, 120)))
+    series.pearson_matrix
+    tracemalloc.start()
+    try:
+        multicorrelation_table(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # within 2% here; numpy versions that reuse temporaries peak lower
+    assert 0.75 * peak <= 8 * table_slots(120) <= 1.25 * peak
 
 
 def test_multicorrelation_validation():

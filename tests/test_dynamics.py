@@ -9,6 +9,7 @@ this module; the two oracles also agree with each other exactly.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -365,11 +366,12 @@ def test_depth_guard_before_allocation(triangle_dyn):
     # float32 limbs, 1.5 n (n + 1) d; the limbs of the C = 6 Jacobian
     # cells, 1.5 C d; and for a chunk of g = min(2**11 // n, d) blocks, two
     # float64 buffers of g n rows, 3 n and 3 (n + 1) wide, and 3 C g cell
-    # positions. On the triangle that is 12 + 42 d + 81 g.
+    # positions; and a level product's peak transients, 29 n (n + 1). On
+    # the triangle that is 12 + 42 d + 81 g + 348.
     # Past the cap a pass is refused before any lane exists, so a huge
     # depth fails at once, not in MemoryError; the second depth fits the
     # chain alone, and the last is the first one refused
-    fits = (MAX_DENSE_SLOTS - 12 - 81 * 682) // 42
+    fits = (MAX_DENSE_SLOTS - 12 - 81 * 682 - 348) // 42
     for depth in (10**9, MAX_DENSE_SLOTS // 12 - 1, fits + 1):
         with pytest.raises(ResourceLimitError, match="lane slots"):
             lie_derivatives(triangle_dyn, [1, 2, 3], depth)
@@ -380,12 +382,13 @@ def test_slot_count_at_the_cap(monkeypatch):
     # the count is exact: a pass that needs the cap runs, one slot less is
     # refused. k = 2 keeps only the chain; on ring 6/k at depth 5, k = 3
     # adds the value series of the 6 nodes, the chain's limbs, the limbs of
-    # 24 cells and a chunk of 5 blocks (30 rows), and k = 4 adds the
-    # series of all 15 node pairs, and has 30 cells
+    # 24 cells, a chunk of 5 blocks (30 rows) and the product's peak
+    # transients (an 18 x 21 accumulator and four 6 x 5 x 7 fold arrays),
+    # and k = 4 adds the series of all 15 node pairs, and has 30 cells
     def stacks(series, cells):
         return (
             5 * series + 5 * 6 * 7 * 3 // 2 + 5 * cells * 3 // 2
-            + 30 * (3 * 6 + 3 * 7) + 5 * cells * 3
+            + 30 * (3 * 6 + 3 * 7) + 5 * cells * 3 + 29 * 6 * 7
         )
 
     for g, depth, slots in [
@@ -400,16 +403,42 @@ def test_slot_count_at_the_cap(monkeypatch):
         monkeypatch.setattr("hyperobs.dynamics.MAX_DENSE_SLOTS", slots - 1)
         with pytest.raises(ResourceLimitError, match=f"needs {slots} lane"):
             lie_derivatives(dyn, x, depth)
-    # at k = 3 and depth n - 1 a pass needs about 2.5 n^3 slots: ring 336/3
-    # fits under the cap of 10**8 and ring 337/3 does not, both read from
-    # the refusal, so nothing is allocated; ring 300/3 passes the check
-    for n, slots in [(336, 99827448), (337, 100706384)]:
+    # at k = 3 and depth n - 1 a pass needs about 2.5 n^3 + 29 n^2 slots:
+    # ring 332/3 fits under the cap of 10**8 and ring 333/3 does not, both
+    # read from the refusal, so nothing is allocated; ring 300/3 passes the
+    # check
+    for n, slots in [(332, 99568958), (333, 100446786)]:
         monkeypatch.setattr("hyperobs.dynamics.MAX_DENSE_SLOTS", slots - 1)
         with pytest.raises(ResourceLimitError, match=f"needs {slots} lane"):
             lie_derivatives(DynamicsSpec(gen_hyperring(n, 3)), [1] * n, n - 1)
     monkeypatch.undo()
-    assert 99827448 <= MAX_DENSE_SLOTS < 100706384
+    assert 99568958 <= MAX_DENSE_SLOTS < 100446786
     check_lane_slots(DynamicsSpec(gen_hyperring(300, 3)), 299)
+
+
+@pytest.mark.parametrize(
+    "n, k, depth", [(200, 3, 2), (120, 4, 2), (100, 3, 5)]
+)
+def test_slot_count_bounds_the_traced_peak(monkeypatch, n, k, depth):
+    # the count covers what a pass really holds: at small depth and large
+    # n most of it is the level product's transients
+    dyn = DynamicsSpec(gen_hyperring(n, k))
+    dyn.jacobian_cells, dyn.leave_one_out
+    monkeypatch.setattr(
+        "hyperobs.dynamics.MAX_DENSE_SLOTS", (depth + 1) * n * (n + 1)
+    )
+    with pytest.raises(ResourceLimitError) as refusal:
+        check_lane_slots(dyn, depth)
+    slots = int(str(refusal.value).split("needs ")[1].split()[0])
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        lie_derivatives(dyn, list(range(1, n + 1)), depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # within 2% here; numpy versions that reuse temporaries peak lower
+    assert 0.75 * peak <= 8 * slots <= 1.25 * peak
 
 
 @given(
