@@ -22,6 +22,7 @@ from math import comb
 
 import numpy as np
 
+from . import hypergraph
 from .dynamics import MAX_DENSE_SLOTS
 from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph
@@ -275,10 +276,20 @@ def hypergraph_from_table(
 ) -> UniformHypergraph:
     """3-uniform hypergraph on the signals, linking every triple of the
     table whose rho is strictly above the threshold. Signals that land in
-    no triple stay as isolated nodes."""
+    no triple stay as isolated nodes. More kept triples than
+    ``hypergraph.MAX_EDGES`` raise ResourceLimitError before any becomes
+    a Python object."""
     check_threshold(threshold)
     triples, rho = table
-    return UniformHypergraph(num_signals, 3, triples[rho > threshold].tolist())
+    keep = rho > threshold
+    kept = np.count_nonzero(keep)
+    if kept > hypergraph.MAX_EDGES:
+        raise ResourceLimitError(
+            f"{kept} of {len(rho)} triples of {num_signals} signals lie "
+            f"above threshold {threshold}, cap is {hypergraph.MAX_EDGES} "
+            "edges"
+        )
+    return UniformHypergraph(num_signals, 3, triples[keep].tolist())
 
 
 def hypergraph_from_timeseries(

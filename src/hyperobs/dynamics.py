@@ -164,16 +164,26 @@ class ChainStacks:
         dyn: DynamicsSpec, depth: int
     ) -> tuple[tuple[tuple[int, ...], type], ...]:
         """The (shape, dtype) of every array a pass holds at its peak
-        besides the chain and the index arrays of ``dyn``: the stacks and
-        buffers it keeps, then the transients of a level's product; none
-        at k = 2 or depth 0."""
+        besides the chain and the index arrays of ``dyn``: at k >= 3 the
+        stacks and buffers it keeps, then the transients of a level's
+        product. At k = 2 a pass keeps nothing, and a level holds the
+        gathered remainder rows and its output, then either the half-word
+        copy and the two segment sums of the rows or the temporaries of
+        ``mul`` on the output, whichever is larger. None at depth 0."""
         n = dyn.n
-        if dyn.k == 2 or depth == 0:
+        if depth == 0:
             return ()
+        if dyn.k == 2:
+            rows = 2 * dyn.graph.num_edges
+            return (
+                ((rows, n + 1), np.uint64),
+                ((n, n + 1), np.uint64),
+                ((max(rows + 2 * n, 5 * n), n + 1), np.uint64),
+            )
         columns = n + sum(len(u) for u, _ in dyn.leave_one_out[0])
         cells = len(dyn.jacobian_cells[1])
         left, right, at = LimbProduct.shapes(n, n, n + 1, depth, cells)
-        peak = LimbProduct.peak_shapes(n, n + 1)
+        peak = LimbProduct.peak_shapes(n, n, n + 1, depth)
         return (
             ((depth, columns), np.uint64),
             ((depth, n, 3 * (n + 1)), np.float32),
@@ -187,9 +197,9 @@ class ChainStacks:
     @classmethod
     def allocate(cls, dyn: DynamicsSpec, depth: int) -> ChainStacks | None:
         """The stacks of a pass to depth, or None where it keeps none."""
-        layout = cls.layout(dyn, depth)
-        if not layout:
+        if dyn.k == 2 or depth == 0:
             return None
+        layout = cls.layout(dyn, depth)
         _, rows, columns, _ = dyn.jacobian_cells
         return cls(
             *(np.empty(shape, dtype) for shape, dtype in layout[:3]),
@@ -200,7 +210,8 @@ class ChainStacks:
 def check_lane_slots(dyn: DynamicsSpec, depth: int) -> None:
     """Refuse a chain pass whose arrays (chain, value series, limbs of the
     chain and of the Jacobian cells, GEMM buffers, and the transients of a
-    level's product) exceed MAX_DENSE_SLOTS 8-byte slots, counted from
+    level's step, ``ChainStacks.layout``) exceed MAX_DENSE_SLOTS 8-byte
+    slots, counted from
     their shapes before any is allocated. A chain past the cap alone is
     refused before the cells are worked out, which takes time linear in
     n."""

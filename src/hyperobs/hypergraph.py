@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -76,6 +77,21 @@ class UniformHypergraph:
         for i in range(1, self.n + 1):
             groups.setdefault(find(i), []).append(i)
         return sorted(sorted(g) for g in groups.values())
+
+    @cached_property
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Classes of two or more twins: nodes of positive degree whose sets
+        of hyperedge remainders e - {i} are equal. Each class is sorted,
+        and the classes are ordered by their first node. Worked out once
+        per hypergraph."""
+        rests: dict[int, set[tuple[int, ...]]] = {}
+        for e in self.edges:
+            for p, i in enumerate(e):
+                rests.setdefault(i, set()).add(e[:p] + e[p + 1 :])
+        groups: dict[frozenset[tuple[int, ...]], list[int]] = {}
+        for i in sorted(rests):
+            groups.setdefault(frozenset(rests[i]), []).append(i)
+        return tuple(tuple(c) for c in groups.values() if len(c) > 1)
 
     def to_dict(self) -> dict[str, Any]:
         return {

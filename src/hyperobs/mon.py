@@ -17,13 +17,14 @@ the chains went.
 
 Both searches stop rank work once the answer is decided, and both enter
 each node as the row basis of its block, reduced once per oracle. A
-candidate's score is its best rank over the trial points, and n is the most
-any trial can give, so scoring stops at the first trial that reaches n;
-a trial point is evaluated only when a score needs it. Greedy is lazy: it
-rescores only candidates whose bound from their last gains could still win.
-Brute force ranks each subset at each trial it needs with one
-``modp_rank`` over its nodes' bases. Every result is the one a full
-evaluation of every trial would give.
+candidate's score is its best rank over the trial points, and no trial can
+give more than the exact ceiling of the selection plus the candidate
+(``NomOracle.ceiling``, from the twins below), so scoring stops at the
+first trial that reaches it; a trial point is evaluated only when a score
+needs it. Greedy is lazy: it rescores only candidates whose bound from
+their last gains and their ceiling could still win. Brute force ranks each
+subset at each trial it needs with one ``modp_rank`` over its nodes' bases.
+Every result is the one a full evaluation of every trial would give.
 
 Twins bound both searches from below. Nodes u and v are twins when they
 have the same set of hyperedge remainders e - {u}; twins never share a
@@ -31,10 +32,13 @@ hyperedge. Then f_u = f_v, neither depends on x_u or x_v, and every other
 f_i depends on x_u + x_v alone, so x_u - x_v is conserved by the flow:
 e_u - e_v is orthogonal to every gradient row except level 0 of u and v.
 This is a polynomial identity over Z, so it holds mod P at every point and
-depth. A class of m twins thus needs m - 1 measured members, and every
-connected component needs one (``twin_lower_bound``). Brute force starts
-at that size and skips, before any rank work, each subset that leaves two
-twins unmeasured.
+depth. A node set that leaves r members of a class unmeasured thus has r - 1
+independent directions in its kernel, which gives its rank ceiling
+n - sum over classes of max(0, r - 1). A class of m twins needs m - 1
+measured members, and every connected component needs one
+(``twin_lower_bound``). Brute force starts at that size and skips, before
+any rank work, each subset whose ceiling is below n, which leaves two twins
+unmeasured.
 
 Rank contributions never cross connected components (every block entry only
 involves coordinates from the node's own component), so both searches solve
@@ -53,7 +57,7 @@ from .dynamics import DynamicsSpec
 from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph
 from .linalg import Echelon, modp_rank
-from .observability import NomOracle, RankConfig, _as_dynamics
+from .observability import NomOracle, RankConfig, TwinCount, _as_dynamics
 from .scalars import derive_seed
 
 TIE_BREAKS = ("degree", "index", "random")
@@ -95,23 +99,6 @@ class MonResult:
         return len(self.selected)
 
 
-def twin_classes(
-    g: UniformHypergraph | DynamicsSpec,
-) -> list[tuple[int, ...]]:
-    """Classes of two or more twins: nodes of positive degree whose sets of
-    hyperedge remainders are equal. Each class is sorted, and the classes
-    are ordered by their first node."""
-    graph = _as_dynamics(g).graph
-    rests: dict[int, set[tuple[int, ...]]] = {}
-    for e in graph.edges:
-        for p, i in enumerate(e):
-            rests.setdefault(i, set()).add(e[:p] + e[p + 1 :])
-    groups: dict[frozenset[tuple[int, ...]], list[int]] = {}
-    for i in sorted(rests):
-        groups.setdefault(frozenset(rests[i]), []).append(i)
-    return [tuple(c) for c in groups.values() if len(c) > 1]
-
-
 def twin_lower_bound(g: UniformHypergraph | DynamicsSpec) -> int:
     """Proven lower bound on the size of any full-rank node set: the sum
     over connected components of max(1, sum over its twin classes of m - 1).
@@ -120,7 +107,7 @@ def twin_lower_bound(g: UniformHypergraph | DynamicsSpec) -> int:
     comps = graph.connected_components()
     where = {i: c for c, nodes in enumerate(comps) for i in nodes}
     need = [0] * len(comps)
-    for cls in twin_classes(graph):
+    for cls in graph.twin_classes:
         # twins share their remainders' component
         need[where[cls[0]]] += len(cls) - 1
     return sum(max(1, m) for m in need)
@@ -136,7 +123,7 @@ def invisible_pair(
     """
     chosen = set(measured)
     pairs = []
-    for cls in twin_classes(g):
+    for cls in _as_dynamics(g).graph.twin_classes:
         rest = [i for i in cls if i not in chosen]
         if len(rest) > 1:
             pairs.append((rest[0], rest[1]))
@@ -179,12 +166,16 @@ def greedy_mon(
     with less work (Minoux's accelerated greedy). At one trial a node's
     gain dim(U + W) - dim(U) never grows as the selection's span U grows,
     so the selection's rank at a trial plus the candidate's gain there
-    when last scored bounds the rank it can reach there now. A step scores
-    candidates in (-bound, key) order until the next sorts after the least
-    (-score, key) so far, which is the pick. A candidate not yet scored at
-    every trial has bound n, so the first one in key order to reach n ends
-    the step. A score stops at the first trial that reaches n, and a trial
-    point is evaluated when a score first needs it.
+    when last scored bounds the rank it can reach there now. No trial
+    ranks the selection plus a candidate above its exact ceiling
+    (``NomOracle.ceiling``), kept in O(1) per candidate from per-class
+    counts of unmeasured twins, so a candidate's bound is the lesser of
+    the two. A step scores candidates in (-bound, key) order until the
+    next sorts after the least (-score, key) so far, which is the pick. A
+    candidate not yet scored at every trial has its ceiling as its bound,
+    so the first one in key order to reach it ends the step. A score stops
+    at the first trial that reaches the ceiling, and a trial point is
+    evaluated when a score first needs it.
     """
     _check_tie_break(tie_break)
     oracle = _as_oracle(g, config)
@@ -203,10 +194,11 @@ def greedy_mon(
     selected: list[int] = []
     trace: list[int] = []
     remaining = set(range(1, n + 1))
+    twins = TwinCount(n, oracle.dyn.graph.twin_classes)
     # per evaluated trial, the echelon of the selection's bases
     live: list[Echelon] = []
     # each candidate's gain per trial when last scored, kept only for
-    # candidates that were below n at every trial
+    # candidates that were below their ceiling at every trial
     gains: dict[int, list[int]] = {}
 
     def echelon(t: int) -> Echelon:
@@ -218,24 +210,26 @@ def greedy_mon(
         return live[t]
 
     def score(s: int) -> int:
+        cap = twins.ceiling_with(s)
         best = 0
         row = []
         for t in range(oracle.trials):
             ech = echelon(t)
             gain = ech.probe(oracle.basis(t, s))
             best = max(best, ech.rank + gain)
-            if best == n:
+            if best == cap:
                 gains.pop(s, None)
-                return n
+                return cap
             row.append(gain)
         gains[s] = row
         return best
 
     def bound(s: int) -> int:
+        cap = twins.ceiling_with(s)
         row = gains.get(s)
         if row is None:
-            return n
-        return min(n, max(ech.rank + gain for ech, gain in zip(live, row)))
+            return cap
+        return min(cap, max(ech.rank + gain for ech, gain in zip(live, row)))
 
     rank = 0
     while rank < n:
@@ -248,6 +242,7 @@ def greedy_mon(
         pick = top[2]
         selected.append(pick)
         remaining.remove(pick)
+        twins.add(pick)
         for t, ech in enumerate(live):
             ech.add_rows(oracle.basis(t, pick))
         rank = max(ech.rank for ech in live)
@@ -322,7 +317,6 @@ def brute_force_mon(
 def _exhaustive(oracle: NomOracle) -> MonResult:
     """``brute_force_mon`` on the whole hypergraph of the oracle."""
     n = oracle.dyn.n
-    twins = [set(cls) for cls in twin_classes(oracle.dyn)]
     start = twin_lower_bound(oracle.dyn)
     tried = 0
     for size in range(start, n + 1):
@@ -333,7 +327,7 @@ def _exhaustive(oracle: NomOracle) -> MonResult:
                     f"exhaustive search exceeded {SUBSET_BUDGET} subsets "
                     f"from size {start} up"
                 )
-            if any(len(cls.difference(subset)) > 1 for cls in twins):
+            if oracle.ceiling(subset) < n:
                 continue
             for t in range(oracle.trials):
                 rows = [row for s in subset for row in oracle.basis(t, s)]

@@ -21,6 +21,14 @@ point lies on a proper subvariety: the same Schwartz-Zippel class of
 failure as the rank itself, so "observable" stays a certificate and "not
 observable" stays probabilistic.
 
+The best rank over the trials is capped twice: by n, and by the node set's
+exact twin ceiling (``NomOracle.ceiling``), since two unmeasured twins u
+and v make e_u - e_v a kernel vector of the set's stacked matrix over Z,
+hence mod P at every point. No trial can beat the ceiling, so a rank query
+stops at the first trial that reaches it, and later trials are never
+evaluated; the result is the one every trial would give.
+``stacked_depth`` covers the evaluated trials only.
+
 Jacobians come from forward differentiation inside the chain kernel: the
 Taylor recurrence of ``dynamics.lie_derivatives`` runs once on lanes that
 carry [value | all n partials], seeded x_j = (x_j, e_j). The lanes are
@@ -31,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -96,6 +104,29 @@ def node_blocks(
     )
 
 
+class TwinCount:
+    """How many members of each twin class a node set leaves unmeasured,
+    and the set's rank ceiling (``NomOracle.ceiling``), for a set that
+    starts empty and grows one node at a time, in O(1) per node."""
+
+    def __init__(self, n: int, classes: Sequence[Sequence[int]]) -> None:
+        self.where = {i: c for c, cls in enumerate(classes) for i in cls}
+        self.unmeasured = [len(cls) for cls in classes]
+        self.ceiling = n - sum(m - 1 for m in self.unmeasured)
+
+    def ceiling_with(self, node: int) -> int:
+        """The ceiling once node, not yet in the set, joins it: one higher
+        when another member of its twin class stays unmeasured."""
+        c = self.where.get(node)
+        return self.ceiling + (c is not None and self.unmeasured[c] > 1)
+
+    def add(self, node: int) -> None:
+        self.ceiling = self.ceiling_with(node)
+        c = self.where.get(node)
+        if c is not None:
+            self.unmeasured[c] -= 1
+
+
 class NomOracle:
     """Shared node-block evaluations at seeded random points.
 
@@ -114,6 +145,10 @@ class NomOracle:
     new level into the echelon of one set still growing, the witness, and
     only when it goes flat scans the sets after it for a new one. Each
     set's echelon, grown that way, is kept as its row basis.
+
+    No trial can rank a node set above its ``ceiling``, so a rank query
+    stops at the first trial that reaches it, and later trials are never
+    evaluated for it.
     """
 
     def __init__(
@@ -207,6 +242,24 @@ class NomOracle:
         """
         return self._span(trial, (node,))
 
+    @cached_property
+    def _twins(self) -> tuple[frozenset[int], ...]:
+        """The twin classes of the graph, as sets."""
+        return tuple(map(frozenset, self.dyn.graph.twin_classes))
+
+    def ceiling(self, nodes: Collection[int]) -> int:
+        """Exact upper bound on the node set's rank at every trial point
+        and depth: n - sum over twin classes c of max(0, |c - nodes| - 1).
+
+        For unmeasured twins u and v, e_u - e_v is orthogonal to every
+        gradient row of the set over Z (see ``mon``), hence mod P at every
+        point; the differences within each class's unmeasured members are
+        independent, so the stacked matrix has that much kernel.
+        """
+        return self.dyn.n - sum(
+            max(0, len(c.difference(nodes)) - 1) for c in self._twins
+        )
+
     @property
     def stacked_depth(self) -> int:
         """The highest level stacked at any evaluated trial; 0 before any."""
@@ -232,7 +285,8 @@ class NomOracle:
 
     def rank(self, nodes: Iterable[int]) -> int:
         """Best rank of the stacked node blocks across the trial points,
-        taken over the bases of the watched sets that make up the nodes."""
+        taken over the bases of the watched sets that make up the nodes.
+        Trials stop at the first that reaches the nodes' ``ceiling``."""
         nodes = list(nodes)
         seen = set(nodes)
         if len(seen) != len(nodes):
@@ -248,11 +302,12 @@ class NomOracle:
             raise ValueError(
                 f"this oracle ranks only its watched nodes {list(self.watch)}"
             )
+        cap = self.ceiling(seen)
         best = 0
         for t in range(self.trials):
             rows = [r for nodes in sets for r in self._span(t, nodes)]
             best = max(best, modp_rank(rows, self.dyn.n))
-            if best == self.dyn.n:
+            if best == cap:
                 break
         return best
 

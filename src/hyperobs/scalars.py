@@ -129,8 +129,14 @@ def _fold(limbs: np.ndarray) -> np.ndarray:
     for i in range(3):
         same[:, i : i + 3] += limbs[:, i]
     # r 2**e = (r >> (61 - e)) + (r mod 2**(61 - e)) 2**e (mod P), below
-    # 2**61 + 2**(e + 2), so the five weights sum below 2**64
-    same = (same >> _FOLD_HIGH) + ((same & _FOLD_LOW) << _FOLD)
+    # 2**61 + 2**(e + 2), so the five weights sum below 2**64; the high
+    # parts go to one scratch array, freed before the sum allocates, and
+    # the low ones shift in place
+    high = same >> _FOLD_HIGH
+    same &= _FOLD_LOW
+    same <<= _FOLD
+    same += high
+    del high
     return _canonical(same.sum(axis=1, dtype=np.uint64))
 
 
@@ -205,14 +211,23 @@ class LimbProduct:
         return (rows, 3 * m), (rows, 3 * w), (group, cells, 3)
 
     @staticmethod
-    def peak_shapes(m: int, w: int) -> tuple[tuple[int, ...], ...]:
-        """The shapes of the uint64 arrays a product holds at its peak,
-        besides its buffers: the accumulated (3m, 3w) limb products and
-        the fold's (m, 5, w) sums with three temporaries of their shape,
-        29 m w slots. A chunk's float64 result and its uint64 copy, (3m, 3w)
-        each, live only beside the accumulator, 27 m w slots; a ``mul`` of
-        the (m, w) product holds about 6 m w."""
-        return (3 * m, 3 * w), (4, m, 5, w)
+    def peak_shapes(
+        m: int, width: int, w: int, blocks: int
+    ) -> tuple[tuple[int, ...], ...]:
+        """The shapes of the uint64 arrays a product of up to blocks blocks
+        holds at its peak, besides its buffers.
+
+        A product of one chunk peaks in the fold: the (3m, 3w) limb
+        products and the fold's (m, 5, w) sums with one scratch array of
+        their shape, 19 m w slots; its float64 result and uint64 copy,
+        (3m, 3w) each, hold 18 m w before. A product of several chunks
+        peaks when a chunk's uint64 copy and the carry of the accumulator
+        live beside it, 27 m w. A ``mul`` of the (m, w) product holds about
+        6 m w afterwards."""
+        group = max(1, min(_GEMM_CHUNK // width, blocks))
+        if blocks > group or width > _GEMM_CHUNK:
+            return ((3, 3 * m, 3 * w),)
+        return (3 * m, 3 * w), (2, m, 5, w)
 
     def __call__(self, cells: np.ndarray, right: np.ndarray) -> np.ndarray:
         """A @ B for the limbs cells (blocks, C, 3) of A's blocks and

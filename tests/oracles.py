@@ -32,7 +32,9 @@ early stop: greedy scores every candidate at every trial point, evaluated up
 front, and brute force ranks the raw blocks of each subset at every trial.
 Both stack every level up to the oracle's depth cap at the oracle's own
 points (``full_depth_blocks``), so they do not share the chain's stop rule.
-``hyperobs.mon`` must return the same results.
+``hyperobs.mon`` must return the same results. ``all_trials_rank`` is
+``NomOracle.rank`` the same way, with no stop at the twin ceiling, and
+``twin_ceiling`` that ceiling from twin classes found here.
 """
 
 from __future__ import annotations
@@ -491,3 +493,32 @@ def naive_brute_force(
                     selected=subset, rank_trace=(rank,), depth=oracle.depth
                 )
     raise AssertionError("the full node set has rank n at trial 0")
+
+
+def all_trials_rank(
+    g: UniformHypergraph | DynamicsSpec,
+    nodes: Sequence[int],
+    config: RankConfig | None = None,
+) -> int:
+    """``NomOracle.rank``: the best rank of the nodes' raw blocks over
+    every trial, each evaluated to the depth cap."""
+    oracle = NomOracle(_as_dynamics(g), config)
+    return max(
+        modp_rank(block_rows(full_depth_blocks(oracle, t), nodes), oracle.dyn.n)
+        for t in range(oracle.trials)
+    )
+
+
+def twin_ceiling(g: UniformHypergraph, nodes: Sequence[int]) -> int:
+    """n less, for every class of nodes with equal nonempty neighbourhoods
+    (the hyperedges through a node, with the node taken out), one for each
+    member past the first that the nodes leave unmeasured."""
+    rests: dict[int, set[frozenset[int]]] = {i: set() for i in range(1, g.n + 1)}
+    for e in g.edges:
+        for i in e:
+            rests[i].add(frozenset(e) - {i})
+    classes: dict[frozenset[frozenset[int]], int] = {}
+    for i, rest in rests.items():
+        if rest and i not in nodes:
+            classes[frozenset(rest)] = classes.get(frozenset(rest), 0) + 1
+    return g.n - sum(m - 1 for m in classes.values())

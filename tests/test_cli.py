@@ -329,11 +329,24 @@ def test_chains_stop_at_the_first_level_that_adds_no_rank(
     assert (depth, levels) == (0, [])
     assert report["result"]["verdict"] == "observable"
     # a star core gains one rank per level through level 2; level 3 adds
-    # none, so each of the three trials stacks levels 0..3 of the cap 19
+    # none, so trial 0 stacks levels 0..3 of the cap 19. Its rank 3 is the
+    # ceiling 20 - (18 - 1) of the 18 unmeasured twin leaves, so no other
+    # trial is evaluated
     depth, report = stacked("star", 20, 3, "observable", "--nodes", "1")
     assert (depth, report["parameters"]["depth"]) == (3, 19)
-    assert levels == [1, 2, 3] * 3
+    assert levels == [1, 2, 3]
     assert report["result"]["rank"] == 3
+    # a leaf at depth 2 reaches rank 3, one below its ceiling 4, so each of
+    # the three trials stacks levels 1 and 2; at depth 3 it reaches 4 at
+    # trial 0
+    depth, report = stacked(
+        "star", 20, 3, "observable", "--nodes", "3", "--depth", "2"
+    )
+    assert (depth, levels, report["result"]["rank"]) == (2, [1, 2] * 3, 3)
+    depth, report = stacked(
+        "star", 20, 3, "observable", "--nodes", "3", "--depth", "3"
+    )
+    assert (depth, levels, report["result"]["rank"]) == (3, [1, 2, 3], 4)
     # every star 11/3 node is flat by level 4
     depth, report = stacked("star", 11, 3, "mon")
     assert depth <= 4 < report["result"]["components"][0]["depth"] == 10
@@ -359,8 +372,10 @@ def test_chains_stop_at_the_first_level_that_adds_no_rank(
 
 def test_mon_brute_force_reuses_greedys_points(tmp_path, capsys, monkeypatch):
     # both searches rank each component at the same points, and each
-    # point's chain runs once for the two; a star leaf alone is below full
-    # rank, so greedy evaluates all three trials of every component
+    # point's chain runs once for the two. Every greedy pick on a star
+    # reaches its twin ceiling at trial 0, and so does brute force's first
+    # subset at or above it, so one point per component is evaluated; at
+    # depth 1 a leaf stays below its ceiling, so all three trials are
     path = tmp_path / "star11.json"
     points = []
     original = observability.node_blocks
@@ -372,13 +387,21 @@ def test_mon_brute_force_reuses_greedys_points(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(observability, "node_blocks", counting)
     star = gen_hyperstar(11, 3)
     two = disjoint_union(star, gen_hyperstar(6, 3))
-    for g, sizes, size in ((star, [11], 8), (two, [11, 6], 11)):
+    cases = (
+        (star, [11], (), 8, 1),
+        (two, [11, 6], (), 11, 1),
+        (star, [11], ("--depth", "1"), 9, 3),
+        (two, [11, 6], ("--depth", "1"), 13, 3),
+    )
+    for g, sizes, flags, size, trials in cases:
         path.write_text(g.to_json())
         points.clear()
-        code, stdout, _ = run(capsys, "mon", str(path), "--brute-force")
+        code, stdout, _ = run(
+            capsys, "mon", str(path), "--brute-force", *flags
+        )
         assert code == 0
         assert json.loads(stdout)["result"]["brute_force"]["size"] == size
-        assert len(points) == len(set(points)) == 3 * len(sizes)
+        assert len(points) == len(set(points)) == trials * len(sizes)
         assert sorted({n for n, _ in points}) == sorted(sizes)
 
 
@@ -542,6 +565,21 @@ def test_ingest_refuses_an_oversized_table(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "ingest", str(csv_path))
     assert code == 2
     assert "resource limit: 20708500 triples of 500 signals" in stderr
+    assert stdout == ""
+
+
+def test_ingest_refuses_more_edges_than_the_cap(tmp_path, capsys):
+    # 200 proportional signals of 3 samples keep all 1,313,400 triples at
+    # rho = 1, past MAX_EDGES; the table fits under the slot cap
+    labels = ",".join(f"s{j}" for j in range(200))
+    rows = (
+        ",".join(str(i * (j % 7 + 1)) for j in range(200)) for i in (1, 2, 4)
+    )
+    csv_path = tmp_path / "series.csv"
+    csv_path.write_text("\n".join([labels, *rows]) + "\n")
+    code, stdout, stderr = run(capsys, "ingest", str(csv_path))
+    assert code == 2
+    assert "resource limit: 1313400 of 1313400 triples of 200" in stderr
     assert stdout == ""
 
 

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperobs import hypergraph
 from hyperobs.correlation import (
     TimeSeriesMatrix,
     _body_values,
+    hypergraph_from_table,
     hypergraph_from_timeseries,
     multicorrelation_table,
     pairwise_graph_from_timeseries,
@@ -316,6 +318,29 @@ def test_table_slot_count_bounds_the_traced_peak():
         tracemalloc.stop()
     # within 2% here; numpy versions that reuse temporaries peak lower
     assert 0.75 * peak <= 8 * table_slots(120) <= 1.25 * peak
+
+
+def test_kept_triples_past_the_edge_cap_are_refused(monkeypatch):
+    # four signals in one line make all four triples rho = 1: a cap of four
+    # edges keeps them, a cap of three refuses them before any edge is built
+    t = np.arange(5.0)
+    series = _series(np.column_stack([t, 2 * t, -t, 3 * t + 1]))
+    table = multicorrelation_table(series)
+    monkeypatch.setattr(hypergraph, "MAX_EDGES", 4)
+    assert hypergraph_from_table(4, table, 0.95).num_edges == 4
+
+    def unbuilt(*args):
+        raise AssertionError("hypergraph built")
+
+    monkeypatch.setattr(hypergraph, "MAX_EDGES", 3)
+    monkeypatch.setattr("hyperobs.correlation.UniformHypergraph", unbuilt)
+    message = "4 of 4 triples of 4 signals lie above threshold 0.95, cap is 3"
+    with pytest.raises(ResourceLimitError, match=message):
+        hypergraph_from_table(4, table, 0.95)
+    # a threshold that keeps fewer passes the same cap
+    monkeypatch.undo()
+    monkeypatch.setattr(hypergraph, "MAX_EDGES", 0)
+    assert hypergraph_from_table(4, table, 1.0).num_edges == 0
 
 
 def test_multicorrelation_validation():

@@ -366,12 +366,13 @@ def test_depth_guard_before_allocation(triangle_dyn):
     # float32 limbs, 1.5 n (n + 1) d; the limbs of the C = 6 Jacobian
     # cells, 1.5 C d; and for a chunk of g = min(2**11 // n, d) blocks, two
     # float64 buffers of g n rows, 3 n and 3 (n + 1) wide, and 3 C g cell
-    # positions; and a level product's peak transients, 29 n (n + 1). On
-    # the triangle that is 12 + 42 d + 81 g + 348.
+    # positions; and a level product's peak transients, 27 n (n + 1) when
+    # the d blocks take several chunks. On the triangle past d = 682 that
+    # is 12 + 42 d + 81 * 682 + 324.
     # Past the cap a pass is refused before any lane exists, so a huge
     # depth fails at once, not in MemoryError; the second depth fits the
     # chain alone, and the last is the first one refused
-    fits = (MAX_DENSE_SLOTS - 12 - 81 * 682 - 348) // 42
+    fits = (MAX_DENSE_SLOTS - 12 - 81 * 682 - 324) // 42
     for depth in (10**9, MAX_DENSE_SLOTS // 12 - 1, fits + 1):
         with pytest.raises(ResourceLimitError, match="lane slots"):
             lie_derivatives(triangle_dyn, [1, 2, 3], depth)
@@ -380,19 +381,22 @@ def test_depth_guard_before_allocation(triangle_dyn):
 
 def test_slot_count_at_the_cap(monkeypatch):
     # the count is exact: a pass that needs the cap runs, one slot less is
-    # refused. k = 2 keeps only the chain; on ring 6/k at depth 5, k = 3
+    # refused. k = 2 keeps only the chain, and a level adds its 10 gathered
+    # remainder rows, its 5 output rows and max(10 + 2 * 5, 5 * 5) rows of
+    # sums or product temporaries, 6 wide; on ring 6/k at depth 5, k = 3
     # adds the value series of the 6 nodes, the chain's limbs, the limbs of
-    # 24 cells, a chunk of 5 blocks (30 rows) and the product's peak
-    # transients (an 18 x 21 accumulator and four 6 x 5 x 7 fold arrays),
-    # and k = 4 adds the series of all 15 node pairs, and has 30 cells
+    # 24 cells, a chunk of 5 blocks (30 rows) and the one-chunk product's
+    # peak transients (an 18 x 21 accumulator and two 6 x 5 x 7 fold
+    # arrays), and k = 4 adds the series of all 15 node pairs, and has 30
+    # cells
     def stacks(series, cells):
         return (
             5 * series + 5 * 6 * 7 * 3 // 2 + 5 * cells * 3 // 2
-            + 30 * (3 * 6 + 3 * 7) + 5 * cells * 3 + 29 * 6 * 7
+            + 30 * (3 * 6 + 3 * 7) + 5 * cells * 3 + 19 * 6 * 7
         )
 
     for g, depth, slots in [
-        (gen_hyperring(5, 2), 4, 5 * 5 * 6),
+        (gen_hyperring(5, 2), 4, 5 * 5 * 6 + (10 + 5 + 25) * 6),
         (gen_hyperring(6, 3), 5, 6 * 6 * 7 + stacks(6, 24)),
         (gen_hyperring(6, 4), 5, 6 * 6 * 7 + stacks(6 + 15, 30)),
     ]:
@@ -403,29 +407,29 @@ def test_slot_count_at_the_cap(monkeypatch):
         monkeypatch.setattr("hyperobs.dynamics.MAX_DENSE_SLOTS", slots - 1)
         with pytest.raises(ResourceLimitError, match=f"needs {slots} lane"):
             lie_derivatives(dyn, x, depth)
-    # at k = 3 and depth n - 1 a pass needs about 2.5 n^3 + 29 n^2 slots:
+    # at k = 3 and depth n - 1 a pass needs about 2.5 n^3 + 27 n^2 slots:
     # ring 332/3 fits under the cap of 10**8 and ring 333/3 does not, both
     # read from the refusal, so nothing is allocated; ring 300/3 passes the
     # check
-    for n, slots in [(332, 99568958), (333, 100446786)]:
+    for n, slots in [(332, 99347846), (333, 100224342)]:
         monkeypatch.setattr("hyperobs.dynamics.MAX_DENSE_SLOTS", slots - 1)
         with pytest.raises(ResourceLimitError, match=f"needs {slots} lane"):
             lie_derivatives(DynamicsSpec(gen_hyperring(n, 3)), [1] * n, n - 1)
     monkeypatch.undo()
-    assert 99568958 <= MAX_DENSE_SLOTS < 100446786
+    assert 99347846 <= MAX_DENSE_SLOTS < 100224342
     check_lane_slots(DynamicsSpec(gen_hyperring(300, 3)), 299)
 
 
-@pytest.mark.parametrize(
-    "n, k, depth", [(200, 3, 2), (120, 4, 2), (100, 3, 5)]
-)
-def test_slot_count_bounds_the_traced_peak(monkeypatch, n, k, depth):
-    # the count covers what a pass really holds: at small depth and large
-    # n most of it is the level product's transients
-    dyn = DynamicsSpec(gen_hyperring(n, k))
-    dyn.jacobian_cells, dyn.leave_one_out
+def _counted_and_traced(monkeypatch, g, depth):
+    """The bytes ``check_lane_slots`` counts for a pass on g, read from its
+    refusal, and the tracemalloc peak of the pass, index arrays built
+    first."""
+    dyn = DynamicsSpec(g)
+    dyn.incidence, dyn.incidence_starts
+    if g.k > 2:
+        dyn.jacobian_cells, dyn.leave_one_out
     monkeypatch.setattr(
-        "hyperobs.dynamics.MAX_DENSE_SLOTS", (depth + 1) * n * (n + 1)
+        "hyperobs.dynamics.MAX_DENSE_SLOTS", (depth + 1) * g.n * (g.n + 1)
     )
     with pytest.raises(ResourceLimitError) as refusal:
         check_lane_slots(dyn, depth)
@@ -433,12 +437,42 @@ def test_slot_count_bounds_the_traced_peak(monkeypatch, n, k, depth):
     monkeypatch.undo()
     tracemalloc.start()
     try:
-        lie_derivatives(dyn, list(range(1, n + 1)), depth)
+        lie_derivatives(dyn, list(range(1, g.n + 1)), depth)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return 8 * slots, peak
+
+
+@pytest.mark.parametrize(
+    "n, k, depth",
+    [
+        (200, 3, 2),
+        (120, 4, 2),
+        (100, 3, 5),
+        (100, 3, 40),
+        (1000, 2, 2),
+        (1000, 2, 10),
+    ],
+)
+def test_slot_count_bounds_the_traced_peak(monkeypatch, n, k, depth):
+    # the count covers what a pass really holds: at small depth and large
+    # n most of it is the level step's transients, the fold's for a
+    # one-chunk product, a chunk's beside the accumulator for several
+    # (ring 100/3 at depth 40), and at k = 2 the gathered rows and the
+    # product temporaries of the output
+    counted, peak = _counted_and_traced(monkeypatch, gen_hyperring(n, k), depth)
     # within 2% here; numpy versions that reuse temporaries peak lower
-    assert 0.75 * peak <= 8 * slots <= 1.25 * peak
+    assert 0.75 * peak <= counted <= 1.25 * peak
+
+
+def test_k2_slot_count_bounds_the_traced_peak_on_dense_graphs(monkeypatch):
+    # on complete 150/2 the 22,350 gathered remainder rows and their
+    # half-word copy, not the chain, set the peak
+    counted, peak = _counted_and_traced(monkeypatch, gen_complete(150, 2), 2)
+    assert 0.75 * peak <= counted <= 1.25 * peak
+    chain = 8 * 3 * 150 * 151
+    assert counted > 50 * chain
 
 
 @given(

@@ -26,22 +26,24 @@ from hyperobs.mon import (
     greedy_mon,
     invisible_pair,
     minimum_observable_nodes,
-    twin_classes,
     twin_lower_bound,
 )
 from hyperobs.linalg import Echelon, modp_rank
 from hyperobs.observability import (
     NomOracle,
     RankConfig,
+    TwinCount,
     is_locally_weakly_observable,
 )
 
 from conftest import disjoint_union, random_uniform_hypergraph, relabel
 from oracles import (
+    all_trials_rank,
     block_rows,
     eager_greedy,
     full_depth_blocks,
     naive_brute_force,
+    twin_ceiling,
 )
 
 
@@ -320,11 +322,17 @@ def test_lazy_greedy_work_counts(monkeypatch):
         probes.clear()
         bases.clear()
         reads.clear()
-    # each (trial, node) block is reduced once, into its basis
+    # each (trial, node) block is reduced once, into its basis. While two
+    # leaves are unmeasured, a leaf's twin ceiling is one above a core
+    # node's, and the first leaf in key order reaches it at trial 0, so
+    # each of the eight steps probes one leaf at one trial, and trials 1
+    # and 2 are never evaluated
     star = gen_hyperstar(11, 3)
     lazy = greedy_mon(star, cfg)
-    assert len(probes) == 79
-    assert len(reads) == len({args[1:] for args in bases}) == 33
+    assert lazy.selected == tuple(range(3, 11))
+    assert len(probes) == 8
+    assert len(reads) == len({args[1:] for args in bases}) == 8
+    assert {args[1] for args in bases} == {0}
     probes.clear()
     assert eager_greedy(star, cfg) == lazy
     assert len(probes) == 180
@@ -361,25 +369,28 @@ def test_greedy_caps_bounds_at_n(monkeypatch):
 
 def test_twin_classes_and_bound():
     star = gen_hyperstar(11, 3)
-    assert twin_classes(star) == [tuple(range(3, 12))]
+    assert star.twin_classes == (tuple(range(3, 12)),)
+    # worked out once per hypergraph, and shared by the oracle
+    oracle = NomOracle(DynamicsSpec(star))
+    assert star.twin_classes is oracle.dyn.graph.twin_classes
     assert twin_lower_bound(star) == 8
     assert twin_lower_bound(gen_hyperstar(10, 3)) == 7
     assert twin_lower_bound(gen_hyperstar(7, 4)) == 3
     # one node observes a ring: no twins, one sensor
-    assert twin_classes(gen_hyperring(20, 3)) == []
+    assert gen_hyperring(20, 3).twin_classes == ()
     assert twin_lower_bound(gen_hyperring(20, 3)) == 1
     # isolated nodes have no remainders and are nobody's twins, but each is
     # a component of its own
     lone = UniformHypergraph(5, 3, [(1, 2, 3)])
-    assert twin_classes(lone) == []
+    assert lone.twin_classes == ()
     assert twin_lower_bound(lone) == 3
     # components add up
     two = disjoint_union(gen_hyperstar(6, 3), gen_hyperstar(5, 3))
-    assert twin_classes(two) == [(3, 4, 5, 6), (9, 10, 11)]
+    assert two.twin_classes == ((3, 4, 5, 6), (9, 10, 11))
     assert twin_lower_bound(two) == 5 == minimum_observable_nodes(two).size
     # at k = 2, twins are non-adjacent nodes with the same neighbours
     path = UniformHypergraph(3, 2, [(1, 2), (2, 3)])
-    assert twin_classes(path) == [(1, 3)]
+    assert path.twin_classes == ((1, 3),)
     assert brute_force_mon(path).selected == (1,)
 
 
@@ -430,6 +441,49 @@ def test_twins_bound_every_full_rank_set(seed, n, k, trials, depth, twin):
                 assert modp_rank(rows, g.n) < g.n
 
 
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=9),
+    k=st.integers(min_value=2, max_value=4),
+    trials=st.integers(min_value=1, max_value=3),
+    depth=st.integers(min_value=0, max_value=3),
+    twin=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_no_trial_ranks_a_set_above_its_ceiling(seed, n, k, trials, depth, twin):
+    # the twin ceiling bounds every trial's rank, on the raw blocks of every
+    # level up to the cap, so stopping at it changes no rank and no pick
+    rng = random.Random(seed)
+    g = random_uniform_hypergraph(max(n, k), k, rng, density=rng.random())
+    if twin:
+        g = _with_twin(g)
+    cfg = RankConfig(trials=trials, seed=seed, depth=depth)
+    oracle = NomOracle(DynamicsSpec(g), cfg)
+    blocks = [full_depth_blocks(oracle, t) for t in range(trials)]
+    order = list(range(1, g.n + 1))
+    rng.shuffle(order)
+    # the ceiling of a set grown node by node, O(1) a step, as greedy keeps it
+    count = TwinCount(g.n, g.twin_classes)
+    for size in range(g.n + 1):
+        nodes = order[:size]
+        cap = oracle.ceiling(nodes)
+        assert cap == count.ceiling == twin_ceiling(g, nodes)
+        if size < g.n:
+            assert count.ceiling_with(order[size]) == oracle.ceiling(
+                order[: size + 1]
+            )
+            count.add(order[size])
+        if not nodes:
+            continue
+        for b in blocks:
+            assert modp_rank(block_rows(b, nodes), g.n) <= cap
+        want = all_trials_rank(g, nodes, cfg)
+        assert NomOracle(DynamicsSpec(g), cfg).rank(nodes) == want
+        assert is_locally_weakly_observable(g, nodes, cfg).rank == want
+    for tie_break in TIE_BREAKS:
+        assert greedy_mon(g, cfg, tie_break) == eager_greedy(g, cfg, tie_break)
+
+
 def _count_calls(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
@@ -450,9 +504,15 @@ def test_greedy_evaluates_trials_only_when_needed(monkeypatch):
     ring = greedy_mon(gen_hyperring(6, 3), cfg)
     assert len(evals) == 1
     assert ring == MonResult((1,), (6,), depth=5)
-    # a star leaf alone stays below full rank, so every trial is scored
+    # a star leaf alone stays below full rank but reaches its twin
+    # ceiling at trial 0, and so does every later pick
     evals.clear()
     greedy_mon(gen_hyperstar(6, 3), cfg)
+    assert len(evals) == 1
+    # at depth 2 a leaf reaches rank 3, one below its ceiling 4, so every
+    # trial is scored
+    evals.clear()
+    greedy_mon(gen_hyperstar(6, 3), RankConfig(trials=3, depth=2))
     assert len(evals) == 3
 
 
