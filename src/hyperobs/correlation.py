@@ -289,7 +289,7 @@ def hypergraph_from_table(
             f"above threshold {threshold}, cap is {hypergraph.MAX_EDGES} "
             "edges"
         )
-    return UniformHypergraph(num_signals, 3, triples[keep].tolist())
+    return UniformHypergraph(num_signals, 3, triples[keep])
 
 
 def hypergraph_from_timeseries(

@@ -6,8 +6,8 @@ tensor, the vector field collapses edgewise:
 
     f(x)_i = sum over hyperedges e containing i of prod_{j in e, j != i} x_j.
 
-``DynamicsSpec`` holds the structure as ``incidence``, the hyperedge
-remainders through each node. ``lie_derivatives`` computes the higher time
+``DynamicsSpec`` reads the structure from its graph as ``incidence``, the
+hyperedge remainders through each node. ``lie_derivatives`` computes the higher time
 derivatives J_p of the state along the flow (J_0 = x, J_1 = f(x), ...) and
 all their Jacobians in one pass of the Taylor recurrence of the ODE
 solution and its variational equation, exactly mod P = 2**61 - 1
@@ -63,29 +63,18 @@ class DynamicsSpec:
     def k(self) -> int:
         return self.graph.k
 
-    @cached_property
+    @property
     def incidence(self) -> np.ndarray:
-        """The remainders of every hyperedge through every node.
+        """The remainders of every hyperedge through every node, an (M, k-1)
+        array of 0-based nodes, M = k |E| (``UniformHypergraph.incidence``):
+        node i owns rows incidence_starts[i] to incidence_starts[i + 1] - 1,
+        each sorted."""
+        return self.graph.incidence
 
-        An (M, k-1) array of 0-based nodes with M = k |E|: row r lists the
-        nodes of one hyperedge other than its owner, owners in increasing
-        order. Node i owns rows incidence_starts[i] to
-        incidence_starts[i + 1] - 1.
-        """
-        per_node: list[list[list[int]]] = [[] for _ in range(self.n)]
-        for e in self.graph.edges:
-            for i in e:
-                per_node[i - 1].append([j - 1 for j in e if j != i])
-        rows = [rest for rests in per_node for rest in rests]
-        return np.array(rows, dtype=np.intp).reshape(-1, self.k - 1)
-
-    @cached_property
+    @property
     def incidence_starts(self) -> np.ndarray:
         """Offsets of each node's first row in ``incidence``, and M last."""
-        degrees = self.graph.degrees()
-        return np.cumsum(
-            [0] + [degrees[i] for i in range(1, self.n + 1)], dtype=np.intp
-        )
+        return self.graph.incidence_starts
 
     @cached_property
     def jacobian_cells(
@@ -125,10 +114,10 @@ class DynamicsSpec:
         array over ``incidence``, in ``jacobian_cells`` order.
         """
         n, m = self.n, self.k - 1
-        # entry (r, s): the sorted nodes of remainder r without factor s
+        # entry (r, s): the nodes of remainder r without factor s, sorted
+        # as the remainder is
         sets = np.stack(
-            [np.sort(np.delete(self.incidence, s, 1), 1) for s in range(m)],
-            axis=1,
+            [np.delete(self.incidence, s, 1) for s in range(m)], axis=1
         ).reshape(-1, m - 1)
         columns, count, stages = sets[:, 0], n, []
         for z in range(1, m - 1):

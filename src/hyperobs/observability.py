@@ -286,7 +286,8 @@ class NomOracle:
     def rank(self, nodes: Iterable[int]) -> int:
         """Best rank of the stacked node blocks across the trial points,
         taken over the bases of the watched sets that make up the nodes.
-        Trials stop at the first that reaches the nodes' ``ceiling``."""
+        Trials stop at the first that reaches n or the nodes' ``ceiling``,
+        which is worked out only once a trial ends below n."""
         nodes = list(nodes)
         seen = set(nodes)
         if len(seen) != len(nodes):
@@ -302,12 +303,11 @@ class NomOracle:
             raise ValueError(
                 f"this oracle ranks only its watched nodes {list(self.watch)}"
             )
-        cap = self.ceiling(seen)
         best = 0
         for t in range(self.trials):
             rows = [r for nodes in sets for r in self._span(t, nodes)]
             best = max(best, modp_rank(rows, self.dyn.n))
-            if best == cap:
+            if best == self.dyn.n or best == self.ceiling(seen):
                 break
         return best
 

@@ -35,6 +35,12 @@ points (``full_depth_blocks``), so they do not share the chain's stop rule.
 ``hyperobs.mon`` must return the same results. ``all_trials_rank`` is
 ``NomOracle.rank`` the same way, with no stop at the twin ceiling, and
 ``twin_ceiling`` that ceiling from twin classes found here.
+
+``canonical_edges``, ``edge_degrees``, ``edge_incidence`` and
+``edge_twin_classes`` build a hypergraph's structure one edge at a time in
+Python, and ``cells_and_sets`` the Jacobian cells and leave-one-out sets
+over a given incidence; ``hyperobs.hypergraph`` builds the same from one
+edge array with numpy.
 """
 
 from __future__ import annotations
@@ -522,3 +528,85 @@ def twin_ceiling(g: UniformHypergraph, nodes: Sequence[int]) -> int:
         if rest and i not in nodes:
             classes[frozenset(rest)] = classes.get(frozenset(rest), 0) + 1
     return g.n - sum(m - 1 for m in classes.values())
+
+
+def canonical_edges(
+    edges: Sequence[Sequence[int]], n: int, k: int
+) -> tuple[tuple[int, ...], ...]:
+    """``UniformHypergraph.edges``, one edge at a time: each sorted, checked
+    to be k distinct nodes of 1..n, and the set of them sorted."""
+    canon = set()
+    for e in edges:
+        tup = tuple(sorted(e))
+        if len(set(tup)) != k or len(tup) != k:
+            raise ValueError(f"edge {tuple(e)} must have {k} distinct nodes")
+        if tup[0] < 1 or tup[-1] > n:
+            raise ValueError(f"edge {tup} outside node range 1..{n}")
+        canon.add(tup)
+    return tuple(sorted(canon))
+
+
+def edge_degrees(g: UniformHypergraph) -> dict[int, int]:
+    """``UniformHypergraph.degrees``: one count per node of every edge."""
+    out = {i: 0 for i in range(1, g.n + 1)}
+    for e in g.edges:
+        for i in e:
+            out[i] += 1
+    return out
+
+
+def edge_incidence(g: UniformHypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """``UniformHypergraph.incidence`` and ``incidence_starts``: each node's
+    remainders appended edge by edge, 0-based, then the offsets from the
+    degrees."""
+    per_node: list[list[list[int]]] = [[] for _ in range(g.n)]
+    for e in g.edges:
+        for i in e:
+            per_node[i - 1].append([j - 1 for j in e if j != i])
+    rows = [rest for rests in per_node for rest in rests]
+    degrees = edge_degrees(g)
+    starts = np.cumsum(
+        [0] + [degrees[i] for i in range(1, g.n + 1)], dtype=np.intp
+    )
+    return np.array(rows, dtype=np.intp).reshape(-1, g.k - 1), starts
+
+
+def edge_twin_classes(g: UniformHypergraph) -> tuple[tuple[int, ...], ...]:
+    """``UniformHypergraph.twin_classes``: nodes grouped by their set of
+    remainders, in node order, classes of two or more."""
+    rests: dict[int, set[tuple[int, ...]]] = {}
+    for e in g.edges:
+        for p, i in enumerate(e):
+            rests.setdefault(i, set()).add(e[:p] + e[p + 1 :])
+    groups: dict[frozenset[tuple[int, ...]], list[int]] = {}
+    for i in sorted(rests):
+        groups.setdefault(frozenset(rests[i]), []).append(i)
+    return tuple(tuple(c) for c in groups.values() if len(c) > 1)
+
+
+def cells_and_sets(
+    incidence: np.ndarray, starts: np.ndarray, n: int
+) -> tuple[tuple[np.ndarray, ...], tuple[list[Any], np.ndarray] | None]:
+    """``DynamicsSpec.jacobian_cells`` and, for k >= 3 (None below),
+    ``leave_one_out`` over a given incidence, each leave-one-out set
+    sorted on its own."""
+    owners = np.repeat(np.arange(n), np.diff(starts))
+    cells = (incidence * n + owners[:, None]).ravel()
+    order = np.argsort(cells, kind="stable")
+    distinct, runs = np.unique(cells[order], return_index=True)
+    jacobian = (order, distinct % n, distinct // n, runs)
+    m = incidence.shape[1]
+    if m < 2:
+        return jacobian, None
+    sets = np.stack(
+        [np.sort(np.delete(incidence, s, 1), 1) for s in range(m)], axis=1
+    ).reshape(-1, m - 1)
+    columns, count, stages = sets[:, 0], n, []
+    for z in range(1, m - 1):
+        distinct, inverse = np.unique(
+            columns * n + sets[:, z], return_inverse=True
+        )
+        stages.append((distinct // n, distinct % n))
+        columns = count + inverse.ravel()
+        count += len(distinct)
+    return jacobian, (stages, columns[order])

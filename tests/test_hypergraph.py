@@ -2,15 +2,18 @@
 
 import json
 import random
+import re
 import sys
 from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperobs import hypergraph
+from hyperobs.cli import main
 from hyperobs.dynamics import DynamicsSpec
 from hyperobs.errors import ResourceLimitError
 from hyperobs.hypergraph import (
@@ -22,7 +25,14 @@ from hyperobs.hypergraph import (
     induced_subhypergraph,
 )
 from conftest import disjoint_union, random_uniform_hypergraph, relabel
-from oracles import columns
+from oracles import (
+    canonical_edges,
+    cells_and_sets,
+    columns,
+    edge_degrees,
+    edge_incidence,
+    edge_twin_classes,
+)
 
 
 def test_construction_canonicalizes():
@@ -177,6 +187,147 @@ def test_from_dict_errors():
     assert UniformHypergraph.from_dict(
         {"n": sys.maxsize - 1, "k": 3, "edges": []}
     ).n == sys.maxsize - 1
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """(n, k, edges, form): unsorted rows of k distinct nodes, repeated
+    edges, isolated nodes, up to two components and, often, a star whose
+    leaves are twins, given as a list, a tuple or an int array."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=k, max_value=12))
+    cut = draw(st.integers(min_value=k, max_value=n))
+
+    def edge(lo, hi):
+        return st.permutations(range(lo, hi + 1)).map(lambda p: list(p[:k]))
+
+    edges = draw(st.lists(edge(1, cut), max_size=12))
+    if n - cut >= k:
+        edges += draw(st.lists(edge(cut + 1, n), max_size=8))
+    if draw(st.booleans()):
+        core = draw(edge(1, cut))[: k - 1]
+        leaves = [i for i in range(1, cut + 1) if i not in core]
+        for leaf in draw(st.lists(st.sampled_from(leaves), max_size=5)):
+            edges.append(core + [leaf])
+    if edges:
+        again = st.lists(st.sampled_from(edges), max_size=4)
+        edges += [list(reversed(e)) for e in draw(again)]
+        edges = draw(st.permutations(edges))
+    form = draw(st.sampled_from(["list", "tuple", "int64", "int32"]))
+    if form == "tuple":
+        edges = tuple(map(tuple, edges))
+    elif form != "list":
+        edges = np.array(edges, dtype=form).reshape(-1, k)
+    return n, k, edges, form
+
+
+@given(raw_edge_lists())
+@settings(max_examples=150, deadline=None)
+def test_structure_matches_the_per_edge_references(raw):
+    n, k, edges, form = raw
+    given_rows = np.array(edges, copy=True) if form in ("int64", "int32") else None
+    g = UniformHypergraph(n, k, edges)
+    assert g.edges == canonical_edges(list(edges), n, k)
+    assert all(type(i) is int for e in g.edges for i in e)
+    assert g.edge_array.dtype == np.int64 and not g.edge_array.flags.writeable
+    assert g.edge_array.tolist() == [list(e) for e in g.edges]
+    if given_rows is not None:  # the caller's array is left as it was
+        assert np.array_equal(edges, given_rows)
+    assert g.degrees() == edge_degrees(g)
+    rows, starts = edge_incidence(g)
+    dyn = DynamicsSpec(g)
+    for got, want in ((dyn.incidence, rows), (dyn.incidence_starts, starts)):
+        assert got.dtype == np.intp and np.array_equal(got, want)
+    assert g.twin_classes == edge_twin_classes(g)
+    cells, sets = cells_and_sets(rows, starts, n)
+    for got, want in zip(dyn.jacobian_cells, cells):
+        assert np.array_equal(got, want)
+    if k >= 3:
+        (stages, gather), (want_stages, want_gather) = dyn.leave_one_out, sets
+        assert np.array_equal(gather, want_gather)
+        assert len(stages) == len(want_stages)
+        for pair, want in zip(stages, want_stages):
+            assert all(map(np.array_equal, pair, want))
+    nodes = sorted({i for e in g.edges[: len(g.edges) // 2] for i in e} | {n})
+    sub = induced_subhypergraph(g, nodes)
+    to_new = {old: new for new, old in enumerate(nodes, start=1)}
+    assert sub.edges == canonical_edges(
+        [[to_new[i] for i in e] for e in g.edges if set(e) <= set(nodes)],
+        len(nodes),
+        k,
+    )
+
+
+# each bad edge comes second, after a good one and before another bad one;
+# the messages are those of the per-edge loop the array path replaced
+MALFORMED = {
+    "bool": ([True, 2, 3], "edge #2 is not a list of integers: [True, 2, 3]"),
+    "float": ([1.0, 2, 3], "edge #2 is not a list of integers: [1.0, 2, 3]"),
+    "string": (["1", 2, 3], "edge #2 is not a list of integers: ['1', 2, 3]"),
+    "nested": ([[1], 2, 3], "edge #2 is not a list of integers: [[1], 2, 3]"),
+    "ragged": ([3, 1], "edge (3, 1) must have 3 distinct nodes"),
+    "ragged-long": ([4, 3, 2, 1], "edge (4, 3, 2, 1) must have 3 distinct nodes"),
+    "repeated": ([3, 1, 3], "edge (3, 1, 3) must have 3 distinct nodes"),
+    "node-0": ([2, 0, 1], "edge (0, 1, 2) outside node range 1..4"),
+    "node-n+1": ([5, 2, 1], "edge (1, 2, 5) outside node range 1..4"),
+    "past-int64": (
+        [2**70, 1, 2],
+        "edge (1, 2, 1180591620717411303424) outside node range 1..4",
+    ),
+    "below-int64": (
+        [-(2**70), 1, 2],
+        "edge (-1180591620717411303424, 1, 2) outside node range 1..4",
+    ),
+    "non-list": (7, "edge #2 is not a list of integers: 7"),
+    "non-list-string": ("abc", "edge #2 is not a list of integers: 'abc'"),
+}
+
+
+@pytest.mark.parametrize("bad, message", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_edges_keep_their_messages(tmp_path, capsys, bad, message):
+    data = {"n": 4, "k": 3, "edges": [[1, 2, 3], bad, [1, 1, 2]]}
+    with pytest.raises(ValueError) as info:
+        UniformHypergraph.from_dict(data)
+    assert str(info.value) == message
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    for argv in (["observable", str(path), "--nodes", "1"], ["mon", str(path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hyperobs: error: {message}\n"
+
+
+def test_constructor_names_the_first_bad_edge():
+    # the array path finds the bad row; the message names it as given
+    for edges in ([(1, 2, 3), (3, 2, 3), (0, 1, 2)], np.array([[1, 2, 3], [3, 2, 3]])):
+        with pytest.raises(ValueError, match=r"^edge \(3, 2, 3\) must have 3"):
+            UniformHypergraph(4, 3, edges)
+    with pytest.raises(ValueError, match=r"^edge \(1, 2, 9\) outside node range"):
+        UniformHypergraph(4, 3, np.array([[1, 2, 3], [9, 2, 1]], dtype=np.int32))
+    with pytest.raises(ValueError, match=r"^edge \(0, 1, 2\) outside node range"):
+        UniformHypergraph(4, 3, [(1, 2, 3), (2, 1, 0)])
+    with pytest.raises(ValueError, match=r"^edge \(1.5, 2, 3\) is not a list"):
+        UniformHypergraph(4, 3, [(1, 2, 3), (1.5, 2, 3)])
+    assert UniformHypergraph(4, 3, iter([(3, 2, 1)])).edges == ((1, 2, 3),)
+    assert UniformHypergraph(4, 3, np.empty((0, 3), dtype=np.int64)).edges == ()
+
+
+def test_loaded_hypergraphs_honour_the_edge_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hypergraph, "MAX_EDGES", 4)
+    ring = gen_hyperring(4, 3)  # the cap's 4 edges load
+    assert UniformHypergraph.from_dict(ring.to_dict()) == ring
+    # refused before any validation: the fifth edge is not even an edge
+    data = {"n": 4, "k": 3, "edges": [*map(list, ring.edges), "bad"]}
+    message = "hypergraph holds 5 edges (cap 4)"
+    with pytest.raises(ResourceLimitError, match=re.escape(message)):
+        UniformHypergraph.from_json(json.dumps(data))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data))
+    assert main(["mon", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"hyperobs: resource limit: {message}\n"
 
 
 def _flat(rest, n):

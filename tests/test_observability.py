@@ -286,3 +286,20 @@ def test_a_watched_oracle_ranks_only_its_set(triangle_dyn):
     assert every.watch is None
     assert every.rank([1]) == every.rank([1, 3]) == 3
     assert every.stacked_depth == 2
+
+
+def test_a_query_at_full_rank_never_builds_the_twin_classes():
+    # core node 2 and three of the four twin leaves of star 6/3 reach rank 6
+    # at trial 0, so the ceiling, and the graph's twin classes behind it,
+    # are never needed
+    g = gen_hyperstar(6, 3)
+    oracle = NomOracle(DynamicsSpec(g), RankConfig(trials=3))
+    assert oracle.rank([2, 3, 4, 5]) == 6
+    assert "_twins" not in vars(oracle)
+    assert "twin_classes" not in vars(g)
+    watched = is_locally_weakly_observable(g, [2, 3, 4, 5])
+    assert watched.observable and "twin_classes" not in vars(g)
+    # the core alone ends trial 0 at rank 3, its ceiling, and stops there
+    assert oracle.rank([1]) == 3
+    assert "_twins" in vars(oracle)
+    assert sorted(oracle._evaluations) == [0]
