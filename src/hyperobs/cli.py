@@ -152,7 +152,7 @@ def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
     # both searches rank each component on this oracle's parts
     oracle = NomOracle(DynamicsSpec(g), cfg)
     res = minimum_observable_nodes(oracle, tie_break=args.tie_break)
-    bound = twin_lower_bound(g)
+    bound = twin_lower_bound(oracle)
     result: dict[str, Any] = {
         "selected": list(res.selected),
         "size": res.size,
@@ -263,7 +263,7 @@ def _render_text(report: dict[str, Any]) -> str:
             bf = result["brute_force"]
             lines.append(
                 f"brute force size {bf['size']}, "
-                f"greedy matches: {bf['matches_greedy_size']}"
+                f"greedy matches: {str(bf['matches_greedy_size']).lower()}"
             )
         lines.append(
             "stacked depth per component: "

@@ -69,9 +69,6 @@ class TimeSeriesMatrix:
             )
         return index - 1
 
-    def column(self, index: int) -> np.ndarray:
-        return self.values[:, self.offset(index)]
-
     @cached_property
     def pearson_matrix(self) -> np.ndarray:
         """Pearson correlation of every signal pair, 0-based: Z^T Z / (m - 1),

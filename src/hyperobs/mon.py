@@ -99,18 +99,20 @@ class MonResult:
         return len(self.selected)
 
 
-def twin_lower_bound(g: UniformHypergraph | DynamicsSpec) -> int:
+def twin_lower_bound(g: UniformHypergraph | DynamicsSpec | NomOracle) -> int:
     """Proven lower bound on the size of any full-rank node set: the sum
     over connected components of max(1, sum over its twin classes of m - 1).
+    Given a NomOracle, the components are its parts.
     """
-    graph = _as_dynamics(g).graph
-    comps = graph.connected_components()
-    where = {i: c for c, nodes in enumerate(comps) for i in nodes}
-    need = [0] * len(comps)
-    for cls in graph.twin_classes:
-        # twins share their remainders' component
-        need[where[cls[0]]] += len(cls) - 1
-    return sum(max(1, m) for m in need)
+    return sum(
+        1 if part is None else _twin_need(part)
+        for _, part in _as_oracle(g, None).parts
+    )
+
+
+def _twin_need(part: NomOracle) -> int:
+    """``twin_lower_bound`` of a connected part."""
+    return max(1, part.dyn.n - part.ceiling(()))
 
 
 def invisible_pair(
@@ -317,7 +319,7 @@ def brute_force_mon(
 def _exhaustive(oracle: NomOracle) -> MonResult:
     """``brute_force_mon`` on the whole hypergraph of the oracle."""
     n = oracle.dyn.n
-    start = twin_lower_bound(oracle.dyn)
+    start = _twin_need(oracle)
     tried = 0
     for size in range(start, n + 1):
         for subset in combinations(range(1, n + 1), size):

@@ -279,7 +279,7 @@ class NomOracle:
                 part = self
             elif len(comp) > 1:
                 sub = induced_subhypergraph(dyn.graph, comp)
-                part = NomOracle(DynamicsSpec(sub, dyn.weight), self.config)
+                part = NomOracle(DynamicsSpec(sub), self.config)
             out.append((tuple(comp), part))
         return tuple(out)
 

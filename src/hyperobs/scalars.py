@@ -10,10 +10,10 @@ so no operand promotes to float64.
 
 A matrix product runs on float64 instead, and stays exact: each residue
 splits once into three 21-bit limbs, which the caller keeps as float32, one
-GEMM forms every limb product, and the inner dimension goes in chunks of at
-most 2**11, so every partial sum is an integer below 2**11 * 2**42 = 2**53
-whatever order BLAS adds in. The module also derives the seeded random
-evaluation points.
+GEMM forms every limb product, and the inner dimension goes in chunks of
+whole column blocks, at most 2**11 rows, so every partial sum is an integer
+below 2**11 * 2**42 = 2**53 whatever order BLAS adds in. The module also
+derives the seeded random evaluation points.
 """
 
 from __future__ import annotations
@@ -147,18 +147,17 @@ class LimbProduct:
 
     The caller keeps A as the float32 limbs of its cells, block by block,
     and B as float32 limbs, row by row (``split_limbs``). A product widens
-    each chunk of at most 2**11 inner rows into two float64 buffers: B's
-    rows are copied, A's cells scattered into a buffer that is kept zero
-    elsewhere. One GEMM of the limb-stacked chunk (3m rows, 3w columns)
-    then forms all nine limb products: entry (3 r + i, w j + c) is limb i
-    of A's row r times limb j of B's column c, worth
+    each chunk of whole blocks, at most 2**11 inner rows, into two float64
+    buffers: B's rows are copied, A's cells scattered into a buffer that is
+    kept zero elsewhere. One GEMM of the limb-stacked chunk (3m rows, 3w
+    columns) then forms all nine limb products: entry (3 r + i, w j + c) is
+    limb i of A's row r times limb j of B's column c, worth
     2**(21 (i + j)) = 2**(21 (i + j) mod 61) (mod P), since 2**63 = 4 and
     2**84 = 2**23. A chunk's entries are sums of at most 2**11 products
     below 2**42, so every partial sum is an integer below 2**53, exact in
-    float64 under any summation order, FMA or threading.
-
-    A chunk holds whole blocks when width <= 2**11 and otherwise one run
-    of at most 2**11 columns of one block.
+    float64 under any summation order, FMA or threading. A block wider
+    than 2**11 columns is refused; ``dynamics.check_lane_slots`` admits
+    none.
     """
 
     def __init__(
@@ -173,32 +172,27 @@ class LimbProduct:
         """Buffers for products of up to blocks blocks. The cells are
         given by row and column within a block, sorted by column, then
         row."""
+        if width > _GEMM_CHUNK:
+            raise ValueError(
+                f"block of {width} columns is wider than {_GEMM_CHUNK}"
+            )
         self.m, self.width = m, width
+        self.group = _group(width, blocks)
         shapes = self.shapes(m, width, w, blocks, len(cell_rows))
         self.left, self.right = np.empty(shapes[0]), np.empty(shapes[1])
         # rows of left below this are zero outside the cells; a row is
         # first zeroed when a chunk first reaches it, so a pass that stops
         # early touches no more of the buffer than it uses
         self.clean = 0
-        self.group = len(self.left) // min(width, _GEMM_CHUNK)
-        starts = range(0, width, _GEMM_CHUNK)
-        cuts = np.searchsorted(cell_columns, [*starts, width]).tolist()
-        self.runs = [
-            (lo, min(lo + _GEMM_CHUNK, width), cuts[r], cuts[r + 1])
-            for r, lo in enumerate(starts)
-        ]
         # the left buffer holds A's chunk transposed: limb l of cell (i, j)
         # of a chunk's block b sits at flat position (b width + j) 3m +
-        # 3i + l, less the 3m lo of its run. In the order of the cells'
-        # limbs the positions ascend, which keeps the scatter local.
-        at = (
+        # 3i + l. In the order of the cells' limbs the positions ascend,
+        # which keeps the scatter local.
+        self.at = (
             np.arange(self.group)[:, None, None] * (width * 3 * m)
             + (cell_columns * (3 * m) + 3 * cell_rows)[:, None]
             + np.arange(3)
         )
-        for lo, _, c0, c1 in self.runs:
-            at[:, c0:c1] -= lo * 3 * m
-        self.at = at
 
     @staticmethod
     def shapes(
@@ -206,8 +200,8 @@ class LimbProduct:
     ) -> tuple[tuple[int, ...], ...]:
         """The shapes of the two float64 buffers and of the intp cell
         positions, for the longest chunk."""
-        group = max(1, min(_GEMM_CHUNK // width, blocks))
-        rows = min(width, _GEMM_CHUNK) * group
+        group = _group(width, blocks)
+        rows = group * width
         return (rows, 3 * m), (rows, 3 * w), (group, cells, 3)
 
     @staticmethod
@@ -224,8 +218,7 @@ class LimbProduct:
         peaks when a chunk's uint64 copy and the carry of the accumulator
         live beside it, 27 m w. A ``mul`` of the (m, w) product holds about
         6 m w afterwards."""
-        group = max(1, min(_GEMM_CHUNK // width, blocks))
-        if blocks > group or width > _GEMM_CHUNK:
+        if blocks > _group(width, blocks):
             return ((3, 3 * m, 3 * w),)
         return (3 * m, 3 * w), (2, m, 5, w)
 
@@ -238,27 +231,27 @@ class LimbProduct:
         acc = None
         for first in range(0, len(cells), self.group):
             count = min(self.group, len(cells) - first)
-            for lo, hi, c0, c1 in self.runs:
-                rows = (count - 1) * width + hi - lo
-                if rows > self.clean:
-                    self.left[self.clean : rows] = 0
-                    self.clean = rows
-                at = self.at[:count, c0:c1].ravel()
-                # widened first, as a scatter from float32 takes twice as long
-                values = cells[first : first + count, c0:c1].astype(float)
-                flat[at] = values.ravel()
-                start = first * width + lo
-                self.right[:rows] = right[start : start + rows]
-                part = self.left[:rows].T @ self.right[:rows]
-                part = part.astype(np.uint64)
-                if len(self.runs) > 1:
-                    # the next run scatters other cells
-                    flat[at] = 0
-                if acc is not None:
-                    # below 2**61 + 2**53
-                    part += _canonical(acc)
-                acc = part
+            rows = count * width
+            if rows > self.clean:
+                self.left[self.clean : rows] = 0
+                self.clean = rows
+            # widened first, as a scatter from float32 takes twice as long
+            values = cells[first : first + count].astype(float)
+            flat[self.at[:count].ravel()] = values.ravel()
+            start = first * width
+            self.right[:rows] = right[start : start + rows]
+            part = self.left[:rows].T @ self.right[:rows]
+            part = part.astype(np.uint64)
+            if acc is not None:
+                # below 2**61 + 2**53
+                part += _canonical(acc)
+            acc = part
         return _fold(acc.reshape(self.m, 3, 3, -1))
+
+
+def _group(width: int, blocks: int) -> int:
+    """How many whole blocks of width columns one chunk holds."""
+    return min(_GEMM_CHUNK // width, blocks)
 
 
 def derive_seed(seed: int, label: str) -> int:

@@ -132,10 +132,9 @@ def columns(dyn: DynamicsSpec) -> list[list[int]]:
     (j_1, ..., j_{k-1}) of every hyperedge remainder through node i,
     flattened with the first factor most significant:
     sum_t (j_t - 1) n**(k-1-t), the digit order of the Kronecker product and
-    of numpy's row-major reshapes. Each listed entry of A is
-    weight / (k-1)!, and every other entry is zero. Callers build vectors of
-    n**(k-1) slots against it, so more than MAX_DENSE_SLOTS columns is
-    refused.
+    of numpy's row-major reshapes. Each listed entry of A is 1 / (k-1)!,
+    and every other entry is zero. Callers build vectors of n**(k-1) slots
+    against it, so more than MAX_DENSE_SLOTS columns is refused.
     """
     n, k = dyn.n, dyn.k
     if n ** (k - 1) > MAX_DENSE_SLOTS:
@@ -204,7 +203,7 @@ def lie_derivative_recursive(
     if p == 0:
         return list(x)
     table = columns(dyn)
-    entry = Fraction(dyn.weight, factorial(dyn.k - 1))
+    entry = Fraction(1, factorial(dyn.k - 1))
     start = [list(x)] * (p * (dyn.k - 2) + 1)
     return _recurse_factors(dyn.k, table, entry, p, start, stats, max_calls)
 
@@ -245,10 +244,9 @@ def lie_derivative_naive_scaled(
     """Integer form of the operator-product evaluation.
 
     Works over Z with the unfolding scaled by (k-1)!, so that every listed
-    entry is the integer weight; returns (values, scale) with
-    J_p = values / scale and scale = ((k-1)!)**p. Vectorized with int64 when
-    a priori bounds permit, otherwise with exact object arrays. Coordinates
-    must be integers.
+    entry is 1; returns (values, scale) with J_p = values / scale and
+    scale = ((k-1)!)**p. Vectorized with int64 when a priori bounds permit,
+    otherwise with exact object arrays. Coordinates must be integers.
     """
     if any(not isinstance(v, int) for v in x):
         raise ValueError("integer evaluation needs integer coordinates")
@@ -266,13 +264,12 @@ def lie_derivative_naive_scaled(
         )
     cols_by_row = columns(dyn)
     max_mult = max((len(c) for c in cols_by_row), default=0)
-    wt = abs(dyn.weight)
 
     # A priori magnitude bound, stage by stage, to pick a safe dtype.
     bound = max((abs(int(v)) for v in x), default=1) ** m
     for q in range(p, 1, -1):
-        bound *= ((q - 1) * (k - 2) + 1) * max(max_mult, 1) * max(wt, 1)
-    bound *= max(max_mult, 1) * max(wt, 1)
+        bound *= ((q - 1) * (k - 2) + 1) * max(max_mult, 1)
+    bound *= max(max_mult, 1)
     dtype: Any = np.int64 if bound < _INT64_SAFE else object
 
     xv = np.asarray([int(v) for v in x], dtype=dtype)
@@ -291,14 +288,12 @@ def lie_derivative_naive_scaled(
                 cols = cols_by_row[row]
                 if len(cols):
                     out3[:, row, :] += w3[:, cols, :].sum(axis=1)
-        if dyn.weight != 1:
-            out *= dyn.weight
         w = out
     final = []
     for row in range(n):
         cols = cols_by_row[row]
         total = int(w[cols].sum()) if len(cols) else 0
-        final.append(total * dyn.weight)
+        final.append(total)
     return final, factorial(k - 1) ** p
 
 
@@ -392,7 +387,7 @@ def _standardized(series: TimeSeriesMatrix, index: int) -> np.ndarray:
     """Column ``index`` (1-based) at zero mean and unit sample standard
     deviation, divided first by its largest magnitude when its squares
     over- or underflow."""
-    col = series.column(index)
+    col = series.values[:, series.offset(index)]
     with np.errstate(over="ignore", invalid="ignore"):
         sd = col.std(ddof=1)
     if not 0.0 < sd < np.inf:

@@ -248,9 +248,14 @@ def test_mon_report(tmp_path, capsys):
 
     code, stdout, _ = run(
         capsys, "mon", str(path), "--tie-break", "index", "--format", "text",
+        "--brute-force",
     )
     assert code == 0
-    assert "verdict: complete\nlower bound 3, proven minimum: true\n" in stdout
+    # booleans read as in the JSON report
+    assert (
+        "verdict: complete\nlower bound 3, proven minimum: true\n"
+        "brute force size 3, greedy matches: true\n"
+    ) in stdout
 
     # at depth 0 greedy needs every node, which the bound cannot prove
     code, stdout, _ = run(capsys, "mon", str(path), "--depth", "0")
@@ -368,6 +373,28 @@ def test_chains_stop_at_the_first_level_that_adds_no_rank(
     )
     code, stdout, _ = run(capsys, "mon", str(path), "--format", "text")
     assert stdout.endswith("stacked depth per component: 4\n")
+
+
+def test_mon_splits_components_once(tmp_path, capsys, monkeypatch):
+    # greedy, the twin bound and brute force all read the components from
+    # the one oracle's parts, so each call splits the graph once
+    path = tmp_path / "graph.json"
+    calls = []
+    original = UniformHypergraph.connected_components
+
+    def counting(self):
+        calls.append(self.n)
+        return original(self)
+
+    monkeypatch.setattr(UniformHypergraph, "connected_components", counting)
+    star = gen_hyperstar(11, 3)
+    for g in (star, disjoint_union(star, gen_hyperstar(6, 3))):
+        path.write_text(g.to_json())
+        for flags in ((), ("--brute-force",)):
+            calls.clear()
+            code, _, _ = run(capsys, "mon", str(path), *flags)
+            assert code == 0
+            assert calls == [g.n]
 
 
 def test_mon_brute_force_reuses_greedys_points(tmp_path, capsys, monkeypatch):

@@ -49,11 +49,11 @@ def test_matrix_validation():
     m = _series([[1, 2], [3, 4], [5, 6]])
     assert m.num_samples == 3
     assert m.num_signals == 2
-    assert list(m.column(2)) == [2.0, 4.0, 6.0]
+    assert list(m.values[:, 1]) == [2.0, 4.0, 6.0]
     with pytest.raises(IndexError):
-        m.column(0)
+        pearson(m, 0, 1)
     with pytest.raises(IndexError):
-        m.column(3)
+        pearson(m, 1, 3)
 
 
 def test_csv_round_trip():

@@ -32,6 +32,7 @@ from hyperobs.hypergraph import (
     gen_complete,
     gen_hyperchain,
     gen_hyperring,
+    gen_hyperstar,
 )
 from hyperobs.scalars import PRIME, cast, mul, random_point
 
@@ -83,8 +84,8 @@ def _kron(vectors):
 
 
 def _apply_table(dyn, w):
-    # A w over the column table, every listed entry being weight / (k-1)!
-    scale = Fraction(dyn.weight, factorial(dyn.k - 1))
+    # A w over the column table, every listed entry being 1 / (k-1)!
+    scale = Fraction(1, factorial(dyn.k - 1))
     return [scale * sum((w[c] for c in cols), Fraction(0)) for cols in columns(dyn)]
 
 
@@ -109,9 +110,7 @@ def test_apply_factors_mixed_matches_kron():
     for _ in range(8):
         for k in (2, 3, 4, 5):
             n = max(4, k)
-            dyn = DynamicsSpec(
-                random_uniform_hypergraph(n, k, rng), weight=rng.randint(1, 3)
-            )
+            dyn = DynamicsSpec(random_uniform_hypergraph(n, k, rng))
             x, y = int_point(n, rng), int_point(n, rng)
             # full lanes [value | 0], as the kept limbs are sized for them
             chain = cast([[[v] + [0] * n for v in z] for z in (x, y, [0] * n)])
@@ -153,7 +152,7 @@ def test_evaluators_agree_mod_p(seed):
     k = rng.randint(2, 5)
     n = rng.randint(k, max(k, 4))
     g = random_uniform_hypergraph(n, k, rng)
-    dyn = DynamicsSpec(g, weight=rng.randint(1, 5))
+    dyn = DynamicsSpec(g)
     # full-range residues, not just small integers
     x = [rng.randrange(PRIME) for _ in range(n)]
     # the operator product spans n**(p(k-2)+1) slots
@@ -167,15 +166,15 @@ def test_evaluators_agree_mod_p(seed):
     assert [v * inv_scale % PRIME for v in ints] == chain[p]
 
 
-def test_jacobians_match_recursion_at_k5_and_weights():
+def test_jacobians_match_recursion_at_k5():
     # values and gradients against the factor-list recursion over Dual
-    # numbers at full-range points, for k up to 5 and weights other than 1:
-    # the prefix and suffix series (k >= 4) and the (k-1)^-1 value scale
-    # are on these paths. Level 3 reads coefficient 2 of every series; the
-    # Dual recursion takes seconds there at k = 5, so level 3 checks values
+    # numbers at full-range points, for k up to 5: the prefix and suffix
+    # series (k >= 4) and the (k-1)^-1 value scale are on these paths.
+    # Level 3 reads coefficient 2 of every series; the Dual recursion takes
+    # seconds there at k = 5, so level 3 checks values
     rng = random.Random(44)
-    for k, n, weight in [(5, 5, 1), (5, 6, 3), (5, 7, 2), (4, 6, 5), (3, 5, 4), (2, 4, 2)]:
-        dyn = DynamicsSpec(random_uniform_hypergraph(n, k, rng), weight=weight)
+    for k, n in [(5, 5), (5, 6), (5, 7), (4, 6), (3, 5), (2, 4)]:
+        dyn = DynamicsSpec(random_uniform_hypergraph(n, k, rng))
         x = [rng.randrange(PRIME) for _ in range(n)]
         chain = lie_derivatives(dyn, x, 3).tolist()
         seeded = [Dual.variable(v, j, n) for j, v in enumerate(x)]
@@ -262,23 +261,12 @@ def test_naive_resource_caps(triangle_dyn):
         lie_derivative_naive_scaled(triangle_dyn, 8, [1, 2, 3], max_slots=100)
 
 
-def test_weight_scales_each_order():
-    rng = random.Random(17)
-    g = random_uniform_hypergraph(4, 3, rng)
-    x = int_point(4, rng)
-    plain = chain_values(DynamicsSpec(g), x, 3)
-    weighted = chain_values(DynamicsSpec(g, weight=3), x, 3)
-    for p in range(4):
-        assert weighted[p] == [3**p * v % PRIME for v in plain[p]]
-    ints, scale = lie_derivative_naive_scaled(
-        DynamicsSpec(g, weight=3), 2, [1, -2, 3, 1]
-    )
-    plain2 = lie_derivative_recursive(DynamicsSpec(g), 2, _frac([1, -2, 3, 1]))
-    assert [Fraction(v, scale) for v in ints] == [9 * v for v in plain2]
-    rec = lie_derivative_recursive(
-        DynamicsSpec(g, weight=3), 2, _frac([1, -2, 3, 1])
-    )
-    assert rec == [9 * v for v in plain2]
+def test_dynamics_have_unit_weight():
+    # the plain adjacency dynamics: no hyperedge weight can be set
+    g = random_uniform_hypergraph(4, 3, random.Random(17))
+    assert DynamicsSpec(g).weight == 1
+    with pytest.raises(TypeError):
+        DynamicsSpec(g, weight=2)
 
 
 def _assert_euler(level, x, m):
@@ -377,6 +365,27 @@ def test_depth_guard_before_allocation(triangle_dyn):
         with pytest.raises(ResourceLimitError, match="lane slots"):
             lie_derivatives(triangle_dyn, [1, 2, 3], depth)
     check_lane_slots(triangle_dyn, fits)
+
+
+def test_no_admitted_block_is_wider_than_a_gemm_chunk():
+    # the level product takes whole blocks of n columns per chunk of 2**11
+    # inner rows (``LimbProduct``), so no pass at k >= 3 may be admitted
+    # past n = 2**11: the lane cap refuses stars of 2049 nodes at depth 1,
+    # and with them every larger n or depth, from the shapes alone, before
+    # a tenth of one chain level exists
+    n = 2**11 + 1
+    for k in (3, 4, 5):
+        dyn = DynamicsSpec(gen_hyperstar(n, k))
+        dyn.jacobian_cells, dyn.leave_one_out
+        x = [1] * n
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="lane slots"):
+                lie_derivatives(dyn, x, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * (n + 1) * 8 // 10
 
 
 def test_slot_count_at_the_cap(monkeypatch):

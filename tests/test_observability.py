@@ -234,19 +234,6 @@ def test_rank_config_validation():
     assert cfg.trials == 3 and cfg.seed == 0 and cfg.depth is None
 
 
-def test_rank_invariant_under_edge_weight():
-    rng = random.Random(23)
-    for _ in range(5):
-        g = random_uniform_hypergraph(4, 3, rng)
-        plain = DynamicsSpec(g)
-        scaled = DynamicsSpec(g, weight=5)
-        for nodes in ([1], [2, 4]):
-            assert (
-                is_locally_weakly_observable(plain, nodes).rank
-                == is_locally_weakly_observable(scaled, nodes).rank
-            )
-
-
 def test_observability_report(triangle_dyn):
     rep = is_locally_weakly_observable(triangle_dyn.graph, [1])
     assert rep.observable

@@ -258,16 +258,15 @@ def _limb_operands(a, b, blocks=1):
 
 def test_limb_matmul_matches_int_products():
     # full-range residues, all-(P-1) operands, and 2**42 - 1, whose two low
-    # limbs are both 2**21 - 1, the largest limb product; inner lengths
-    # 2048, 2049 and 5000 sit on and past the GEMM chunk of 2**11, where
-    # an unchunked float64 sum of such products would pass 2**53. One
-    # block of 2049 or 5000 columns splits into runs; 45 blocks of 46
-    # columns go 44 blocks to a chunk. Half the entries zeroed at random
-    # leave cells out of every block, so a run's stale cells would show
+    # limbs are both 2**21 - 1, the largest limb product; one block of
+    # 2048 columns fills the GEMM chunk of 2**11, and 45 blocks of 46
+    # columns, 2070 inner rows, go 44 blocks to a chunk, where an
+    # unchunked float64 sum of such products would pass 2**53. Half the
+    # entries zeroed at random leave cells out of every block, so a
+    # chunk's stale cells would show
     rng = random.Random(53)
     for m, blocks, width, w in [
-        (1, 1, 1, 1), (3, 1, 5, 4), (2, 1, 2048, 3), (2, 1, 2049, 3),
-        (3, 1, 5000, 2), (2, 45, 46, 3),
+        (1, 1, 1, 1), (3, 1, 5, 4), (2, 1, 2048, 3), (2, 45, 46, 3),
     ]:
         inner = blocks * width
         full = (
@@ -294,6 +293,14 @@ def test_limb_matmul_matches_int_products():
                 assert got.tolist() == _int_matmul(
                     [row[: j * width] for row in a], b[: j * width]
                 )
+
+
+def test_limb_product_refuses_a_block_wider_than_a_chunk():
+    # a chunk holds whole blocks, so a block past 2**11 columns would sum
+    # more limb products than float64 holds exactly
+    a = np.ones((1, 2**11 + 1), dtype=np.uint64)
+    with pytest.raises(ValueError, match="2049 columns"):
+        _limb_operands(a, a.T)
 
 
 def test_field_lanes_stay_uint64():
