@@ -32,7 +32,6 @@ from .correlation import (
     multicorrelation_table,
     read_timeseries_csv,
 )
-from .dynamics import DynamicsSpec
 from .errors import ResourceLimitError
 from .hypergraph import FAMILIES, UniformHypergraph
 from .mon import (
@@ -150,7 +149,7 @@ def _cmd_mon(args: argparse.Namespace) -> dict[str, Any]:
     g, source = _load_hypergraph(args.hypergraph)
     cfg = RankConfig(trials=args.trials, seed=args.seed, depth=args.depth)
     # both searches rank each component on this oracle's parts
-    oracle = NomOracle(DynamicsSpec(g), cfg)
+    oracle = NomOracle(g, cfg)
     res = minimum_observable_nodes(oracle, tie_break=args.tie_break)
     bound = twin_lower_bound(oracle)
     result: dict[str, Any] = {

@@ -11,8 +11,11 @@ hyperedge remainders through each node. ``lie_derivatives`` computes the higher 
 derivatives J_p of the state along the flow (J_0 = x, J_1 = f(x), ...) and
 all their Jacobians in one pass of the Taylor recurrence of the ODE
 solution and its variational equation, exactly mod P = 2**61 - 1
-(``scalars``). The two oracles that check it, the factor-list recursion and
-the spelled-out operator product, live with the tests.
+(``scalars``); each level's sum over earlier levels is one coefficient of
+a matrix series product, ``scalars.LimbProduct``, which is handed each
+level's residues and keeps them in its own format. The two oracles that
+check it, the factor-list recursion and the spelled-out operator product,
+live with the tests.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .scalars import (
     mul,
     row_sum,
     segment_sums,
-    split_limbs,
 )
 
 MAX_DENSE_SLOTS = 10**8
@@ -132,17 +134,12 @@ class ChainStacks:
     """What a chain pass at k >= 3 keeps between levels, besides the chain.
 
     ``series`` holds at [q] coefficient q of the columns of
-    ``DynamicsSpec.leave_one_out``, values only. ``chain_limbs`` holds Y_q
-    at [q] as float32 limbs, row j of Y_q in row j (n x 3 (n+1), by limb);
-    ``cell_limbs`` holds D_q at [depth - 1 - q] as the float32 limbs of its
-    ``jacobian_cells`` entries, so that D_p, ..., D_0 is one slice. A level
-    is split into limbs once, when its step first needs it. ``product``
-    holds the buffers of the level GEMM.
+    ``DynamicsSpec.leave_one_out``, values only. ``product`` is the series
+    product D_q by Y_q (``scalars.LimbProduct``), which keeps both factors
+    of every level so far in its own format.
     """
 
     series: np.ndarray
-    chain_limbs: np.ndarray
-    cell_limbs: np.ndarray
     product: LimbProduct
 
     @staticmethod
@@ -151,11 +148,12 @@ class ChainStacks:
     ) -> tuple[tuple[tuple[int, ...], type], ...]:
         """The (shape, dtype) of every array a pass holds at its peak
         besides the chain and the index arrays of ``dyn``: at k >= 3 the
-        stacks and buffers it keeps, then the transients of a level's
-        product. At k = 2 a pass keeps nothing, and a level holds the
-        gathered remainder rows and its output, then either the half-word
-        copy and the two segment sums of the rows or the temporaries of
-        ``mul`` on the output, whichever is larger. None at depth 0."""
+        value series, then the arrays of the level product
+        (``LimbProduct.layout``). At k = 2 a pass keeps nothing, and a
+        level holds the gathered remainder rows and its output, then either
+        the half-word copy and the two segment sums of the rows or the
+        temporaries of ``mul`` on the output, whichever is larger. None at
+        depth 0."""
         n = dyn.n
         if depth == 0:
             return ()
@@ -168,16 +166,9 @@ class ChainStacks:
             )
         columns = n + sum(len(u) for u, _ in dyn.leave_one_out[0])
         cells = len(dyn.jacobian_cells[1])
-        left, right, at = LimbProduct.shapes(n, n, n + 1, depth, cells)
-        peak = LimbProduct.peak_shapes(n, n, n + 1, depth)
         return (
             ((depth, columns), np.uint64),
-            ((depth, n, 3 * (n + 1)), np.float32),
-            ((depth, cells, 3), np.float32),
-            (left, np.float64),
-            (right, np.float64),
-            (at, np.intp),
-            *((shape, np.uint64) for shape in peak),
+            *LimbProduct.layout(n, n, n + 1, depth, cells),
         )
 
     @classmethod
@@ -185,20 +176,19 @@ class ChainStacks:
         """The stacks of a pass to depth, or None where it keeps none."""
         if dyn.k == 2 or depth == 0:
             return None
-        layout = cls.layout(dyn, depth)
+        series = cls.layout(dyn, depth)[0]
         _, rows, columns, _ = dyn.jacobian_cells
         return cls(
-            *(np.empty(shape, dtype) for shape, dtype in layout[:3]),
+            np.empty(*series),
             LimbProduct(dyn.n, dyn.n, dyn.n + 1, depth, rows, columns),
         )
 
 
 def check_lane_slots(dyn: DynamicsSpec, depth: int) -> None:
-    """Refuse a chain pass whose arrays (chain, value series, limbs of the
-    chain and of the Jacobian cells, GEMM buffers, and the transients of a
-    level's step, ``ChainStacks.layout``) exceed MAX_DENSE_SLOTS 8-byte
-    slots, counted from
-    their shapes before any is allocated. A chain past the cap alone is
+    """Refuse a chain pass whose arrays (chain, value series, the level
+    product's arrays, and the transients of a level's step,
+    ``ChainStacks.layout``) exceed MAX_DENSE_SLOTS 8-byte slots, counted
+    from their shapes before any is allocated. A chain past the cap alone is
     refused before the cells are worked out, which takes time linear in
     n."""
 
@@ -235,12 +225,12 @@ def apply_factors(
         (p+1) Y_{p+1} = sum_{q <= p} D_q Y_{p-q},
 
     column 0 scaled by (k-1)^-1, with D_q coefficient q of Df(x(t)). This
-    call splits Y_p into limbs, builds D_p from the leave-one-out products
-    of each hyperedge remainder, summed into the cells (owner, factor),
-    keeps D_p as the limbs of those cells, and takes the sum as one exact
-    mod-P GEMM on the kept limbs (``scalars.LimbProduct``); stacks holds
-    levels 0..p-1 of both. At k = 2, Df is the constant adjacency:
-    D_q = 0 for q > 0, and D_0 Y_p sums rows of Y_p.
+    call builds D_p from the leave-one-out products of each hyperedge
+    remainder, summed into the cells (owner, factor), and hands D_p's cells
+    and Y_p to the series product, which keeps levels 0..p-1 of both and
+    takes the sum exactly mod P (``scalars.LimbProduct``). At k = 2, Df is
+    the constant adjacency: D_q = 0 for q > 0, and D_0 Y_p sums rows of
+    Y_p.
     """
     n, k = dyn.n, dyn.k
     step = pow(p + 1, -1, PRIME)
@@ -254,8 +244,6 @@ def apply_factors(
             rows = chain[p, dyn.incidence[:, 0]]
             out[owners] = segment_sums(rows, starts[owners])
         return mul(out, column)
-    limbs = stacks.chain_limbs[: p + 1]
-    split_limbs(chain[p], limbs[p].reshape(n, 3, -1).transpose(1, 0, 2))
     series = stacks.series
     series[p, :n] = chain[p, :, 0]
     stages, gather = dyn.leave_one_out
@@ -265,15 +253,8 @@ def apply_factors(
         series[p, lo - len(u) : lo] = row_sum(
             mul(series[: p + 1, u], series[p::-1, v])
         )
-    block = len(stacks.cell_limbs) - 1 - p
-    split_limbs(
-        segment_sums(series[p, gather], dyn.jacobian_cells[3]),
-        stacks.cell_limbs[block].T,
-    )
-    product = stacks.product(
-        stacks.cell_limbs[block:], limbs.reshape(-1, 3 * chain.shape[2])
-    )
-    return mul(product, column)
+    cells = segment_sums(series[p, gather], dyn.jacobian_cells[3])
+    return mul(stacks.product.push(p, cells, chain[p]), column)
 
 
 def lie_derivatives(
@@ -288,9 +269,8 @@ def lie_derivatives(
     Lanes carry [value | all n partials], seeded [x | I]. The variational
     recurrence (``apply_factors``) runs once per level, and level p is
     multiplied by p! at the end, which restores J_p exactly mod P. For
-    k >= 3, level p costs one GEMM of 9 (p+1) n^2 (n+1) float64
-    multiply-adds, the widening of the kept limbs into its buffers,
-    O(p n^2), the split of Y_p and D_p into limbs, O(n^2), and O(p S)
+    k >= 3, level p costs coefficient p of the series product, one GEMM of
+    9 (p+1) n^2 (n+1) multiply-adds (``scalars.LimbProduct``), and O(p S)
     value products for the S distinct node sets of
     ``DynamicsSpec.leave_one_out``; at k = 2 it costs O(M n) sums for
     M = k |E| remainders.
@@ -322,7 +302,7 @@ def lie_derivatives(
             top = p
             break
         chain[p + 1] = apply_factors(dyn, chain, stacks, p)
-    # the limbs and buffers are freed before the scaling's temporaries
+    # the series and the product are freed before the scaling's temporaries
     del stacks
     factorials = accumulate(range(1, top + 1), lambda f, p: f * p % PRIME)
     factorials = np.array([1, *factorials], dtype=np.uint64)[:, None, None]

@@ -53,11 +53,10 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .dynamics import DynamicsSpec
 from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph
 from .linalg import Echelon, modp_rank
-from .observability import NomOracle, RankConfig, TwinCount, _as_dynamics
+from .observability import NomOracle, RankConfig, TwinCount
 from .scalars import derive_seed
 
 TIE_BREAKS = ("degree", "index", "random")
@@ -99,7 +98,7 @@ class MonResult:
         return len(self.selected)
 
 
-def twin_lower_bound(g: UniformHypergraph | DynamicsSpec | NomOracle) -> int:
+def twin_lower_bound(g: UniformHypergraph | NomOracle) -> int:
     """Proven lower bound on the size of any full-rank node set: the sum
     over connected components of max(1, sum over its twin classes of m - 1).
     Given a NomOracle, the components are its parts.
@@ -116,7 +115,7 @@ def _twin_need(part: NomOracle) -> int:
 
 
 def invisible_pair(
-    g: UniformHypergraph | DynamicsSpec, measured: Iterable[int]
+    g: UniformHypergraph, measured: Iterable[int]
 ) -> tuple[int, int] | None:
     """The lexicographically first pair of unmeasured twins, or None.
 
@@ -125,7 +124,7 @@ def invisible_pair(
     """
     chosen = set(measured)
     pairs = []
-    for cls in _as_dynamics(g).graph.twin_classes:
+    for cls in g.twin_classes:
         rest = [i for i in cls if i not in chosen]
         if len(rest) > 1:
             pairs.append((rest[0], rest[1]))
@@ -133,12 +132,12 @@ def invisible_pair(
 
 
 def _as_oracle(
-    g: UniformHypergraph | DynamicsSpec | NomOracle, config: RankConfig | None
+    g: UniformHypergraph | NomOracle, config: RankConfig | None
 ) -> NomOracle:
     """The oracle given, whose config then stands, or a fresh one on g."""
     if isinstance(g, NomOracle):
         return g
-    return NomOracle(_as_dynamics(g), config)
+    return NomOracle(g, config)
 
 
 def _check_tie_break(tie_break: str) -> None:
@@ -149,7 +148,7 @@ def _check_tie_break(tie_break: str) -> None:
 
 
 def greedy_mon(
-    g: UniformHypergraph | DynamicsSpec | NomOracle,
+    g: UniformHypergraph | NomOracle,
     config: RankConfig | None = None,
     tie_break: str = "degree",
 ) -> MonResult:
@@ -280,7 +279,7 @@ def _per_component(
 
 
 def minimum_observable_nodes(
-    g: UniformHypergraph | DynamicsSpec | NomOracle,
+    g: UniformHypergraph | NomOracle,
     config: RankConfig | None = None,
     tie_break: str = "degree",
 ) -> MonResult:
@@ -296,7 +295,7 @@ def minimum_observable_nodes(
 
 
 def brute_force_mon(
-    g: UniformHypergraph | DynamicsSpec | NomOracle,
+    g: UniformHypergraph | NomOracle,
     config: RankConfig | None = None,
 ) -> MonResult:
     """Smallest full-rank node set by exhaustive search on each connected

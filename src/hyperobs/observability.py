@@ -107,12 +107,23 @@ def node_blocks(
 class TwinCount:
     """How many members of each twin class a node set leaves unmeasured,
     and the set's rank ceiling (``NomOracle.ceiling``), for a set that
-    starts empty and grows one node at a time, in O(1) per node."""
+    starts as nodes and grows one node at a time, in O(1) per node."""
 
-    def __init__(self, n: int, classes: Sequence[Sequence[int]]) -> None:
-        self.where = {i: c for c, cls in enumerate(classes) for i in cls}
-        self.unmeasured = [len(cls) for cls in classes]
-        self.ceiling = n - sum(m - 1 for m in self.unmeasured)
+    def __init__(
+        self,
+        n: int,
+        classes: Sequence[Sequence[int]],
+        nodes: Collection[int] = (),
+    ) -> None:
+        self.classes = classes
+        self.unmeasured = [len(set(cls).difference(nodes)) for cls in classes]
+        self.ceiling = n - sum([m - 1 for m in self.unmeasured if m > 1])
+
+    @cached_property
+    def where(self) -> dict[int, int]:
+        """The twin class of each node in one, worked out on first use,
+        so a ceiling taken once never builds it."""
+        return {i: c for c, cls in enumerate(self.classes) for i in cls}
 
     def ceiling_with(self, node: int) -> int:
         """The ceiling once node, not yet in the set, joins it: one higher
@@ -133,8 +144,9 @@ class NomOracle:
     All rank queries against one oracle reuse the same trial points, which
     keeps greedy selection consistent and makes repeated queries cheap. The
     points have no zero coordinates and derive deterministically from the
-    seed. A config depth of None resolves here, to n - 1 of ``dyn``; the
-    config itself is kept for oracles on parts of ``dyn``.
+    seed. The oracle builds the graph's dynamics itself, as ``dyn``. A
+    config depth of None resolves here, to n - 1 of the graph; the config
+    itself is kept for oracles on parts of the graph.
 
     The depth is a cap. A trial's chain pass ends at the first level where
     every watched node set is flat (its last level added no rank) or at
@@ -153,14 +165,18 @@ class NomOracle:
 
     def __init__(
         self,
-        dyn: DynamicsSpec,
+        g: UniformHypergraph,
         config: RankConfig | None = None,
         watch: Iterable[int] | None = None,
     ):
+        if not isinstance(g, UniformHypergraph):
+            raise TypeError(
+                f"NomOracle takes a UniformHypergraph, not {type(g).__name__}"
+            )
         cfg = config or RankConfig()
-        self.dyn = dyn
+        self.dyn = DynamicsSpec(g)
         self.config = cfg
-        self.depth = cfg.depth if cfg.depth is not None else dyn.n - 1
+        self.depth = cfg.depth if cfg.depth is not None else g.n - 1
         self.trials = cfg.trials
         self.seed = cfg.seed
         self.watch = None if watch is None else tuple(sorted(watch))
@@ -242,11 +258,6 @@ class NomOracle:
         """
         return self._span(trial, (node,))
 
-    @cached_property
-    def _twins(self) -> tuple[frozenset[int], ...]:
-        """The twin classes of the graph, as sets."""
-        return tuple(map(frozenset, self.dyn.graph.twin_classes))
-
     def ceiling(self, nodes: Collection[int]) -> int:
         """Exact upper bound on the node set's rank at every trial point
         and depth: n - sum over twin classes c of max(0, |c - nodes| - 1).
@@ -256,9 +267,8 @@ class NomOracle:
         point; the differences within each class's unmeasured members are
         independent, so the stacked matrix has that much kernel.
         """
-        return self.dyn.n - sum(
-            max(0, len(c.difference(nodes)) - 1) for c in self._twins
-        )
+        graph = self.dyn.graph
+        return TwinCount(graph.n, graph.twin_classes, nodes).ceiling
 
     @property
     def stacked_depth(self) -> int:
@@ -279,7 +289,7 @@ class NomOracle:
                 part = self
             elif len(comp) > 1:
                 sub = induced_subhypergraph(dyn.graph, comp)
-                part = NomOracle(DynamicsSpec(sub), self.config)
+                part = NomOracle(sub, self.config)
             out.append((tuple(comp), part))
         return tuple(out)
 
@@ -312,12 +322,6 @@ class NomOracle:
         return best
 
 
-def _as_dynamics(g: UniformHypergraph | DynamicsSpec) -> DynamicsSpec:
-    if isinstance(g, DynamicsSpec):
-        return g
-    return DynamicsSpec(g)
-
-
 @dataclass(frozen=True)
 class ObservabilityReport:
     """Outcome of a local weak observability check: depth is the cap,
@@ -336,7 +340,7 @@ class ObservabilityReport:
 
 
 def is_locally_weakly_observable(
-    g: UniformHypergraph | DynamicsSpec,
+    g: UniformHypergraph,
     nodes: Sequence[int],
     config: RankConfig | None = None,
 ) -> ObservabilityReport:
@@ -348,7 +352,7 @@ def is_locally_weakly_observable(
     when it can.
     """
     nodes = list(nodes)
-    oracle = NomOracle(_as_dynamics(g), config, watch=nodes)
+    oracle = NomOracle(g, config, watch=nodes)
     rank = oracle.rank(nodes)
     return ObservabilityReport(
         observable=rank == oracle.dyn.n,

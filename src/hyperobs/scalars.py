@@ -8,11 +8,12 @@ products fit in 64 bits, and folds the 2**64 and 2**32 carries with
 up to 2**31 terms stay exact before the fold. Constants are uint64 scalars,
 so no operand promotes to float64.
 
-A matrix product runs on float64 instead, and stays exact: each residue
-splits once into three 21-bit limbs, which the caller keeps as float32, one
-GEMM forms every limb product, and the inner dimension goes in chunks of
-whole column blocks, at most 2**11 rows, so every partial sum is an integer
-below 2**11 * 2**42 = 2**53 whatever order BLAS adds in. The module also
+The product of two matrix series (``LimbProduct``) runs on float64
+instead, and stays exact: it splits each residue it is given once into
+three 21-bit limbs and keeps them as float32, one GEMM forms every limb
+product, and the inner dimension goes in chunks of whole column blocks, at
+most 2**11 rows, so every partial sum is an integer below
+2**11 * 2**42 = 2**53 whatever order BLAS adds in. The module also
 derives the seeded random evaluation points.
 """
 
@@ -106,7 +107,7 @@ def segment_sums(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
     )
 
 
-def split_limbs(a: np.ndarray, out: np.ndarray) -> None:
+def _split_limbs(a: np.ndarray, out: np.ndarray) -> None:
     """Write the residues a as three 21-bit limbs, lowest first, into
     out[0], out[1] and out[2], each shaped like a.
 
@@ -141,23 +142,24 @@ def _fold(limbs: np.ndarray) -> np.ndarray:
 
 
 class LimbProduct:
-    """A @ B mod P on limbs split once, for residues A (m, K) and B (K, w)
-    with K = blocks * width, where A is nonzero only in fixed cells of each
-    of its (m, width) column blocks.
+    """Coefficient p, sum over q <= p of A_q B_{p-q} mod P, of the product
+    of two matrix series of residues, A_q (m, width), nonzero only in fixed
+    cells, and B_q (width, w), given level by level for p < blocks.
 
-    The caller keeps A as the float32 limbs of its cells, block by block,
-    and B as float32 limbs, row by row (``split_limbs``). A product widens
-    each chunk of whole blocks, at most 2**11 inner rows, into two float64
-    buffers: B's rows are copied, A's cells scattered into a buffer that is
-    kept zero elsewhere. One GEMM of the limb-stacked chunk (3m rows, 3w
-    columns) then forms all nine limb products: entry (3 r + i, w j + c) is
-    limb i of A's row r times limb j of B's column c, worth
-    2**(21 (i + j)) = 2**(21 (i + j) mod 61) (mod P), since 2**63 = 4 and
-    2**84 = 2**23. A chunk's entries are sums of at most 2**11 products
-    below 2**42, so every partial sum is an integer below 2**53, exact in
-    float64 under any summation order, FMA or threading. A block wider
-    than 2**11 columns is refused; ``dynamics.check_lane_slots`` admits
-    none.
+    ``push`` splits A_p's cell values and B_p's rows once each into three
+    21-bit limbs and keeps them as float32: A_q's at [blocks - 1 - q] and
+    B_q's at [q], so that coefficient p is the product
+    [A_p ... A_0] @ [B_0; ...; B_p] of two slices. It widens each chunk of
+    whole blocks, at most 2**11 inner rows, into two float64 buffers: B's
+    rows are copied, A's cells scattered into a buffer that is kept zero
+    elsewhere. One GEMM of the limb-stacked chunk (3m rows, 3w columns)
+    then forms all nine limb products: entry (3 r + i, w j + c) is limb i
+    of A's row r times limb j of B's column c, worth 2**(21 (i + j)) =
+    2**(21 (i + j) mod 61) (mod P), since 2**63 = 4 and 2**84 = 2**23. A
+    chunk's entries are sums of at most 2**11 products below 2**42, so
+    every partial sum is an integer below 2**53, exact in float64 under
+    any summation order, FMA or threading. A block wider than 2**11
+    columns is refused; ``dynamics.check_lane_slots`` admits none.
     """
 
     def __init__(
@@ -169,8 +171,8 @@ class LimbProduct:
         cell_rows: np.ndarray,
         cell_columns: np.ndarray,
     ) -> None:
-        """Buffers for products of up to blocks blocks. The cells are
-        given by row and column within a block, sorted by column, then
+        """The arrays of ``layout``, for up to blocks levels. The cells
+        are given by row and column within a block, sorted by column, then
         row."""
         if width > _GEMM_CHUNK:
             raise ValueError(
@@ -178,8 +180,10 @@ class LimbProduct:
             )
         self.m, self.width = m, width
         self.group = _group(width, blocks)
-        shapes = self.shapes(m, width, w, blocks, len(cell_rows))
-        self.left, self.right = np.empty(shapes[0]), np.empty(shapes[1])
+        layout = self.layout(m, width, w, blocks, len(cell_rows))
+        self.row_limbs, self.cell_limbs, self.left, self.right = (
+            np.empty(shape, dtype) for shape, dtype in layout[:4]
+        )
         # rows of left below this are zero outside the cells; a row is
         # first zeroed when a chunk first reaches it, so a pass that stops
         # early touches no more of the buffer than it uses
@@ -195,52 +199,62 @@ class LimbProduct:
         )
 
     @staticmethod
-    def shapes(
+    def layout(
         m: int, width: int, w: int, blocks: int, cells: int
-    ) -> tuple[tuple[int, ...], ...]:
-        """The shapes of the two float64 buffers and of the intp cell
-        positions, for the longest chunk."""
-        group = _group(width, blocks)
-        rows = group * width
-        return (rows, 3 * m), (rows, 3 * w), (group, cells, 3)
+    ) -> tuple[tuple[tuple[int, ...], type], ...]:
+        """The (shape, dtype) of every array a product of up to blocks
+        levels holds: the kept limbs of B's rows and of A's cells, the two
+        float64 buffers and the intp cell positions, all for the longest
+        chunk, then the uint64 transients of one coefficient at its peak.
 
-    @staticmethod
-    def peak_shapes(
-        m: int, width: int, w: int, blocks: int
-    ) -> tuple[tuple[int, ...], ...]:
-        """The shapes of the uint64 arrays a product of up to blocks blocks
-        holds at its peak, besides its buffers.
-
-        A product of one chunk peaks in the fold: the (3m, 3w) limb
+        A coefficient of one chunk peaks in the fold: the (3m, 3w) limb
         products and the fold's (m, 5, w) sums with one scratch array of
         their shape, 19 m w slots; its float64 result and uint64 copy,
-        (3m, 3w) each, hold 18 m w before. A product of several chunks
+        (3m, 3w) each, hold 18 m w before. A coefficient of several chunks
         peaks when a chunk's uint64 copy and the carry of the accumulator
-        live beside it, 27 m w. A ``mul`` of the (m, w) product holds about
-        6 m w afterwards."""
-        if blocks > _group(width, blocks):
-            return ((3, 3 * m, 3 * w),)
-        return (3 * m, 3 * w), (2, m, 5, w)
+        live beside it, 27 m w. A ``mul`` of the (m, w) coefficient holds
+        about 6 m w afterwards."""
+        group = _group(width, blocks)
+        rows = group * width
+        if blocks > group:
+            peak: tuple[tuple[int, ...], ...] = ((3, 3 * m, 3 * w),)
+        else:
+            peak = (3 * m, 3 * w), (2, m, 5, w)
+        return (
+            ((blocks, width, 3 * w), np.float32),
+            ((blocks, cells, 3), np.float32),
+            ((rows, 3 * m), np.float64),
+            ((rows, 3 * w), np.float64),
+            ((group, cells, 3), np.intp),
+            *((shape, np.uint64) for shape in peak),
+        )
 
-    def __call__(self, cells: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """A @ B for the limbs cells (blocks, C, 3) of A's blocks and
-        right (blocks * width, 3w) of B's rows; blocks may be fewer than
-        the buffers were made for."""
+    def push(self, p: int, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Keep level p, A_p as its (C,) cell values in the cells' order and
+        B_p as its (width, w) rows, and return coefficient p, (m, w); levels
+        0..p-1 are the ones kept before."""
         width = self.width
+        block = len(self.cell_limbs) - 1 - p
+        _split_limbs(cells, self.cell_limbs[block].T)
+        _split_limbs(
+            rows, self.row_limbs[p].reshape(width, 3, -1).transpose(1, 0, 2)
+        )
+        a = self.cell_limbs[block:]
+        b = self.row_limbs[: p + 1].reshape(-1, self.row_limbs.shape[2])
         flat = self.left.reshape(-1)
         acc = None
-        for first in range(0, len(cells), self.group):
-            count = min(self.group, len(cells) - first)
-            rows = count * width
-            if rows > self.clean:
-                self.left[self.clean : rows] = 0
-                self.clean = rows
+        for first in range(0, p + 1, self.group):
+            count = min(self.group, p + 1 - first)
+            inner = count * width
+            if inner > self.clean:
+                self.left[self.clean : inner] = 0
+                self.clean = inner
             # widened first, as a scatter from float32 takes twice as long
-            values = cells[first : first + count].astype(float)
+            values = a[first : first + count].astype(float)
             flat[self.at[:count].ravel()] = values.ravel()
             start = first * width
-            self.right[:rows] = right[start : start + rows]
-            part = self.left[:rows].T @ self.right[:rows]
+            self.right[:inner] = b[start : start + inner]
+            part = self.left[:inner].T @ self.right[:inner]
             part = part.astype(np.uint64)
             if acc is not None:
                 # below 2**61 + 2**53

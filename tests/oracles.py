@@ -62,12 +62,7 @@ from hyperobs.errors import ResourceLimitError
 from hyperobs.hypergraph import UniformHypergraph
 from hyperobs.linalg import Echelon, modp_rank
 from hyperobs.mon import SUBSET_BUDGET, MonResult
-from hyperobs.observability import (
-    NomOracle,
-    RankConfig,
-    _as_dynamics,
-    node_blocks,
-)
+from hyperobs.observability import NomOracle, RankConfig, node_blocks
 from hyperobs.scalars import PRIME, derive_seed
 
 DEFAULT_RECURSION_BUDGET = 500_000
@@ -417,7 +412,7 @@ def full_depth_blocks(oracle: NomOracle, trial: int) -> np.ndarray:
 
 
 def eager_greedy(
-    g: UniformHypergraph | DynamicsSpec,
+    g: UniformHypergraph,
     config: RankConfig | None = None,
     tie_break: str = "degree",
 ) -> MonResult:
@@ -425,12 +420,11 @@ def eager_greedy(
     candidate scored at every trial. A tie goes to the node first in the
     tie-break's order: by degree then label, by label, or by a seeded
     shuffle of the labels."""
-    dyn = _as_dynamics(g)
-    n = dyn.n
-    oracle = NomOracle(dyn, config)
+    oracle = NomOracle(g, config)
+    n = g.n
     echelons = [Echelon(n) for _ in range(oracle.trials)]
     evaluations = [full_depth_blocks(oracle, t) for t in range(oracle.trials)]
-    degrees = dyn.graph.degrees()
+    degrees = g.degrees()
     shuffled = list(range(1, n + 1))
     random.Random(derive_seed(oracle.seed, "tie-break")).shuffle(shuffled)
     key_fn = {
@@ -468,15 +462,14 @@ def eager_greedy(
 
 
 def naive_brute_force(
-    g: UniformHypergraph | DynamicsSpec,
+    g: UniformHypergraph,
     config: RankConfig | None = None,
     max_subsets: int = SUBSET_BUDGET,
 ) -> MonResult:
     """``mon.brute_force_mon`` ranking each subset's raw blocks at every
     trial, all trials evaluated up front."""
-    dyn = _as_dynamics(g)
-    n = dyn.n
-    oracle = NomOracle(dyn, config)
+    oracle = NomOracle(g, config)
+    n = g.n
     evaluations = [full_depth_blocks(oracle, t) for t in range(oracle.trials)]
     tried = 0
     for size in range(1, n + 1):
@@ -497,13 +490,13 @@ def naive_brute_force(
 
 
 def all_trials_rank(
-    g: UniformHypergraph | DynamicsSpec,
+    g: UniformHypergraph,
     nodes: Sequence[int],
     config: RankConfig | None = None,
 ) -> int:
     """``NomOracle.rank``: the best rank of the nodes' raw blocks over
     every trial, each evaluated to the depth cap."""
-    oracle = NomOracle(_as_dynamics(g), config)
+    oracle = NomOracle(g, config)
     return max(
         modp_rank(block_rows(full_depth_blocks(oracle, t), nodes), oracle.dyn.n)
         for t in range(oracle.trials)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperobs import mon, observability
-from hyperobs.dynamics import DynamicsSpec
 from hyperobs.errors import ResourceLimitError
 from hyperobs.hypergraph import (
     UniformHypergraph,
@@ -246,7 +245,7 @@ def test_gains_shrink_as_the_selection_grows(seed, n, k, depth):
     # to a span U, dim(U + W) - dim(U), never grows as U grows
     rng = random.Random(seed)
     g = random_uniform_hypergraph(max(n, k), k, rng, density=rng.random())
-    oracle = NomOracle(DynamicsSpec(g), RankConfig(seed=seed, depth=depth))
+    oracle = NomOracle(g, RankConfig(seed=seed, depth=depth))
     blocks = full_depth_blocks(oracle, 0)
     nodes = list(range(1, g.n + 1))
     rng.shuffle(nodes)
@@ -284,7 +283,7 @@ def test_early_stop_matches_full_depth(seed, trials):
     rng = random.Random(seed)
     g = _sparse_hypergraph(rng)
     cfg = RankConfig(trials=trials, seed=seed)
-    reference = NomOracle(DynamicsSpec(g), cfg)
+    reference = NomOracle(g, cfg)
     blocks = [full_depth_blocks(reference, t) for t in range(trials)]
     for _ in range(3):
         nodes = rng.sample(range(1, g.n + 1), rng.randint(1, g.n))
@@ -363,7 +362,7 @@ def test_twin_classes_and_bound():
     star = gen_hyperstar(11, 3)
     assert star.twin_classes == (tuple(range(3, 12)),)
     # worked out once per hypergraph, and shared by the oracle
-    oracle = NomOracle(DynamicsSpec(star))
+    oracle = NomOracle(star)
     assert star.twin_classes is oracle.dyn.graph.twin_classes
     assert twin_lower_bound(star) == 8
     assert twin_lower_bound(gen_hyperstar(10, 3)) == 7
@@ -423,7 +422,7 @@ def test_twins_bound_every_full_rank_set(seed, n, k, trials, depth, twin):
     assert twin_lower_bound(g) <= naive_brute_force(g, cfg).size
     # a subset that leaves two twins unmeasured is below rank n at every
     # trial, on the raw blocks of every level up to the cap
-    oracle = NomOracle(DynamicsSpec(g), cfg)
+    oracle = NomOracle(g, cfg)
     for size in range(1, g.n + 1):
         for subset in combinations(range(1, g.n + 1), size):
             if invisible_pair(g, subset) is None:
@@ -450,7 +449,7 @@ def test_no_trial_ranks_a_set_above_its_ceiling(seed, n, k, trials, depth, twin)
     if twin:
         g = _with_twin(g)
     cfg = RankConfig(trials=trials, seed=seed, depth=depth)
-    oracle = NomOracle(DynamicsSpec(g), cfg)
+    oracle = NomOracle(g, cfg)
     blocks = [full_depth_blocks(oracle, t) for t in range(trials)]
     order = list(range(1, g.n + 1))
     rng.shuffle(order)
@@ -470,7 +469,7 @@ def test_no_trial_ranks_a_set_above_its_ceiling(seed, n, k, trials, depth, twin)
         for b in blocks:
             assert modp_rank(block_rows(b, nodes), g.n) <= cap
         want = all_trials_rank(g, nodes, cfg)
-        assert NomOracle(DynamicsSpec(g), cfg).rank(nodes) == want
+        assert NomOracle(g, cfg).rank(nodes) == want
         assert is_locally_weakly_observable(g, nodes, cfg).rank == want
     for tie_break in TIE_BREAKS:
         assert greedy_mon(g, cfg, tie_break) == eager_greedy(g, cfg, tie_break)

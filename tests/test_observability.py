@@ -195,8 +195,8 @@ def test_rank_monotone_in_nodes_and_depth():
         assert default == deeper
 
 
-def test_oracle_caching_and_validation(triangle_dyn):
-    oracle = NomOracle(triangle_dyn, RankConfig(trials=2, seed=0, depth=3))
+def test_oracle_caching_and_validation(triangle):
+    oracle = NomOracle(triangle, RankConfig(trials=2, seed=0, depth=3))
     ev0 = oracle.evaluation(0)
     assert oracle.evaluation(0) is ev0
     assert (oracle.evaluation(1) != ev0).any()
@@ -212,16 +212,16 @@ def test_oracle_caching_and_validation(triangle_dyn):
         oracle.rank([9])
     # an unset depth resolves to n - 1 of the oracle's own dynamics
     assert oracle.depth == 3
-    assert NomOracle(triangle_dyn).depth == 2
-    assert NomOracle(triangle_dyn, RankConfig(depth=0)).depth == 0
+    assert NomOracle(triangle).depth == 2
+    assert NomOracle(triangle, RankConfig(depth=0)).depth == 0
 
 
-def test_oracle_deterministic(triangle_dyn):
-    a = NomOracle(triangle_dyn, RankConfig(trials=2, seed=7, depth=3))
-    b = NomOracle(triangle_dyn, RankConfig(trials=2, seed=7, depth=3))
+def test_oracle_deterministic(triangle):
+    a = NomOracle(triangle, RankConfig(trials=2, seed=7, depth=3))
+    b = NomOracle(triangle, RankConfig(trials=2, seed=7, depth=3))
     assert (a.evaluation(0) == b.evaluation(0)).all()
     assert a.rank([1]) == b.rank([1])
-    c = NomOracle(triangle_dyn, RankConfig(trials=2, seed=8, depth=3))
+    c = NomOracle(triangle, RankConfig(trials=2, seed=8, depth=3))
     assert (c.evaluation(0) != a.evaluation(0)).any()
 
 
@@ -234,8 +234,8 @@ def test_rank_config_validation():
     assert cfg.trials == 3 and cfg.seed == 0 and cfg.depth is None
 
 
-def test_observability_report(triangle_dyn):
-    rep = is_locally_weakly_observable(triangle_dyn.graph, [1])
+def test_observability_report(triangle):
+    rep = is_locally_weakly_observable(triangle, [1])
     assert rep.observable
     assert rep.verdict == "observable"
     assert rep.rank == rep.n == 3
@@ -259,17 +259,25 @@ def test_observability_report(triangle_dyn):
     assert is_locally_weakly_observable(star, range(1, 6)).stacked_depth == 0
 
 
-def test_a_watched_oracle_ranks_only_its_set(triangle_dyn):
+def test_an_oracle_builds_its_own_dynamics(triangle, triangle_dyn):
+    # handed dynamics instead of a hypergraph, the oracle refuses at once,
+    # before a query could fail on the graph's missing attributes
+    assert NomOracle(triangle).dyn.graph is triangle
+    with pytest.raises(TypeError, match="UniformHypergraph, not DynamicsSpec"):
+        NomOracle(triangle_dyn)
+
+
+def test_a_watched_oracle_ranks_only_its_set(triangle):
     # watching one node set makes only that set's span final when the
     # chain stops, so no other set can be ranked on it
-    oracle = NomOracle(triangle_dyn, watch=[3, 1])
+    oracle = NomOracle(triangle, watch=[3, 1])
     assert oracle.watch == (1, 3)
     assert oracle.rank([3, 1]) == 3
     assert oracle.stacked_depth == 1
     with pytest.raises(ValueError, match="watched"):
         oracle.rank([1])
     # watching every node alone ranks any set, each trial at one depth
-    every = NomOracle(triangle_dyn)
+    every = NomOracle(triangle)
     assert every.watch is None
     assert every.rank([1]) == every.rank([1, 3]) == 3
     assert every.stacked_depth == 2
@@ -280,13 +288,12 @@ def test_a_query_at_full_rank_never_builds_the_twin_classes():
     # at trial 0, so the ceiling, and the graph's twin classes behind it,
     # are never needed
     g = gen_hyperstar(6, 3)
-    oracle = NomOracle(DynamicsSpec(g), RankConfig(trials=3))
+    oracle = NomOracle(g, RankConfig(trials=3))
     assert oracle.rank([2, 3, 4, 5]) == 6
-    assert "_twins" not in vars(oracle)
     assert "twin_classes" not in vars(g)
     watched = is_locally_weakly_observable(g, [2, 3, 4, 5])
     assert watched.observable and "twin_classes" not in vars(g)
     # the core alone ends trial 0 at rank 3, its ceiling, and stops there
     assert oracle.rank([1]) == 3
-    assert "_twins" in vars(oracle)
+    assert "twin_classes" in vars(g)
     assert sorted(oracle._evaluations) == [0]

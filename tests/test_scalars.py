@@ -239,75 +239,77 @@ def _int_matmul(a, b):
     return [[sum(u * v for u, v in zip(row, col)) % PRIME for col in zip(*b)] for row in a]
 
 
-def _limb_operands(a, b, blocks=1):
-    # the kernel's product for a @ b and its operands: a (m, blocks *
-    # width) kept as the float32 limbs of the cells that are nonzero in
-    # any of its blocks, b as float32 limbs row by row
-    m, inner = a.shape
-    width, w = inner // blocks, b.shape[1]
-    split = a.reshape(m, blocks, width)
-    columns, rows = np.nonzero((split != 0).any(axis=1).T)
-    cells = np.empty((blocks, len(rows), 3), dtype=np.float32)
-    for block in range(blocks):
-        scalars.split_limbs(split[rows, block, columns], cells[block].T)
-    right = np.empty((inner, 3, w), dtype=np.float32)
-    scalars.split_limbs(b, right.transpose(1, 0, 2))
-    product = scalars.LimbProduct(m, width, w, blocks, rows, columns)
-    return product, cells, right.reshape(inner, 3 * w)
+def _limb_series(a, w):
+    # the kernel's series product of the levels a (levels, m, width),
+    # nonzero only in the cells nonzero at some level, by levels of w
+    # columns, and the values of those cells at every level
+    levels, m, width = a.shape
+    columns, rows = np.nonzero((a != 0).any(axis=0).T)
+    return (
+        scalars.LimbProduct(m, width, w, levels, rows, columns),
+        a[:, rows, columns],
+    )
 
 
 def test_limb_matmul_matches_int_products():
-    # full-range residues, all-(P-1) operands, and 2**42 - 1, whose two low
-    # limbs are both 2**21 - 1, the largest limb product; one block of
-    # 2048 columns fills the GEMM chunk of 2**11, and 45 blocks of 46
-    # columns, 2070 inner rows, go 44 blocks to a chunk, where an
-    # unchunked float64 sum of such products would pass 2**53. Half the
-    # entries zeroed at random leave cells out of every block, so a
-    # chunk's stale cells would show
+    # coefficient p of the series product, with levels 0..p pushed, is
+    # sum over q <= p of A_q B_{p-q}: full-range residues, all-(P-1)
+    # operands, and 2**42 - 1, whose two low limbs are both 2**21 - 1, the
+    # largest limb product; one level of 2048 columns fills the GEMM chunk
+    # of 2**11, and 45 levels of 46 columns, 2070 inner rows at p = 44, go
+    # 44 levels to a chunk, where an unchunked float64 sum of such products
+    # would pass 2**53. Half the entries zeroed at random leave cells out
+    # of every level, so a chunk's stale cells would show
     rng = random.Random(53)
-    for m, blocks, width, w in [
+    for m, levels, width, w in [
         (1, 1, 1, 1), (3, 1, 5, 4), (2, 1, 2048, 3), (2, 45, 46, 3),
     ]:
-        inner = blocks * width
+        def draw(rows, columns, value):
+            return [
+                [[value() for _ in range(columns)] for _ in range(rows)]
+                for _ in range(levels)
+            ]
+
         full = (
-            [[rng.randrange(PRIME) for _ in range(inner)] for _ in range(m)],
-            [[rng.randrange(PRIME) for _ in range(w)] for _ in range(inner)],
+            draw(m, width, lambda: rng.randrange(PRIME)),
+            draw(width, w, lambda: rng.randrange(PRIME)),
         )
         sparse = (
-            [[v * rng.randrange(2) for v in row] for row in full[0]], full[1]
+            [[[v * rng.randrange(2) for v in row] for row in a] for a in full[0]],
+            full[1],
         )
         for a, b in [
             full,
             sparse,
-            ([[PRIME - 1] * inner] * m, [[PRIME - 1] * w] * inner),
-            ([[2**42 - 1] * inner] * m, [[2**42 - 1] * w] * inner),
+            (draw(m, width, lambda: PRIME - 1), draw(width, w, lambda: PRIME - 1)),
+            (draw(m, width, lambda: 2**42 - 1), draw(width, w, lambda: 2**42 - 1)),
         ]:
-            product, cells, right = _limb_operands(
-                np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64), blocks
-            )
-            # a product of fewer blocks than the buffers hold, as a level
-            # below the cap takes
-            for j in {blocks, 1}:
-                got = product(cells[:j], right[: j * width])
+            product, cells = _limb_series(np.array(a, dtype=np.uint64), w)
+            for p in range(levels):
+                got = product.push(p, cells[p], np.array(b[p], dtype=np.uint64))
                 assert got.dtype == np.uint64
-                assert got.tolist() == _int_matmul(
-                    [row[: j * width] for row in a], b[: j * width]
-                )
+                # [A_p ... A_0] @ [B_0; ...; B_p]
+                left = [
+                    [v for q in range(p, -1, -1) for v in a[q][r]]
+                    for r in range(m)
+                ]
+                right = [row for q in range(p + 1) for row in b[q]]
+                assert got.tolist() == _int_matmul(left, right)
 
 
 def test_limb_product_refuses_a_block_wider_than_a_chunk():
     # a chunk holds whole blocks, so a block past 2**11 columns would sum
     # more limb products than float64 holds exactly
-    a = np.ones((1, 2**11 + 1), dtype=np.uint64)
+    cell = np.zeros(1, dtype=np.intp)
     with pytest.raises(ValueError, match="2049 columns"):
-        _limb_operands(a, a.T)
+        scalars.LimbProduct(1, 2**11 + 1, 1, 1, cell, cell)
 
 
 def test_field_lanes_stay_uint64():
     # numpy 1.x promotes uint64 with a signed Python int to float64, which
     # would silently round residues
     a = scalars.cast([[PRIME - 1, 5], [2**32 + 1, 0]])
-    product, cells, right = _limb_operands(a, a)
+    product, cells = _limb_series(a[None], 2)
     results = [
         a,
         scalars.mul(a, a),
@@ -316,7 +318,7 @@ def test_field_lanes_stay_uint64():
         _add(a, a),
         scalars.row_sum(a),
         scalars.segment_sums(a, np.array([0, 1])),
-        product(cells, right),
+        product.push(0, cells[0], a),
         lie_derivatives(DynamicsSpec(gen_complete(4, 3)), a.ravel().tolist(), 3),
     ]
     assert all(r.dtype == np.uint64 for r in results)

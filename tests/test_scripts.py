@@ -25,3 +25,18 @@ def _main(name):
 def test_script_succeeds(name, argv, capsys):
     assert _main(name)(argv) == 0
     assert capsys.readouterr().out
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # each print line ends in a comment that gives its output
+    said = [
+        line.split("#", 1)[1].strip()
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    assert said == ["observable", "(3, 4, 5) (4, 5, 6)"]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == said
