@@ -2,8 +2,12 @@
 
 Sweeps chain, ring, star and complete hypergraphs over a range of n and k,
 runs the greedy selection on each, and prints one table row per instance.
-With --brute-force the exhaustive minimum is computed alongside (keep n
-small; the subset count explodes).
+With --brute-force the exhaustive minimum is computed alongside. Keep n
+small: the search cuts subsets whose twins or node basis ranks rule out
+full rank, but on complete n/2, which needs n - 1 nodes, each node's basis
+has rank 2 while all but the first add 1 to a span, so the walk still
+visits prefixes of up to about n/2 nodes. The sweep to --n-max 14 takes
+about 1 s on a 2-core Xeon, to 22 about 20 s.
 
 Usage:
     python3 scripts/mon_topologies.py --n-max 7

@@ -23,7 +23,9 @@ give more than the exact ceiling of the selection plus the candidate
 first trial that reaches it; a trial point is evaluated only when a score
 needs it. Greedy is lazy: it rescores only candidates whose bound from
 their last gains and their ceiling could still win. Brute force ranks each
-subset at each trial it needs with one ``modp_rank`` over its nodes' bases.
+subset it reaches at each trial it needs with one ``modp_rank`` over its
+nodes' bases, and cuts, without ranking them, the subsets whose ceiling,
+or whose bound from their nodes' basis ranks at every trial, is below n.
 Every result is the one a full evaluation of every trial would give.
 
 Twins bound both searches from below. Nodes u and v are twins when they
@@ -36,9 +38,8 @@ depth. A node set that leaves r members of a class unmeasured thus has r - 1
 independent directions in its kernel, which gives its rank ceiling
 n - sum over classes of max(0, r - 1). A class of m twins needs m - 1
 measured members, and every connected component needs one
-(``twin_lower_bound``). Brute force starts at that size and skips, before
-any rank work, each subset whose ceiling is below n, which leaves two twins
-unmeasured.
+(``twin_lower_bound``). Brute force starts at that size and walks only
+subsets whose ceiling is n, which leave no two twins unmeasured.
 
 Rank contributions never cross connected components (every block entry only
 involves coordinates from the node's own component), so both searches solve
@@ -49,9 +50,10 @@ an isolated node has no dynamics, so it selects itself without a rank query.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass, field, replace
-from itertools import combinations
-from typing import Callable, Iterable
+from itertools import accumulate, combinations
+from typing import Callable, Iterable, Iterator
 
 from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph
@@ -304,12 +306,18 @@ def brute_force_mon(
     Given the oracle greedy used, it ranks on the same parts, so each point
     is evaluated and each node basis reduced once for both searches.
 
-    On a component, subsets enumerate in size order and lexicographically
-    within a size, from its ``twin_lower_bound`` up, and a subset that
-    leaves two twins unmeasured is skipped before any rank work. At each
-    trial it needs, a subset is decided by one ``modp_rank`` over its
-    nodes' bases. SUBSET_BUDGET counts the subsets one component's search
-    enumerates, skipped ones included; past it, ResourceLimitError.
+    On a component, subsets come in size order and lexicographically
+    within a size, from its ``twin_lower_bound`` up, out of a depth-first
+    walk over prefixes (``_Walk``). It cuts a prefix before any rank work
+    once every subset through it would leave two twins unmeasured, and,
+    after some subset has failed at every trial, once its rank plus the
+    largest basis ranks of the nodes that could complete it stay below n
+    at every trial. At each trial it needs, a subset is decided by one
+    ``modp_rank`` over its nodes' bases. SUBSET_BUDGET counts the ranked
+    subsets and cut prefixes of one component's search; past it,
+    ResourceLimitError. Each stands for a subset that plain enumeration
+    in the same order counts before its answer, so no search that such an
+    enumeration finishes within the budget is refused.
     """
     res = _per_component(_as_oracle(g, config), _exhaustive)
     return replace(res, selected=tuple(sorted(res.selected)))
@@ -318,22 +326,201 @@ def brute_force_mon(
 def _exhaustive(oracle: NomOracle) -> MonResult:
     """``brute_force_mon`` on the whole hypergraph of the oracle."""
     n = oracle.dyn.n
-    start = _twin_need(oracle)
-    tried = 0
-    for size in range(start, n + 1):
-        for subset in combinations(range(1, n + 1), size):
-            tried += 1
-            if tried > SUBSET_BUDGET:
-                raise ResourceLimitError(
-                    f"exhaustive search exceeded {SUBSET_BUDGET} subsets "
-                    f"from size {start} up"
-                )
-            if oracle.ceiling(subset) < n:
-                continue
+    walk = _Walk(oracle)
+    for size in range(walk.start, n + 1):
+        for subset in walk.subsets(size):
             for t in range(oracle.trials):
                 rows = [row for s in subset for row in oracle.basis(t, s)]
                 if modp_rank(rows, n) == n:
                     return MonResult(
                         selected=subset, rank_trace=(n,), depth=oracle.depth
                     )
+            # every trial point is evaluated now, as the plain search would
+            # have evaluated it, so the rank cut costs no extra point
+            walk.rank_cut = True
     raise AssertionError("the full node set has rank n at trial 0")
+
+
+class _Walk:
+    """The subsets brute force ranks on an oracle, size by size, each size
+    in lexicographic order: a depth-first walk over prefixes that cuts a
+    prefix once no subset through it can reach rank n.
+
+    The twin cut keeps, along the path, how many members of each twin
+    class the prefix leaves unmeasured, and cuts a prefix whose nodes
+    after it cannot leave every class with at most one: either too few
+    slots are left for the members still needed, or two members of a
+    class lie below the next candidate, unpicked. Every prefix it keeps
+    has a completion at the full ceiling, and it yields just the subsets
+    whose ceiling is n.
+
+    The rank cut, once ``rank_cut`` is set, extends one prefix echelon
+    per trial by one node's basis per step, built only when asked, and
+    cuts a prefix when at every trial its rank plus the r largest basis
+    ranks among the nodes still allowed is below n, for r slots left: a
+    node adds at most its basis rank to any span.
+
+    ``visits`` counts the ranked subsets and cut prefixes. Each stands for
+    at least one subset of the size, disjoint from the others, that the
+    plain lexicographic enumeration reaches before the walk's position;
+    past SUBSET_BUDGET, ResourceLimitError.
+    """
+
+    def __init__(self, oracle: NomOracle) -> None:
+        self.oracle = oracle
+        n = self.n = oracle.dyn.n
+        classes = oracle.dyn.graph.twin_classes
+        # each node's twin class (-1 for none) and its position in it, 1..
+        self.twin = [-1] * (n + 1)
+        self.place = [0] * (n + 1)
+        for c, members in enumerate(classes):
+            for j, i in enumerate(members, 1):
+                self.twin[i], self.place[i] = c, j
+        self.sizes = [len(members) for members in classes]
+        self.unmeasured = list(self.sizes)
+        # slots the prefix still needs, one per unmeasured twin past the
+        # first of its class: n minus its ceiling
+        self.need = sum(m - 1 for m in self.sizes)
+        self.start = max(1, self.need)
+        self.path: list[int] = []
+        self.rank_cut = False
+        # per prefix length, per trial, the prefix's echelon once built
+        self.echelons: list[list[Echelon | None]] = [
+            [Echelon(n) for _ in range(oracle.trials)]
+        ]
+        # per trial, per first node v, the sums of the largest basis ranks
+        # among nodes v..n: tops[t][v][r] for the r largest
+        self.tops: dict[int, list[list[int]]] = {}
+        self.visits = 0
+
+    def subsets(self, size: int) -> Iterator[tuple[int, ...]]:
+        """The subsets of the size that both cuts leave, in lexicographic
+        order; each is counted as a visit when yielded."""
+        path = self.path
+        v = 1
+        while True:
+            r = size - len(path)
+            hi = self.n - r + 1
+            if r == 1:
+                yield from self._last(v, hi)
+            else:
+                v = self._next(v, r, hi)
+                if v:
+                    self._push(v)
+                    v += 1
+                    continue
+            # back to the last open slot, past its node
+            while path:
+                v = self._pop()
+                if self._move_past(v, self.n - size + len(path) + 1):
+                    v += 1
+                    break
+            else:
+                return
+
+    def _next(self, v: int, r: int, hi: int) -> int:
+        """The first node from v on that the slot takes, r slots left,
+        counting each prefix cut on the way; 0 when none is left."""
+        while v <= hi:
+            if self._short(v, r):
+                self._visit()
+                return 0
+            if self._need_with(v) < r:
+                return v
+            self._visit()
+            if not self._move_past(v, hi):
+                return 0
+            v += 1
+        return 0
+
+    def _last(self, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+        """The subsets that end the prefix with one node from lo..hi."""
+        prefix = tuple(self.path)
+        # one candidate at a time through ``combinations``, on which
+        # bench/spans.py counts mon.subsets_tried: the full subsets decided
+        for (v,) in combinations(range(lo, hi + 1), 1):
+            if self._short(v, 1):
+                self._visit()
+                return
+            self._visit()
+            if self._need_with(v) == 0:
+                yield prefix + (v,)
+            if not self._move_past(v, hi):
+                return
+
+    def _visit(self) -> None:
+        self.visits += 1
+        if self.visits > SUBSET_BUDGET:
+            raise ResourceLimitError(
+                f"exhaustive search exceeded {SUBSET_BUDGET} ranked subsets "
+                f"and cut prefixes from size {self.start} up"
+            )
+
+    def _need_with(self, v: int) -> int:
+        """The slots the prefix plus v still needs."""
+        c = self.twin[v]
+        return self.need - (c >= 0 and self.unmeasured[c] > 1)
+
+    def _move_past(self, v: int, hi: int) -> bool:
+        """Leave v unpicked for good; whether the slot may go on to a later
+        node. It may not when two members of v's class below the next
+        candidate would stay unpicked, which cuts every later one to hi."""
+        c = self.twin[v]
+        if c < 0 or self.place[v] - self.sizes[c] + self.unmeasured[c] < 2:
+            return True
+        if v < hi:
+            self._visit()
+        return False
+
+    def _push(self, v: int) -> None:
+        c = self.twin[v]
+        if c >= 0:
+            self.need -= self.unmeasured[c] > 1
+            self.unmeasured[c] -= 1
+        self.path.append(v)
+        self.echelons.append([None] * self.oracle.trials)
+
+    def _pop(self) -> int:
+        v = self.path.pop()
+        self.echelons.pop()
+        c = self.twin[v]
+        if c >= 0:
+            self.unmeasured[c] += 1
+            self.need += self.unmeasured[c] > 1
+        return v
+
+    def _short(self, v: int, r: int) -> bool:
+        """Whether the rank cut takes the prefix with r slots left, each
+        to be filled from v..n."""
+        if not self.rank_cut:
+            return False
+        return all(
+            self._echelon(t).rank + self._top(t, v, r) < self.n
+            for t in range(self.oracle.trials)
+        )
+
+    def _echelon(self, t: int) -> Echelon:
+        """The prefix's echelon at trial t, extended node by node from the
+        longest prefix of it whose echelon is built."""
+        d = len(self.path)
+        while self.echelons[d][t] is None:
+            d -= 1
+        ech = self.echelons[d][t]
+        for d in range(d + 1, len(self.path) + 1):
+            longer = Echelon(self.n)
+            longer.pivots.update(ech.pivots)
+            longer.add_rows(self.oracle.basis(t, self.path[d - 1]))
+            ech = self.echelons[d][t] = longer
+        return ech
+
+    def _top(self, t: int, v: int, r: int) -> int:
+        table = self.tops.get(t)
+        if table is None:
+            n = self.n
+            ranks = [len(self.oracle.basis(t, i)) for i in range(1, n + 1)]
+            table = self.tops[t] = [[0]] * (n + 1)
+            falling: list[int] = []
+            for i in range(n, 0, -1):
+                insort(falling, -ranks[i - 1])
+                table[i] = list(accumulate((-x for x in falling), initial=0))
+        return table[v][r]

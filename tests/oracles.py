@@ -29,7 +29,8 @@ reader and reads Pearson values from one matrix product.
 
 ``eager_greedy`` and ``naive_brute_force`` are the MON searches with no
 early stop: greedy scores every candidate at every trial point, evaluated up
-front, and brute force ranks the raw blocks of each subset at every trial.
+front, and brute force ranks the raw blocks of each subset at every trial,
+from size 1 up, under its own subset cap.
 Both stack every level up to the oracle's depth cap at the oracle's own
 points (``full_depth_blocks``), so they do not share the chain's stop rule.
 ``hyperobs.mon`` must return the same results. ``all_trials_rank`` is
@@ -61,7 +62,7 @@ from hyperobs.dynamics import MAX_DENSE_SLOTS, DynamicsSpec
 from hyperobs.errors import ResourceLimitError
 from hyperobs.hypergraph import UniformHypergraph
 from hyperobs.linalg import Echelon, modp_rank
-from hyperobs.mon import SUBSET_BUDGET, MonResult
+from hyperobs.mon import MonResult
 from hyperobs.observability import NomOracle, RankConfig, node_blocks
 from hyperobs.scalars import PRIME, derive_seed
 
@@ -461,13 +462,17 @@ def eager_greedy(
     )
 
 
+NAIVE_SUBSET_CAP = 200_000
+
+
 def naive_brute_force(
     g: UniformHypergraph,
     config: RankConfig | None = None,
-    max_subsets: int = SUBSET_BUDGET,
+    max_subsets: int = NAIVE_SUBSET_CAP,
 ) -> MonResult:
     """``mon.brute_force_mon`` ranking each subset's raw blocks at every
-    trial, all trials evaluated up front."""
+    trial, all trials evaluated up front, past max_subsets subsets from
+    size 1 up, ResourceLimitError."""
     oracle = NomOracle(g, config)
     n = g.n
     evaluations = [full_depth_blocks(oracle, t) for t in range(oracle.trials)]

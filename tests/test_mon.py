@@ -6,12 +6,13 @@ from math import comb
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperobs import mon, observability
 from hyperobs.errors import ResourceLimitError
 from hyperobs.hypergraph import (
+    FAMILIES,
     UniformHypergraph,
     gen_complete,
     gen_hyperchain,
@@ -163,10 +164,32 @@ def test_rank_trace_strictly_increases():
 
 
 def test_brute_force_budget(monkeypatch):
+    # star 6/3 needs 3 of its 4 twin leaves: the prefixes (1) and (2) are
+    # cut, as they leave 2 slots for 3 needed leaves, then (3, 4, 5) is
+    # ranked, three visits in all
     g = gen_hyperstar(6, 3)
-    monkeypatch.setattr(mon, "SUBSET_BUDGET", 5)
-    with pytest.raises(ResourceLimitError):
+    monkeypatch.setattr(mon, "SUBSET_BUDGET", 2)
+    with pytest.raises(ResourceLimitError) as refusal:
         brute_force_mon(g)
+    assert str(refusal.value) == (
+        "exhaustive search exceeded 2 ranked subsets and cut prefixes "
+        "from size 3 up"
+    )
+    monkeypatch.setattr(mon, "SUBSET_BUDGET", 3)
+    assert brute_force_mon(g).selected == (3, 4, 5)
+
+
+def test_the_twin_walk_counts_each_cut_once():
+    # four twin leaves 1..4 under the core {5, 6}: the four 3-subsets of
+    # leaves are ranked, and each slot's walk ends with one cut once two
+    # leaves below its next candidate would stay unpicked: in the last
+    # slot after (1, 2, 4), (1, 3, 4) and (2, 3, 4), in the second after
+    # (1, 3) and (2, 3), and in the first after (2)
+    g = UniformHypergraph(6, 3, [(i, 5, 6) for i in range(1, 5)])
+    walk = mon._Walk(NomOracle(g))
+    assert walk.start == 3
+    assert list(walk.subsets(3)) == list(combinations(range(1, 5), 3))
+    assert walk.visits == 4 + 6
 
 
 def _outcome(search, *args, **kwargs):
@@ -198,18 +221,22 @@ def test_searches_match_their_plain_forms(
     assert brute_force_mon(g, cfg).selected == exact.selected
     if len(g.connected_components()) > 1:
         return
-    # on a connected graph the budget counts subsets from the twin bound up;
-    # the plain search also counts every smaller subset
+    # on a connected graph the budget counts ranked subsets and cut
+    # prefixes from the twin bound up, each standing for a subset the plain
+    # search counts before its answer, which also counts every smaller
+    # subset: the search refuses nothing the plain one finishes
     start = twin_lower_bound(g)
     below = sum(comb(g.n, s) for s in range(1, start))
     with patch.object(mon, "SUBSET_BUDGET", budget):
         fast = _outcome(brute_force_mon, g, cfg)
     plain = _outcome(naive_brute_force, g, cfg, budget + below)
     if isinstance(fast, MonResult):
-        assert fast.selected == plain.selected
+        assert fast.selected == exact.selected
     else:
-        message = f"exhaustive search exceeded {budget} subsets"
-        assert fast == ("refused", f"{message} from size {start} up")
+        message = f"exhaustive search exceeded {budget} ranked subsets"
+        assert fast == (
+            "refused", f"{message} and cut prefixes from size {start} up"
+        )
         assert plain[0] == "refused"
 
 
@@ -515,27 +542,121 @@ def test_brute_force_stops_at_the_first_full_rank_trial(monkeypatch):
 
 
 def test_brute_force_starts_at_the_twin_bound(monkeypatch):
-    # star 20/3 needs 17 of its 18 twin leaves; every 17-subset with a core
-    # node leaves two leaves unmeasured, so the first subset ranked is the
-    # answer
-    sizes = _count_calls(monkeypatch, mon, "combinations")
+    # star 20/3 needs 17 of its 18 twin leaves; a prefix with a core node
+    # leaves two leaves unmeasured, so the walk takes leaves 3..18, offers
+    # 19 and 20 for the last slot, and the first subset ranked is the answer
+    lasts = _count_calls(monkeypatch, mon, "combinations")
     ranks = _count_calls(monkeypatch, mon, "modp_rank")
     res = brute_force_mon(gen_hyperstar(20, 3))
     assert res.selected == tuple(range(3, 20))
-    assert [args[1] for args in sizes] == [17]
+    assert [(tuple(pool), r) for pool, r in lasts] == [((19, 20), 1)]
     assert len(ranks) == 1
 
 
 def test_brute_force_ranks_each_subset_once_per_trial(monkeypatch):
-    # complete 6/2 has no twins and needs five nodes, so brute force ranks
-    # every smaller subset at all three trials, then (1, ..., 5) at one
+    # complete 6/2 has no twins and needs five nodes. (1) fails at all three
+    # trials, which turns the rank cut on. Every node's basis has rank 2
+    # and s nodes span s + 1 dimensions, so the cut takes every prefix of
+    # sizes 2 and 3 (rank at most 4 and 5), but a 4-subset's prefix of
+    # three nodes has rank 4, so each of the 15 is ranked at every trial
+    # (rank 5). Then (1, ..., 5) is ranked at one.
     g = gen_complete(6, 2)
     cfg = RankConfig(trials=3)
     ranks = _count_calls(monkeypatch, mon, "modp_rank")
     res = brute_force_mon(g, cfg)
-    assert len(ranks) == 3 * sum(comb(6, size) for size in range(1, 5)) + 1
+    assert len(ranks) == 3 * (1 + comb(6, 4)) + 1
     assert res.selected == naive_brute_force(g, cfg).selected
     assert res.selected == (1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("n", [10, 11, 20])
+def test_brute_force_on_stars_evaluates_trial_0_only(monkeypatch, n):
+    # the first subset a star's walk ranks is its answer, full rank at
+    # trial 0, so no later trial point is drawn and the rank cut stays off
+    evals = _count_calls(monkeypatch, observability, "node_blocks")
+    res = brute_force_mon(gen_hyperstar(n, 3), RankConfig(trials=3))
+    assert res.selected == tuple(range(3, n))
+    assert len(evals) == 1
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    family=st.sampled_from(["ring", "chain", "complete", "random"]),
+    n=st.integers(min_value=2, max_value=9),
+    k=st.integers(min_value=2, max_value=3),
+    trials=st.integers(min_value=1, max_value=3),
+    depth=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_brute_force_with_the_rank_cut_matches_the_plain_search(
+    seed, family, n, k, trials, depth
+):
+    # with no twins every component's walk starts at size 1, so a minimum
+    # above one node per component means a subset failed at every trial,
+    # which turns the rank cut on
+    rng = random.Random(seed)
+    n = max(n, k)
+    if family == "random":
+        g = random_uniform_hypergraph(n, k, rng, density=rng.random())
+    else:
+        g = FAMILIES[family](n, k)
+    assume(not g.twin_classes)
+    cfg = RankConfig(trials=trials, seed=seed, depth=depth)
+    exact = naive_brute_force(g, cfg)
+    assume(exact.size > len(g.connected_components()))
+    assert brute_force_mon(g, cfg).selected == exact.selected
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=8),
+    k=st.integers(min_value=2, max_value=3),
+    trials=st.integers(min_value=1, max_value=3),
+    depth=st.integers(min_value=0, max_value=3),
+    twin=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_the_rank_cut_keeps_every_full_rank_subset(
+    seed, n, k, trials, depth, twin
+):
+    # the twin cut alone walks exactly the subsets at full ceiling, in
+    # lexicographic order, through prefixes that each have one; the rank
+    # cut drops only subsets below rank n at every trial, and counts no
+    # more visits
+    rng = random.Random(seed)
+    g = random_uniform_hypergraph(max(n, k), k, rng, density=rng.random())
+    if twin:
+        g = _with_twin(g)
+    n = g.n
+    oracle = NomOracle(g, RankConfig(trials=trials, seed=seed, depth=depth))
+    plain, cut = mon._Walk(oracle), mon._Walk(oracle)
+    cut.rank_cut = True
+    prefixes = []
+    push = plain._push
+    plain._push = lambda v: (push(v), prefixes.append(tuple(plain.path)))
+    for size in range(plain.start, n + 1):
+        prefixes.clear()
+        walked = list(plain.subsets(size))
+        assert walked == [
+            s
+            for s in combinations(range(1, n + 1), size)
+            if oracle.ceiling(s) == n
+        ]
+        heads = {s[:d] for s in walked for d in range(size)}
+        assert set(prefixes) <= heads
+        full = [
+            s
+            for s in walked
+            if any(
+                modp_rank([row for i in s for row in oracle.basis(t, i)], n)
+                == n
+                for t in range(trials)
+            )
+        ]
+        kept = list(cut.subsets(size))
+        assert kept == [s for s in walked if s in set(kept)]
+        assert set(full) <= set(kept)
+    assert cut.visits <= plain.visits
 
 
 @given(
