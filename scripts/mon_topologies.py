@@ -1,8 +1,9 @@
 """Minimum observable node sizes across the generator families.
 
 Sweeps chain, ring, star and complete hypergraphs over a range of n and k,
-runs the greedy selection on each, and prints one table row per instance.
-With --brute-force the exhaustive minimum is computed alongside. Keep n
+runs the greedy selection on each, and prints one table row per instance,
+with greedy's time in seconds under secs. With --brute-force the exhaustive
+minimum is computed alongside, its time under exact_s. Keep n
 small: the search cuts subsets whose twins or node basis ranks rule out
 full rank, but on complete n/2, which needs n - 1 nodes, each node's basis
 has rank 2 while all but the first add 1 to a span, so the walk still
@@ -48,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg = RankConfig(trials=args.trials, seed=args.seed)
     header = f"{'family':<10} {'n':>3} {'k':>3} {'edges':>6} {'mon':>4}"
     if args.brute_force:
-        header += f" {'exact':>6} {'match':>6}"
+        header += f" {'exact':>6} {'match':>6} {'exact_s':>7}"
     header += f" {'selected':<18} {'secs':>7}"
     print(header)
     print("-" * len(header))
@@ -67,10 +68,13 @@ def main(argv: list[str] | None = None) -> int:
                     f"{res.size:>4}"
                 )
                 if args.brute_force:
+                    started = time.perf_counter()
                     exact = brute_force_mon(g, cfg)
+                    exact_s = time.perf_counter() - started
                     match = exact.size == res.size
                     disagreements += not match
                     row += f" {exact.size:>6} {str(match).lower():>6}"
+                    row += f" {exact_s:>7.3f}"
                 picks = ",".join(str(s) for s in res.selected)
                 row += f" {picks:<18} {elapsed:>7.3f}"
                 print(row)

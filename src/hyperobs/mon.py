@@ -35,11 +35,13 @@ f_i depends on x_u + x_v alone, so x_u - x_v is conserved by the flow:
 e_u - e_v is orthogonal to every gradient row except level 0 of u and v.
 This is a polynomial identity over Z, so it holds mod P at every point and
 depth. A node set that leaves r members of a class unmeasured thus has r - 1
-independent directions in its kernel, which gives its rank ceiling
-n - sum over classes of max(0, r - 1). A class of m twins needs m - 1
-measured members, and every connected component needs one
-(``twin_lower_bound``). Brute force starts at that size and walks only
-subsets whose ceiling is n, which leave no two twins unmeasured.
+independent directions in its kernel, so its rank ceiling is n less its
+need, the sum over classes of max(0, r - 1). A class of m twins needs
+m - 1 measured members, and every connected component needs one
+(``twin_lower_bound``). One ledger, ``TwinCount``, keeps the need for the
+ceiling, greedy's bounds, the bound and the walk. Brute force starts at
+that size and walks only subsets whose ceiling is n, which leave no two
+twins unmeasured.
 
 Rank contributions never cross connected components (every block entry only
 involves coordinates from the node's own component), so both searches solve
@@ -113,7 +115,7 @@ def twin_lower_bound(g: UniformHypergraph | NomOracle) -> int:
 
 def _twin_need(part: NomOracle) -> int:
     """``twin_lower_bound`` of a connected part."""
-    return max(1, part.dyn.n - part.ceiling(()))
+    return max(1, TwinCount(part.dyn.graph.twin_classes).need)
 
 
 def invisible_pair(
@@ -171,13 +173,13 @@ def greedy_mon(
     so the selection's rank at a trial plus the candidate's gain there
     when last scored bounds the rank it can reach there now. No trial
     ranks the selection plus a candidate above its exact ceiling
-    (``NomOracle.ceiling``), kept in O(1) per candidate from per-class
-    counts of unmeasured twins, so a candidate's bound is the lesser of
-    the two. A step scores candidates in (-bound, key) order until the
-    next sorts after the least (-score, key) so far, which is the pick. A
-    candidate not yet scored at every trial has its ceiling as its bound,
-    so the first one in key order to reach it ends the step. A score stops
-    at the first trial that reaches the ceiling, and a trial point is
+    (``NomOracle.ceiling``), kept in O(1) per candidate by the selection's
+    ``TwinCount``, so a candidate's bound is the lesser of the two. A
+    step scores candidates in (-bound, key) order until the next sorts
+    after the least (-score, key) so far, which is the pick. A candidate
+    not yet scored at every trial has its ceiling as its bound, so the
+    first one in key order to reach it ends the step. A score stops at
+    the first trial that reaches the ceiling, and a trial point is
     evaluated when a score first needs it.
     """
     _check_tie_break(tie_break)
@@ -197,7 +199,7 @@ def greedy_mon(
     selected: list[int] = []
     trace: list[int] = []
     remaining = set(range(1, n + 1))
-    twins = TwinCount(n, oracle.dyn.graph.twin_classes)
+    twins = TwinCount(oracle.dyn.graph.twin_classes)
     # per evaluated trial, the echelon of the selection's bases
     live: list[Echelon] = []
     # each candidate's gain per trial when last scored, kept only for
@@ -213,7 +215,7 @@ def greedy_mon(
         return live[t]
 
     def score(s: int) -> int:
-        cap = twins.ceiling_with(s)
+        cap = n - twins.need_with(s)
         best = 0
         row = []
         for t in range(oracle.trials):
@@ -228,7 +230,7 @@ def greedy_mon(
         return best
 
     def bound(s: int) -> int:
-        cap = twins.ceiling_with(s)
+        cap = n - twins.need_with(s)
         row = gains.get(s)
         if row is None:
             return cap
@@ -346,13 +348,13 @@ class _Walk:
     in lexicographic order: a depth-first walk over prefixes that cuts a
     prefix once no subset through it can reach rank n.
 
-    The twin cut keeps, along the path, how many members of each twin
-    class the prefix leaves unmeasured, and cuts a prefix whose nodes
-    after it cannot leave every class with at most one: either too few
-    slots are left for the members still needed, or two members of a
-    class lie below the next candidate, unpicked. Every prefix it keeps
-    has a completion at the full ceiling, and it yields just the subsets
-    whose ceiling is n.
+    The twin cut keeps the path's ``TwinCount``, added to and undone node
+    by node, and cuts a prefix whose nodes after it cannot leave every
+    class with at most one member unmeasured: either fewer slots are left
+    than the prefix still needs, or two members of a class at or below
+    the next candidate stay unpicked. Every prefix it keeps has a
+    completion at the full ceiling, and it yields just the subsets whose
+    ceiling is n.
 
     The rank cut, once ``rank_cut`` is set, extends one prefix echelon
     per trial by one node's basis per step, built only when asked, and
@@ -369,19 +371,8 @@ class _Walk:
     def __init__(self, oracle: NomOracle) -> None:
         self.oracle = oracle
         n = self.n = oracle.dyn.n
-        classes = oracle.dyn.graph.twin_classes
-        # each node's twin class (-1 for none) and its position in it, 1..
-        self.twin = [-1] * (n + 1)
-        self.place = [0] * (n + 1)
-        for c, members in enumerate(classes):
-            for j, i in enumerate(members, 1):
-                self.twin[i], self.place[i] = c, j
-        self.sizes = [len(members) for members in classes]
-        self.unmeasured = list(self.sizes)
-        # slots the prefix still needs, one per unmeasured twin past the
-        # first of its class: n minus its ceiling
-        self.need = sum(m - 1 for m in self.sizes)
-        self.start = max(1, self.need)
+        self.twins = TwinCount(oracle.dyn.graph.twin_classes)
+        self.start = _twin_need(oracle)
         self.path: list[int] = []
         self.rank_cut = False
         # per prefix length, per trial, the prefix's echelon once built
@@ -425,7 +416,7 @@ class _Walk:
             if self._short(v, r):
                 self._visit()
                 return 0
-            if self._need_with(v) < r:
+            if self.twins.need_with(v) < r:
                 return v
             self._visit()
             if not self._move_past(v, hi):
@@ -443,7 +434,7 @@ class _Walk:
                 self._visit()
                 return
             self._visit()
-            if self._need_with(v) == 0:
+            if self.twins.need_with(v) == 0:
                 yield prefix + (v,)
             if not self._move_past(v, hi):
                 return
@@ -456,37 +447,25 @@ class _Walk:
                 f"and cut prefixes from size {self.start} up"
             )
 
-    def _need_with(self, v: int) -> int:
-        """The slots the prefix plus v still needs."""
-        c = self.twin[v]
-        return self.need - (c >= 0 and self.unmeasured[c] > 1)
-
     def _move_past(self, v: int, hi: int) -> bool:
         """Leave v unpicked for good; whether the slot may go on to a later
-        node. It may not when two members of v's class below the next
-        candidate would stay unpicked, which cuts every later one to hi."""
-        c = self.twin[v]
-        if c < 0 or self.place[v] - self.sizes[c] + self.unmeasured[c] < 2:
+        node. It may not when two members of v's class at or below v would
+        stay unpicked, which cuts every later one to hi."""
+        if self.twins.stranded(v) < 2:
             return True
         if v < hi:
             self._visit()
         return False
 
     def _push(self, v: int) -> None:
-        c = self.twin[v]
-        if c >= 0:
-            self.need -= self.unmeasured[c] > 1
-            self.unmeasured[c] -= 1
+        self.twins.add(v)
         self.path.append(v)
         self.echelons.append([None] * self.oracle.trials)
 
     def _pop(self) -> int:
         v = self.path.pop()
         self.echelons.pop()
-        c = self.twin[v]
-        if c >= 0:
-            self.unmeasured[c] += 1
-            self.need += self.unmeasured[c] > 1
+        self.twins.remove(v)
         return v
 
     def _short(self, v: int, r: int) -> bool:

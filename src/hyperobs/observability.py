@@ -22,12 +22,11 @@ failure as the rank itself, so "observable" stays a certificate and "not
 observable" stays probabilistic.
 
 The best rank over the trials is capped twice: by n, and by the node set's
-exact twin ceiling (``NomOracle.ceiling``), since two unmeasured twins u
-and v make e_u - e_v a kernel vector of the set's stacked matrix over Z,
-hence mod P at every point. No trial can beat the ceiling, so a rank query
-stops at the first trial that reaches it, and later trials are never
-evaluated; the result is the one every trial would give.
-``stacked_depth`` covers the evaluated trials only.
+exact twin ceiling (``NomOracle.ceiling``; ``mon`` gives the argument).
+No trial can beat the ceiling, so a rank query stops at the first trial
+that reaches it, and later trials are never evaluated; the result is the
+one every trial would give. ``stacked_depth`` covers the evaluated trials
+only.
 
 Jacobians come from forward differentiation inside the chain kernel: the
 Taylor recurrence of ``dynamics.lie_derivatives`` runs once on lanes that
@@ -105,37 +104,56 @@ def node_blocks(
 
 
 class TwinCount:
-    """How many members of each twin class a node set leaves unmeasured,
-    and the set's rank ceiling (``NomOracle.ceiling``), for a set that
-    starts as nodes and grows one node at a time, in O(1) per node."""
+    """The twin ledger of a node set: how many members of each twin class
+    it leaves unmeasured, and its ``need``, one slot per unmeasured twin
+    past the first of its class; n - need is its ``NomOracle.ceiling``.
+    The set starts as nodes and gains or loses one node at a time, O(1)."""
 
     def __init__(
-        self,
-        n: int,
-        classes: Sequence[Sequence[int]],
-        nodes: Collection[int] = (),
+        self, classes: Sequence[Sequence[int]], nodes: Collection[int] = ()
     ) -> None:
         self.classes = classes
         self.unmeasured = [len(set(cls).difference(nodes)) for cls in classes]
-        self.ceiling = n - sum([m - 1 for m in self.unmeasured if m > 1])
+        self.need = sum([m - 1 for m in self.unmeasured if m > 1])
 
     @cached_property
-    def where(self) -> dict[int, int]:
-        """The twin class of each node in one, worked out on first use,
-        so a ceiling taken once never builds it."""
-        return {i: c for c, cls in enumerate(self.classes) for i in cls}
+    def where(self) -> dict[int, tuple[int, int]]:
+        """Each twin's class and its place in it, 1.., worked out on first
+        use, so a need taken once never builds it."""
+        return {
+            i: (c, j)
+            for c, cls in enumerate(self.classes)
+            for j, i in enumerate(cls, 1)
+        }
 
-    def ceiling_with(self, node: int) -> int:
-        """The ceiling once node, not yet in the set, joins it: one higher
-        when another member of its twin class stays unmeasured."""
+    def need_with(self, node: int) -> int:
+        """The need once node, not in the set, joins it: one less when
+        another member of its twin class stays unmeasured."""
         c = self.where.get(node)
-        return self.ceiling + (c is not None and self.unmeasured[c] > 1)
+        return self.need - (c is not None and self.unmeasured[c[0]] > 1)
 
     def add(self, node: int) -> None:
-        self.ceiling = self.ceiling_with(node)
         c = self.where.get(node)
         if c is not None:
-            self.unmeasured[c] -= 1
+            self.unmeasured[c[0]] -= 1
+            self.need -= self.unmeasured[c[0]] > 0
+
+    def remove(self, node: int) -> None:
+        """Undo ``add`` of node, in any order."""
+        c = self.where.get(node)
+        if c is not None:
+            self.unmeasured[c[0]] += 1
+            self.need += self.unmeasured[c[0]] > 1
+
+    def stranded(self, node: int) -> int:
+        """How many members of node's twin class at or below it the set
+        leaves unmeasured, 0 outside a class, for a set with no member of
+        the class above node, as on a path of rising nodes."""
+        c = self.where.get(node)
+        if c is None:
+            return 0
+        cls, place = c
+        return place - len(self.classes[cls]) + self.unmeasured[cls]
 
 
 class NomOracle:
@@ -255,20 +273,19 @@ class NomOracle:
 
         It spans the same rows as the block, so it can stand in for the
         block in any rank, probe or echelon, with fewer rows to reduce.
+        A watched oracle has none: its chains stop when the watched set
+        goes flat, which may be before a node's block does.
         """
+        if self.watch is not None:
+            raise ValueError("a watched oracle serves no node basis")
         return self._span(trial, (node,))
 
     def ceiling(self, nodes: Collection[int]) -> int:
         """Exact upper bound on the node set's rank at every trial point
-        and depth: n - sum over twin classes c of max(0, |c - nodes| - 1).
-
-        For unmeasured twins u and v, e_u - e_v is orthogonal to every
-        gradient row of the set over Z (see ``mon``), hence mod P at every
-        point; the differences within each class's unmeasured members are
-        independent, so the stacked matrix has that much kernel.
-        """
-        graph = self.dyn.graph
-        return TwinCount(graph.n, graph.twin_classes, nodes).ceiling
+        and depth: n less the set's twin need (``TwinCount``), since two
+        unmeasured twins u and v make e_u - e_v a kernel vector of the
+        set's stacked matrix (see ``mon``)."""
+        return self.dyn.n - TwinCount(self.dyn.graph.twin_classes, nodes).need
 
     @property
     def stacked_depth(self) -> int:
@@ -297,7 +314,7 @@ class NomOracle:
         """Best rank of the stacked node blocks across the trial points,
         taken over the bases of the watched sets that make up the nodes.
         Trials stop at the first that reaches n or the nodes' ``ceiling``,
-        which is worked out only once a trial ends below n."""
+        which is worked out once, when a trial first ends below n."""
         nodes = list(nodes)
         seen = set(nodes)
         if len(seen) != len(nodes):
@@ -313,11 +330,13 @@ class NomOracle:
             raise ValueError(
                 f"this oracle ranks only its watched nodes {list(self.watch)}"
             )
-        best = 0
+        n, best, cap = self.dyn.n, 0, None
         for t in range(self.trials):
             rows = [r for nodes in sets for r in self._span(t, nodes)]
-            best = max(best, modp_rank(rows, self.dyn.n))
-            if best == self.dyn.n or best == self.ceiling(seen):
+            best = max(best, modp_rank(rows, n))
+            if best < n and cap is None:
+                cap = self.ceiling(seen)
+            if best in (n, cap):
                 break
         return best
 

@@ -41,6 +41,7 @@ from oracles import (
     all_trials_rank,
     block_rows,
     eager_greedy,
+    edge_twin_classes,
     full_depth_blocks,
     naive_brute_force,
     twin_ceiling,
@@ -433,6 +434,51 @@ def _with_twin(g: UniformHypergraph) -> UniformHypergraph:
 
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=8),
+    k=st.integers(min_value=2, max_value=4),
+    twins=st.integers(min_value=0, max_value=2),
+    lifo=st.booleans(),
+    steps=st.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_twin_ledger_follows_every_add_and_remove(
+    seed, n, k, twins, lifo, steps
+):
+    # LIFO, the set is a rising path, grown and undone as the walk does;
+    # otherwise any node joins and any member leaves
+    rng = random.Random(seed)
+    g = random_uniform_hypergraph(max(n, k), k, rng, density=rng.random())
+    for _ in range(twins):
+        g = _with_twin(g)
+    classes = edge_twin_classes(g)
+    count = TwinCount(g.twin_classes)
+    current: list[int] = []
+    for _ in range(steps):
+        low = current[-1] + 1 if lifo and current else 1
+        out = [v for v in range(low, g.n + 1) if v not in current]
+        if out and (not current or rng.random() < 0.6):
+            v = rng.choice(out)
+            want = count.need_with(v)
+            count.add(v)
+            current.append(v)
+            assert count.need == want
+        else:
+            v = current.pop(-1 if lifo else rng.randrange(len(current)))
+            count.remove(v)
+        assert g.n - count.need == twin_ceiling(g, current)
+        for v in range(1, g.n + 1):
+            cls = next((c for c in classes if v in c), ())
+            if v not in current:
+                assert g.n - count.need_with(v) == twin_ceiling(
+                    g, current + [v]
+                )
+            if all(u <= v for u in cls if u in current):
+                left = [u for u in cls if u <= v and u not in current]
+                assert count.stranded(v) == len(left)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
     n=st.integers(min_value=2, max_value=6),
     k=st.integers(min_value=2, max_value=4),
     trials=st.integers(min_value=1, max_value=3),
@@ -481,13 +527,13 @@ def test_no_trial_ranks_a_set_above_its_ceiling(seed, n, k, trials, depth, twin)
     order = list(range(1, g.n + 1))
     rng.shuffle(order)
     # the ceiling of a set grown node by node, O(1) a step, as greedy keeps it
-    count = TwinCount(g.n, g.twin_classes)
+    count = TwinCount(g.twin_classes)
     for size in range(g.n + 1):
         nodes = order[:size]
         cap = oracle.ceiling(nodes)
-        assert cap == count.ceiling == twin_ceiling(g, nodes)
+        assert cap == g.n - count.need == twin_ceiling(g, nodes)
         if size < g.n:
-            assert count.ceiling_with(order[size]) == oracle.ceiling(
+            assert g.n - count.need_with(order[size]) == oracle.ceiling(
                 order[: size + 1]
             )
             count.add(order[size])

@@ -15,6 +15,11 @@ from hyperobs.hypergraph import (
     gen_hyperchain,
     gen_hyperstar,
 )
+from hyperobs.mon import (
+    brute_force_mon,
+    greedy_mon,
+    minimum_observable_nodes,
+)
 from hyperobs.observability import (
     NomOracle,
     RankConfig,
@@ -281,6 +286,20 @@ def test_a_watched_oracle_ranks_only_its_set(triangle):
     assert every.watch is None
     assert every.rank([1]) == every.rank([1, 3]) == 3
     assert every.stacked_depth == 2
+    # nor does a watched oracle serve node bases, so no search runs on it:
+    # watching {5} here, node 3's basis would stop at rank 6, not 7, and
+    # the searches would miss the one-node minimum (3,)
+    g = UniformHypergraph(
+        7, 2, [(1, 2), (1, 6), (6, 7), (1, 4), (2, 5), (2, 3), (5, 6), (2, 6)]
+    )
+    cfg = RankConfig(trials=3)
+    assert minimum_observable_nodes(g, cfg).selected == (3,)
+    watched = NomOracle(g, cfg, watch=[5])
+    with pytest.raises(ValueError, match="watched"):
+        watched.basis(0, 3)
+    for search in (greedy_mon, minimum_observable_nodes, brute_force_mon):
+        with pytest.raises(ValueError, match="watched"):
+            search(watched)
 
 
 def test_a_query_at_full_rank_never_builds_the_twin_classes():
@@ -297,3 +316,19 @@ def test_a_query_at_full_rank_never_builds_the_twin_classes():
     assert oracle.rank([1]) == 3
     assert "twin_classes" in vars(g)
     assert sorted(oracle._evaluations) == [0]
+
+
+def test_a_query_works_its_ceiling_out_once(monkeypatch):
+    # at depth 0 the core node 1 of star 6/3 ranks 1 at every trial, below
+    # n and its ceiling 3, so all three trials run on one ceiling
+    calls = []
+    ceiling = NomOracle.ceiling
+    monkeypatch.setattr(
+        NomOracle,
+        "ceiling",
+        lambda self, nodes: calls.append(nodes) or ceiling(self, nodes),
+    )
+    oracle = NomOracle(gen_hyperstar(6, 3), RankConfig(trials=3, depth=0))
+    assert oracle.rank([1]) == 1
+    assert sorted(oracle._evaluations) == [0, 1, 2]
+    assert calls == [{1}]

@@ -27,6 +27,15 @@ def test_script_succeeds(name, argv, capsys):
     assert capsys.readouterr().out
 
 
+def test_mon_topologies_times_brute_force_in_its_own_column(capsys):
+    # greedy's time stays under secs, and brute force's gets exact_s
+    assert _main("mon_topologies")(["--n-max", "3", "--brute-force"]) == 0
+    header, _, first, *_ = capsys.readouterr().out.splitlines()
+    columns = ["exact", "match", "exact_s", "selected", "secs"]
+    assert header.split()[5:] == columns
+    assert len(first.split()) == len(header.split())
+
+
 def test_readme_library_example_prints_what_its_comments_say(capsys):
     readme = (SCRIPTS.parent / "README.md").read_text()
     section = readme.split("## Library example", 1)[1]
