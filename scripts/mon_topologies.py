@@ -13,11 +13,15 @@ about 1 s on a 2-core Xeon, to 22 about 20 s.
 Usage:
     python3 scripts/mon_topologies.py --n-max 7
     python3 scripts/mon_topologies.py --families star,ring --brute-force
+
+If the reader closes the output early, as ``| head`` does, the script
+stops without a traceback and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -86,4 +90,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early, as `| head -3` does: stop
+        # quietly, with stdout on devnull so that the flush at exit fails
+        # no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

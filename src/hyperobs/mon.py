@@ -13,10 +13,12 @@ where every node's block is flat (its last level added no rank) or full,
 so every union's span, and with it every greedy probe and every subset's
 rank, is the one the configured depth, a cap, would give (see
 ``observability``). ``ComponentSelection.stacked_depth`` reports how deep
-the chains went.
+the chains went. An oracle that watches one node set serves no node
+basis, so every search refuses it with ValueError, on any graph.
 
 Both searches stop rank work once the answer is decided, and both enter
-each node as the row basis of its block, reduced once per oracle. A
+each node as the row basis of its block, reduced once per oracle and
+twin class (see the twins below). A
 candidate's score is its best rank over the trial points, and no trial can
 give more than the exact ceiling of the selection plus the candidate
 (``NomOracle.ceiling``, from the twins below), so scoring stops at the
@@ -42,6 +44,14 @@ m - 1 measured members, and every connected component needs one
 ceiling, greedy's bounds, the bound and the walk. Brute force starts at
 that size and walks only subsets whose ceiling is n, which leave no two
 twins unmeasured.
+
+The same identity gives a corollary. For p >= 1, J_p[u] = J_p[v] and
+every J_p depends on x_u and x_v only through x_u + x_v, so with s_uv the
+exchange of coordinates u and v, block_v = s_uv(block_u) row by row: e_v
+for e_u at level 0, and at every level p >= 1 the same row, whose u and v
+entries are equal. The two blocks have equal ranks and flat levels, level
+by level, and their bases are swapped, so an oracle reduces one block
+per twin class (``NomOracle.basis``).
 
 Rank contributions never cross connected components (every block entry only
 involves coordinates from the node's own component), so both searches solve
@@ -264,6 +274,10 @@ def _per_component(
     the sorted component, its picks mapped back and the ranks stacked. An
     isolated node picks itself, at the depth cap a one-node oracle would
     have: the configured one, or 0."""
+    if oracle.watch is not None:
+        # its parts would be fresh unwatched oracles on a disconnected
+        # graph, so refuse it here, on every graph, as ``basis`` does
+        raise ValueError("a watched oracle serves no node basis")
     comps: list[ComponentSelection] = []
     trace: list[int] = []
     lone = MonResult((1,), (1,), oracle.config.depth or 0)

@@ -16,7 +16,9 @@ condition of Hermann and Krener). So the depth, n - 1 by default, is only
 a cap. ``NomOracle`` ends each trial point's chain pass at the first level
 where every watched node set is flat (that level added no rank to it) or
 has rank n, and reports the highest level it stacked as
-``stacked_depth``. A flat level at a random point can mislead only if the
+``stacked_depth``. Twins go flat together, so one member per twin class
+stands for the class, and its basis gives the others' (``mon`` gives the
+argument). A flat level at a random point can mislead only if the
 point lies on a proper subvariety: the same Schwartz-Zippel class of
 failure as the rank itself, so "observable" stays a certificate and "not
 observable" stays probabilistic.
@@ -174,7 +176,11 @@ class NomOracle:
     ``rank`` then takes. Flatness is checked lazily: the pass folds each
     new level into the echelon of one set still growing, the witness, and
     only when it goes flat scans the sets after it for a new one. Each
-    set's echelon, grown that way, is kept as its row basis.
+    set's echelon, grown that way, is kept as its row basis. Unwatched,
+    a twin class is watched through its first member alone, and every
+    other member's basis is derived from the first's without reduction
+    (``basis``), so a class of m twins costs one block's reduction, not
+    m.
 
     No trial can rank a node set above its ``ceiling``, so a rank query
     stops at the first trial that reaches it, and later trials are never
@@ -214,7 +220,11 @@ class NomOracle:
 
     def evaluation(self, trial: int) -> np.ndarray:
         """Every node's block at one trial point (``node_blocks``), levels
-        0..p for the level p where the chain pass stopped."""
+        0..p for the level p where the chain pass stopped: the first where
+        every watched set is flat or at rank n, or the cap. Unwatched, the
+        stop test watches each node alone but one per twin class, its
+        first member: a twin's block has the ranks and flat level of the
+        first's, level by level (``basis``)."""
         if not 0 <= trial < self.trials:
             raise IndexError(f"trial {trial} outside 0..{self.trials - 1}")
         cached = self._evaluations.get(trial)
@@ -224,7 +234,10 @@ class NomOracle:
             if self.watch is not None:
                 sets = [self.watch]
             else:
-                sets = [(i,) for i in range(1, self.dyn.n + 1)]
+                firsts = self._firsts
+                sets = [
+                    (i,) for i in range(1, self.dyn.n + 1) if i not in firsts
+                ]
             witness = 0
 
             def flat(chain: np.ndarray, p: int) -> bool:
@@ -275,10 +288,41 @@ class NomOracle:
         block in any rank, probe or echelon, with fewer rows to reduce.
         A watched oracle has none: its chains stop when the watched set
         goes flat, which may be before a node's block does.
+
+        A twin v past the first member u of its class reduces nothing and
+        reads no evaluation: its block is u's with coordinates u and v
+        exchanged (see ``mon``), so its basis comes from u's. The first
+        row of u's is e_u, level 0, and every other row is w + a e_u for
+        a w in the span of u's levels from 1 on, whose u and v entries
+        are equal. v's basis is e_v and each such w, the row with its u
+        entry set to its v entry, in fresh lists. On a star these are the
+        rows that reducing v's own block gives; swapping u's entries in
+        place would span the same rows but leave fill that greedy and
+        brute force pay for in their eliminations.
         """
         if self.watch is not None:
             raise ValueError("a watched oracle serves no node basis")
-        return self._span(trial, (node,))
+        u = self._firsts.get(node)
+        if u is None:
+            return self._span(trial, (node,))
+        rows = self._bases.get((trial, (node,)))
+        if rows is None:
+            unit = [0] * self.dyn.n
+            unit[node - 1] = 1
+            rows = [unit]
+            for row in self._span(trial, (u,))[1:]:
+                row = row.copy()
+                row[u - 1] = row[node - 1]
+                rows.append(row)
+            self._bases[trial, (node,)] = rows
+        return rows
+
+    @cached_property
+    def _firsts(self) -> dict[int, int]:
+        """Each twin past the first of its class, mapped to that first."""
+        return {
+            v: cls[0] for cls in self.dyn.graph.twin_classes for v in cls[1:]
+        }
 
     def ceiling(self, nodes: Collection[int]) -> int:
         """Exact upper bound on the node set's rank at every trial point
@@ -312,7 +356,8 @@ class NomOracle:
 
     def rank(self, nodes: Iterable[int]) -> int:
         """Best rank of the stacked node blocks across the trial points,
-        taken over the bases of the watched sets that make up the nodes.
+        taken over the watched set's basis, or, unwatched, over the nodes'
+        ``basis``.
         Trials stop at the first that reaches n or the nodes' ``ceiling``,
         which is worked out once, when a trial first ends below n."""
         nodes = list(nodes)
@@ -322,17 +367,16 @@ class NomOracle:
         for i in seen:
             if not 1 <= i <= self.dyn.n:
                 raise IndexError(f"node {i} outside 1..{self.dyn.n}")
-        if self.watch is None:
-            sets = [(i,) for i in sorted(seen)]
-        elif seen == set(self.watch):
-            sets = [self.watch]
-        else:
+        if self.watch is not None and seen != set(self.watch):
             raise ValueError(
                 f"this oracle ranks only its watched nodes {list(self.watch)}"
             )
         n, best, cap = self.dyn.n, 0, None
         for t in range(self.trials):
-            rows = [r for nodes in sets for r in self._span(t, nodes)]
+            if self.watch is None:
+                rows = [r for i in sorted(seen) for r in self.basis(t, i)]
+            else:
+                rows = self._span(t, self.watch)
             best = max(best, modp_rank(rows, n))
             if best < n and cap is None:
                 cap = self.ceiling(seen)

@@ -345,12 +345,15 @@ def test_lazy_greedy_work_counts(monkeypatch):
     # leaves are unmeasured, a leaf's twin ceiling is one above a core
     # node's, and the first leaf in key order reaches it at trial 0, so
     # each of the eight steps probes one leaf at one trial, and trials 1
-    # and 2 are never evaluated
+    # and 2 are never evaluated. Leaf 3 reads its block once; leaves 4..10
+    # are its twins, whose bases are built from its basis, so they read no
+    # evaluation
     star = gen_hyperstar(11, 3)
     lazy = greedy_mon(star, cfg)
     assert lazy.selected == tuple(range(3, 11))
     assert len(probes) == 8
-    assert len(reads) == len({args[1:] for args in bases}) == 8
+    assert len(reads) == 1
+    assert len({args[1:] for args in bases}) == 8
     assert {args[1] for args in bases} == {0}
     probes.clear()
     assert eager_greedy(star, cfg) == lazy
@@ -546,6 +549,77 @@ def test_no_trial_ranks_a_set_above_its_ceiling(seed, n, k, trials, depth, twin)
         assert is_locally_weakly_observable(g, nodes, cfg).rank == want
     for tie_break in TIE_BREAKS:
         assert greedy_mon(g, cfg, tie_break) == eager_greedy(g, cfg, tie_break)
+
+
+def _first_flat_level(block: list[list[int]], n: int) -> int:
+    """The first level of a node's block, one row a level, that adds no
+    rank to the levels below it or brings them to rank n; failing that,
+    the last."""
+    ech = Echelon(n)
+    for p, row in enumerate(block):
+        if ech.add_rows([row]) == 0 or ech.rank == n:
+            return p
+    return len(block) - 1
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=7),
+    k=st.integers(min_value=2, max_value=4),
+    twins=st.integers(min_value=1, max_value=2),
+    trials=st.integers(min_value=1, max_value=3),
+    depth=st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_twin_basis_built_from_the_first_spans_its_own_block(
+    seed, n, k, twins, trials, depth
+):
+    # a twin's block is the first twin's of its class with the two
+    # coordinates exchanged, so the basis built from the first's spans its
+    # own block, and a chain that watches one member of each class stops
+    # where one watching every node would
+    rng = random.Random(seed)
+    g = random_uniform_hypergraph(max(n, k), k, rng, density=rng.random())
+    for _ in range(twins):
+        g = _with_twin(g)
+    oracle = NomOracle(g, RankConfig(trials=trials, seed=seed, depth=depth))
+    nodes = range(1, g.n + 1)
+    stops = []
+    for t in range(trials):
+        blocks = full_depth_blocks(oracle, t)
+        bases = {v: oracle.basis(t, v) for v in nodes}
+        for cls in g.twin_classes:
+            for v in cls:
+                rank = modp_rank(block_rows(blocks, [v]), g.n)
+                assert modp_rank(bases[v], g.n) == len(bases[v]) == rank
+        for u, v in combinations(nodes, 2):
+            rank = modp_rank(block_rows(blocks, [u, v]), g.n)
+            assert modp_rank(bases[u] + bases[v], g.n) == rank
+        stops.append(
+            max(_first_flat_level(blocks[v - 1].tolist(), g.n) for v in nodes)
+        )
+        assert oracle.evaluation(t).shape[1] - 1 == stops[-1]
+        assert oracle.stacked_depth == max(stops)
+
+
+def test_an_unwatched_evaluation_folds_as_many_rows_at_any_star_size(
+    monkeypatch,
+):
+    # the leaves of star n/3 are one twin class, so trial 0's chain folds
+    # the rows of the two core nodes and of leaf 3 alone, at any n
+    add_rows = Echelon.add_rows
+    folded = []
+
+    def counting(self, rows):
+        rows = list(rows)
+        folded[-1] += len(rows)
+        return add_rows(self, rows)
+
+    monkeypatch.setattr(Echelon, "add_rows", counting)
+    for n in (11, 20, 40):
+        folded.append(0)
+        NomOracle(gen_hyperstar(n, 3), RankConfig(trials=3)).evaluation(0)
+    assert folded[0] == folded[1] == folded[2]
 
 
 def _count_calls(monkeypatch, owner, name):

@@ -300,16 +300,24 @@ def test_a_watched_oracle_ranks_only_its_set(triangle):
     for search in (greedy_mon, minimum_observable_nodes, brute_force_mon):
         with pytest.raises(ValueError, match="watched"):
             search(watched)
+    # nor on a disconnected graph, whose parts would be unwatched oracles
+    apart = UniformHypergraph(7, 2, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+    watched = NomOracle(apart, cfg, watch=[1])
+    for search in (greedy_mon, minimum_observable_nodes, brute_force_mon):
+        with pytest.raises(ValueError, match="serves no node basis"):
+            search(watched)
 
 
 def test_a_query_at_full_rank_never_builds_the_twin_classes():
     # core node 2 and three of the four twin leaves of star 6/3 reach rank 6
-    # at trial 0, so the ceiling, and the graph's twin classes behind it,
-    # are never needed
+    # at trial 0, so the ceiling is never needed. A watched oracle then
+    # never builds the graph's twin classes; an unwatched evaluation reads
+    # them once, to watch one member of each class, so it runs on a copy
     g = gen_hyperstar(6, 3)
     oracle = NomOracle(g, RankConfig(trials=3))
-    assert oracle.rank([2, 3, 4, 5]) == 6
-    assert "twin_classes" not in vars(g)
+    copy = gen_hyperstar(6, 3)
+    assert NomOracle(copy, RankConfig(trials=3)).rank([2, 3, 4, 5]) == 6
+    assert "twin_classes" in vars(copy)
     watched = is_locally_weakly_observable(g, [2, 3, 4, 5])
     assert watched.observable and "twin_classes" not in vars(g)
     # the core alone ends trial 0 at rank 3, its ceiling, and stops there

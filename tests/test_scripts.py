@@ -1,6 +1,9 @@
 """The example scripts run end to end through their ``main(argv)``."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,30 @@ def test_mon_topologies_times_brute_force_in_its_own_column(capsys):
     columns = ["exact", "match", "exact_s", "selected", "secs"]
     assert header.split()[5:] == columns
     assert len(first.split()) == len(header.split())
+
+
+def test_mon_topologies_stops_quietly_when_its_reader_leaves():
+    # as `| head -n 3` does: the reader takes three lines and closes the
+    # pipe while rows are still coming, unbuffered, one write per row
+    env = dict(
+        os.environ,
+        PYTHONUNBUFFERED="1",
+        PYTHONPATH=os.pathsep.join(
+            [str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH", "")]
+        ),
+    )
+    with subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "mon_topologies.py"), "--n-max", "8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        lines = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert lines[0].split()[0] == b"family" and lines[2].startswith(b"chain")
+    assert "Traceback" not in err and "Error" not in err
 
 
 def test_readme_library_example_prints_what_its_comments_say(capsys):
