@@ -87,11 +87,17 @@ class DynamicsSpec:
         distinct cells' rows and columns in that order, and where each
         cell's run starts in it.
         """
-        owners = np.repeat(np.arange(self.n), np.diff(self.incidence_starts))
-        cells = (self.incidence * self.n + owners[:, None]).ravel()
-        order = np.argsort(cells, kind="stable")
-        distinct, starts = np.unique(cells[order], return_index=True)
-        return order, distinct % self.n, distinct // self.n, starts
+        n = self.n
+        owners = np.repeat(np.arange(n), np.diff(self.incidence_starts))
+        # the rows are owner-major, so a stable sort by column alone keeps
+        # each column's entries in owner order; on uint8 and uint16 keys
+        # numpy sorts stably by radix
+        factors = self.incidence.ravel()
+        order = np.argsort(factors.astype(np.min_scalar_type(n)), kind="stable")
+        cells = (factors * n + owners.repeat(self.k - 1))[order]
+        starts = np.flatnonzero(np.diff(cells, prepend=-1))
+        distinct = cells[starts]
+        return order, distinct % n, distinct // n, starts
 
     @cached_property
     def leave_one_out(

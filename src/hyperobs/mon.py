@@ -500,8 +500,7 @@ class _Walk:
             d -= 1
         ech = self.echelons[d][t]
         for d in range(d + 1, len(self.path) + 1):
-            longer = Echelon(self.n)
-            longer.pivots.update(ech.pivots)
+            longer = ech.copy()
             longer.add_rows(self.oracle.basis(t, self.path[d - 1]))
             ech = self.echelons[d][t] = longer
         return ech

@@ -10,11 +10,13 @@ so no operand promotes to float64.
 
 The product of two matrix series (``LimbProduct``) runs on float64
 instead, and stays exact: it splits each residue it is given once into
-three 21-bit limbs and keeps them as float32, one GEMM forms every limb
-product, and the inner dimension goes in chunks of whole column blocks, at
-most 2**11 rows, so every partial sum is an integer below
-2**11 * 2**42 = 2**53 whatever order BLAS adds in. The module also
-derives the seeded random evaluation points.
+three 21-bit limbs, one GEMM forms every limb product, and the inner
+dimension goes in chunks of whole column blocks, at most 2**11 rows, so
+every partial sum is an integer below 2**11 * 2**42 = 2**53 whatever order
+BLAS adds in. When every level fits one chunk, the limbs are written once
+where the GEMM reads them; otherwise they are kept as float32 and staged
+chunk by chunk. The module also derives the seeded random evaluation
+points.
 """
 
 from __future__ import annotations
@@ -147,19 +149,26 @@ class LimbProduct:
     cells, and B_q (width, w), given level by level for p < blocks.
 
     ``push`` splits A_p's cell values and B_p's rows once each into three
-    21-bit limbs and keeps them as float32: A_q's at [blocks - 1 - q] and
-    B_q's at [q], so that coefficient p is the product
-    [A_p ... A_0] @ [B_0; ...; B_p] of two slices. It widens each chunk of
-    whole blocks, at most 2**11 inner rows, into two float64 buffers: B's
-    rows are copied, A's cells scattered into a buffer that is kept zero
-    elsewhere. One GEMM of the limb-stacked chunk (3m rows, 3w columns)
-    then forms all nine limb products: entry (3 r + i, w j + c) is limb i
-    of A's row r times limb j of B's column c, worth 2**(21 (i + j)) =
-    2**(21 (i + j) mod 61) (mod P), since 2**63 = 4 and 2**84 = 2**23. A
-    chunk's entries are sums of at most 2**11 products below 2**42, so
-    every partial sum is an integer below 2**53, exact in float64 under
-    any summation order, FMA or threading. A block wider than 2**11
-    columns is refused; ``dynamics.check_lane_slots`` admits none.
+    21-bit limbs: A_q's at block blocks - 1 - q and B_q's at block q, so
+    that coefficient p is the product [A_p ... A_0] @ [B_0; ...; B_p] of
+    two slices. One GEMM of the limb-stacked operands (3m rows, 3w
+    columns) forms all nine limb products: entry (3 r + i, w j + c) is
+    limb i of A's row r times limb j of B's column c, worth
+    2**(21 (i + j)) = 2**(21 (i + j) mod 61) (mod P), since 2**63 = 4 and
+    2**84 = 2**23. The inner dimension goes in chunks of whole blocks, at
+    most 2**11 inner rows, so a chunk's entries are sums of at most 2**11
+    products below 2**42: every partial sum is an integer below 2**53,
+    exact in float64 under any summation order, FMA or threading. A block
+    wider than 2**11 columns is refused; ``dynamics.check_lane_slots``
+    admits none.
+
+    When all blocks fit one chunk the product is resident: ``push`` writes
+    the limbs once, straight into the two float64 GEMM operands, A's cells
+    transposed into a buffer kept zero elsewhere, and each coefficient is
+    one GEMM of two slices of them, with nothing copied. Otherwise it is
+    staged: the limbs are kept as float32, and each chunk is widened into
+    the two float64 buffers, B's rows copied and A's cells scattered,
+    before its GEMM, and the chunks' products are summed mod P.
     """
 
     def __init__(
@@ -178,34 +187,40 @@ class LimbProduct:
             raise ValueError(
                 f"block of {width} columns is wider than {_GEMM_CHUNK}"
             )
-        self.m, self.width = m, width
+        self.m, self.width, self.blocks = m, width, blocks
         self.group = _group(width, blocks)
+        self.resident = self.group == blocks
         layout = self.layout(m, width, w, blocks, len(cell_rows))
+        # a float64 buffer holds A's blocks transposed: limb l of cell
+        # (i, j) sits at flat position j 3m + 3i + l from its block's
+        # start. In the order of the cells' limbs the positions ascend,
+        # which keeps the scatter local.
+        at = (cell_columns * (3 * m) + 3 * cell_rows)[:, None] + np.arange(3)
+        if self.resident:
+            # left is zero outside the cells: calloc'd, so a pass that
+            # stops early touches no more of it than it uses
+            self.left = np.zeros(*layout[0])
+            self.right = np.empty(*layout[1])
+            self.at = at
+            return
         self.row_limbs, self.cell_limbs, self.left, self.right = (
             np.empty(shape, dtype) for shape, dtype in layout[:4]
         )
         # rows of left below this are zero outside the cells; a row is
-        # first zeroed when a chunk first reaches it, so a pass that stops
-        # early touches no more of the buffer than it uses
+        # first zeroed when a chunk first reaches it
         self.clean = 0
-        # the left buffer holds A's chunk transposed: limb l of cell (i, j)
-        # of a chunk's block b sits at flat position (b width + j) 3m +
-        # 3i + l. In the order of the cells' limbs the positions ascend,
-        # which keeps the scatter local.
-        self.at = (
-            np.arange(self.group)[:, None, None] * (width * 3 * m)
-            + (cell_columns * (3 * m) + 3 * cell_rows)[:, None]
-            + np.arange(3)
-        )
+        self.at = np.arange(self.group)[:, None, None] * (width * 3 * m) + at
 
     @staticmethod
     def layout(
         m: int, width: int, w: int, blocks: int, cells: int
     ) -> tuple[tuple[tuple[int, ...], type], ...]:
         """The (shape, dtype) of every array a product of up to blocks
-        levels holds: the kept limbs of B's rows and of A's cells, the two
-        float64 buffers and the intp cell positions, all for the longest
-        chunk, then the uint64 transients of one coefficient at its peak.
+        levels holds, then the uint64 transients of one coefficient at its
+        peak. Resident, in one chunk: the two float64 operands and the
+        intp cell positions of one block. Staged: the float32 limbs of B's
+        rows and of A's cells, the two float64 buffers and the cell
+        positions, all for the longest chunk.
 
         A coefficient of one chunk peaks in the fold: the (3m, 3w) limb
         products and the fold's (m, 5, w) sums with one scratch array of
@@ -216,17 +231,20 @@ class LimbProduct:
         about 6 m w afterwards."""
         group = _group(width, blocks)
         rows = group * width
-        if blocks > group:
-            peak: tuple[tuple[int, ...], ...] = ((3, 3 * m, 3 * w),)
-        else:
-            peak = (3 * m, 3 * w), (2, m, 5, w)
+        buffers = ((rows, 3 * m), np.float64), ((rows, 3 * w), np.float64)
+        if blocks == group:
+            return (
+                *buffers,
+                ((cells, 3), np.intp),
+                ((3 * m, 3 * w), np.uint64),
+                ((2, m, 5, w), np.uint64),
+            )
         return (
             ((blocks, width, 3 * w), np.float32),
             ((blocks, cells, 3), np.float32),
-            ((rows, 3 * m), np.float64),
-            ((rows, 3 * w), np.float64),
+            *buffers,
             ((group, cells, 3), np.intp),
-            *((shape, np.uint64) for shape in peak),
+            ((3, 3 * m, 3 * w), np.uint64),
         )
 
     def push(self, p: int, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -234,7 +252,27 @@ class LimbProduct:
         B_p as its (width, w) rows, and return coefficient p, (m, w); levels
         0..p-1 are the ones kept before."""
         width = self.width
-        block = len(self.cell_limbs) - 1 - p
+        block = self.blocks - 1 - p
+        if not self.resident:
+            return self._staged(p, block, cells, rows)
+        limbs = np.empty((len(cells), 3))
+        _split_limbs(cells, limbs.T)
+        start = block * width
+        self.left[start : start + width].reshape(-1)[self.at] = limbs
+        top = (p + 1) * width
+        _split_limbs(
+            rows,
+            self.right[p * width : top].reshape(width, 3, -1).transpose(1, 0, 2),
+        )
+        # the float64 product is freed before the fold
+        part = (self.left[start:].T @ self.right[:top]).astype(np.uint64)
+        return _fold(part.reshape(self.m, 3, 3, -1))
+
+    def _staged(
+        self, p: int, block: int, cells: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """``push`` for a product of several chunks."""
+        width = self.width
         _split_limbs(cells, self.cell_limbs[block].T)
         _split_limbs(
             rows, self.row_limbs[p].reshape(width, 3, -1).transpose(1, 0, 2)

@@ -393,15 +393,14 @@ def test_slot_count_at_the_cap(monkeypatch):
     # refused. k = 2 keeps only the chain, and a level adds its 10 gathered
     # remainder rows, its 5 output rows and max(10 + 2 * 5, 5 * 5) rows of
     # sums or product temporaries, 6 wide; on ring 6/k at depth 5, k = 3
-    # adds the value series of the 6 nodes, the chain's limbs, the limbs of
-    # 24 cells, a chunk of 5 blocks (30 rows) and the one-chunk product's
-    # peak transients (an 18 x 21 accumulator and two 6 x 5 x 7 fold
-    # arrays), and k = 4 adds the series of all 15 node pairs, and has 30
-    # cells
+    # adds the value series of the 6 nodes, the resident product's two
+    # float64 operands of 5 blocks (30 rows), the positions of 24 cells in
+    # one block and its peak transients (an 18 x 21 accumulator and two
+    # 6 x 5 x 7 fold arrays), and k = 4 adds the series of all 15 node
+    # pairs, and has 30 cells
     def stacks(series, cells):
         return (
-            5 * series + 5 * 6 * 7 * 3 // 2 + 5 * cells * 3 // 2
-            + 30 * (3 * 6 + 3 * 7) + 5 * cells * 3 + 19 * 6 * 7
+            5 * series + 30 * (3 * 6 + 3 * 7) + cells * 3 + 19 * 6 * 7
         )
 
     for g, depth, slots in [
@@ -460,6 +459,7 @@ def _counted_and_traced(monkeypatch, g, depth):
         (120, 4, 2),
         (100, 3, 5),
         (100, 3, 40),
+        (45, 3, 44),
         (1000, 2, 2),
         (1000, 2, 10),
     ],
@@ -469,7 +469,9 @@ def test_slot_count_bounds_the_traced_peak(monkeypatch, n, k, depth):
     # n most of it is the level step's transients, the fold's for a
     # one-chunk product, a chunk's beside the accumulator for several
     # (ring 100/3 at depth 40), and at k = 2 the gathered rows and the
-    # product temporaries of the output
+    # product temporaries of the output; ring 45/3 at depth 44, 1980 inner
+    # rows, is a resident product near the one-chunk cap, whose two float64
+    # operands hold most of it
     counted, peak = _counted_and_traced(monkeypatch, gen_hyperring(n, k), depth)
     # within 2% here; numpy versions that reuse temporaries peak lower
     assert 0.75 * peak <= counted <= 1.25 * peak

@@ -107,6 +107,87 @@ def test_rows_past_full_rank_are_only_length_checked(monkeypatch):
     assert half.rank == 1
 
 
+def _plain_fold(pivots, rows, width):
+    """Fold rows into pivots by a full-width elimination that reduces
+    every entry mod P at every step; how many pivots they added."""
+    gained = 0
+    for row in rows:
+        if len(pivots) == width:
+            break
+        r = [v % PRIME for v in row]
+        for j in range(width):
+            if r[j] == 0:
+                continue
+            if j not in pivots:
+                inv = pow(r[j], -1, PRIME)
+                pivots[j] = [v * inv % PRIME for v in r]
+                gained += 1
+                break
+            coef = r[j]
+            r = [(a - coef * b) % PRIME for a, b in zip(r, pivots[j])]
+    return gained
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([0, 1, -1, PRIME - 1, PRIME, PRIME + 1, -PRIME, 2**64]),
+    st.integers(min_value=-3 * PRIME, max_value=3 * PRIME),
+)
+
+
+@st.composite
+def _row_batches(draw):
+    width = draw(st.integers(min_value=1, max_value=6))
+    unit = st.builds(
+        lambda j, c: [c if t == j else 0 for t in range(width)],
+        st.integers(min_value=0, max_value=width - 1),
+        _ENTRIES,
+    )
+    dense = st.lists(_ENTRIES, min_size=width, max_size=width)
+    zero = st.just([0] * width)
+    rows = draw(st.lists(st.one_of(unit, dense, zero), max_size=9))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows = draw(st.permutations(rows))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=2)))
+    bounds = [0, *cuts, len(rows)]
+    return width, [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+@given(_row_batches())
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_a_plain_elimination(case):
+    # rows of residues past P, negative ints, zero, unit and duplicate
+    # rows, folded batch by batch: probe and add_rows give the gains of an
+    # elimination that reduces every entry at every step, add_rows stores
+    # its pivot rows in the same order, and probe changes nothing
+    width, batches = case
+    ech, plain = Echelon(width), {}
+    for batch in batches:
+        rows = [list(row) for row in batch]
+        pivots = {j: list(row) for j, row in ech.pivots.items()}
+        tails = {j: list(tail) for j, tail in ech.tails.items()}
+        assert ech.probe(rows) == _plain_fold(dict(plain), rows, width)
+        assert ech.pivots == pivots and ech.tails == tails
+        assert rows == [list(row) for row in batch]
+        assert ech.add_rows(rows) == _plain_fold(plain, rows, width)
+        assert list(ech.pivots.items()) == list(plain.items())
+        assert ech.rank == len(plain)
+    for j, row in ech.pivots.items():
+        assert ech.tails[j] == [(t, v) for t, v in enumerate(row) if v and t > j]
+    twin = ech.copy()
+    assert twin.pivots == ech.pivots and twin.tails == ech.tails
+
+
+def test_a_unit_pivot_row_stores_an_empty_tail():
+    # eliminating against e_1 touches no other column
+    ech = Echelon(4)
+    assert ech.add_rows([[0, 5, 0, 0], [0, 3, 4, 1]]) == 2
+    quarter = pow(4, -1, PRIME)
+    assert ech.pivots == {1: [0, 1, 0, 0], 2: [0, 0, 1, quarter]}
+    assert ech.tails == {1: [], 2: [(3, quarter)]}
+    assert ech.probe([[0, 7, 0, 0], [0, PRIME + 2, 8, -2]]) == 1
+
+
 @given(st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=40, deadline=None)
 def test_ranks_agree_on_random_integer_matrices(seed):

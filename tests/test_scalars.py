@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 import hyperobs
 from hyperobs import scalars
-from hyperobs.dynamics import DynamicsSpec, lie_derivatives
+from hyperobs.dynamics import ChainStacks, DynamicsSpec, lie_derivatives
 from hyperobs.hypergraph import gen_complete
 from hyperobs.scalars import PRIME, derive_seed, random_point
 
-from oracles import Dual, residue
+from conftest import random_uniform_hypergraph
+from oracles import Dual, lie_derivative_recursive, residue
 
 residues = st.integers(min_value=0, max_value=PRIME - 1)
 
@@ -256,13 +257,19 @@ def test_limb_matmul_matches_int_products():
     # sum over q <= p of A_q B_{p-q}: full-range residues, all-(P-1)
     # operands, and 2**42 - 1, whose two low limbs are both 2**21 - 1, the
     # largest limb product; one level of 2048 columns fills the GEMM chunk
-    # of 2**11, and 45 levels of 46 columns, 2070 inner rows at p = 44, go
-    # 44 levels to a chunk, where an unchunked float64 sum of such products
-    # would pass 2**53. Half the entries zeroed at random leave cells out
-    # of every level, so a chunk's stale cells would show
+    # of 2**11, and so do 32 levels of 64 columns, a resident product,
+    # while 33 such levels take two chunks, staged; 45 levels of 46
+    # columns, 2070 inner rows at p = 44, go 44 levels to a chunk, where an
+    # unchunked float64 sum of such products would pass 2**53. The last two
+    # cases stop early, as a chain pass does, pushing fewer levels than the
+    # product holds, one of them resident and one staged. Half the entries
+    # zeroed at random leave cells out of every level, so a chunk's stale
+    # cells would show
     rng = random.Random(53)
-    for m, levels, width, w in [
-        (1, 1, 1, 1), (3, 1, 5, 4), (2, 1, 2048, 3), (2, 45, 46, 3),
+    for m, levels, width, w, pushed in [
+        (1, 1, 1, 1, 1), (3, 1, 5, 4, 1), (2, 1, 2048, 3, 1),
+        (2, 32, 64, 2, 32), (2, 33, 64, 2, 33), (2, 45, 46, 3, 45),
+        (2, 40, 50, 2, 7), (2, 45, 46, 3, 44),
     ]:
         def draw(rows, columns, value):
             return [
@@ -285,7 +292,8 @@ def test_limb_matmul_matches_int_products():
             (draw(m, width, lambda: 2**42 - 1), draw(width, w, lambda: 2**42 - 1)),
         ]:
             product, cells = _limb_series(np.array(a, dtype=np.uint64), w)
-            for p in range(levels):
+            assert product.resident == (levels * width <= 2**11)
+            for p in range(pushed):
                 got = product.push(p, cells[p], np.array(b[p], dtype=np.uint64))
                 assert got.dtype == np.uint64
                 # [A_p ... A_0] @ [B_0; ...; B_p]
@@ -295,6 +303,36 @@ def test_limb_matmul_matches_int_products():
                 ]
                 right = [row for q in range(p + 1) for row in b[q]]
                 assert got.tolist() == _int_matmul(left, right)
+
+
+@pytest.mark.parametrize("k, n, depth", [(3, 6, 5), (4, 5, 4), (5, 6, 3)])
+def test_chains_agree_on_both_sides_of_one_chunk(monkeypatch, k, n, depth):
+    # with the chunk cut to the n * depth inner rows of the last level the
+    # pass is resident, one row less and it is staged in two chunks; both
+    # chains match the factor-list recursion at a full-range point: over
+    # Dual numbers, values and gradients, below the last level, whose GEMM
+    # is the one the cut splits, and its values at that level
+    rng = random.Random(n * k)
+    dyn = DynamicsSpec(random_uniform_hypergraph(n, k, rng, density=0.7))
+    x = [rng.randrange(PRIME) for _ in range(n)]
+    seeded = [Dual.variable(v, j, n) for j, v in enumerate(x)]
+    want = [
+        [[residue(d.value)] + [residue(e) for e in d.eps] for d in level]
+        for level in (
+            lie_derivative_recursive(dyn, p, seeded) for p in range(depth)
+        )
+    ]
+    last = [residue(v) for v in lie_derivative_recursive(dyn, depth, x)]
+    chains = []
+    for chunk in (n * depth, n * depth - 1):
+        monkeypatch.setattr(scalars, "_GEMM_CHUNK", chunk)
+        stacks = ChainStacks.allocate(dyn, depth)
+        assert stacks.product.resident == (chunk == n * depth)
+        chain = lie_derivatives(dyn, x, depth).tolist()
+        assert chain[:depth] == want
+        assert [row[0] for row in chain[depth]] == last
+        chains.append(chain)
+    assert chains[0] == chains[1]
 
 
 def test_limb_product_refuses_a_block_wider_than_a_chunk():
