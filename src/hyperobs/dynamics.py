@@ -31,6 +31,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph
 from .scalars import (
+    _GEMM_CHUNK,
     PRIME,
     LimbProduct,
     cast,
@@ -120,17 +121,23 @@ class DynamicsSpec:
         """
         n, m = self.n, self.k - 1
         # entry (r, s): the nodes of remainder r without factor s, sorted
-        # as the remainder is
-        sets = np.stack(
-            [np.delete(self.incidence, s, 1) for s in range(m)], axis=1
-        ).reshape(-1, m - 1)
+        # as the remainder is, taken through one drop table
+        drop = [[t for t in range(m) if t != s] for s in range(m)]
+        sets = self.incidence[:, drop].reshape(-1, m - 1)
         columns, count, stages = sets[:, 0], n, []
         for z in range(1, m - 1):
-            distinct, inverse = np.unique(
-                columns * n + sets[:, z], return_inverse=True
+            keys = columns * n + sets[:, z]
+            # a stable sort of keys cast as small as they fit, by radix on
+            # uint8 and uint16; a run of equal keys is one distinct set
+            order = np.argsort(
+                keys.astype(np.min_scalar_type(count * n)), kind="stable"
             )
+            ordered = keys[order]
+            fresh = np.diff(ordered, prepend=-1) != 0
+            distinct = ordered[fresh]
             stages.append((distinct // n, distinct % n))
-            columns = count + inverse.ravel()
+            columns = np.empty_like(keys)
+            columns[order] = count + np.cumsum(fresh) - 1
             count += len(distinct)
         return stages, columns[self.jacobian_cells[0]]
 
@@ -140,12 +147,15 @@ class ChainStacks:
     """What a chain pass at k >= 3 keeps between levels, besides the chain.
 
     ``series`` holds at [q] coefficient q of the columns of
-    ``DynamicsSpec.leave_one_out``, values only. ``product`` is the series
-    product D_q by Y_q (``scalars.LimbProduct``), which keeps both factors
-    of every level so far in its own format.
+    ``DynamicsSpec.leave_one_out``, values only. ``steps`` holds at [p] the
+    scale of level p + 1 in every lane, (p+1)^-1, with column 0, the
+    solution's, also scaled by (k-1)^-1 (``apply_factors``). ``product`` is
+    the series product D_q by Y_q (``scalars.LimbProduct``), which keeps
+    both factors of every level so far in its own format.
     """
 
     series: np.ndarray
+    steps: np.ndarray
     product: LimbProduct
 
     @staticmethod
@@ -154,12 +164,12 @@ class ChainStacks:
     ) -> tuple[tuple[tuple[int, ...], type], ...]:
         """The (shape, dtype) of every array a pass holds at its peak
         besides the chain and the index arrays of ``dyn``: at k >= 3 the
-        value series, then the arrays of the level product
-        (``LimbProduct.layout``). At k = 2 a pass keeps nothing, and a
-        level holds the gathered remainder rows and its output, then either
-        the half-word copy and the two segment sums of the rows or the
-        temporaries of ``mul`` on the output, whichever is larger. None at
-        depth 0."""
+        value series and the step table, then the arrays of the level
+        product (``LimbProduct.layout``). At k = 2 a pass keeps nothing,
+        and a level holds the gathered remainder rows and its output, then
+        either the half-word copy and the two segment sums of the rows or
+        the temporaries of ``mul`` on the output, whichever is larger. None
+        at depth 0."""
         n = dyn.n
         if depth == 0:
             return ()
@@ -174,6 +184,7 @@ class ChainStacks:
         cells = len(dyn.jacobian_cells[1])
         return (
             ((depth, columns), np.uint64),
+            ((depth, n + 1), np.uint64),
             *LimbProduct.layout(n, n, n + 1, depth, cells),
         )
 
@@ -182,21 +193,35 @@ class ChainStacks:
         """The stacks of a pass to depth, or None where it keeps none."""
         if dyn.k == 2 or depth == 0:
             return None
-        series = cls.layout(dyn, depth)[0]
+        series, steps = cls.layout(dyn, depth)[:2]
+        inverses = np.array(
+            [pow(p, -1, PRIME) for p in range(1, depth + 1)], dtype=np.uint64
+        )
+        table = np.empty(*steps)
+        table[:] = inverses[:, None]
+        table[:, 0] = mul(inverses, np.uint64(pow(dyn.k - 1, -1, PRIME)))
         _, rows, columns, _ = dyn.jacobian_cells
         return cls(
             np.empty(*series),
+            table,
             LimbProduct(dyn.n, dyn.n, dyn.n + 1, depth, rows, columns),
         )
 
 
 def check_lane_slots(dyn: DynamicsSpec, depth: int) -> None:
-    """Refuse a chain pass whose arrays (chain, value series, the level
-    product's arrays, and the transients of a level's step,
+    """Refuse a chain pass whose arrays (chain, value series, step table,
+    the level product's arrays, and the transients of a level's step,
     ``ChainStacks.layout``) exceed MAX_DENSE_SLOTS 8-byte slots, counted
     from their shapes before any is allocated. A chain past the cap alone is
     refused before the cells are worked out, which takes time linear in
-    n."""
+    n. A pass at k >= 3 past n = 2**11, whose level product would need
+    blocks wider than one GEMM chunk (``scalars.LimbProduct``), is refused
+    before anything is counted."""
+    if dyn.k > 2 and depth > 0 and dyn.n > _GEMM_CHUNK:
+        raise ResourceLimitError(
+            f"n = {dyn.n} is past {_GEMM_CHUNK}, the widest block one GEMM "
+            f"chunk sums exactly: no lane slots for a pass at k = {dyn.k}"
+        )
 
     def slots(arrays: tuple[tuple[tuple[int, ...], type], ...]) -> int:
         return sum(
@@ -234,15 +259,15 @@ def apply_factors(
     call builds D_p from the leave-one-out products of each hyperedge
     remainder, summed into the cells (owner, factor), and hands D_p's cells
     and Y_p to the series product, which keeps levels 0..p-1 of both and
-    takes the sum exactly mod P (``scalars.LimbProduct``). At k = 2, Df is
-    the constant adjacency: D_q = 0 for q > 0, and D_0 Y_p sums rows of
-    Y_p.
+    takes the sum exactly mod P (``scalars.LimbProduct``), and scales it by
+    row p of the pass's step table (``ChainStacks.steps``) in one ``mul``.
+    At k = 2, Df is the constant adjacency: D_q = 0 for q > 0, D_0 Y_p sums
+    rows of Y_p, and the level is scaled by (p+1)^-1 alone.
     """
-    n, k = dyn.n, dyn.k
-    step = pow(p + 1, -1, PRIME)
-    column = np.full(chain.shape[2], step, dtype=np.uint64)
-    column[0] = step * pow(k - 1, -1, PRIME) % PRIME
-    if k == 2:
+    n = dyn.n
+    if dyn.k == 2:
+        # (k-1)^-1 = 1 leaves every lane the same scale
+        column = np.full(chain.shape[2], pow(p + 1, -1, PRIME), np.uint64)
         starts = dyn.incidence_starts
         owners = np.flatnonzero(np.diff(starts))
         out = np.zeros(chain.shape[1:], dtype=np.uint64)
@@ -260,7 +285,7 @@ def apply_factors(
             mul(series[: p + 1, u], series[p::-1, v])
         )
     cells = segment_sums(series[p, gather], dyn.jacobian_cells[3])
-    return mul(stacks.product.push(p, cells, chain[p]), column)
+    return mul(stacks.product.push(p, cells, chain[p]), stacks.steps[p])
 
 
 def lie_derivatives(

@@ -13,10 +13,12 @@ instead, and stays exact: it splits each residue it is given once into
 three 21-bit limbs, one GEMM forms every limb product, and the inner
 dimension goes in chunks of whole column blocks, at most 2**11 rows, so
 every partial sum is an integer below 2**11 * 2**42 = 2**53 whatever order
-BLAS adds in. When every level fits one chunk, the limbs are written once
+BLAS adds in. Each of a chunk's nine limb products is then reduced once,
+late, by its weight's shift, and one reduction takes their sum mod P
+(``_fold``). When every level fits one chunk, the limbs are written once
 where the GEMM reads them; otherwise they are kept as float32 and staged
-chunk by chunk. The module also derives the seeded random evaluation
-points.
+chunk by chunk, and the chunks' residues are added mod P. The module also
+derives the seeded random evaluation points.
 """
 
 from __future__ import annotations
@@ -39,10 +41,12 @@ _SHIFT3, _SHIFT21, _SHIFT29, _SHIFT32, _SHIFT42, _SHIFT61 = (
 )
 # 2**11 limb products below 2**42 sum to less than 2**53
 _GEMM_CHUNK = 1 << 11
-# the limb weights 2**(21 s), s = 0..4, as powers 2**e (mod P)
-_FOLD = np.array([0, 21, 42, 2, 23], dtype=np.uint64).reshape(5, 1)
+# the weight 2**(21 (i + j)) of limb product (i, j) as a power 2**e (mod P),
+# e in (0, 21, 42, 2, 23)
+_FOLD = np.array(
+    [[21 * (i + j) % 61 for j in range(3)] for i in range(3)], dtype=np.uint64
+)[:, :, None]
 _FOLD_HIGH = np.uint64(61) - _FOLD
-_FOLD_LOW = (np.uint64(1) << _FOLD_HIGH) - np.uint64(1)
 
 
 def _canonical(s: np.ndarray) -> np.ndarray:
@@ -126,21 +130,23 @@ def _split_limbs(a: np.ndarray, out: np.ndarray) -> None:
 
 def _fold(limbs: np.ndarray) -> np.ndarray:
     """The (m, w) residues sum over i, j of limbs[:, i, j] 2**(21 (i + j))
-    mod P, for limbs (m, 3, 3, w) of entries below 2**62."""
-    # the at most three products of one weight 2**(21 s) sum below 2**63
-    same = np.zeros((len(limbs), 5, limbs.shape[3]), dtype=np.uint64)
-    for i in range(3):
-        same[:, i : i + 3] += limbs[:, i]
-    # r 2**e = (r >> (61 - e)) + (r mod 2**(61 - e)) 2**e (mod P), below
-    # 2**61 + 2**(e + 2), so the five weights sum below 2**64; the high
-    # parts go to one scratch array, freed before the sum allocates, and
-    # the low ones shift in place
-    high = same >> _FOLD_HIGH
-    same &= _FOLD_LOW
-    same <<= _FOLD
-    same += high
+    mod P, for limbs (m, 3, 3, w) of entries below 2**53. Each product is
+    reduced once, in place in limbs, beside one scratch array of its
+    shape."""
+    # r 2**e = (r >> (61 - e)) + (r mod 2**(61 - e)) 2**e (mod P), and the
+    # second term is the low 61 bits of r << e, which a wrap past 2**64
+    # keeps. A term is below 2**61 + 2**34 for the six products of e in
+    # (21, 42, 23), and below 2**55 for the three of e in (0, 2), so the
+    # nine sum below 7 * 2**61; the scratch array is freed before the sum
+    # allocates
+    high = limbs >> _FOLD_HIGH
+    limbs <<= _FOLD
+    limbs &= _P
+    limbs += high
     del high
-    return _canonical(same.sum(axis=1, dtype=np.uint64))
+    return _canonical(
+        limbs.reshape(len(limbs), 9, -1).sum(axis=1, dtype=np.uint64)
+    )
 
 
 class LimbProduct:
@@ -168,7 +174,9 @@ class LimbProduct:
     one GEMM of two slices of them, with nothing copied. Otherwise it is
     staged: the limbs are kept as float32, and each chunk is widened into
     the two float64 buffers, B's rows copied and A's cells scattered,
-    before its GEMM, and the chunks' products are summed mod P.
+    before its GEMM; each chunk's limb products are folded to residues
+    (``_fold``) and added into one (m, w) accumulator, reduced after each
+    addition.
     """
 
     def __init__(
@@ -222,29 +230,24 @@ class LimbProduct:
         rows and of A's cells, the two float64 buffers and the cell
         positions, all for the longest chunk.
 
-        A coefficient of one chunk peaks in the fold: the (3m, 3w) limb
-        products and the fold's (m, 5, w) sums with one scratch array of
-        their shape, 19 m w slots; its float64 result and uint64 copy,
-        (3m, 3w) each, hold 18 m w before. A coefficient of several chunks
-        peaks when a chunk's uint64 copy and the carry of the accumulator
-        live beside it, 27 m w. A ``mul`` of the (m, w) coefficient holds
-        about 6 m w afterwards."""
+        A chunk peaks twice at 18 m w slots: when its float64 (3m, 3w)
+        product is copied to uint64, and when ``_fold`` reduces that copy
+        in place beside one scratch array of its shape. A staged product
+        also holds its (m, w) accumulator then. A ``mul`` of the (m, w)
+        coefficient holds about 6 m w afterwards."""
         group = _group(width, blocks)
         rows = group * width
         buffers = ((rows, 3 * m), np.float64), ((rows, 3 * w), np.float64)
+        transients = ((2, 3 * m, 3 * w), np.uint64)
         if blocks == group:
-            return (
-                *buffers,
-                ((cells, 3), np.intp),
-                ((3 * m, 3 * w), np.uint64),
-                ((2, m, 5, w), np.uint64),
-            )
+            return (*buffers, ((cells, 3), np.intp), transients)
         return (
             ((blocks, width, 3 * w), np.float32),
             ((blocks, cells, 3), np.float32),
             *buffers,
             ((group, cells, 3), np.intp),
-            ((3, 3 * m, 3 * w), np.uint64),
+            transients,
+            ((m, w), np.uint64),
         )
 
     def push(self, p: int, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -290,15 +293,17 @@ class LimbProduct:
             # widened first, as a scatter from float32 takes twice as long
             values = a[first : first + count].astype(float)
             flat[self.at[:count].ravel()] = values.ravel()
+            del values
             start = first * width
             self.right[:inner] = b[start : start + inner]
-            part = self.left[:inner].T @ self.right[:inner]
-            part = part.astype(np.uint64)
-            if acc is not None:
-                # below 2**61 + 2**53
-                part += _canonical(acc)
-            acc = part
-        return _fold(acc.reshape(self.m, 3, 3, -1))
+            # the float64 product is freed before the fold, the uint64 one
+            # after it, and the chunk's residues before the next GEMM
+            part = (self.left[:inner].T @ self.right[:inner]).astype(np.uint64)
+            part = _fold(part.reshape(self.m, 3, 3, -1))
+            # a sum below 2 P
+            acc = part if acc is None else _canonical(acc + part)
+            del part
+        return acc
 
 
 def _group(width: int, blocks: int) -> int:

@@ -350,17 +350,17 @@ def test_scatter_of_many_full_range_terms():
 
 def test_depth_guard_before_allocation(triangle_dyn):
     # at k = 3 a pass to depth d holds, in 8-byte slots: the chain,
-    # (d + 1) n (n + 1); the value series of the n nodes, n d; the chain's
-    # float32 limbs, 1.5 n (n + 1) d; the limbs of the C = 6 Jacobian
-    # cells, 1.5 C d; and for a chunk of g = min(2**11 // n, d) blocks, two
-    # float64 buffers of g n rows, 3 n and 3 (n + 1) wide, and 3 C g cell
-    # positions; and a level product's peak transients, 27 n (n + 1) when
-    # the d blocks take several chunks. On the triangle past d = 682 that
-    # is 12 + 42 d + 81 * 682 + 324.
+    # (d + 1) n (n + 1); the value series of the n nodes, n d; the step
+    # table, (n + 1) d; the chain's float32 limbs, 1.5 n (n + 1) d; the
+    # limbs of the C = 6 Jacobian cells, 1.5 C d; and for a chunk of
+    # g = min(2**11 // n, d) blocks, two float64 buffers of g n rows, 3 n
+    # and 3 (n + 1) wide, and 3 C g cell positions; and a level product's
+    # peak transients, 19 n (n + 1) when the d blocks take several chunks.
+    # On the triangle past d = 682 that is 12 + 46 d + 81 * 682 + 228.
     # Past the cap a pass is refused before any lane exists, so a huge
     # depth fails at once, not in MemoryError; the second depth fits the
     # chain alone, and the last is the first one refused
-    fits = (MAX_DENSE_SLOTS - 12 - 81 * 682 - 324) // 42
+    fits = (MAX_DENSE_SLOTS - 12 - 81 * 682 - 228) // 46
     for depth in (10**9, MAX_DENSE_SLOTS // 12 - 1, fits + 1):
         with pytest.raises(ResourceLimitError, match="lane slots"):
             lie_derivatives(triangle_dyn, [1, 2, 3], depth)
@@ -388,19 +388,49 @@ def test_no_admitted_block_is_wider_than_a_gemm_chunk():
         assert peak < n * (n + 1) * 8 // 10
 
 
+def test_a_block_wider_than_a_gemm_chunk_is_refused_before_any_count(
+    monkeypatch,
+):
+    # past n = 2**11 a depth-1 pass at k >= 3 would count fewer slots than
+    # at n = 2**11 (no whole block fits a chunk), so it is refused by its
+    # width, whatever the cap, before the cells or sets are worked out; a
+    # pass to depth 0 holds no level product and is admitted
+    monkeypatch.setattr("hyperobs.dynamics.MAX_DENSE_SLOTS", 10**12)
+    for k in (3, 4):
+        dyn = DynamicsSpec(gen_hyperstar(2**11 + 1, k))
+        with pytest.raises(ResourceLimitError, match="lane slots"):
+            check_lane_slots(dyn, 1)
+        assert "jacobian_cells" not in vars(dyn)
+        assert "leave_one_out" not in vars(dyn)
+        check_lane_slots(dyn, 0)
+    check_lane_slots(DynamicsSpec(gen_hyperstar(2**11, 3)), 1)
+
+
+def test_the_step_table_scales_each_level():
+    # row p is (p+1)^-1 in every lane, and column 0 also (k-1)^-1
+    for k, depth in [(3, 6), (4, 1), (5, 3)]:
+        dyn = DynamicsSpec(gen_hyperring(6, k))
+        steps = ChainStacks.allocate(dyn, depth).steps
+        assert steps.dtype == np.uint64 and steps.shape == (depth, 7)
+        for p, row in enumerate(steps.tolist()):
+            assert row[0] * (p + 1) * (k - 1) % PRIME == 1
+            assert all(v * (p + 1) % PRIME == 1 for v in row[1:])
+
+
 def test_slot_count_at_the_cap(monkeypatch):
     # the count is exact: a pass that needs the cap runs, one slot less is
     # refused. k = 2 keeps only the chain, and a level adds its 10 gathered
     # remainder rows, its 5 output rows and max(10 + 2 * 5, 5 * 5) rows of
     # sums or product temporaries, 6 wide; on ring 6/k at depth 5, k = 3
-    # adds the value series of the 6 nodes, the resident product's two
-    # float64 operands of 5 blocks (30 rows), the positions of 24 cells in
-    # one block and its peak transients (an 18 x 21 accumulator and two
-    # 6 x 5 x 7 fold arrays), and k = 4 adds the series of all 15 node
-    # pairs, and has 30 cells
+    # adds the value series of the 6 nodes, the 5 x 7 step table, the
+    # resident product's two float64 operands of 5 blocks (30 rows), the
+    # positions of 24 cells in one block and its peak transients (the
+    # 18 x 21 limb products and the fold's scratch array of their shape),
+    # and k = 4 adds the series of all 15 node pairs, and has 30 cells
     def stacks(series, cells):
         return (
-            5 * series + 30 * (3 * 6 + 3 * 7) + cells * 3 + 19 * 6 * 7
+            5 * series + 5 * 7 + 30 * (3 * 6 + 3 * 7) + cells * 3
+            + 2 * 18 * 21
         )
 
     for g, depth, slots in [
@@ -415,16 +445,16 @@ def test_slot_count_at_the_cap(monkeypatch):
         monkeypatch.setattr("hyperobs.dynamics.MAX_DENSE_SLOTS", slots - 1)
         with pytest.raises(ResourceLimitError, match=f"needs {slots} lane"):
             lie_derivatives(dyn, x, depth)
-    # at k = 3 and depth n - 1 a pass needs about 2.5 n^3 + 27 n^2 slots:
-    # ring 332/3 fits under the cap of 10**8 and ring 333/3 does not, both
+    # at k = 3 and depth n - 1 a pass needs about 2.5 n^3 slots, chain
+    # and its float32 limbs, plus O(n^2): ring 333/3 fits under the cap of 10**8 and ring 334/3 does not, both
     # read from the refusal, so nothing is allocated; ring 300/3 passes the
     # check
-    for n, slots in [(332, 99347846), (333, 100224342)]:
+    for n, slots in [(333, 99445454), (334, 100322410)]:
         monkeypatch.setattr("hyperobs.dynamics.MAX_DENSE_SLOTS", slots - 1)
         with pytest.raises(ResourceLimitError, match=f"needs {slots} lane"):
             lie_derivatives(DynamicsSpec(gen_hyperring(n, 3)), [1] * n, n - 1)
     monkeypatch.undo()
-    assert 99347846 <= MAX_DENSE_SLOTS < 100224342
+    assert 99445454 <= MAX_DENSE_SLOTS < 100322410
     check_lane_slots(DynamicsSpec(gen_hyperring(300, 3)), 299)
 
 

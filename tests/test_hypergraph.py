@@ -32,6 +32,7 @@ from oracles import (
     edge_degrees,
     edge_incidence,
     edge_twin_classes,
+    union_find_components,
 )
 
 
@@ -110,6 +111,54 @@ def test_connected_components():
     assert gen_hyperchain(5, 3).connected_components() == [[1, 2, 3, 4, 5]]
     lone = UniformHypergraph(3, 2)
     assert lone.connected_components() == [[1], [2], [3]]
+
+
+def test_components_match_union_find():
+    # label hooking and pointer jumping give the union-find's components on
+    # random graphs of k = 2..5, dense to edgeless, many of them split; on
+    # a long chain, whose labels take many rounds to settle; on complete
+    # 40/4; and on 9,997 isolated nodes beside one edge
+    rng = random.Random(29)
+    graphs = [
+        gen_hyperchain(500, 3),
+        gen_complete(40, 4),
+        UniformHypergraph(10000, 3, [(1, 2, 3)]),
+    ]
+    for _ in range(300):
+        k = rng.randint(2, 5)
+        n = rng.randint(k, 30)
+        edges = [rng.sample(range(1, n + 1), k) for _ in range(rng.randint(0, n))]
+        graphs.append(UniformHypergraph(n, k, edges))
+    for g in graphs:
+        got = g.connected_components()
+        assert got == union_find_components(g)
+        assert all(type(i) is int for c in got for i in c)
+
+
+def test_leave_one_out_matches_the_per_set_sort():
+    # the sets from one drop table and each stage's distinct sets from one
+    # stable sort of small keys equal, dtypes included, those of sorting
+    # every set on its own and np.unique, on 200 random k = 3..5 graphs and
+    # on complete 40/4 (1,096,680 sets)
+    rng = random.Random(31)
+    graphs = [gen_complete(40, 4)]
+    for _ in range(200):
+        k = rng.randint(3, 5)
+        n = rng.randint(k, 12)
+        graphs.append(random_uniform_hypergraph(n, k, rng, density=rng.random()))
+    for g in graphs:
+        dyn = DynamicsSpec(g)
+        _, (want_stages, want_gather) = cells_and_sets(
+            dyn.incidence, dyn.incidence_starts, g.n
+        )
+        stages, gather = dyn.leave_one_out
+        assert gather.dtype == want_gather.dtype
+        assert np.array_equal(gather, want_gather)
+        assert len(stages) == len(want_stages)
+        for pair, want in zip(stages, want_stages):
+            for got, expected in zip(pair, want):
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
 
 
 def test_disjoint_union():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import hyperobs
 from hyperobs import scalars
@@ -333,6 +334,98 @@ def test_chains_agree_on_both_sides_of_one_chunk(monkeypatch, k, n, depth):
         assert [row[0] for row in chain[depth]] == last
         chains.append(chain)
     assert chains[0] == chains[1]
+
+
+@given(
+    arrays(
+        np.uint64,
+        st.tuples(st.integers(1, 3), st.just(3), st.just(3), st.integers(1, 4)),
+        elements=st.integers(min_value=0, max_value=2**53 - 1),
+    ),
+    st.booleans(),
+)
+def test_fold_matches_int_sums(limbs, all_max):
+    # a chunk's limb products are below 2**53; the fold reduces each at its
+    # weight 2**(21 (i + j)) and their sum once. Nine at the maximum give
+    # the largest sum it sees
+    if all_max:
+        limbs[0, :, :, 0] = 2**53 - 1
+    m, _, _, w = limbs.shape
+    want = [
+        [
+            sum(
+                int(limbs[r, i, j, c]) << (21 * (i + j))
+                for i in range(3)
+                for j in range(3)
+            )
+            % PRIME
+            for c in range(w)
+        ]
+        for r in range(m)
+    ]
+    got = scalars._fold(limbs)
+    assert got.dtype == np.uint64
+    assert got.tolist() == want
+
+
+def _limb_products(m, width, w, blocks, chunk, monkeypatch, rng):
+    # the coefficients of one series product of blocks levels of full-range
+    # residues with the GEMM chunk cut to chunk inner rows, and whether it
+    # was resident
+    monkeypatch.setattr(scalars, "_GEMM_CHUNK", chunk)
+    a = np.array(
+        [[[rng.randrange(PRIME) * rng.randrange(2) for _ in range(width)] for _ in range(m)] for _ in range(blocks)],
+        dtype=np.uint64,
+    )
+    b = np.array(
+        [[[rng.randrange(PRIME) for _ in range(w)] for _ in range(width)] for _ in range(blocks)],
+        dtype=np.uint64,
+    )
+    product, cells = _limb_series(a, w)
+    got = [product.push(p, cells[p], b[p]).tolist() for p in range(blocks)]
+    return got, product.resident, a.tolist(), b.tolist()
+
+
+def test_a_product_of_many_chunks_matches_the_resident_one(monkeypatch):
+    # 7 levels of 5 columns in chunks of 10 inner rows, two blocks each:
+    # coefficient 6 sums four chunks' residues, each below P, so every
+    # addition to the accumulator stays below 2 P. Every coefficient equals
+    # the resident product's and the Python-int product's
+    for seed in range(3):
+        got = []
+        for chunk in (35, 10):
+            got.append(_limb_products(2, 5, 4, 7, chunk, monkeypatch, random.Random(seed)))
+        (resident, is_resident, a, b), (staged, is_staged, *_) = got
+        assert is_resident and not is_staged
+        assert staged == resident
+        for p in range(7):
+            left = [[v for q in range(p, -1, -1) for v in a[q][r]] for r in range(2)]
+            right = [row for q in range(p + 1) for row in b[q]]
+            assert staged[p] == _int_matmul(left, right)
+
+
+@pytest.mark.parametrize("k, n, depth", [(3, 6, 5), (4, 5, 4), (5, 6, 4)])
+def test_a_chain_staged_in_many_chunks_matches_the_oracle(monkeypatch, k, n, depth):
+    # with the chunk cut to one block of n rows, the last level product of
+    # a pass to depth sums depth chunks (four or five); the chain equals
+    # the resident one and, in values, the factor-list recursion at a
+    # full-range point. A staged pass its stop test ends at level 2 is
+    # levels 0..2 of the full one
+    rng = random.Random(7 * n + k)
+    dyn = DynamicsSpec(random_uniform_hypergraph(n, k, rng, density=0.7))
+    x = [rng.randrange(PRIME) for _ in range(n)]
+    resident = lie_derivatives(dyn, x, depth)
+    monkeypatch.setattr(scalars, "_GEMM_CHUNK", n)
+    assert ChainStacks.allocate(dyn, depth).product.group == 1
+    staged = lie_derivatives(dyn, x, depth)
+    assert (staged == resident).all()
+    want = [
+        [residue(v) for v in lie_derivative_recursive(dyn, p, x)]
+        for p in range(depth + 1)
+    ]
+    assert staged[:, :, 0].tolist() == want
+    stopped = lie_derivatives(dyn, x, depth, lambda chain, p: p == 2)
+    assert (stopped == resident[:3]).all()
 
 
 def test_limb_product_refuses_a_block_wider_than_a_chunk():
