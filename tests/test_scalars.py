@@ -261,16 +261,18 @@ def test_limb_matmul_matches_int_products():
     # of 2**11, and so do 32 levels of 64 columns, a resident product,
     # while 33 such levels take two chunks, staged; 45 levels of 46
     # columns, 2070 inner rows at p = 44, go 44 levels to a chunk, where an
-    # unchunked float64 sum of such products would pass 2**53. The last two
-    # cases stop early, as a chain pass does, pushing fewer levels than the
-    # product holds, one of them resident and one staged. Half the entries
+    # unchunked float64 sum of such products would pass 2**53; 5 levels of
+    # 1024 columns go two to a chunk, so coefficient 4 adds three chunks'
+    # residues. The last two cases stop early, as a chain pass does,
+    # pushing fewer levels than the product holds, one of them resident
+    # and one staged. Half the entries
     # zeroed at random leave cells out of every level, so a chunk's stale
     # cells would show
     rng = random.Random(53)
     for m, levels, width, w, pushed in [
         (1, 1, 1, 1, 1), (3, 1, 5, 4, 1), (2, 1, 2048, 3, 1),
         (2, 32, 64, 2, 32), (2, 33, 64, 2, 33), (2, 45, 46, 3, 45),
-        (2, 40, 50, 2, 7), (2, 45, 46, 3, 44),
+        (1, 5, 1024, 2, 5), (2, 40, 50, 2, 7), (2, 45, 46, 3, 44),
     ]:
         def draw(rows, columns, value):
             return [
@@ -366,42 +368,6 @@ def test_fold_matches_int_sums(limbs, all_max):
     got = scalars._fold(limbs)
     assert got.dtype == np.uint64
     assert got.tolist() == want
-
-
-def _limb_products(m, width, w, blocks, chunk, monkeypatch, rng):
-    # the coefficients of one series product of blocks levels of full-range
-    # residues with the GEMM chunk cut to chunk inner rows, and whether it
-    # was resident
-    monkeypatch.setattr(scalars, "_GEMM_CHUNK", chunk)
-    a = np.array(
-        [[[rng.randrange(PRIME) * rng.randrange(2) for _ in range(width)] for _ in range(m)] for _ in range(blocks)],
-        dtype=np.uint64,
-    )
-    b = np.array(
-        [[[rng.randrange(PRIME) for _ in range(w)] for _ in range(width)] for _ in range(blocks)],
-        dtype=np.uint64,
-    )
-    product, cells = _limb_series(a, w)
-    got = [product.push(p, cells[p], b[p]).tolist() for p in range(blocks)]
-    return got, product.resident, a.tolist(), b.tolist()
-
-
-def test_a_product_of_many_chunks_matches_the_resident_one(monkeypatch):
-    # 7 levels of 5 columns in chunks of 10 inner rows, two blocks each:
-    # coefficient 6 sums four chunks' residues, each below P, so every
-    # addition to the accumulator stays below 2 P. Every coefficient equals
-    # the resident product's and the Python-int product's
-    for seed in range(3):
-        got = []
-        for chunk in (35, 10):
-            got.append(_limb_products(2, 5, 4, 7, chunk, monkeypatch, random.Random(seed)))
-        (resident, is_resident, a, b), (staged, is_staged, *_) = got
-        assert is_resident and not is_staged
-        assert staged == resident
-        for p in range(7):
-            left = [[v for q in range(p, -1, -1) for v in a[q][r]] for r in range(2)]
-            right = [row for q in range(p + 1) for row in b[q]]
-            assert staged[p] == _int_matmul(left, right)
 
 
 @pytest.mark.parametrize("k, n, depth", [(3, 6, 5), (4, 5, 4), (5, 6, 4)])
