@@ -368,10 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = args.handler(args)
     except (ResourceLimitError, MemoryError) as exc:
-        reason = str(exc)
-        if isinstance(exc, MemoryError):
-            # numpy names the array it could not allocate, Python nothing
-            reason = f"out of memory: {reason}" if reason else "out of memory"
+        reason = str(exc) or "out of memory"
         print(f"hyperobs: resource limit: {reason}", file=sys.stderr)
         return 2
     except (ValueError, IndexError, KeyError, OSError) as exc:

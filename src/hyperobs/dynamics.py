@@ -31,10 +31,10 @@ import numpy as np
 from .errors import ResourceLimitError
 from .hypergraph import UniformHypergraph
 from .scalars import (
-    _GEMM_CHUNK,
     PRIME,
     LimbProduct,
     cast,
+    fits_one_chunk,
     mul,
     row_sum,
     segment_sums,
@@ -214,13 +214,13 @@ def check_lane_slots(dyn: DynamicsSpec, depth: int) -> None:
     ``ChainStacks.layout``) exceed MAX_DENSE_SLOTS 8-byte slots, counted
     from their shapes before any is allocated. A chain past the cap alone is
     refused before the cells are worked out, which takes time linear in
-    n. A pass at k >= 3 past n = 2**11, whose level product would need
-    blocks wider than one GEMM chunk (``scalars.LimbProduct``), is refused
-    before anything is counted."""
-    if dyn.k > 2 and depth > 0 and dyn.n > _GEMM_CHUNK:
+    n. A pass at k >= 3 whose level product would need blocks of n
+    columns wider than one GEMM chunk (``scalars.fits_one_chunk``), past
+    n = 2**11, is refused before anything is counted."""
+    if dyn.k > 2 and depth > 0 and not fits_one_chunk(dyn.n):
         raise ResourceLimitError(
-            f"n = {dyn.n} is past {_GEMM_CHUNK}, the widest block one GEMM "
-            f"chunk sums exactly: no lane slots for a pass at k = {dyn.k}"
+            f"a block of n = {dyn.n} columns is wider than one GEMM chunk: "
+            f"no lane slots for a pass at k = {dyn.k}"
         )
 
     def slots(arrays: tuple[tuple[tuple[int, ...], type], ...]) -> int:

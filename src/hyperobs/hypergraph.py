@@ -86,38 +86,23 @@ class UniformHypergraph:
 
     def connected_components(self) -> list[list[int]]:
         """Node sets linked through shared hyperedges, sorted within and
-        across components. Isolated nodes come back as singletons.
+        across components. Isolated nodes come back as singletons."""
+        parent = list(range(self.n + 1))
 
-        Every node carries a label, a node of its component no larger than
-        itself, at first its own. Each round hooks the labels of an edge's
-        nodes to the least of them, then jumps labels to their labels'
-        until none moves; once every edge has one label, each component is
-        labelled by its least node."""
-        labels = np.arange(self.n + 1)
-        # node-major, so that the least label of each edge is a reduction
-        # over k long rows rather than over E short ones
-        edges = np.ascontiguousarray(self.edge_array.T)
-        while True:
-            ends = labels[edges]
-            least = ends.min(axis=0)
-            if (ends == least).all():
-                break
-            # values spelled out in full: numpy 2.4 misapplies ufunc.at
-            # with broadcast values on these shapes
-            spread = np.broadcast_to(least, ends.shape).ravel()
-            np.minimum.at(labels, ends.ravel(), spread)
-            while True:
-                up = labels[labels]
-                if (up == labels).all():
-                    break
-                labels = up
-        # a stable sort by label keeps each component's nodes in order
-        order = np.argsort(labels[1:], kind="stable")
-        ordered = labels[1:][order]
-        cuts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-        nodes = (order + 1).tolist()
-        bounds = [0, *cuts.tolist(), self.n]
-        return [nodes[a:b] for a, b in zip(bounds, bounds[1:])]
+        def find(a: int) -> int:
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for e in self.edges:
+            root = find(e[0])
+            for i in e[1:]:
+                parent[find(i)] = root
+        groups: dict[int, list[int]] = {}
+        for i in range(1, self.n + 1):
+            groups.setdefault(find(i), []).append(i)
+        return sorted(sorted(g) for g in groups.values())
 
     @cached_property
     def twin_classes(self) -> tuple[tuple[int, ...], ...]:

@@ -191,7 +191,7 @@ class LimbProduct:
         """The arrays of ``layout``, for up to blocks levels. The cells
         are given by row and column within a block, sorted by column, then
         row."""
-        if width > _GEMM_CHUNK:
+        if not fits_one_chunk(width):
             raise ValueError(
                 f"block of {width} columns is wider than {_GEMM_CHUNK}"
             )
@@ -304,6 +304,12 @@ class LimbProduct:
             acc = part if acc is None else _canonical(acc + part)
             del part
         return acc
+
+
+def fits_one_chunk(width: int) -> bool:
+    """Whether a block of width columns fits one GEMM chunk, as every
+    block of a ``LimbProduct`` must for its sums to stay exact."""
+    return width <= _GEMM_CHUNK
 
 
 def _group(width: int, blocks: int) -> int:

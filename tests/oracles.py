@@ -37,11 +37,11 @@ points (``full_depth_blocks``), so they do not share the chain's stop rule.
 ``NomOracle.rank`` the same way, with no stop at the twin ceiling, and
 ``twin_ceiling`` that ceiling from twin classes found here.
 
-``canonical_edges``, ``edge_degrees``, ``edge_incidence``,
-``edge_twin_classes`` and ``union_find_components`` build a hypergraph's
-structure one edge at a time in Python, and ``cells_and_sets`` the Jacobian
-cells and leave-one-out sets over a given incidence; ``hyperobs.hypergraph``
-builds the same from one edge array with numpy.
+``canonical_edges``, ``edge_degrees``, ``edge_incidence`` and
+``edge_twin_classes`` build a hypergraph's structure one edge at a time in
+Python, and ``cells_and_sets`` the Jacobian cells and leave-one-out sets
+over a given incidence; ``hyperobs.hypergraph`` builds the same from one
+edge array with numpy.
 """
 
 from __future__ import annotations
@@ -575,27 +575,6 @@ def edge_twin_classes(g: UniformHypergraph) -> tuple[tuple[int, ...], ...]:
     for i in sorted(rests):
         groups.setdefault(frozenset(rests[i]), []).append(i)
     return tuple(tuple(c) for c in groups.values() if len(c) > 1)
-
-
-def union_find_components(g: UniformHypergraph) -> list[list[int]]:
-    """``UniformHypergraph.connected_components``: union-find over the
-    edges with path halving, then each root's nodes, sorted."""
-    parent = list(range(g.n + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in g.edges:
-        root = find(e[0])
-        for i in e[1:]:
-            parent[find(i)] = root
-    groups: dict[int, list[int]] = {}
-    for i in range(1, g.n + 1):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(sorted(c) for c in groups.values())
 
 
 def cells_and_sets(

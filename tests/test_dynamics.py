@@ -404,6 +404,12 @@ def test_a_block_wider_than_a_gemm_chunk_is_refused_before_any_count(
         assert "leave_one_out" not in vars(dyn)
         check_lane_slots(dyn, 0)
     check_lane_slots(DynamicsSpec(gen_hyperstar(2**11, 3)), 1)
+    # the rule is the level product's own, so a narrower chunk moves the
+    # refusal with it
+    monkeypatch.setattr("hyperobs.scalars._GEMM_CHUNK", 5)
+    with pytest.raises(ResourceLimitError, match="lane slots"):
+        check_lane_slots(DynamicsSpec(gen_hyperring(6, 3)), 1)
+    check_lane_slots(DynamicsSpec(gen_hyperring(5, 3)), 1)
 
 
 def test_the_step_table_scales_each_level():

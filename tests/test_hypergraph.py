@@ -32,7 +32,6 @@ from oracles import (
     edge_degrees,
     edge_incidence,
     edge_twin_classes,
-    union_find_components,
 )
 
 
@@ -111,28 +110,6 @@ def test_connected_components():
     assert gen_hyperchain(5, 3).connected_components() == [[1, 2, 3, 4, 5]]
     lone = UniformHypergraph(3, 2)
     assert lone.connected_components() == [[1], [2], [3]]
-
-
-def test_components_match_union_find():
-    # label hooking and pointer jumping give the union-find's components on
-    # random graphs of k = 2..5, dense to edgeless, many of them split; on
-    # a long chain, whose labels take many rounds to settle; on complete
-    # 40/4; and on 9,997 isolated nodes beside one edge
-    rng = random.Random(29)
-    graphs = [
-        gen_hyperchain(500, 3),
-        gen_complete(40, 4),
-        UniformHypergraph(10000, 3, [(1, 2, 3)]),
-    ]
-    for _ in range(300):
-        k = rng.randint(2, 5)
-        n = rng.randint(k, 30)
-        edges = [rng.sample(range(1, n + 1), k) for _ in range(rng.randint(0, n))]
-        graphs.append(UniformHypergraph(n, k, edges))
-    for g in graphs:
-        got = g.connected_components()
-        assert got == union_find_components(g)
-        assert all(type(i) is int for c in got for i in c)
 
 
 def test_leave_one_out_matches_the_per_set_sort():
