@@ -286,7 +286,7 @@ def _add_rank_flags(p: argparse.ArgumentParser) -> None:
         "the report gives as stacked_depth; levels past n-1 add no generic "
         "rank",
     )
-    p.add_argument("--trials", type=int, default=3, help="random evaluation points per rank check")
+    p.add_argument("--trials", type=int, default=3, help="random evaluation points per rank check at k >= 3 (at k = 2 every point gives the same blocks, so one is evaluated)")
     p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
 
 

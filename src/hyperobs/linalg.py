@@ -3,13 +3,13 @@
 The probabilistic observability checks reduce everything to row ranks of
 integer matrices mod P; those go through an incremental row-echelon basis
 so that candidate rows can be scored without repeating the elimination.
-One loop folds rows into a dict of pivot tails: the basis's own to commit
-them, a copy of it to probe them. A tail holds only the nonzero entries of
-its pivot row past the pivot, so eliminating against a unit row costs
-nothing, and a row being reduced takes unreduced products and is reduced
-mod P only where it is read: each coefficient once, and the row once when
-it is normalized. Once a basis reaches full rank no row can add a pivot,
-so further rows are only checked for length, never reduced.
+One loop folds rows into a dict of pivot tails, the whole basis: its own
+to commit them, a copy to probe them. A tail holds only the nonzero
+entries of its pivot row past the pivot, so eliminating against a unit
+row costs nothing, and a row being reduced takes unreduced products and
+is reduced mod P only where it is read: each coefficient once, and the
+row once when it is normalized. Once a basis reaches full rank no row can
+add a pivot, so further rows are only checked for length, never reduced.
 """
 
 from __future__ import annotations
@@ -22,33 +22,40 @@ from .scalars import PRIME
 class Echelon:
     """Incremental row-echelon basis over integers mod P.
 
-    Rows are stored normalized (pivot 1) and indexed by pivot column, and
-    never changed in place. Each pivot row also keeps its tail: the
-    (column, value) pairs of its nonzero entries past the pivot, which is
-    all that eliminating against it touches. ``add_rows`` folds rows in;
-    ``probe`` scores rows without committing them. Elimination order is
-    deterministic: columns are scanned left to right and the first nonzero
-    entry pivots.
+    Each row is stored normalized (pivot 1) as its tail, the (column,
+    value) pairs of its nonzero entries past the pivot, indexed by pivot
+    column and never changed in place; the tail is all that eliminating
+    against the row touches, and ``rows`` rebuilds the dense rows from
+    it. ``add_rows`` folds rows in; ``probe`` scores rows without
+    committing them. Elimination order is deterministic: columns are
+    scanned left to right and the first nonzero entry pivots.
     """
 
     def __init__(self, width: int):
         if width < 0:
             raise ValueError("width must be nonnegative")
         self.width = width
-        self.pivots: dict[int, list[int]] = {}
         self.tails: dict[int, list[tuple[int, int]]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.tails)
 
     def copy(self) -> Echelon:
         """A basis with the same pivot rows, to extend apart from this
         one."""
         twin = Echelon(self.width)
-        twin.pivots.update(self.pivots)
         twin.tails.update(self.tails)
         return twin
+
+    def rows(self) -> list[list[int]]:
+        """The normalized pivot rows, dense, in the order they were added."""
+        out = [[0] * self.width for _ in self.tails]
+        for row, (j, tail) in zip(out, self.tails.items()):
+            row[j] = 1
+            for t, v in tail:
+                row[t] = v
+        return out
 
     def _check(self, row: Sequence[int]) -> None:
         if len(row) != self.width:
@@ -58,9 +65,9 @@ class Echelon:
 
     def _reduce(
         self, row: Sequence[int], tails: dict[int, list[tuple[int, int]]]
-    ) -> tuple[int, list[int]] | None:
+    ) -> tuple[int, list[tuple[int, int]]] | None:
         """Reduce a row against the pivot rows' tails; return (pivot
-        column, normalized row) if a new pivot remains, else None.
+        column, its normalized tail) if a new pivot remains, else None.
 
         Entries are left unreduced while products are subtracted from
         them: an entry is reduced mod P once, when it is read as the
@@ -79,7 +86,11 @@ class Echelon:
             tail = tails.get(j)
             if tail is None:
                 inv = pow(coef, -1, m)
-                return j, [0] * j + [v * inv % m for v in r[j:]]
+                return j, [
+                    (t, u)
+                    for t, v in enumerate(r[j + 1 :], j + 1)
+                    if (u := v * inv % m)
+                ]
             for t, v in tail:
                 r[t] -= coef * v
         return None
@@ -88,23 +99,14 @@ class Echelon:
         self,
         rows: Iterable[Sequence[int]],
         tails: dict[int, list[tuple[int, int]]],
-        pivots: dict[int, list[int]] | None = None,
     ) -> int:
-        """Fold rows into tails, and their full rows into pivots if
-        given; return how many pivots they added."""
+        """Fold rows into tails; return how many pivots they added."""
         gained = 0
         for row in rows:
             if len(tails) < self.width:
                 hit = self._reduce(row, tails)
                 if hit is not None:
-                    j, normalized = hit
-                    tails[j] = [
-                        (t, v)
-                        for t, v in enumerate(normalized[j + 1 :], j + 1)
-                        if v
-                    ]
-                    if pivots is not None:
-                        pivots[j] = normalized
+                    tails[hit[0]] = hit[1]
                     gained += 1
             else:
                 self._check(row)
@@ -112,7 +114,7 @@ class Echelon:
 
     def add_rows(self, rows: Iterable[Sequence[int]]) -> int:
         """Fold rows in; return how many pivots they added."""
-        return self._fold(rows, self.tails, self.pivots)
+        return self._fold(rows, self.tails)
 
     def probe(self, rows: Iterable[Sequence[int]]) -> int:
         """How many pivots the rows would add, without committing them."""

@@ -60,8 +60,9 @@ class RankConfig:
     larger cap costs only the levels that can still add rank. trials is
     the number of independent evaluation points; the reported rank is the
     best one seen, rank deficiency at every point being overwhelmingly
-    unlikely for a generically full-rank matrix. seed derives every
-    evaluation point.
+    unlikely for a generically full-rank matrix. At k = 2 the blocks are
+    the same at every point, so one is evaluated (``NomOracle``). seed
+    derives every evaluation point.
     """
 
     trials: int = 3
@@ -174,9 +175,9 @@ class NomOracle:
     of them. watch=None watches each node alone, which makes every node
     set a union, as MON needs; a given watch is one node set, the only one
     ``rank`` then takes. Flatness is checked lazily: the pass folds each
-    new level into the echelon of one set still growing, the witness, and
-    only when it goes flat scans the sets after it for a new one. Each
-    set's echelon, grown that way, is kept as its row basis. Unwatched,
+    new level into the echelon of the first set still growing, and only
+    when it goes flat into the sets after it. Each set's echelon, grown
+    that way, is kept as its row basis. Unwatched,
     a twin class is watched through its first member alone, and every
     other member's basis is derived from the first's without reduction
     (``basis``), so a class of m twins costs one block's reduction, not
@@ -184,7 +185,9 @@ class NomOracle:
 
     No trial can rank a node set above its ``ceiling``, so a rank query
     stops at the first trial that reaches it, and later trials are never
-    evaluated for it.
+    evaluated for it. At k = 2 the dynamics are linear, dx/dt = A x, and
+    node i's block is e_i A^p at every point, so ``trials`` is 1 there,
+    for this oracle and its ``parts``; ``config`` keeps the count asked.
     """
 
     def __init__(
@@ -201,7 +204,7 @@ class NomOracle:
         self.dyn = DynamicsSpec(g)
         self.config = cfg
         self.depth = cfg.depth if cfg.depth is not None else g.n - 1
-        self.trials = cfg.trials
+        self.trials = 1 if g.k == 2 else cfg.trials
         self.seed = cfg.seed
         self.watch = None if watch is None else tuple(sorted(watch))
         self._evaluations: dict[int, np.ndarray] = {}
@@ -238,16 +241,10 @@ class NomOracle:
                 sets = [
                     (i,) for i in range(1, self.dyn.n + 1) if i not in firsts
                 ]
-            witness = 0
 
             def flat(chain: np.ndarray, p: int) -> bool:
-                nonlocal witness
                 blocks = chain[:, :, 1:].transpose(1, 0, 2)
-                while witness < len(sets) and not self._grow(
-                    trial, sets[witness], blocks, p
-                ):
-                    witness += 1
-                return witness == len(sets)
+                return not any(self._grow(trial, s, blocks, p) for s in sets)
 
             cached = node_blocks(self.dyn, self.point(trial), self.depth, flat)
             self._evaluations[trial] = cached
@@ -278,7 +275,7 @@ class NomOracle:
             blocks = self.evaluation(trial)
             self._grow(trial, nodes, blocks, blocks.shape[1] - 1)
             ech = self._growth.pop((trial, nodes))[0]
-            rows = self._bases[trial, nodes] = list(ech.pivots.values())
+            rows = self._bases[trial, nodes] = ech.rows()
         return rows
 
     def basis(self, trial: int, node: int) -> list[list[int]]:
@@ -423,5 +420,5 @@ def is_locally_weakly_observable(
         n=oracle.dyn.n,
         depth=oracle.depth,
         stacked_depth=oracle.stacked_depth,
-        trials=oracle.trials,
+        trials=oracle.config.trials,
     )

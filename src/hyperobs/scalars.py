@@ -168,15 +168,17 @@ class LimbProduct:
     wider than 2**11 columns is refused; ``dynamics.check_lane_slots``
     admits none.
 
-    When all blocks fit one chunk the product is resident: ``push`` writes
-    the limbs once, straight into the two float64 GEMM operands, A's cells
-    transposed into a buffer kept zero elsewhere, and each coefficient is
-    one GEMM of two slices of them, with nothing copied. Otherwise it is
-    staged: the limbs are kept as float32, and each chunk is widened into
-    the two float64 buffers, B's rows copied and A's cells scattered,
-    before its GEMM; each chunk's limb products are folded to residues
-    (``_fold``) and added into one (m, w) accumulator, reduced after each
-    addition.
+    A's cells go transposed into a float64 buffer allocated zeroed
+    (calloc, so pages a pass never reaches stay unmapped), and every
+    write lands on the cells' positions, so the rest stays zero. When all
+    blocks fit one chunk the product is resident: ``push`` writes the
+    limbs once, straight into that buffer and B's float64 GEMM operand,
+    and each coefficient is one GEMM of two slices of them, with nothing
+    copied. Otherwise it is staged: the limbs are kept as float32, and
+    each chunk is widened into the two float64 buffers, B's rows copied
+    and A's cells scattered, before its GEMM; each chunk's limb products
+    are folded to residues (``_fold``) and added into one (m, w)
+    accumulator, reduced after each addition.
     """
 
     def __init__(
@@ -205,18 +207,14 @@ class LimbProduct:
         # which keeps the scatter local.
         at = (cell_columns * (3 * m) + 3 * cell_rows)[:, None] + np.arange(3)
         if self.resident:
-            # left is zero outside the cells: calloc'd, so a pass that
-            # stops early touches no more of it than it uses
             self.left = np.zeros(*layout[0])
             self.right = np.empty(*layout[1])
             self.at = at
             return
-        self.row_limbs, self.cell_limbs, self.left, self.right = (
-            np.empty(shape, dtype) for shape, dtype in layout[:4]
-        )
-        # rows of left below this are zero outside the cells; a row is
-        # first zeroed when a chunk first reaches it
-        self.clean = 0
+        self.row_limbs = np.empty(*layout[0])
+        self.cell_limbs = np.empty(*layout[1])
+        self.left = np.zeros(*layout[2])
+        self.right = np.empty(*layout[3])
         self.at = np.arange(self.group)[:, None, None] * (width * 3 * m) + at
 
     @staticmethod
@@ -287,9 +285,6 @@ class LimbProduct:
         for first in range(0, p + 1, self.group):
             count = min(self.group, p + 1 - first)
             inner = count * width
-            if inner > self.clean:
-                self.left[self.clean : inner] = 0
-                self.clean = inner
             # widened first, as a scatter from float32 takes twice as long
             values = a[first : first + count].astype(float)
             flat[self.at[:count].ravel()] = values.ravel()

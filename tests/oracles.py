@@ -417,14 +417,16 @@ def eager_greedy(
     config: RankConfig | None = None,
     tie_break: str = "degree",
 ) -> MonResult:
-    """``mon.greedy_mon`` with every trial evaluated up front and every
-    candidate scored at every trial. A tie goes to the node first in the
+    """``mon.greedy_mon`` with every configured trial evaluated up front,
+    to the depth cap, and every candidate scored at every trial, at k = 2
+    too, where the oracle evaluates one. A tie goes to the node first in the
     tie-break's order: by degree then label, by label, or by a seeded
     shuffle of the labels."""
     oracle = NomOracle(g, config)
     n = g.n
-    echelons = [Echelon(n) for _ in range(oracle.trials)]
-    evaluations = [full_depth_blocks(oracle, t) for t in range(oracle.trials)]
+    trials = range(oracle.config.trials)
+    echelons = [Echelon(n) for _ in trials]
+    evaluations = [full_depth_blocks(oracle, t) for t in trials]
     degrees = g.degrees()
     shuffled = list(range(1, n + 1))
     random.Random(derive_seed(oracle.seed, "tie-break")).shuffle(shuffled)
@@ -471,11 +473,13 @@ def naive_brute_force(
     max_subsets: int = NAIVE_SUBSET_CAP,
 ) -> MonResult:
     """``mon.brute_force_mon`` ranking each subset's raw blocks at every
-    trial, all trials evaluated up front, past max_subsets subsets from
-    size 1 up, ResourceLimitError."""
+    configured trial, all evaluated up front to the depth cap, past
+    max_subsets subsets from size 1 up, ResourceLimitError."""
     oracle = NomOracle(g, config)
     n = g.n
-    evaluations = [full_depth_blocks(oracle, t) for t in range(oracle.trials)]
+    evaluations = [
+        full_depth_blocks(oracle, t) for t in range(oracle.config.trials)
+    ]
     tried = 0
     for size in range(1, n + 1):
         for subset in combinations(range(1, n + 1), size):
@@ -500,11 +504,11 @@ def all_trials_rank(
     config: RankConfig | None = None,
 ) -> int:
     """``NomOracle.rank``: the best rank of the nodes' raw blocks over
-    every trial, each evaluated to the depth cap."""
+    every configured trial, each evaluated to the depth cap."""
     oracle = NomOracle(g, config)
     return max(
         modp_rank(block_rows(full_depth_blocks(oracle, t), nodes), oracle.dyn.n)
-        for t in range(oracle.trials)
+        for t in range(oracle.config.trials)
     )
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -24,11 +25,12 @@ from hyperobs.correlation import TimeSeriesMatrix, write_timeseries_csv
 from hyperobs.hypergraph import (
     FAMILIES,
     UniformHypergraph,
+    gen_complete,
     gen_hyperring,
     gen_hyperstar,
 )
 
-from conftest import disjoint_union
+from conftest import disjoint_union, random_uniform_hypergraph
 
 
 def run(capsys, *argv):
@@ -481,6 +483,44 @@ def test_mon_isolated_nodes_need_no_rank_work(tmp_path, capsys, monkeypatch):
     assert code == 0
     res = json.loads(stdout)["result"]
     assert [c["depth"] for c in res["components"]] == [4, 4, 4]
+
+
+def test_k2_evaluates_one_point_per_component(tmp_path, capsys, monkeypatch):
+    # at k = 2 every point gives the blocks e_i A^p, so each component's
+    # oracle evaluates trial 0 alone, for greedy, brute force and a
+    # watched set alike, while the reports keep the configured trials
+    path = tmp_path / "graph.json"
+    sizes = []
+    original = observability.node_blocks
+
+    def counting(dyn, x, *rest):
+        sizes.append(dyn.n)
+        return original(dyn, x, *rest)
+
+    monkeypatch.setattr(observability, "node_blocks", counting)
+    rng = random.Random(2)
+    graphs = [gen_hyperring(100, 2), gen_hyperring(7, 2), gen_complete(6, 2)]
+    graphs.append(gen_complete(9, 2))
+    for _ in range(6):
+        a, b = (
+            random_uniform_hypergraph(rng.randint(2, 7), 2, rng, rng.random())
+            for _ in range(2)
+        )
+        union = disjoint_union(a, b)
+        graphs.append(UniformHypergraph(union.n + 1, 2, union.edges))
+    for g in graphs:
+        path.write_text(g.to_json())
+        parts = [len(c) for c in g.connected_components() if len(c) > 1]
+        for argv, want in (
+            (("mon",), parts),
+            (("mon", "--brute-force"), parts),
+            (("observable", "--nodes", "1"), [g.n]),
+        ):
+            sizes.clear()
+            code, stdout, _ = run(capsys, argv[0], str(path), *argv[1:])
+            assert code == 0
+            assert sorted(sizes) == sorted(want)
+            assert json.loads(stdout)["parameters"]["trials"] == 3
 
 
 def test_mon_out_file_matches_stdout_report(tmp_path, capsys):

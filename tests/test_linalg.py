@@ -58,12 +58,12 @@ def test_echelon_probe_matches_add():
         split = rng.randint(0, len(rows))
         ech = Echelon(width)
         ech.add_rows(rows[:split])
-        before = dict(ech.pivots)
-        stored = {j: list(row) for j, row in ech.pivots.items()}
+        before = dict(ech.tails)
+        stored = ech.rows()
         probed = ech.probe(rows[split:])
         # probing commits nothing and changes no stored row
-        assert ech.pivots == before
-        assert ech.pivots == stored
+        assert ech.tails == before
+        assert ech.rows() == stored
         gained = ech.add_rows(rows[split:])
         assert probed == gained
 
@@ -81,9 +81,9 @@ def test_rows_past_full_rank_are_only_length_checked(monkeypatch):
     reduced = []
     original = Echelon._reduce
 
-    def counting(self, row, pivots):
+    def counting(self, row, tails):
         reduced.append(row)
-        return original(self, row, pivots)
+        return original(self, row, tails)
 
     monkeypatch.setattr(Echelon, "_reduce", counting)
     rows = [[1, 2, 3], [2, 4, 7], [0, 1, 5], [4, 5, 6], [1, 1, 1]]
@@ -164,18 +164,25 @@ def test_echelon_matches_a_plain_elimination(case):
     ech, plain = Echelon(width), {}
     for batch in batches:
         rows = [list(row) for row in batch]
-        pivots = {j: list(row) for j, row in ech.pivots.items()}
         tails = {j: list(tail) for j, tail in ech.tails.items()}
         assert ech.probe(rows) == _plain_fold(dict(plain), rows, width)
-        assert ech.pivots == pivots and ech.tails == tails
+        assert ech.tails == tails
         assert rows == [list(row) for row in batch]
         assert ech.add_rows(rows) == _plain_fold(plain, rows, width)
-        assert list(ech.pivots.items()) == list(plain.items())
+        assert list(ech.tails) == list(plain)
+        assert ech.rows() == list(plain.values())
         assert ech.rank == len(plain)
-    for j, row in ech.pivots.items():
+    for j, row in plain.items():
         assert ech.tails[j] == [(t, v) for t, v in enumerate(row) if v and t > j]
+    # a copy starts with the same rows and extends apart from its source
     twin = ech.copy()
-    assert twin.pivots == ech.pivots and twin.tails == ech.tails
+    assert twin.tails == ech.tails and twin.rows() == ech.rows()
+    before = ech.rows()
+    extra = [[1] * width, list(range(1, width + 1)), [0] * (width - 1) + [1]]
+    gained = twin.add_rows(extra)
+    assert gained == _plain_fold(plain, extra, width)
+    assert twin.rows() == list(plain.values())
+    assert ech.rows() == before and twin.rank == ech.rank + gained
 
 
 def test_a_unit_pivot_row_stores_an_empty_tail():
@@ -183,7 +190,7 @@ def test_a_unit_pivot_row_stores_an_empty_tail():
     ech = Echelon(4)
     assert ech.add_rows([[0, 5, 0, 0], [0, 3, 4, 1]]) == 2
     quarter = pow(4, -1, PRIME)
-    assert ech.pivots == {1: [0, 1, 0, 0], 2: [0, 0, 1, quarter]}
+    assert ech.rows() == [[0, 1, 0, 0], [0, 0, 1, quarter]]
     assert ech.tails == {1: [], 2: [(3, quarter)]}
     assert ech.probe([[0, 7, 0, 0], [0, PRIME + 2, 8, -2]]) == 1
 

@@ -585,7 +585,7 @@ def test_a_twin_basis_built_from_the_first_spans_its_own_block(
     oracle = NomOracle(g, RankConfig(trials=trials, seed=seed, depth=depth))
     nodes = range(1, g.n + 1)
     stops = []
-    for t in range(trials):
+    for t in range(oracle.trials):
         blocks = full_depth_blocks(oracle, t)
         bases = {v: oracle.basis(t, v) for v in nodes}
         for cls in g.twin_classes:
@@ -674,19 +674,27 @@ def test_brute_force_starts_at_the_twin_bound(monkeypatch):
 
 
 def test_brute_force_ranks_each_subset_once_per_trial(monkeypatch):
-    # complete 6/2 has no twins and needs five nodes. (1) fails at all three
-    # trials, which turns the rank cut on. Every node's basis has rank 2
-    # and s nodes span s + 1 dimensions, so the cut takes every prefix of
-    # sizes 2 and 3 (rank at most 4 and 5), but a 4-subset's prefix of
-    # three nodes has rank 4, so each of the 15 is ranked at every trial
-    # (rank 5). Then (1, ..., 5) is ranked at one.
+    # complete 6/2 has no twins and needs five nodes. (1) fails at its one
+    # trial, k = 2 having one point, which turns the rank cut on. Every
+    # node's basis has rank 2 and s nodes span s + 1 dimensions, so the cut
+    # takes every prefix of sizes 2 and 3 (rank at most 4 and 5), but a
+    # 4-subset's prefix of three nodes has rank 4, so each of the 15 is
+    # ranked (rank 5). Then (1, ..., 5) is ranked.
     g = gen_complete(6, 2)
     cfg = RankConfig(trials=3)
     ranks = _count_calls(monkeypatch, mon, "modp_rank")
     res = brute_force_mon(g, cfg)
-    assert len(ranks) == 3 * (1 + comb(6, 4)) + 1
+    assert len(ranks) == 1 + comb(6, 4) + 1
     assert res.selected == naive_brute_force(g, cfg).selected
     assert res.selected == (1, 2, 3, 4, 5)
+    # ring 9/3 at depth 2 has no twins, and each basis has rank at most 3.
+    # (1) fails at all three trials, so the cut takes every prefix of size
+    # 1 and 2 (rank at most 6), and (1, 2, 3) reaches rank 9 at trial 0
+    ranks.clear()
+    g, cfg = gen_hyperring(9, 3), RankConfig(trials=3, depth=2)
+    res = brute_force_mon(g, cfg)
+    assert len(ranks) == 3 * 1 + 1
+    assert res.selected == naive_brute_force(g, cfg).selected == (1, 2, 3)
 
 
 @pytest.mark.parametrize("n", [10, 11, 20])
@@ -770,7 +778,7 @@ def test_the_rank_cut_keeps_every_full_rank_subset(
             if any(
                 modp_rank([row for i in s for row in oracle.basis(t, i)], n)
                 == n
-                for t in range(trials)
+                for t in range(oracle.trials)
             )
         ]
         kept = list(cut.subsets(size))

@@ -340,3 +340,31 @@ def test_a_query_works_its_ceiling_out_once(monkeypatch):
     assert oracle.rank([1]) == 1
     assert sorted(oracle._evaluations) == [0, 1, 2]
     assert calls == [{1}]
+
+
+def test_a_k2_oracle_evaluates_trial_0_only():
+    # at k = 2 node i's block is e_i A^p at every point, so the oracle and
+    # its parts keep one trial, while the config and the report keep the
+    # count asked for. Two disjoint paths rank below their ceiling from one
+    # node, and no later trial is drawn
+    g = UniformHypergraph(7, 2, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
+    cfg = RankConfig(trials=3, seed=4)
+    oracle = NomOracle(g, cfg)
+    assert (oracle.trials, oracle.config.trials) == (1, 3)
+    assert [part.trials for _, part in oracle.parts] == [1, 1]
+    assert oracle.rank([1]) == 3
+    assert sorted(oracle._evaluations) == [0]
+    with pytest.raises(IndexError):
+        oracle.evaluation(1)
+    report = is_locally_weakly_observable(g, [2], cfg)
+    assert (report.rank, report.trials) == (2, 3)
+    # every configured point gives trial 0's blocks, at every level
+    first = node_blocks(oracle.dyn, oracle.point(0), oracle.depth)
+    stacked = oracle.evaluation(0)
+    assert (stacked == first[:, : stacked.shape[1]]).all()
+    for t in range(1, 3):
+        x = oracle.point(t)
+        assert x != oracle.point(0)
+        assert (node_blocks(oracle.dyn, x, oracle.depth) == first).all()
+    # at k = 3 every configured trial stays
+    assert NomOracle(gen_hyperstar(6, 3), cfg).trials == 3
